@@ -175,6 +175,43 @@ def _wire_shape_entry(registry: FormatRegistry, fmt: Format,
     }
 
 
+def _compact_array_speedups(fmt: Format, value: Dict[str, Any],
+                            min_time: float) -> Dict[str, float]:
+    """The compact int-array block kernels against the scalar loop they
+    replaced (kept for small arrays), over the int arrays of ``value``.
+
+    Both are timed here, back to back on the same arrays, so a change in
+    host speed between the baseline and a later run cancels out of the
+    ratio — which is why the gate can demand it of any run.
+    """
+    from ..pbio.compiler import (_pack_compact_int_array,
+                                 _pack_compact_int_array_scalar,
+                                 _unpack_compact_int_array,
+                                 _unpack_compact_int_array_scalar)
+    from ..pbio.types import Array
+    arrays = [(value[f.name], f.ftype.element.kind) for f in fmt.fields
+              if isinstance(f.ftype, Array)]
+    blobs = [(_pack_compact_int_array(items, kind), kind, len(items))
+             for items, kind in arrays]
+
+    def encode_rate(pack: Callable[[Any, str], bytes]) -> float:
+        return _rate(lambda: [pack(items, kind) for items, kind in arrays],
+                     min_time)
+
+    def decode_rate(unpack: Callable[[bytes, int, str, int], Any]) -> float:
+        return _rate(lambda: [unpack(blob, 0, kind, count)
+                              for blob, kind, count in blobs], min_time)
+
+    return {
+        "compact_encode_speedup_vs_scalar":
+            encode_rate(_pack_compact_int_array)
+            / encode_rate(_pack_compact_int_array_scalar),
+        "compact_decode_speedup_vs_scalar":
+            decode_rate(_unpack_compact_int_array)
+            / decode_rate(_unpack_compact_int_array_scalar),
+    }
+
+
 def _stream_rss_child(payload_bytes: int, out_q) -> None:
     """Forked child: push ``payload_bytes`` of PBIO records through the
     reactor's streaming route and read the echo back, sampling VmRSS.
@@ -303,6 +340,8 @@ def _bench_wire(min_time: float, smoke: bool) -> Dict[str, Any]:
         "nested_struct_d8": _wire_shape_entry(
             registry, nested_fmt, nested_value, min_time),
     }
+    out["shapes"]["small_int_heavy"].update(_compact_array_speedups(
+        WIRE_SMALL_INT_FORMAT, small_value, min_time))
     out["streaming"] = _bench_wire_streaming(smoke)
     return out
 

@@ -53,7 +53,8 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Tuple)
 
 try:
     import numpy as _np
@@ -76,6 +77,14 @@ _NP_CHARS = {
     "B": "u1", "H": "u2", "I": "u4", "Q": "u8",
     "f": "f4", "d": "f8",
 }
+
+#: element count from which primitive arrays decode to an ndarray (and
+#: the compact int codec runs its NumPy kernels) instead of a list: below
+#: it NumPy's fixed per-call cost exceeds the per-element loop
+_NP_MIN_COUNT = 64
+#: elements per block of the compact int-array kernels, bounding every
+#: temporary they allocate whatever the array's length
+_COMPACT_BLOCK = 1 << 16
 
 EncodeFn = Callable[[Dict[str, Any]], bytes]
 EncodePartsFn = Callable[[Dict[str, Any]], List[bytes]]
@@ -129,7 +138,7 @@ def _unpack_prim_array(buf: Any, off: int, char: str, count: int,
     end = off + size
     if end > len(buf):
         raise DecodeError("truncated primitive array")
-    if _np is not None and count >= 64 and char in _NP_CHARS:
+    if _np is not None and count >= _NP_MIN_COUNT and char in _NP_CHARS:
         dtype = _np.dtype(endian + _NP_CHARS[char])
         arr = _np.frombuffer(buf, dtype=dtype, count=count, offset=off)
         return arr, end
@@ -219,8 +228,12 @@ def _compact_int_decoder(kind: str) -> Callable[[Any, int], Tuple[int, int]]:
     return dec
 
 
-def _pack_compact_int_array(values: Any, kind: str) -> bytes:
-    """Bulk varint-encode an array of one integer kind."""
+def _pack_compact_int_array_scalar(values: Any, kind: str) -> bytes:
+    """Varint-encode an array of one integer kind, one element at a time.
+
+    The path for arrays under :data:`_NP_MIN_COUNT` elements, and the one
+    that names the error when the block kernel refuses its input.
+    """
     lo, hi = _INT_RANGES[kind]
     signed = kind[0] == "i"
     if _np is not None and isinstance(values, _np.ndarray):
@@ -245,9 +258,10 @@ def _pack_compact_int_array(values: Any, kind: str) -> bytes:
     return bytes(out)
 
 
-def _unpack_compact_int_array(buf: Any, off: int, kind: str,
-                              count: int) -> Tuple[List[int], int]:
-    """Bulk varint-decode ``count`` integers of one kind."""
+def _unpack_compact_int_array_scalar(buf: Any, off: int, kind: str,
+                                     count: int) -> Tuple[List[int], int]:
+    """Varint-decode ``count`` integers of one kind, one byte at a time
+    (small arrays, and naming the error in a malformed buffer)."""
     lo, hi = _INT_RANGES[kind]
     signed = kind[0] == "i"
     values: List[int] = []
@@ -274,6 +288,174 @@ def _unpack_compact_int_array(buf: Any, off: int, kind: str,
             raise DecodeError(f"{n} out of range for {kind}")
         append(n)
     return values, off
+
+
+class _IntKind(NamedTuple):
+    """What the block kernels need to know about one integer kind."""
+
+    char: str        # struct char of the element
+    dtype: Any       # little-endian element dtype (what native decodes to)
+    udtype: Any      # unsigned dtype of the same width (zigzag space)
+    bits: int
+    max_len: int     # bytes in the longest canonical varint of this width
+    top_max: int     # largest value byte ``max_len - 1`` may carry
+
+
+def _int_kind(kind: str) -> _IntKind:
+    prim = Primitive(kind)
+    bits = 8 * prim.size
+    max_len = -(-bits // 7)
+    return _IntKind(prim.struct_char,
+                    _np.dtype("<" + _NP_CHARS[prim.struct_char]),
+                    _np.dtype(f"<u{prim.size}"), bits, max_len,
+                    (1 << (bits - 7 * (max_len - 1))) - 1)
+
+
+_INT_KINDS: Dict[str, _IntKind] = (
+    {kind: _int_kind(kind) for kind in _INT_RANGES} if _np is not None else {})
+
+
+def _as_int_ndarray(values: Any, kind: str, info: _IntKind) -> Any:
+    """``values`` as a 1-D ndarray of the kind's dtype, validated exactly
+    as the scalar loop would — or ``None`` when that loop must run
+    instead (to name the bad element, or because the input is not a flat
+    integer array)."""
+    if isinstance(values, _np.ndarray):
+        if values.ndim != 1 or values.dtype.kind not in "iub":
+            return None
+        if values.dtype != info.dtype and values.dtype.kind != "b":
+            lo, hi = _INT_RANGES[kind]
+            if int(values.min()) < lo or int(values.max()) > hi:
+                return None
+        return values
+    try:
+        # one batch pack checks every element's type and range — the
+        # same check the native plan makes
+        raw = _array_struct(LITTLE, len(values), info.char).pack(*values)
+    except struct.error:
+        return None
+    return _np.frombuffer(raw, dtype=info.dtype)
+
+
+def _pack_compact_int_block(block: Any, info: _IntKind) -> bytes:
+    """Varint-encode one block of elements already of ``info.dtype``."""
+    if info.dtype.kind == "i":
+        # zigzag in the element's own width
+        block = ((block << 1) ^ (block >> (info.bits - 1))).view(info.udtype)
+    top = int(block.max())
+    if top < 0x80:
+        return block.astype(_np.uint8).tobytes()
+    # small values in a wide kind: every pass below runs that much narrower
+    block = block.astype(_np.min_scalar_type(top), copy=False)
+    width = -(-top.bit_length() // 7)
+    # one column per 7-bit plane, as wide as the largest element needs;
+    # ``keep`` marks the bytes each element really has, so compressing the
+    # rows in order is the wire
+    planes = _np.empty((len(block), width), dtype=_np.uint8)
+    keep = _np.empty((len(block), width), dtype=_np.bool_)
+    keep[:, 0] = True
+    for k in range(width - 1):
+        more = block >= 0x80
+        keep[:, k + 1] = more
+        planes[:, k] = (block & 0x7F) | (more.view(_np.uint8) << 7)
+        block = block >> 7
+    planes[:, width - 1] = block
+    return planes.ravel().compress(keep.ravel()).tobytes()
+
+
+def _pack_compact_int_array(values: Any, kind: str) -> bytes:
+    """Bulk varint-encode an array of one integer kind.
+
+    Byte-identical to :func:`_pack_compact_int_array_scalar`; from
+    :data:`_NP_MIN_COUNT` elements up the work is done by NumPy in blocks
+    of :data:`_COMPACT_BLOCK` elements, in the narrowest unsigned dtype
+    that holds the zigzagged kind, so temporaries stay O(block).
+    """
+    n = len(values)
+    if n < _NP_MIN_COUNT or _np is None:
+        return _pack_compact_int_array_scalar(values, kind)
+    info = _INT_KINDS[kind]
+    arr = _as_int_ndarray(values, kind, info)
+    if arr is None:
+        return _pack_compact_int_array_scalar(values, kind)
+    return b"".join(
+        _pack_compact_int_block(
+            arr[i:i + _COMPACT_BLOCK].astype(info.dtype, copy=False), info)
+        for i in range(0, n, _COMPACT_BLOCK))
+
+
+def _unpack_compact_int_block(buf: Any, off: int, info: _IntKind,
+                              out: Any) -> Optional[int]:
+    """Decode ``len(out)`` canonical varints at ``off`` into ``out`` (of
+    ``info.udtype``; un-zigzagged in place) and return the new offset —
+    or ``None`` when the window holds anything the scalar loop has to
+    judge: too few terminators, a varint longer than the kind needs, or a
+    top byte carrying bits the kind has no room for."""
+    count = len(out)
+    window = _np.frombuffer(
+        buf, dtype=_np.uint8, offset=off,
+        count=min(len(buf) - off, info.max_len * count))
+    if len(window) < count:
+        return None
+    if int(window[:count].max()) < 0x80:
+        out[:] = window[:count]
+        used = count
+    else:
+        # the first ``count`` terminators are the element boundaries
+        ends = _np.flatnonzero(window < 0x80)[:count]
+        if len(ends) < count:
+            return None
+        starts = _np.empty_like(ends)
+        starts[0] = 0
+        _np.add(ends[:-1], 1, out=starts[1:])
+        extra = ends - starts           # continuation bytes per element
+        width = int(extra.max()) + 1
+        if width > info.max_len:
+            return None
+        # accumulate one 7-bit plane per pass; once the kind's last byte
+        # is known to carry no bit beyond its width, nothing can overflow
+        # ``info.udtype`` or leave the kind's range
+        out[:] = window[starts] & 0x7F
+        for k in range(1, width):
+            idx = _np.flatnonzero(extra >= k)
+            plane = window[starts[idx] + k]
+            if k == info.max_len - 1 and int(plane.max()) > info.top_max:
+                return None
+            out[idx] |= (plane & 0x7F).astype(info.udtype) << (7 * k)
+        used = int(ends[-1]) + 1
+    if info.dtype.kind == "i":
+        sign = out & 1
+        out >>= 1
+        out ^= _np.negative(sign, out=sign)
+    return off + used
+
+
+def _unpack_compact_int_array(buf: Any, off: int, kind: str,
+                              count: int) -> Tuple[Any, int]:
+    """Bulk varint-decode ``count`` integers of one kind.
+
+    Returns the container the native plan returns for that count (a list
+    under :data:`_NP_MIN_COUNT` elements, an ndarray of the kind's dtype
+    from there up), decoding well-formed input in NumPy blocks; anything
+    else is handed to the scalar loop, which raises the typed error.
+    """
+    if count > len(buf) - off:
+        # every varint is at least one byte: refuse a hostile count
+        # before anything is sized by it
+        raise DecodeError("truncated varint")
+    if count < _NP_MIN_COUNT or _np is None:
+        return _unpack_compact_int_array_scalar(buf, off, kind, count)
+    info = _INT_KINDS[kind]
+    out = _np.empty(count, dtype=info.udtype)
+    pos: Optional[int] = off
+    for i in range(0, count, _COMPACT_BLOCK):
+        pos = _unpack_compact_int_block(buf, pos, info,
+                                        out[i:i + _COMPACT_BLOCK])
+        if pos is None:
+            values, end = _unpack_compact_int_array_scalar(buf, off, kind,
+                                                           count)
+            return _np.array(values, dtype=info.dtype), end
+    return out.view(info.dtype), pos
 
 
 # ----------------------------------------------------------------------

@@ -31,6 +31,10 @@ BASELINE = {
                 "native_bytes": 60000,
                 "compact_bytes": 12000,
                 "compact_shrink": 5.0,
+                "native_encode_ops_s": 10000.0,
+                "compact_encode_ops_s": 5000.0,
+                "compact_encode_speedup_vs_scalar": 9.0,
+                "compact_decode_speedup_vs_scalar": 20.0,
             },
         },
         "streaming": {
@@ -125,6 +129,21 @@ class TestBaselineGates:
         shape = broken["wire"]["shapes"]["small_int_heavy"]
         shape["compact_shrink"] = 1.9
         with pytest.raises(GateFailure, match="small-int shape"):
+            gates.gate_wire_baseline(broken)
+
+    @pytest.mark.parametrize("direction", ["encode", "decode"])
+    def test_wire_vectorised_codec_too_close_to_scalar(self, direction):
+        broken = copy.deepcopy(BASELINE)
+        shape = broken["wire"]["shapes"]["small_int_heavy"]
+        shape[f"compact_{direction}_speedup_vs_scalar"] = 7.9
+        with pytest.raises(GateFailure, match=f"compact {direction}"):
+            gates.gate_wire_baseline(broken)
+
+    def test_wire_compact_encode_too_far_from_native(self):
+        broken = copy.deepcopy(BASELINE)
+        shape = broken["wire"]["shapes"]["small_int_heavy"]
+        shape["compact_encode_ops_s"] = shape["native_encode_ops_s"] / 3.1
+        with pytest.raises(GateFailure, match="slower than native"):
             gates.gate_wire_baseline(broken)
 
     def test_wire_rss_over_bound(self):

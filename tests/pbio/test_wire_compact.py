@@ -14,12 +14,20 @@ Three layers under test:
   value.
 """
 
+import functools
+import tracemalloc
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.pbio import (DecodeError, EncodeError, Format, FormatRegistry,
                         PbioSession, decode_uvarint, encode_uvarint,
                         interp_decode_compact, interp_encode_compact,
                         unzigzag, zigzag)
+from repro.pbio import compiler as compiler_module
+from repro.pbio.compiler import (_pack_compact_int_array_scalar,
+                                 _unpack_compact_int_array_scalar)
 from repro.pbio.types import Array, Primitive, StructRef
 
 
@@ -327,3 +335,282 @@ def test_compact_differential_across_app_formats(app):
         assert session_decoded == native_decoded
         checked += 1
     assert checked == len(formats)
+
+
+# ----------------------------------------------------------------------
+# the vectorised int-array codec (NumPy block kernels from 64 elements)
+# ----------------------------------------------------------------------
+
+INT_KINDS = sorted(_INT_BOUNDS)
+
+
+@functools.lru_cache(maxsize=None)
+def array_codec(kind):
+    """(registry, format, compiled compact encode, compiled compact
+    decode) for a format holding one variable-length ``kind`` array."""
+    registry = FormatRegistry()
+    fmt = Format.from_dict(f"Arr_{kind}", {"v": f"{kind}[]"})
+    registry.register(fmt)
+    compiler = registry.compiler
+    return (registry, fmt, compiler.compact_encoder(fmt),
+            compiler.compact_decoder(fmt))
+
+
+def boundary_values(kind):
+    """Every value where the varint length of ``kind`` changes, +-1, and
+    the ends of the kind's range."""
+    lo, hi = _INT_BOUNDS[kind]
+    out = {lo, hi, 0, 1, lo + 1, hi - 1}
+    for k in range(1, 10):
+        for base in (1 << (7 * k), 1 << (7 * k - 1)):   # plain / zigzagged
+            for v in (base - 1, base, base + 1):
+                out.update(x for x in (v, -v) if lo <= x <= hi)
+    return sorted(out)
+
+
+def assert_matches_oracle(kind, values):
+    """Compiled compact encode is byte-equal to the interpreted oracle,
+    compiled decode value-equal, for one array (list or ndarray)."""
+    registry, fmt, encode, decode = array_codec(kind)
+    blob = encode({"v": values})
+    assert blob == interp_encode_compact(fmt, {"v": values}, registry)
+    decoded, end = decode(blob, 0)
+    oracle, oracle_end = interp_decode_compact(fmt, blob, 0, registry)
+    assert end == oracle_end == len(blob)
+    assert list(decoded["v"]) == oracle["v"]
+    assert [int(x) for x in oracle["v"]] == [int(x) for x in values]
+
+
+@st.composite
+def int_arrays(draw):
+    kind = draw(st.sampled_from(INT_KINDS))
+    lo, hi = _INT_BOUNDS[kind]
+    element = st.one_of(st.sampled_from(boundary_values(kind)),
+                        st.integers(lo, hi),
+                        st.integers(max(lo, -100), min(hi, 100)))
+    # both sides of the 64-element switch to the block kernels
+    values = draw(st.one_of(st.lists(element, max_size=70),
+                            st.lists(element, min_size=64, max_size=300)))
+    as_type = draw(st.sampled_from(["list", "bool", "npscalar", "ndarray",
+                                    "wide", "strided"]))
+    if as_type == "bool":
+        values = [bool(v & 1) if i % 3 == 0 else v
+                  for i, v in enumerate(values)]
+    elif as_type == "npscalar":
+        values = [np.dtype(kind).type(v) if i % 2 else v
+                  for i, v in enumerate(values)]
+    elif as_type == "ndarray":
+        values = np.array(values, dtype=kind)
+    elif as_type == "wide":         # a wider dtype holding in-range values
+        values = np.array(values,
+                          dtype=np.uint64 if lo == 0 else np.int64)
+    elif as_type == "strided":
+        values = np.array(values + values, dtype=kind)[::2]
+    return kind, values
+
+
+class TestVectorisedIntArrays:
+    @settings(max_examples=150, deadline=None)
+    @given(int_arrays())
+    def test_differential_against_oracle(self, case):
+        kind, values = case
+        assert_matches_oracle(kind, values)
+
+    @pytest.mark.parametrize("kind", INT_KINDS)
+    def test_every_length_boundary_in_one_array(self, kind):
+        values = boundary_values(kind) * 8       # mixed widths, > 64
+        assert len(values) >= 64
+        assert_matches_oracle(kind, values)
+        assert_matches_oracle(kind, np.array(values, dtype=kind))
+
+    @pytest.mark.parametrize("n", [65535, 65536, 65537])
+    @pytest.mark.parametrize("kind", INT_KINDS)
+    def test_block_boundary_lengths(self, kind, n):
+        bounds = boundary_values(kind)
+        values = [bounds[(i * 7) % len(bounds)] if i % 5 == 0 else i % 100
+                  for i in range(n)]
+        assert_matches_oracle(kind, values)
+
+    @pytest.mark.parametrize("kind", INT_KINDS)
+    def test_wellformed_arrays_never_reach_the_scalar_loop(self, kind,
+                                                           monkeypatch):
+        """Falling back is always *correct*, so only this catches a
+        kernel that silently refuses input it should handle."""
+        def scalar_loop_reached(*args):
+            raise AssertionError("scalar loop reached")
+
+        _, _, encode, decode = array_codec(kind)
+        values = boundary_values(kind) * 8
+        monkeypatch.setattr(compiler_module,
+                            "_pack_compact_int_array_scalar",
+                            scalar_loop_reached)
+        monkeypatch.setattr(compiler_module,
+                            "_unpack_compact_int_array_scalar",
+                            scalar_loop_reached)
+        blob = encode({"v": values})
+        assert encode({"v": np.array(values, dtype=kind)}) == blob
+        decoded, _ = decode(blob, 0)
+        assert list(decoded["v"]) == values
+
+    def test_bool_ndarray(self):
+        # the oracle walks elements and NumPy bools refuse ``__index__``;
+        # the compiled plan has always gone through ``tolist()``
+        flags = np.arange(100) % 3 == 0
+        _, _, encode, _ = array_codec("uint8")
+        blob = encode({"v": flags})
+        assert blob == encode_uvarint(100) + _pack_compact_int_array_scalar(
+            flags, "uint8")
+        assert_matches_oracle("uint8", flags.tolist())
+
+    @pytest.mark.parametrize("kind", INT_KINDS)
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 5000])
+    def test_decoded_container_matches_native(self, kind, count):
+        """The negotiated representation must not leak into what handlers
+        see: both plans decode the same count to the same container."""
+        registry, fmt, encode, decode = array_codec(kind)
+        bounds = boundary_values(kind)
+        value = {"v": [bounds[i % len(bounds)] for i in range(count)]}
+        compiler = registry.compiler
+        native, _ = compiler.decoder(fmt)(compiler.encoder(fmt)(value), 0)
+        compact, _ = decode(encode(value), 0)
+        assert type(compact["v"]) is type(native["v"])
+        if count >= 64:
+            assert isinstance(compact["v"], np.ndarray)
+            assert compact["v"].dtype == native["v"].dtype
+        assert list(compact["v"]) == list(native["v"]) == value["v"]
+
+    def test_hostile_count_fails_before_allocating(self):
+        """A 5-byte count claiming 2**32 elements over 3 bytes of data
+        dies as a truncation, with nothing sized by the count."""
+        _, _, _, decode = array_codec("int32")
+        blob = encode_uvarint(1 << 32) + b"\x01\x02\x03"
+        assert len(blob) == 8
+        tracemalloc.start()
+        try:
+            with pytest.raises(DecodeError, match="^truncated varint$"):
+                decode(blob, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_padded_varints_still_decode(self):
+        """Non-canonical (zero-padded) varints under 11 bytes are accepted
+        by the scalar decoder; the block kernel must agree, whether it
+        handles them itself or hands them back."""
+        registry, fmt, _, decode = array_codec("uint8")
+        for padded in (b"\x85\x00", b"\x85\x80\x00"):
+            blob = encode_uvarint(100) + b"\x07" * 50 + padded + b"\x07" * 49
+            decoded, end = decode(blob, 0)
+            oracle, oracle_end = interp_decode_compact(fmt, blob, 0,
+                                                       registry)
+            assert end == oracle_end == len(blob)
+            assert list(decoded["v"]) == oracle["v"]
+            assert decoded["v"][50] == 5
+
+
+def raised_by(fn, *args):
+    with pytest.raises((DecodeError, EncodeError)) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestVectorisedErrorTaxonomy:
+    """Malformed input reaches the scalar loop, so every class and
+    message of the strict taxonomy is what it was — and what the
+    interpreted oracle raises (which adds a ``format``/``field`` prefix
+    to range and type errors)."""
+
+    def assert_same_decode_error(self, kind, blob, count, fragment):
+        registry, fmt, _, decode = array_codec(kind)
+        body_off = len(encode_uvarint(count))
+        vec = raised_by(decode, blob, 0)
+        assert vec == raised_by(_unpack_compact_int_array_scalar, blob,
+                                body_off, kind, count)
+        oracle = raised_by(interp_decode_compact, fmt, blob, 0, registry)
+        assert vec[0] is oracle[0] is DecodeError
+        assert fragment in vec[1] and oracle[1].endswith(vec[1])
+
+    def assert_same_encode_error(self, kind, values, fragment):
+        registry, fmt, encode, _ = array_codec(kind)
+        vec = raised_by(encode, {"v": values})
+        assert vec == raised_by(_pack_compact_int_array_scalar, values, kind)
+        oracle = raised_by(interp_encode_compact, fmt, {"v": values},
+                           registry)
+        assert vec[0] is oracle[0] is EncodeError
+        assert fragment in vec[1] and fragment in oracle[1]
+
+    @pytest.mark.parametrize("kind", ["uint8", "int32", "int64"])
+    def test_truncation_at_every_offset(self, kind):
+        registry, fmt, encode, decode = array_codec(kind)
+        blob = encode({"v": boundary_values(kind) * 2})
+        for cut in range(len(blob)):
+            vec = raised_by(decode, blob[:cut], 0)
+            assert vec == (DecodeError, "truncated varint")
+            assert vec == raised_by(interp_decode_compact, fmt, blob[:cut],
+                                    0, registry)
+
+    def test_eleven_byte_varint(self):
+        blob = (encode_uvarint(100) + b"\x05" * 70 + b"\x80" * 10 + b"\x01"
+                + b"\x05" * 29)
+        self.assert_same_decode_error("uint64", blob, 100,
+                                      "varint longer than 10 bytes")
+
+    def test_tenth_byte_beyond_64_bits(self):
+        blob = (encode_uvarint(100) + b"\x05" * 70 + b"\xff" * 9 + b"\x02"
+                + b"\x05" * 29)
+        self.assert_same_decode_error("uint64", blob, 100,
+                                      "varint exceeds 64 bits")
+
+    @pytest.mark.parametrize("at", [0, 70, 99])
+    def test_300_in_uint8_array_on_decode(self, at):
+        items = [b"\x05"] * 100
+        items[at] = encode_uvarint(300)
+        self.assert_same_decode_error(
+            "uint8", encode_uvarint(100) + b"".join(items), 100,
+            "300 out of range for uint8")
+
+    def test_out_of_range_in_a_later_block(self):
+        n = 65536 + 100
+        items = [b"\x05"] * n
+        items[65600] = encode_uvarint(zigzag(1 << 31))
+        self.assert_same_decode_error(
+            "int32", encode_uvarint(n) + b"".join(items), n,
+            f"{1 << 31} out of range for int32")
+
+    def test_first_bad_element_is_the_one_named(self):
+        items = [b"\x05"] * 100
+        items[40] = encode_uvarint(300)
+        items[60] = encode_uvarint(999)
+        self.assert_same_decode_error(
+            "uint8", encode_uvarint(100) + b"".join(items), 100,
+            "300 out of range for uint8")
+
+    def test_300_in_uint8_array_on_encode(self):
+        self.assert_same_encode_error("uint8", [5] * 70 + [300] + [5] * 29,
+                                      "300 out of range for uint8")
+        self.assert_same_encode_error(
+            "uint8", np.array([5] * 70 + [300] + [5] * 29),
+            "300 out of range for uint8")
+
+    @pytest.mark.parametrize("kind", ["uint8", "uint16", "uint32", "uint64"])
+    def test_negative_in_unsigned_kind(self, kind):
+        self.assert_same_encode_error(kind, [5] * 99 + [-1],
+                                      f"-1 out of range for {kind}")
+        self.assert_same_encode_error(
+            kind, np.array([5] * 99 + [-1], dtype=np.int64),
+            f"-1 out of range for {kind}")
+
+    @pytest.mark.parametrize("bad", [1.5, None, "7"])
+    def test_non_integer_element(self, bad):
+        self.assert_same_encode_error("int32", [5] * 64 + [bad],
+                                      "required an integer")
+
+    def test_float_dtype_ndarray(self):
+        self.assert_same_encode_error("int32", np.arange(100) * 0.5,
+                                      "required an integer")
+
+    def test_two_dimensional_ndarray(self):
+        self.assert_same_encode_error(
+            "int32", np.zeros((100, 2), dtype=np.int32),
+            "required an integer")

@@ -75,7 +75,16 @@ def value_to_image(value: Dict[str, object]) -> np.ndarray:
 
 
 class ImageServer:
-    """The image server: a library of frames plus transformation dispatch."""
+    """The image server: a library of frames plus transformation dispatch.
+
+    ``GetImage`` is registered ``pure=True``: a transformed frame is a
+    function of ``(filename, operation)`` and the library, so the service
+    memoises it in its response cache and a repeat request skips the
+    transformation.  The library therefore changes through
+    :meth:`put_image`, which also invalidates that cache; assigning to
+    ``library[...]`` directly breaks the purity contract — memoised
+    transformations of the old frame would keep being served.
+    """
 
     def __init__(self, registry: Optional[FormatRegistry] = None,
                  quality_file: Optional[str] = DEFAULT_QUALITY_FILE,
@@ -93,15 +102,22 @@ class ImageServer:
         self.service.add_operation("GetImage",
                                    self.formats["GetImageRequest"],
                                    self.formats["ImageFull"],
-                                   self._get_image)
+                                   self._get_image, pure=True)
         self.library: Dict[str, np.ndarray] = {
             f"sky{i:02d}.ppm": starfield(FULL_WIDTH, FULL_HEIGHT, seed=i)
             for i in range(n_images)}
-        self.requests = 0
 
     @property
     def endpoint(self):
         return self.service.endpoint
+
+    def put_image(self, name: str, image: np.ndarray) -> None:
+        """Add or replace a library frame and invalidate the response
+        cache, so no transformation of the frame it replaced is served."""
+        self.library[name] = image
+        quality = self.service.quality
+        if quality is not None and quality.cache is not None:
+            quality.cache.invalidate()
 
     def _get_image(self, params: Dict[str, object]) -> Dict[str, object]:
         filename = str(params["filename"])
@@ -109,7 +125,6 @@ class ImageServer:
             raise KeyError(f"no image named {filename!r}")
         image = apply_operation(str(params["operation"]),
                                 self.library[filename])
-        self.requests += 1
         return image_to_value(filename, image)
 
 

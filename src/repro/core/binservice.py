@@ -23,7 +23,7 @@ transparently restored ("padded with zeroes") before handlers run.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from ..pbio import (Format, FormatRegistry, PbioSession,
                     UnknownFormatError, WIRE_MODES)
@@ -36,7 +36,7 @@ from .manager import QualityManager
 from .modes import (HEADER_CLIENT_ID, HEADER_OPERATION, HEADER_RTT,
                     HEADER_SERVER_TIME, HEADER_TIMESTAMP,
                     HEADER_TIMESTAMP_ECHO, PBIO_CONTENT_TYPE)
-from .qcache import QualityCache
+from .qcache import QualityCache, canonical_digest
 from .quality_handlers import HandlerRegistry
 
 
@@ -96,6 +96,8 @@ class SoapBinService:
             capacity=max_sessions, ttl_s=session_idle_ttl_s,
             time_fn=self._prep_time_fn)
         self._ops_by_format: Dict[str, Operation] = {}
+        #: names of operations registered ``pure=True``
+        self._pure_ops: Set[str] = set()
 
     @staticmethod
     def _default_sandbox():
@@ -116,18 +118,36 @@ class SoapBinService:
     def add_operation(self, name: str, input_format: Format,
                       output_format: Format, handler: Callable,
                       wants_headers: bool = False,
-                      request_message_types: Tuple[str, ...] = ()) -> Operation:
+                      request_message_types: Tuple[str, ...] = (),
+                      pure: bool = False) -> Operation:
         """Register an operation for both the XML and binary paths.
 
         ``request_message_types`` lists additional (reduced) request formats
         that a quality-managed client may substitute for ``input_format``.
+
+        ``pure=True`` declares the handler a pure function of its decoded
+        params: same params, same result, no side effect worth repeating.
+        With a response cache the service then keeps each result (and its
+        canonical digest) in that cache and answers a repeat request
+        without running the handler; whatever the result depends on besides
+        the params must change only together with a cache flush.  The
+        result's ndarrays become read-only.  Without a response cache the
+        flag does nothing.
         """
+        if pure and wants_headers:
+            raise ValueError(
+                f"operation {name!r}: a handler that reads the request "
+                f"headers is not a function of its params alone")
         op = self.xml_service.add_operation(name, input_format, output_format,
                                             handler,
                                             wants_headers=wants_headers)
         self._ops_by_format[input_format.name] = op
         for type_name in request_message_types:
             self._ops_by_format[type_name] = op
+        if pure:
+            self._pure_ops.add(name)
+        else:
+            self._pure_ops.discard(name)
         return op
 
     def install_quality(self, quality_text: str) -> QualityManager:
@@ -176,7 +196,7 @@ class SoapBinService:
             params, op, envelope = self.xml_service.decode_request(body)
             for name, value in parse_attribute_headers(envelope).items():
                 self.quality.attributes.update_attribute(name, value)
-            result = self.xml_service.invoke(op, params, headers)
+            result, digest = self._invoke(op, params, headers)
             # The XML body depends on the response element name, so the
             # validator variant is per-operation: two ops sharing an
             # output format and value must not 304 for each other.
@@ -184,7 +204,8 @@ class SoapBinService:
                 self.quality.outgoing_keyed(
                     result, op.output_format,
                     if_none_match=self._if_none_match(headers),
-                    variant=f"xml:{op.response_name}")
+                    variant=f"xml:{op.response_name}",
+                    value_digest=digest)
             if not_modified:
                 return ChannelReply(body=b"", content_type=XML_CONTENT_TYPE,
                                     headers={"ETag": etag}, status=304)
@@ -232,7 +253,7 @@ class SoapBinService:
         op = self._operation_for(wire_format, headers)
         params = self._restore_request(wire_value, wire_format, op)
         self._ingest_reported_rtt(headers)
-        result = self.xml_service.invoke(op, params, headers)
+        result, digest = self._invoke(op, params, headers)
         # The cache/ETag variant must reflect the representation this reply
         # will be *encoded* in, and the session may have just learned the
         # peer's compact capability from announcements in this very body —
@@ -240,8 +261,33 @@ class SoapBinService:
         variant = f"pbio:{session.wire_rep()}"
         reply_format, reply_value, etag, not_modified = self._apply_quality(
             result, op.output_format, self._if_none_match(headers),
-            variant=variant)
+            variant=variant, value_digest=digest)
         return reply_value, reply_format, etag, not_modified
+
+    def _invoke(self, op: Operation, params: Dict[str, Any],
+                headers: Dict[str, str]
+                ) -> Tuple[Dict[str, Any], Optional[str]]:
+        """Run ``op``'s handler — or, for a pure operation on a service
+        with a response cache, reuse what it returned for these params.
+
+        Returns ``(result, canonical_digest(result) or None)``; the digest
+        is known only for memoised results and saves the quality layer
+        re-hashing them.  Only the handler is skipped: restoring the
+        request, RTT ingestion and the quality selection run on every
+        request either side of this call.  A raising handler stores
+        nothing.
+        """
+        cache = self.quality.cache if self.quality is not None else None
+        if cache is None or op.name not in self._pure_ops:
+            return self.xml_service.invoke(op, params, headers), None
+        params_digest = canonical_digest(params)
+        memo = cache.result(op.name, params_digest)
+        if memo is not None:
+            return memo
+        flushes_before = cache.flushes
+        result = self.xml_service.invoke(op, params, headers)
+        return cache.store_result(op.name, params_digest, result,
+                                  flushes_before)
 
     @staticmethod
     def _if_none_match(headers: Dict[str, str]) -> Optional[str]:
@@ -313,14 +359,14 @@ class SoapBinService:
             self, result: Dict[str, Any], output_format: Format,
             if_none_match: Optional[str] = None,
             variant: str = "pbio:native",
+            value_digest: Optional[str] = None,
     ) -> Tuple[Format, Optional[Dict[str, Any]], Optional[str], bool]:
         if self.quality is None:
             return output_format, result, None, False
-        wire_format, wire_value, etag, not_modified = \
-            self.quality.outgoing_keyed(result, output_format,
-                                        if_none_match=if_none_match,
-                                        variant=variant)
-        return wire_format, wire_value, etag, not_modified
+        return self.quality.outgoing_keyed(result, output_format,
+                                           if_none_match=if_none_match,
+                                           variant=variant,
+                                           value_digest=value_digest)
 
     def _reply_headers(self, request_headers: Dict[str, str],
                        prep_started: float) -> Dict[str, str]:

@@ -79,11 +79,18 @@ class LruTtlCache:
             self.hits += 1
             return entry.value
 
-    def peek(self, key: Any, default: Any = None) -> Any:
-        """Like :meth:`get` but without touching LRU order or counters."""
+    def peek(self, key: Any, default: Any = None,
+             touch: bool = False) -> Any:
+        """Like :meth:`get` but without touching counters — nor, unless
+        ``touch``, LRU order and idleness."""
         with self._lock:
             entry = self._entries.get(key)
-            return default if entry is None else entry.value
+            if entry is None:
+                return default
+            if touch:
+                entry.last_used = self._time_fn()
+                self._entries.move_to_end(key)
+            return entry.value
 
     def values(self) -> list:
         """Snapshot of the live values, without touching LRU order or

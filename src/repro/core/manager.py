@@ -155,6 +155,7 @@ class QualityManager:
             self, value: Dict[str, Any], app_format: Format,
             if_none_match: Optional[str] = None,
             variant: str = "pbio",
+            value_digest: Optional[str] = None,
     ) -> Tuple[Format, Optional[Dict[str, Any]], Optional[str], bool]:
         """:meth:`outgoing` with content-addressed memoization.
 
@@ -166,7 +167,9 @@ class QualityManager:
         runs — ``wire_value`` comes back ``None`` and ``not_modified``
         True.  Fallback output (sandboxed handler failed or quarantined)
         is never cached and carries no validator: the key addresses the
-        healthy handler's output, not the substitute's.
+        healthy handler's output, not the substitute's.  ``value_digest``
+        is ``canonical_digest(value)`` when the caller already has it (the
+        service's result memo); the key is the same with or without it.
         """
         chosen_name = self.choose_message_type()
         identity = chosen_name == app_format.name
@@ -179,7 +182,8 @@ class QualityManager:
             out_format, wire_value, _ok = self._transform(
                 value, app_format, wire_format)
             return out_format, wire_value, None, False
-        key = cache.key(app_format, wire_format, value, variant)
+        key = cache.key(app_format, wire_format, value, variant,
+                        value_digest)
         if etag_matches(if_none_match, key):
             return wire_format, None, key, True
         if identity:

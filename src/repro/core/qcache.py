@@ -33,17 +33,23 @@ Invalidation contract (see ``docs/caching.md``):
   sandboxed handler that raises, stalls or is quarantined falls back
   without caching, so quarantine can never leave a poisoned entry.
 
-Two layers of reuse hang off one entry: the transformed value (skips the
-quality handler) and, when attached, the encoded PBIO data message (skips
-the codec too — steady-state data bytes depend only on the registry-wide
-format id and the payload, not on which session sends them).
+Three layers of reuse share the one entry budget.  A quality entry holds
+the transformed value (skips the quality handler) and, when attached, the
+encoded PBIO data message (skips the codec too — steady-state data bytes
+depend only on the registry-wide format id and the payload, not on which
+session sends them).  In front of both, a *result memo* entry holds what
+the operation handler of a ``pure=True`` operation returned for given
+params, with that result's canonical digest (skips the handler, and the
+hashing of the result on every later key derivation).  Memo entries live
+in the same LRU — same byte budget, same TTL, same flushes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Any, Dict, Optional
+import threading
+from typing import Any, Dict, NamedTuple, Optional
 
 from ..pbio import Format, FormatRegistry
 from .lru import LruTtlCache
@@ -172,6 +178,27 @@ class _CacheEntry:
         self.value_weight = value_weight
 
 
+class _ResultMemo(NamedTuple):
+    """What a pure operation handler returned for one params value, with
+    ``canonical_digest(result)``."""
+
+    result: Dict[str, Any]
+    digest: str
+
+
+def _freeze_arrays(value: Any) -> None:
+    """Mark every ndarray leaf read-only, in place: a memoised result is
+    shared by every later reply, so a write to it must raise."""
+    if _np is not None and isinstance(value, _np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, dict):
+        for item in value.values():
+            _freeze_arrays(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _freeze_arrays(item)
+
+
 class QualityCache:
     """Bounded content-addressed cache of quality-pipeline outputs.
 
@@ -194,6 +221,13 @@ class QualityCache:
                                   time_fn=time_fn)
         #: whole-cache flushes (redefine / attribute updates)
         self.flushes = 0
+        #: result-memo lookups, counted apart from the quality entries'
+        #: hits/misses (which keep meaning "quality handler skipped / run")
+        self.result_hits = 0
+        self.result_misses = 0
+        # orders a flush against the store of a result computed before it
+        # (and keeps the two counters above exact across worker threads)
+        self._flush_lock = threading.Lock()
         # redefine() calls invalidate() on everything attached here — the
         # registry holds us weakly; the owning QualityManager keeps us
         # alive.
@@ -203,8 +237,16 @@ class QualityCache:
     # keys
     # ------------------------------------------------------------------
     def key(self, app_format: Format, wire_format: Format,
-            value: Any, variant: str = "pbio") -> str:
-        """The content-addressed cache key, quoted as a strong ETag."""
+            value: Any, variant: str = "pbio",
+            value_digest: Optional[str] = None) -> str:
+        """The content-addressed cache key, quoted as a strong ETag.
+
+        ``value_digest`` is ``canonical_digest(value)`` when the caller
+        already holds it (a result memo does); the key is the same either
+        way, so it addresses content whoever derived it.
+        """
+        if value_digest is None:
+            value_digest = canonical_digest(value)
         h = hashlib.sha1()
         h.update(app_format.fingerprint.encode("ascii"))
         h.update(b":")
@@ -212,7 +254,7 @@ class QualityCache:
         h.update(b":%d:" % self.registry.codec_epoch)
         h.update(variant.encode("utf-8", "surrogatepass"))
         h.update(b":")
-        _update_digest(h, value)
+        h.update(value_digest.encode("ascii"))
         return f'"{h.hexdigest()}"'
 
     # ------------------------------------------------------------------
@@ -255,15 +297,53 @@ class QualityCache:
         self._cache.put(key, entry, weight=weight)
 
     # ------------------------------------------------------------------
+    # result memo (pure operation handlers)
+    # ------------------------------------------------------------------
+    def result(self, operation: str,
+               params_digest: str) -> Optional[_ResultMemo]:
+        """The memoised ``(result, canonical_digest(result))`` of a pure
+        operation for these params, or ``None``.  Refreshes the entry's
+        LRU position and idle clock but is counted under ``result_hits`` /
+        ``result_misses``, never the quality entries' ``hits``/``misses``."""
+        memo = self._cache.peek((operation, params_digest), touch=True)
+        with self._flush_lock:
+            if memo is None:
+                self.result_misses += 1
+                return None
+            self.result_hits += 1
+        return memo
+
+    def store_result(self, operation: str, params_digest: str,
+                     result: Dict[str, Any],
+                     flushes_before: int) -> _ResultMemo:
+        """Memoise what a pure handler returned and hand back ``(result,
+        digest)``.  The result's ndarray leaves become read-only.
+        ``flushes_before`` is :attr:`flushes` as read before the handler
+        ran: a result computed across a flush may predate whatever the
+        flush announced, so it is returned but not kept."""
+        memo = _ResultMemo(result, canonical_digest(result))
+        _freeze_arrays(result)
+        with self._flush_lock:
+            if flushes_before == self.flushes:
+                self._cache.put((operation, params_digest), memo,
+                                weight=estimated_weight(result))
+        return memo
+
+    # ------------------------------------------------------------------
     # invalidation
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
         """Drop everything — the ``redefine()`` compiler-cache contract."""
-        self._cache.invalidate()
-        self.flushes += 1
+        with self._flush_lock:
+            self._cache.invalidate()
+            self.flushes += 1
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
         out = self._cache.stats()
         out["flushes"] = self.flushes
+        out["result_hits"] = self.result_hits
+        out["result_misses"] = self.result_misses
+        out["result_entries"] = sum(
+            isinstance(entry, _ResultMemo) for entry in self._cache.values())
         return out

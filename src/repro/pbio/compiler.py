@@ -63,7 +63,7 @@ except ImportError:  # pragma: no cover - numpy is a hard dep in practice
 
 from .errors import DecodeError, EncodeError, FormatError
 from .fmt import Format
-from .interp import (_INT_RANGES, decode_uvarint, encode_uvarint,
+from .interp import (_BYTE_KINDS, _INT_RANGES, decode_uvarint, encode_uvarint,
                      interp_decode, interp_decode_compact, interp_encode,
                      interp_encode_compact)
 from .registry import FormatRegistry
@@ -187,9 +187,11 @@ def _unpack_compact_string(buf: Any, off: int) -> Tuple[str, int]:
 
 @lru_cache(maxsize=64)
 def _compact_int_encoder(kind: str) -> Callable[[Any], bytes]:
-    """A specialized scalar varint encoder for one integer kind."""
+    """A specialized scalar encoder for one integer kind: a varint, or the
+    native byte of a one-byte kind."""
     lo, hi = _INT_RANGES[kind]
     signed = kind[0] == "i"
+    one_byte = kind in _BYTE_KINDS
 
     def enc(value: Any) -> bytes:
         try:
@@ -200,6 +202,8 @@ def _compact_int_encoder(kind: str) -> Callable[[Any], bytes]:
                 f"{type(value).__name__}")
         if not lo <= n <= hi:
             raise EncodeError(f"{n} out of range for {kind}")
+        if one_byte:
+            return bytes((n & 0xFF,))
         if signed:
             n = (n << 1) ^ (n >> 63)
         out = bytearray()
@@ -214,9 +218,21 @@ def _compact_int_encoder(kind: str) -> Callable[[Any], bytes]:
 
 @lru_cache(maxsize=64)
 def _compact_int_decoder(kind: str) -> Callable[[Any, int], Tuple[int, int]]:
-    """A specialized scalar varint decoder for one integer kind."""
+    """A specialized scalar decoder for one integer kind (the inverse of
+    :func:`_compact_int_encoder`)."""
     lo, hi = _INT_RANGES[kind]
     signed = kind[0] == "i"
+
+    if kind in _BYTE_KINDS:
+        def dec_byte(buf: Any, off: int) -> Tuple[int, int]:
+            if off >= len(buf):
+                raise DecodeError(f"truncated {kind}")
+            n = buf[off]
+            if signed and n >= 0x80:
+                n -= 0x100
+            return n, off + 1
+
+        return dec_byte
 
     def dec(buf: Any, off: int) -> Tuple[int, int]:
         u, off = decode_uvarint(buf, off)
@@ -229,13 +245,15 @@ def _compact_int_decoder(kind: str) -> Callable[[Any, int], Tuple[int, int]]:
 
 
 def _pack_compact_int_array_scalar(values: Any, kind: str) -> bytes:
-    """Varint-encode an array of one integer kind, one element at a time.
+    """Encode an array of one integer kind, one element at a time: varints,
+    or native bytes for a one-byte kind.
 
     The path for arrays under :data:`_NP_MIN_COUNT` elements, and the one
-    that names the error when the block kernel refuses its input.
+    that names the error when the bulk path refuses its input.
     """
     lo, hi = _INT_RANGES[kind]
     signed = kind[0] == "i"
+    one_byte = kind in _BYTE_KINDS
     if _np is not None and isinstance(values, _np.ndarray):
         values = values.tolist()
     out = bytearray()
@@ -249,6 +267,9 @@ def _pack_compact_int_array_scalar(values: Any, kind: str) -> bytes:
                 f"{type(value).__name__}")
         if not lo <= n <= hi:
             raise EncodeError(f"{n} out of range for {kind}")
+        if one_byte:
+            append(n & 0xFF)
+            continue
         if signed:
             n = (n << 1) ^ (n >> 63)
         while n > 0x7F:
@@ -291,7 +312,8 @@ def _unpack_compact_int_array_scalar(buf: Any, off: int, kind: str,
 
 
 class _IntKind(NamedTuple):
-    """What the block kernels need to know about one integer kind."""
+    """What the block kernels need to know about one integer kind (the
+    one-byte kinds never reach them and use ``char`` and ``dtype`` only)."""
 
     char: str        # struct char of the element
     dtype: Any       # little-endian element dtype (what native decodes to)
@@ -364,12 +386,13 @@ def _pack_compact_int_block(block: Any, info: _IntKind) -> bytes:
 
 
 def _pack_compact_int_array(values: Any, kind: str) -> bytes:
-    """Bulk varint-encode an array of one integer kind.
+    """Bulk-encode an array of one integer kind in the compact form.
 
     Byte-identical to :func:`_pack_compact_int_array_scalar`; from
-    :data:`_NP_MIN_COUNT` elements up the work is done by NumPy in blocks
-    of :data:`_COMPACT_BLOCK` elements, in the narrowest unsigned dtype
-    that holds the zigzagged kind, so temporaries stay O(block).
+    :data:`_NP_MIN_COUNT` elements up the work is done by NumPy: varints in
+    blocks of :data:`_COMPACT_BLOCK` elements, in the narrowest unsigned
+    dtype that holds the zigzagged kind, so temporaries stay O(block); a
+    one-byte kind, validated the same way, as the native bulk copy.
     """
     n = len(values)
     if n < _NP_MIN_COUNT or _np is None:
@@ -378,6 +401,8 @@ def _pack_compact_int_array(values: Any, kind: str) -> bytes:
     arr = _as_int_ndarray(values, kind, info)
     if arr is None:
         return _pack_compact_int_array_scalar(values, kind)
+    if kind in _BYTE_KINDS:
+        return _pack_prim_array(arr, info.char, LITTLE)
     return b"".join(
         _pack_compact_int_block(
             arr[i:i + _COMPACT_BLOCK].astype(info.dtype, copy=False), info)
@@ -432,13 +457,17 @@ def _unpack_compact_int_block(buf: Any, off: int, info: _IntKind,
 
 def _unpack_compact_int_array(buf: Any, off: int, kind: str,
                               count: int) -> Tuple[Any, int]:
-    """Bulk varint-decode ``count`` integers of one kind.
+    """Bulk-decode ``count`` compact integers of one kind.
 
     Returns the container the native plan returns for that count (a list
     under :data:`_NP_MIN_COUNT` elements, an ndarray of the kind's dtype
-    from there up), decoding well-formed input in NumPy blocks; anything
-    else is handed to the scalar loop, which raises the typed error.
+    from there up), decoding well-formed varints in NumPy blocks; anything
+    else is handed to the scalar loop, which raises the typed error.  A
+    one-byte kind has no varints to scan: it *is* the native bulk decode,
+    a zero-copy view over ``buf``.
     """
+    if kind in _BYTE_KINDS:
+        return _unpack_prim_array(buf, off, _BYTE_KINDS[kind], count, LITTLE)
     if count > len(buf) - off:
         # every varint is at least one byte: refuse a hostile count
         # before anything is sized by it

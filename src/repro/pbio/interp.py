@@ -152,8 +152,10 @@ def _unpack(ctx: str, spec: str, buf: Any, offset: int) -> Tuple[Any, int]:
 #
 # The negotiated alternative to the native layout (docs/wire-compact.md):
 #
-# * signed integers   -> zigzag-mapped unsigned varint,
-# * unsigned integers -> unsigned varint,
+# * int8 / uint8      -> the one native byte (a varint is never shorter
+#                        than a byte, and costs a byte more from 0x80 up),
+# * wider signed ints -> zigzag-mapped unsigned varint,
+# * wider unsigned    -> unsigned varint,
 # * float32/float64   -> fixed 4/8 little-endian bytes (IEEE 754),
 # * char              -> one latin-1 byte,
 # * string            -> varint byte length + UTF-8 bytes,
@@ -177,6 +179,9 @@ _INT_RANGES = {
     "uint32": (0, (1 << 32) - 1),
     "uint64": (0, (1 << 64) - 1),
 }
+
+#: one-byte kind -> struct char: written as the native byte, never a varint
+_BYTE_KINDS = {"int8": "b", "uint8": "B"}
 
 _FLOAT_STRUCTS = {"float32": struct.Struct("<f"),
                   "float64": struct.Struct("<d")}
@@ -286,6 +291,8 @@ def _encode_compact_primitive(fname: str, value: Any,
         if not rng[0] <= n <= rng[1]:
             raise EncodeError(
                 f"field {fname!r}: {n} out of range for {kind}")
+        if kind in _BYTE_KINDS:
+            return bytes((n & 0xFF,))
         if kind[0] == "i":
             n = zigzag(n)
         return encode_uvarint(n)
@@ -338,6 +345,13 @@ def _decode_compact_primitive(ctx: str, buf: Any, offset: int,
                               ftype: Primitive) -> Tuple[Any, int]:
     kind = ftype.kind
     rng = _INT_RANGES.get(kind)
+    if kind in _BYTE_KINDS:
+        if offset >= len(buf):
+            raise DecodeError(f"format {ctx!r}: truncated {kind}")
+        n = buf[offset]
+        if kind == "int8" and n >= 0x80:
+            n -= 0x100
+        return n, offset + 1
     if rng is not None:
         u, offset = decode_uvarint(buf, offset)
         n = unzigzag(u) if kind[0] == "i" else u

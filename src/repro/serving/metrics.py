@@ -372,6 +372,13 @@ def _quality_families(quality: Mapping[str, Any]) -> List[Metric]:
             _counter("repro_cache_flushes_total",
                      "Whole-cache flushes (format redefinition, foreign "
                      "attribute updates).", cache.get("flushes", 0)),
+            _counter("repro_cache_result_hits_total",
+                     "Requests to a pure operation answered from its "
+                     "memoised handler result.",
+                     cache.get("result_hits", 0)),
+            _counter("repro_cache_result_misses_total",
+                     "Requests to a pure operation that ran its handler.",
+                     cache.get("result_misses", 0)),
             _gauge("repro_cache_entries",
                    "Entries currently cached.", cache.get("entries", 0)),
             _gauge("repro_cache_bytes",

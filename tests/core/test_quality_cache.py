@@ -382,3 +382,121 @@ class TestPayloadAttachment:
         cache.store(key, half, value)
         assert cache.lookup(key) is None
         assert cache.stats()["bytes"] == 0
+
+
+# ----------------------------------------------------------------------
+# result memo (pure operation handlers) — same LRU, own counters
+# ----------------------------------------------------------------------
+class TestResultMemo:
+    def test_key_is_the_same_with_or_without_a_supplied_digest(self):
+        registry, full, half = make_registry()
+        cache = QualityCache(registry)
+        value = {"seq": 1, "data": np.arange(200, dtype=np.float64)}
+        digest = canonical_digest(value)
+        for variant in ("pbio:native", "pbio:compact", "xml:r"):
+            assert cache.key(full, half, value, variant) \
+                == cache.key(full, half, value, variant, digest) \
+                == cache.key(full, half, None, variant, digest)
+
+    def test_outgoing_keyed_etag_unchanged_by_a_supplied_digest(self):
+        registry, full, half = make_registry()
+        manager = make_manager(registry, make_handlers(),
+                               cache=QualityCache(registry))
+        manager.update_attribute(RTT, 0.2)
+        value = {"seq": 1, "data": [1.0, 2.0]}
+        plain = manager.outgoing_keyed(value, full)
+        keyed = manager.outgoing_keyed(
+            value, full, value_digest=canonical_digest(value))
+        assert keyed[2] == plain[2] and keyed[1] == plain[1]
+
+    def test_store_then_lookup_counts_apart_from_quality_entries(self):
+        registry, full, half = make_registry()
+        cache = QualityCache(registry)
+        assert cache.result("Get", "p1") is None
+        result = {"seq": 1, "data": [1.0]}
+        stored = cache.store_result("Get", "p1", result, cache.flushes)
+        assert stored == (result, canonical_digest(result))
+        assert cache.result("Get", "p1") == stored
+        assert cache.result("Other", "p1") is None
+        stats = cache.stats()
+        assert (stats["result_hits"], stats["result_misses"]) == (1, 2)
+        assert stats["result_entries"] == 1 and stats["entries"] == 1
+        assert (stats["hits"], stats["misses"]) == (0, 0)
+
+    def test_memoised_arrays_are_read_only(self):
+        registry, full, half = make_registry()
+        cache = QualityCache(registry)
+        result = {"seq": 1, "data": np.zeros(8),
+                  "nested": [{"a": np.ones(3)}]}
+        cache.store_result("Get", "p", result, cache.flushes)
+        memo, _ = cache.result("Get", "p")
+        with pytest.raises(ValueError):
+            memo["data"][0] = 1.0
+        with pytest.raises(ValueError):
+            memo["nested"][0]["a"][0] = 2.0
+
+    def test_every_flush_path_drops_memos(self):
+        registry, full, half = make_registry()
+        cache = QualityCache(registry)
+        manager = make_manager(registry, make_handlers(), cache=cache)
+        for flush in (
+                cache.invalidate,
+                lambda: manager.update_attribute("gain", 2.0),
+                lambda: registry.redefine(Format.from_dict(
+                    "CacheTestHalf",
+                    {"seq": "int32", "data": "float32[]"}))):
+            cache.store_result("Get", "p", {"seq": 1, "data": []},
+                               cache.flushes)
+            assert cache.result("Get", "p") is not None
+            flush()
+            assert cache.result("Get", "p") is None
+        # the monitored attribute and RTT telemetry flush nothing
+        cache.store_result("Get", "p", {"seq": 1, "data": []},
+                           cache.flushes)
+        manager.update_attribute(RTT, 0.3)
+        assert cache.result("Get", "p") is not None
+
+    def test_result_computed_across_a_flush_is_not_kept(self):
+        registry, full, half = make_registry()
+        cache = QualityCache(registry)
+        before = cache.flushes
+        cache.invalidate()            # e.g. put_image while the handler ran
+        result = {"seq": 1, "data": []}
+        assert cache.store_result("Get", "p", result, before) \
+            == (result, canonical_digest(result))
+        assert cache.result("Get", "p") is None
+
+    def test_memos_share_the_byte_budget_and_lru(self):
+        registry, full, half = make_registry()
+        array_bytes = 8 * 1024
+        cache = QualityCache(registry,
+                             max_payload_bytes=3 * (array_bytes + 512))
+        for seq in range(3):
+            cache.store_result("Get", f"p{seq}", {
+                "seq": seq, "data": np.zeros(1024)}, cache.flushes)
+        assert cache.result("Get", "p0") is not None   # refreshes p0
+        value = {"seq": 9, "data": np.ones(1024)}
+        cache.store(cache.key(full, half, value), half, value)
+        # the quality entry pushed out the coldest memo — p1, not p0
+        assert cache.result("Get", "p1") is None
+        assert cache.result("Get", "p0") is not None
+        stats = cache.stats()
+        assert stats["evictions"] == 1 and stats["result_entries"] == 2
+        assert stats["bytes"] <= cache.max_payload_bytes
+
+    def test_memo_hit_refreshes_the_idle_ttl(self):
+        now = [0.0]
+        registry, full, half = make_registry()
+        cache = QualityCache(registry, ttl_s=10.0, time_fn=lambda: now[0])
+        cache.store_result("Get", "p", {"seq": 1, "data": []},
+                           cache.flushes)
+        now[0] = 8.0
+        assert cache.result("Get", "p") is not None
+        now[0] = 16.0                       # 8 s idle since the hit
+        cache.store(cache.key(full, half, {"seq": 2, "data": []}), half,
+                    {"seq": 2, "data": []})            # sweeps on insert
+        assert cache.result("Get", "p") is not None
+        now[0] = 30.0
+        cache.store(cache.key(full, half, {"seq": 3, "data": []}), half,
+                    {"seq": 3, "data": []})
+        assert cache.result("Get", "p") is None

@@ -233,10 +233,11 @@ class TestTamperedPayloads:
             self.compiler.compact_encoder(small)({"v": 1000})
 
     def test_decoded_int_range_checked(self):
-        # zigzag(1000) fits in a varint but not in int8
-        small = Format.from_dict("small2", {"v": "int8"})
+        # zigzag(100000) fits in a varint but not in int16 (a one-byte
+        # kind is a raw byte: every value it can carry is in range)
+        small = Format.from_dict("small2", {"v": "int16"})
         self.reg.register(small)
-        blob = encode_uvarint(zigzag(1000))
+        blob = encode_uvarint(zigzag(100000))
         with pytest.raises(DecodeError):
             self.compiler.compact_decoder(small)(blob, 0)
 
@@ -498,7 +499,7 @@ class TestVectorisedIntArrays:
         """Non-canonical (zero-padded) varints under 11 bytes are accepted
         by the scalar decoder; the block kernel must agree, whether it
         handles them itself or hands them back."""
-        registry, fmt, _, decode = array_codec("uint8")
+        registry, fmt, _, decode = array_codec("uint16")
         for padded in (b"\x85\x00", b"\x85\x80\x00"):
             blob = encode_uvarint(100) + b"\x07" * 50 + padded + b"\x07" * 49
             decoded, end = decode(blob, 0)
@@ -507,6 +508,132 @@ class TestVectorisedIntArrays:
             assert end == oracle_end == len(blob)
             assert list(decoded["v"]) == oracle["v"]
             assert decoded["v"][50] == 5
+
+
+# ----------------------------------------------------------------------
+# one-byte kinds: the native byte, never a varint
+# ----------------------------------------------------------------------
+
+BYTES_FORMAT = Format.from_dict("Bytes", {
+    "a": "int8", "b": "uint8", "x": "float32", "c": "int8[]",
+    "d": "uint8[]", "e": "uint8[3]", "n": "int32"})
+
+_I8 = st.integers(-128, 127)
+_U8 = st.integers(0, 255)
+
+
+class TestOneByteKinds:
+    @settings(max_examples=150, deadline=None)
+    @given(a=_I8, b=_U8, n=st.integers(-2**31, 2**31 - 1),
+           c=st.one_of(st.lists(_I8, max_size=70),
+                       st.lists(_I8, min_size=64, max_size=200)),
+           d=st.one_of(st.lists(_U8, max_size=70),
+                       st.lists(_U8, min_size=64, max_size=200)),
+           e=st.lists(_U8, min_size=3, max_size=3),
+           as_ndarray=st.booleans())
+    def test_differential_against_oracle(self, a, b, n, c, d, e, as_ndarray):
+        registry = FormatRegistry()
+        registry.register(BYTES_FORMAT)
+        compiler = registry.compiler
+        value = {"a": a, "b": b, "x": 1.5, "c": c, "d": d, "e": e, "n": n}
+        if as_ndarray:
+            value["c"] = np.array(c, dtype=np.int8)
+            value["d"] = np.array(d, dtype=np.int64)   # wide, in range
+        blob = compiler.compact_encoder(BYTES_FORMAT)(value)
+        assert blob == interp_encode_compact(BYTES_FORMAT, value, registry)
+        # scalar, float, count + bytes, count + bytes, 3 bytes, varint
+        assert len(blob) == (1 + 1 + 4 + len(encode_uvarint(len(c))) + len(c)
+                             + len(encode_uvarint(len(d))) + len(d) + 3
+                             + len(encode_uvarint(zigzag(n))))
+        decoded, end = compiler.compact_decoder(BYTES_FORMAT)(blob, 0)
+        oracle, oracle_end = interp_decode_compact(BYTES_FORMAT, blob, 0,
+                                                   registry)
+        assert end == oracle_end == len(blob)
+        native, _ = compiler.decoder(BYTES_FORMAT)(
+            compiler.encoder(BYTES_FORMAT)(value), 0)
+        for name in ("a", "b", "n"):
+            assert decoded[name] == oracle[name] == native[name] \
+                == value[name]
+        for name, sent in (("c", c), ("d", d), ("e", e)):
+            assert type(decoded[name]) is type(native[name])
+            assert list(decoded[name]) == oracle[name] == sent
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 127, 128, 921600])
+    def test_uint8_array_is_count_plus_raw_bytes(self, n):
+        registry, fmt, encode, decode = array_codec("uint8")
+        pixels = (np.arange(n, dtype=np.uint32) % 251).astype(np.uint8)
+        blob = encode({"v": pixels})
+        assert blob == encode_uvarint(n) + pixels.tobytes()
+        assert encode({"v": pixels.tolist()}) == blob
+        decoded, end = decode(blob, 0)
+        assert end == len(blob)
+        compiler = registry.compiler
+        native, _ = compiler.decoder(fmt)(
+            compiler.encoder(fmt)({"v": pixels}), 0)
+        assert type(decoded["v"]) is type(native["v"])
+        assert np.array_equal(decoded["v"], pixels)
+        if n >= 64:
+            # the same zero-copy, read-only view native hands out
+            assert decoded["v"].dtype == native["v"].dtype == np.uint8
+            assert not decoded["v"].flags.writeable
+            assert not decoded["v"].flags.owndata
+
+    def test_values_from_0x80_cost_one_byte_not_two(self):
+        _, _, encode, _ = array_codec("uint8")
+        assert len(encode({"v": [0xFF] * 100})) == 1 + 100
+        _, _, encode, _ = array_codec("int8")
+        assert encode({"v": [-1, -128, 127]}) == b"\x03\xff\x80\x7f"
+
+    def test_small_call_struct_bytes_did_not_move(self):
+        """The ``perf/`` ``small_call`` struct (``flag`` in {0, 1}): a
+        uint8 below 0x80 is the same byte as its varint, so the compact
+        bytes are what the all-varint rule produced."""
+        registry = FormatRegistry()
+        registry.register(Format.from_dict(
+            "NestedL0", {"id": "int32", "flag": "uint8",
+                         "amount": "float64"}))
+        for level in range(1, 9):
+            registry.register(Format.from_dict(
+                f"NestedL{level}",
+                {"id": "int32", "flag": "uint8", "seq": "int16",
+                 "child": f"struct NestedL{level - 1}"}))
+        value = {"id": -7, "flag": 1, "amount": 2.5}
+        expected = (encode_uvarint(zigzag(-7)) + encode_uvarint(1)
+                    + b"\x00\x00\x00\x00\x00\x00\x04\x40")
+        for level in range(1, 9):
+            flag = level % 2
+            value = {"id": 1000 * level, "flag": flag, "seq": -level,
+                     "child": value}
+            expected = (encode_uvarint(zigzag(1000 * level))
+                        + encode_uvarint(flag)
+                        + encode_uvarint(zigzag(-level)) + expected)
+        fmt = registry.by_name("NestedL8")
+        assert registry.compiler.compact_encoder(fmt)(value) == expected
+        assert interp_encode_compact(fmt, value, registry) == expected
+
+    @pytest.mark.parametrize("kind,bad", [("uint8", 300), ("uint8", -1),
+                                          ("int8", 128), ("int8", -129)])
+    def test_out_of_range_scalar_is_still_an_encode_error(self, kind, bad):
+        registry = FormatRegistry()
+        fmt = Format.from_dict(f"One_{kind}", {"v": kind})
+        registry.register(fmt)
+        compiled = raised_by(registry.compiler.compact_encoder(fmt),
+                             {"v": bad})
+        oracle = raised_by(interp_encode_compact, fmt, {"v": bad}, registry)
+        assert compiled[0] is oracle[0] is EncodeError
+        fragment = f"{bad} out of range for {kind}"
+        assert fragment in compiled[1] and fragment in oracle[1]
+
+    @pytest.mark.parametrize("kind", ["int8", "uint8"])
+    def test_truncated_scalar(self, kind):
+        registry = FormatRegistry()
+        fmt = Format.from_dict(f"One_{kind}", {"v": kind})
+        registry.register(fmt)
+        compiled = raised_by(registry.compiler.compact_decoder(fmt), b"", 0)
+        oracle = raised_by(interp_decode_compact, fmt, b"", 0, registry)
+        assert compiled == (DecodeError, f"truncated {kind}")
+        assert oracle == (DecodeError,
+                          f"format {fmt.name!r}: truncated {kind}")
 
 
 def raised_by(fn, *args):
@@ -540,15 +667,38 @@ class TestVectorisedErrorTaxonomy:
         assert vec[0] is oracle[0] is EncodeError
         assert fragment in vec[1] and fragment in oracle[1]
 
-    @pytest.mark.parametrize("kind", ["uint8", "int32", "int64"])
+    @pytest.mark.parametrize("kind", ["int8", "uint8", "uint16", "int32",
+                                      "int64"])
     def test_truncation_at_every_offset(self, kind):
         registry, fmt, encode, decode = array_codec(kind)
-        blob = encode({"v": boundary_values(kind) * 2})
+        one_byte = kind in ("int8", "uint8")
+        # (one-byte kinds: enough elements to decode through NumPy)
+        values = boundary_values(kind) * (8 if one_byte else 2)
+        blob = encode({"v": values})
         for cut in range(len(blob)):
             vec = raised_by(decode, blob[:cut], 0)
-            assert vec == (DecodeError, "truncated varint")
-            assert vec == raised_by(interp_decode_compact, fmt, blob[:cut],
-                                    0, registry)
+            oracle = raised_by(interp_decode_compact, fmt, blob[:cut], 0,
+                               registry)
+            if one_byte and cut >= len(encode_uvarint(len(values))):
+                # raw bytes have no varint to cut: the bulk path refuses
+                # a short body whole, the oracle at the missing element
+                assert vec == (DecodeError, "truncated primitive array")
+                assert oracle == (DecodeError,
+                                  f"format {fmt.name!r}: truncated {kind}")
+            else:
+                assert vec == oracle == (DecodeError, "truncated varint")
+
+    def test_hostile_count_on_a_one_byte_array(self):
+        _, _, _, decode = array_codec("uint8")
+        blob = encode_uvarint(1 << 40) + b"\x01\x02\x03"
+        tracemalloc.start()
+        try:
+            with pytest.raises(DecodeError, match="truncated"):
+                decode(blob, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_eleven_byte_varint(self):
         blob = (encode_uvarint(100) + b"\x05" * 70 + b"\x80" * 10 + b"\x01"
@@ -563,12 +713,14 @@ class TestVectorisedErrorTaxonomy:
                                       "varint exceeds 64 bits")
 
     @pytest.mark.parametrize("at", [0, 70, 99])
-    def test_300_in_uint8_array_on_decode(self, at):
+    def test_70000_in_uint16_array_on_decode(self, at):
+        # (uint8 until one-byte kinds went raw: a byte cannot be out of
+        # range, so the narrowest kind that can say this is uint16)
         items = [b"\x05"] * 100
-        items[at] = encode_uvarint(300)
+        items[at] = encode_uvarint(70000)
         self.assert_same_decode_error(
-            "uint8", encode_uvarint(100) + b"".join(items), 100,
-            "300 out of range for uint8")
+            "uint16", encode_uvarint(100) + b"".join(items), 100,
+            "70000 out of range for uint16")
 
     def test_out_of_range_in_a_later_block(self):
         n = 65536 + 100
@@ -580,11 +732,11 @@ class TestVectorisedErrorTaxonomy:
 
     def test_first_bad_element_is_the_one_named(self):
         items = [b"\x05"] * 100
-        items[40] = encode_uvarint(300)
-        items[60] = encode_uvarint(999)
+        items[40] = encode_uvarint(70000)
+        items[60] = encode_uvarint(99999)
         self.assert_same_decode_error(
-            "uint8", encode_uvarint(100) + b"".join(items), 100,
-            "300 out of range for uint8")
+            "uint16", encode_uvarint(100) + b"".join(items), 100,
+            "70000 out of range for uint16")
 
     def test_300_in_uint8_array_on_encode(self):
         self.assert_same_encode_error("uint8", [5] * 70 + [300] + [5] * 29,

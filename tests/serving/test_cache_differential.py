@@ -19,8 +19,12 @@ np = pytest.importorskip("numpy")
 from repro.apps import (airline_formats, bond_formats, image_formats,
                         resize_half_handler, take_batch_handler, viz_formats)
 from repro.apps.airline import AirlineDataset
-from repro.core import (HEADER_CLIENT_ID, HEADER_OPERATION, PBIO_CONTENT_TYPE,
-                        SoapBinClient, SoapBinService, canonical_digest)
+from repro.apps.imaging import (DEFAULT_QUALITY_FILE, ImageServer,
+                                value_to_image)
+from repro.core import (HEADER_CLIENT_ID, HEADER_OPERATION, HEADER_RTT,
+                        PBIO_CONTENT_TYPE, SoapBinClient, SoapBinService,
+                        canonical_digest)
+from repro.media import apply_operation, scale_half, starfield
 from repro.core.quality_handlers import HandlerRegistry
 from repro.http11 import (Headers, HttpConnection, PipelinedHttpConnection,
                           Request, Response, HttpServer)
@@ -156,7 +160,7 @@ SCENARIOS = {
 }
 
 
-def build_service(scenario, response_cache, **kwargs):
+def build_service(scenario, response_cache, pure=False, **kwargs):
     registry = FormatRegistry()
     for fmt in scenario["formats"].values():
         registry.register(fmt)
@@ -169,7 +173,7 @@ def build_service(scenario, response_cache, **kwargs):
     service.add_operation(scenario["op"],
                           scenario["formats"][scenario["request"]],
                           scenario["formats"][scenario["response"]],
-                          scenario["result"])
+                          scenario["result"], pure=pure)
     return service
 
 
@@ -216,6 +220,13 @@ class TestCachedEqualsUncached:
             steady = cached_bodies[i + 1:i + per_level]
             assert len(set(steady)) == 1
 
+    def test_pure_operation_reply_stream_is_byte_identical_too(self,
+                                                              scenario):
+        pure = build_service(scenario, response_cache=True, pure=True)
+        uncached = build_service(scenario, response_cache=False)
+        assert drive(pure, scenario) == drive(uncached, scenario)
+        assert pure.quality_stats()["cache"]["result_misses"] == 1
+
     def test_degraded_levels_hit_the_cache(self):
         scenario = _mdbond_scenario()
         service = build_service(scenario, response_cache=True)
@@ -224,6 +235,17 @@ class TestCachedEqualsUncached:
         # two degraded levels x 2 repeat calls after each miss
         assert cache["hits"] == 4
         assert cache["misses"] == 2
+
+    def test_result_memo_is_counted_apart_from_quality_hits(self):
+        scenario = _mdbond_scenario()
+        service = build_service(scenario, response_cache=True, pure=True)
+        drive(service, scenario, repeats=3)
+        cache = service.quality_stats()["cache"]
+        # the quality entries score exactly what they do without the memo
+        assert (cache["hits"], cache["misses"]) == (4, 2)
+        # nine calls, one set of params: the handler ran for the first
+        assert (cache["result_hits"], cache["result_misses"]) == (8, 1)
+        assert cache["result_entries"] == 1
 
     def test_fresh_client_on_a_warm_cache_still_gets_announcements(self):
         scenario = _imaging_scenario()
@@ -236,6 +258,157 @@ class TestCachedEqualsUncached:
         reference = drive(build_service(scenario, response_cache=False),
                           scenario)[1]
         assert digests == reference
+
+
+# ----------------------------------------------------------------------
+# pure=True vs plain over the perf/ imaging schedule
+# ----------------------------------------------------------------------
+FILES = [f"sky{i:02d}.ppm" for i in range(4)]
+CYCLE, HEALTHY_CALLS = 12, 4
+
+
+def _reported_rtt(call_number):
+    """``perf/``'s ``adaptive_imaging`` schedule: 4 reports of a healthy
+    link, then 8 of a degraded one."""
+    return 0.05 if call_number % CYCLE < HEALTHY_CALLS else 0.40
+
+
+class ImagingPeer:
+    """One ``ImageServer`` and a raw PBIO client driving its endpoint."""
+
+    def __init__(self, pure, cache_max_payload_bytes=None):
+        self.server = ImageServer()
+        service = self.server.service
+        if cache_max_payload_bytes is not None:
+            service.cache_max_payload_bytes = cache_max_payload_bytes
+            service.install_quality(DEFAULT_QUALITY_FILE)
+        self.op = service.xml_service.operations["GetImage"]
+        if not pure:    # the same server, registered the plain way
+            self.op = service.add_operation(
+                "GetImage", self.op.input_format, self.op.output_format,
+                self.op.handler)
+        self.runs = 0
+        handler = self.op.handler
+
+        def counted(params):
+            self.runs += 1
+            return handler(params)
+
+        self.op.handler = counted
+        registry = FormatRegistry()
+        for fmt in image_formats().values():
+            registry.register(fmt)
+        self.requests = PbioSession(registry)
+        self.replies = PbioSession(registry, adopt_redefines=True)
+        self.sent = 0
+        self.stream = []
+
+    def call(self, filename, rtt, if_none_match=None):
+        headers = {HEADER_CLIENT_ID: "schedule", HEADER_RTT: f"{rtt:.9f}"}
+        if if_none_match is not None:
+            headers["If-None-Match"] = if_none_match
+        body = self.requests.pack_bytes(
+            self.op.input_format, {"filename": filename, "operation": "edge"})
+        reply = self.server.endpoint(body, PBIO_CONTENT_TYPE, headers)
+        self.stream.append((reply.status, bytes(reply.body),
+                            reply.headers.get("ETag")))
+        return reply
+
+    def cycle(self):
+        """One period of the schedule; returns the decoded images."""
+        images = []
+        for _ in range(CYCLE):
+            filename = FILES[self.sent % len(FILES)]
+            reply = self.call(filename, _reported_rtt(self.sent))
+            self.sent += 1
+            assert reply.status == 200, reply.body
+            _, value = self.replies.unpack_stream(reply.body)
+            images.append((filename, value_to_image(value)))
+        return images
+
+    def cache_stats(self):
+        return self.server.service.quality_stats()["cache"]
+
+
+def _run_schedule(peer):
+    """Four cycles with every flush path between them, then a conditional
+    round trip per (file, level); returns the last cycle's images."""
+    peer.cycle()
+    peer.server.registry.redefine(Format.from_dict(
+        "ImageHalf", {"filename": "string", "width": "int16",
+                      "height": "int16", "pixels": "uint8[]"}))
+    peer.cycle()
+    peer.server.service.quality.update_attribute("gain", 2.0)   # foreign
+    peer.cycle()
+    peer.server.put_image("sky01.ppm", starfield(640, 480, seed=99))
+    images = peer.cycle()
+    for call_number in (0, 1, 2, 3, 8, 9, 10, 11):     # full x4, half x4
+        filename = FILES[call_number % len(FILES)]
+        rtt = _reported_rtt(call_number)
+        for _ in range(3):                              # settle the level
+            etag = peer.call(filename, rtt).headers["ETag"]
+        assert peer.call(filename, rtt, if_none_match=etag).status == 304
+    return images
+
+
+class TestPureEqualsPlainOnTheImagingSchedule:
+    def test_byte_identical_streams_and_etags_across_every_flush(self):
+        pure, plain = ImagingPeer(pure=True), ImagingPeer(pure=False)
+        images = _run_schedule(pure)
+        _run_schedule(plain)
+        assert len(pure.stream) == len(plain.stream) == 4 * CYCLE + 8 * 4
+        assert [etag for _, _, etag in pure.stream] \
+            == [etag for _, _, etag in plain.stream]
+        assert pure.stream == plain.stream
+        assert all(etag for _, _, etag in pure.stream)
+        # the plain server ran GetImage for every request; the pure one
+        # once per file after each flush (start, redefine, foreign
+        # attribute, put_image) — and its quality entries hit as often
+        assert plain.runs == len(plain.stream)
+        assert pure.runs == 4 * len(FILES)
+        stats, plain_stats = pure.cache_stats(), plain.cache_stats()
+        assert stats["result_misses"] == pure.runs
+        assert stats["result_hits"] == len(pure.stream) - pure.runs
+        assert (stats["hits"], stats["misses"]) \
+            == (plain_stats["hits"], plain_stats["misses"])
+        assert plain_stats["result_hits"] == plain_stats["result_misses"] == 0
+        # put_image took effect: the last cycle serves the new frame
+        new_edge = apply_operation("edge", starfield(640, 480, seed=99))
+        served = [image for name, image in images if name == "sky01.ppm"]
+        assert len(served) == 3
+        for image in served:
+            expected = new_edge if image.shape[1] == 640 \
+                else scale_half(new_edge)
+            assert np.array_equal(image, expected)
+
+    def test_writing_the_library_directly_breaks_the_contract(self):
+        """Why ``put_image`` exists: the memo cannot see the assignment."""
+        peer = ImagingPeer(pure=True)
+
+        def fetch():
+            reply = peer.call("sky00.ppm", 0.05)
+            return value_to_image(peer.replies.unpack_stream(reply.body)[1])
+
+        before = fetch()
+        peer.server.library["sky00.ppm"] = starfield(640, 480, seed=99)
+        assert np.array_equal(fetch(), before)                  # stale
+        peer.server.put_image("sky00.ppm", starfield(640, 480, seed=99))
+        assert np.array_equal(fetch(), apply_operation(
+            "edge", starfield(640, 480, seed=99)))
+
+    def test_eviction_under_a_budget_too_small_for_four_frames(self):
+        budget = 2_500_000          # four memoised frames need ~3.7 MB
+        pure = ImagingPeer(pure=True, cache_max_payload_bytes=budget)
+        plain = ImagingPeer(pure=False, cache_max_payload_bytes=budget)
+        for _ in range(3):
+            pure.cycle()
+            plain.cycle()
+        assert pure.stream == plain.stream
+        stats = pure.cache_stats()
+        assert stats["evictions"] > 0
+        assert stats["bytes"] <= budget
+        assert stats["result_entries"] < len(FILES)
+        assert len(FILES) < pure.runs <= plain.runs == 3 * CYCLE
 
 
 class TestMidSessionInvalidation:

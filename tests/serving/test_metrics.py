@@ -139,6 +139,33 @@ class TestExpositionFormat:
 
 
 # ----------------------------------------------------------------------
+# result-memo families (pure operations)
+# ----------------------------------------------------------------------
+
+class TestResultMemoFamilies:
+    def test_pure_operation_scrape_counts_memo_hits_and_misses(self):
+        service = _echo_service()
+        service.add_operation("Echo", ECHO_FMT, ECHO_FMT, lambda p: p,
+                              pure=True)
+        server = serve_endpoint(service.endpoint,
+                                quality_stats=service.quality_stats)
+        try:
+            client = _client(server.address)
+            for seq in (1, 1, 1, 2):
+                client.call("Echo", {"seq": seq, "payload": [1.0]},
+                            ECHO_FMT, ECHO_FMT)
+            client.channel.close()
+            parsed = parse_exposition(_scrape(server.address))
+        finally:
+            server.close()
+        assert parsed["repro_cache_result_hits_total"] == 2.0
+        assert parsed["repro_cache_result_misses_total"] == 2.0
+        # the memos are entries of the one LRU the old families describe
+        assert parsed["repro_cache_entries"] >= 2.0
+        assert service.quality_stats()["cache"]["result_entries"] == 2
+
+
+# ----------------------------------------------------------------------
 # wire-negotiation and HTTP streaming families
 # ----------------------------------------------------------------------
 

@@ -267,8 +267,8 @@ class _ExtractBinService(SoapBinService):
                 counters["pages_served"] += 1
                 counters["pages_replayed"] += 1
                 if etag is not None and etag_matches(if_none_match, etag):
-                    return None, reply_format, etag, True
-                return reply_value, reply_format, etag, False
+                    return None, reply_format, etag, True, False
+                return reply_value, reply_format, etag, False, False
         result = self.xml_service.invoke(op, params, headers)
         reply_format, reply_value, etag, not_modified = self._apply_quality(
             result, op.output_format, if_none_match)
@@ -277,7 +277,8 @@ class _ExtractBinService(SoapBinService):
             if not not_modified:
                 owner._dedup.put(dedup_key,
                                  (reply_format, reply_value, etag))
-        return reply_value, reply_format, etag, not_modified
+        # the page is computed per request, never a memoised result
+        return reply_value, reply_format, etag, not_modified, False
 
 
 class ExtractService:

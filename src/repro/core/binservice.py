@@ -23,7 +23,7 @@ transparently restored ("padded with zeroes") before handlers run.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple, Union
 
 from ..pbio import (Format, FormatRegistry, PbioSession,
                     UnknownFormatError, WIRE_MODES)
@@ -226,8 +226,8 @@ class SoapBinService:
         prep_started = self._prep_time_fn()
         session = self._session_for(headers.get(HEADER_CLIENT_ID, "anon"))
         try:
-            reply_value, reply_format, etag, not_modified = self._run_binary(
-                body, headers, session)
+            (reply_value, reply_format, etag, not_modified,
+             memoised) = self._run_binary(body, headers, session)
         except (BinProtocolError, UnknownFormatError, SoapFault) as exc:
             return ChannelReply(body=str(exc).encode("utf-8"),
                                 content_type="text/plain", status=500)
@@ -241,7 +241,8 @@ class SoapBinService:
             reply_headers["ETag"] = etag
             return ChannelReply(body=b"", content_type=PBIO_CONTENT_TYPE,
                                 headers=reply_headers, status=304)
-        payload = self._pack_reply(session, reply_format, reply_value, etag)
+        payload = self._pack_reply(session, reply_format, reply_value, etag,
+                                   memoised)
         if etag is not None:
             reply_headers["ETag"] = etag
         return ChannelReply(body=payload, content_type=PBIO_CONTENT_TYPE,
@@ -249,6 +250,9 @@ class SoapBinService:
 
     def _run_binary(self, body: bytes, headers: Dict[str, str],
                     session: PbioSession):
+        """Decode, dispatch and select quality; returns ``(reply_value,
+        reply_format, etag, not_modified, memoised)``, the last True when
+        the reply is a memoised result sent at full fidelity."""
         wire_format, wire_value = session.unpack_stream(body)
         op = self._operation_for(wire_format, headers)
         params = self._restore_request(wire_value, wire_format, op)
@@ -262,7 +266,10 @@ class SoapBinService:
         reply_format, reply_value, etag, not_modified = self._apply_quality(
             result, op.output_format, self._if_none_match(headers),
             variant=variant, value_digest=digest)
-        return reply_value, reply_format, etag, not_modified
+        # a degraded reply's bytes ride on its quality entry and must never
+        # make one: a value-less entry under its key would read as a hit
+        memoised = digest is not None and reply_format is op.output_format
+        return reply_value, reply_format, etag, not_modified, memoised
 
     def _invoke(self, op: Operation, params: Dict[str, Any],
                 headers: Dict[str, str]
@@ -297,27 +304,38 @@ class SoapBinService:
         return None
 
     def _pack_reply(self, session: PbioSession, reply_format: Format,
-                    reply_value: Dict[str, Any],
-                    etag: Optional[str]) -> bytes:
+                    reply_value: Dict[str, Any], etag: Optional[str],
+                    memoised: bool) -> Union[bytes, memoryview]:
         """Encode the reply, reusing cached data-message bytes when safe.
 
         Steady-state PBIO data bytes depend only on the registry-wide
         format id and the value — not on which session sends them — so
         once a session has announced the reply format, a payload cached
         under the same content-addressed key can be replayed verbatim.
-        First-contact replies carry the announcement and are never cached.
+        A first-contact reply carries the announcement, which belongs to
+        its session: it is never replayed, but the data message after it
+        is stored (as a view into the reply, joined once) like any other
+        encoding.
+
+        A degraded message type stores the bytes on its quality entry, and
+        drops them when that entry is gone (flushed or refused by the
+        budget).  The full-fidelity type has no entry; it gets one of its
+        own only when the value is a ``memoised`` result — that value stays
+        resident in the memo anyway, whereas a unique reply would be copied
+        into the cache for no later hit.
         """
         cache = self.quality.cache if self.quality is not None else None
         if cache is None or etag is None:
             return session.pack_bytes(reply_format, reply_value)
-        announced = session.has_announced(reply_format)
-        if announced:
-            blob = cache.payload(etag)
-            if blob is not None:
-                return session.send_cached(blob)
+        if not session.has_announced(reply_format):
+            reply, data = session.pack_split(reply_format, reply_value)
+            cache.attach_payload(etag, data, create=memoised)
+            return reply
+        blob = cache.payload(etag)
+        if blob is not None:
+            return session.send_cached(blob)
         payload = session.pack_bytes(reply_format, reply_value)
-        if announced:
-            cache.attach_payload(etag, payload)
+        cache.attach_payload(etag, payload, create=memoised)
         return payload
 
     def _operation_for(self, wire_format: Format,

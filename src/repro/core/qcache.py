@@ -37,11 +37,14 @@ Three layers of reuse share the one entry budget.  A quality entry holds
 the transformed value (skips the quality handler) and, when attached, the
 encoded PBIO data message (skips the codec too — steady-state data bytes
 depend only on the registry-wide format id and the payload, not on which
-session sends them).  In front of both, a *result memo* entry holds what
-the operation handler of a ``pure=True`` operation returned for given
-params, with that result's canonical digest (skips the handler, and the
-hashing of the result on every later key derivation).  Memo entries live
-in the same LRU — same byte budget, same TTL, same flushes.
+session sends them).  The full-fidelity message type has no transformed
+value to keep; for a memoised result its encoding gets a value-less entry
+of its own under the same kind of key.  In front of all of these, a
+*result memo* entry holds what the operation handler of a ``pure=True``
+operation returned for given params, with that result's canonical digest
+(skips the handler, and the hashing of the result on every later key
+derivation).  Memo entries live in the same LRU — same byte budget, same
+TTL, same flushes.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from __future__ import annotations
 import hashlib
 import struct
 import threading
-from typing import Any, Dict, NamedTuple, Optional
+from typing import Any, Dict, NamedTuple, Optional, Union
 
 from ..pbio import Format, FormatRegistry
 from .lru import LruTtlCache
@@ -165,11 +168,13 @@ def estimated_weight(value: Any) -> int:
 
 
 class _CacheEntry:
-    """One memoized quality transformation (and optionally its encoding)."""
+    """One memoized quality transformation (and optionally its encoding),
+    or — value-less — the encoding alone."""
 
     __slots__ = ("wire_format", "wire_value", "payload", "value_weight")
 
-    def __init__(self, wire_format: Format, wire_value: Dict[str, Any],
+    def __init__(self, wire_format: Optional[Format],
+                 wire_value: Optional[Dict[str, Any]],
                  payload: Optional[bytes] = None,
                  value_weight: int = 0) -> None:
         self.wire_format = wire_format
@@ -225,8 +230,10 @@ class QualityCache:
         #: hits/misses (which keep meaning "quality handler skipped / run")
         self.result_hits = 0
         self.result_misses = 0
+        #: replies answered from stored encoded bytes, any message type
+        self.payload_hits = 0
         # orders a flush against the store of a result computed before it
-        # (and keeps the two counters above exact across worker threads)
+        # (and keeps the counters above exact across worker threads)
         self._flush_lock = threading.Lock()
         # redefine() calls invalidate() on everything attached here — the
         # registry holds us weakly; the owning QualityManager keeps us
@@ -264,11 +271,17 @@ class QualityCache:
         """Counted, LRU-touching lookup."""
         return self._cache.get(key)
 
-    def payload(self, key: str) -> Optional[bytes]:
-        """The attached encoded payload, if any — uncounted peek (the
-        value lookup on the same request already scored the hit)."""
+    def payload(self, key: str) -> Optional[Union[bytes, memoryview]]:
+        """The attached encoded payload, if any.  A peek that leaves
+        ``hits``/``misses`` alone (the value lookup on the same request
+        already scored it); a found payload counts under
+        ``payload_hits``."""
         entry = self._cache.peek(key)
-        return entry.payload if entry is not None else None
+        if entry is None or entry.payload is None:
+            return None
+        with self._flush_lock:
+            self.payload_hits += 1
+        return entry.payload
 
     def store(self, key: str, wire_format: Format,
               wire_value: Dict[str, Any]) -> None:
@@ -281,19 +294,31 @@ class QualityCache:
                                          value_weight=weight),
                         weight=weight)
 
-    def attach_payload(self, key: str, payload: bytes) -> None:
+    def attach_payload(self, key: str, payload: Union[bytes, memoryview],
+                       create: bool = False) -> None:
         """Attach the encoded data-message bytes to an existing entry so
         later hits skip the codec entirely.  Payloads that would push the
-        entry (value weight + encoding) past the byte budget — and
-        payloads for entries already evicted — are dropped silently."""
+        entry (value weight + encoding) past the byte budget are dropped
+        silently, and so are payloads for keys with no entry — unless
+        ``create``, which stores the bytes alone in a value-less entry
+        (the full-fidelity message type of a memoised result: there is no
+        transformed value to keep, and the value itself is resident in the
+        memo already).  ``create`` is only for such keys: :meth:`lookup`
+        never reads them, while a value-less entry under a degraded key
+        would read as a quality hit.  A read-only view is kept as it is
+        (it keeps the buffer it views alive); anything else is copied."""
         entry = self._cache.peek(key)
         if entry is None:
-            return
+            if not create:
+                return
+            entry = _CacheEntry(None, None)
         weight = entry.value_weight + len(payload)
         if weight > self.max_payload_bytes:
             return
+        if not (isinstance(payload, memoryview) and payload.readonly):
+            payload = bytes(payload)
         entry = _CacheEntry(entry.wire_format, entry.wire_value,
-                            bytes(payload), entry.value_weight)
+                            payload, entry.value_weight)
         self._cache.put(key, entry, weight=weight)
 
     # ------------------------------------------------------------------
@@ -344,6 +369,7 @@ class QualityCache:
         out["flushes"] = self.flushes
         out["result_hits"] = self.result_hits
         out["result_misses"] = self.result_misses
+        out["payload_hits"] = self.payload_hits
         out["result_entries"] = sum(
             isinstance(entry, _ResultMemo) for entry in self._cache.values())
         return out

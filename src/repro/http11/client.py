@@ -18,7 +18,8 @@ from typing import Dict, List, Optional, Tuple, Union
 from .errors import HttpConnectionClosed, HttpError, HttpParseError
 from .messages import (Headers, LAST_CHUNK, LineReader, MAX_HEADER_BYTES,
                        Request, Response, _MAX_CHUNK_LINE, _parse_chunk_size,
-                       _read_headers, encode_chunk, read_response)
+                       _read_headers, encode_chunk, read_response,
+                       send_gather, wire_buffers)
 
 
 class HttpConnection:
@@ -66,7 +67,7 @@ class HttpConnection:
         distinction.
         """
         request.headers.set("Host", f"{self.address[0]}:{self.address[1]}")
-        payload = request.to_bytes()
+        buffers = wire_buffers(request)
         attempts = 0
         while True:
             sent = 0
@@ -77,9 +78,8 @@ class HttpConnection:
                 exc.bytes_written = False
                 raise
             try:
-                view = memoryview(payload)
-                while sent < len(view):
-                    sent += self._sock.send(view[sent:])
+                for written in send_gather(self._sock, *buffers):
+                    sent += written
                 response = read_response(self._reader)
                 break
             except (HttpConnectionClosed, OSError) as exc:

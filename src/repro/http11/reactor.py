@@ -49,11 +49,13 @@ import selectors
 import socket
 import threading
 import time
+from itertools import islice
 from typing import Deque, Dict, List, Optional, Set
 
 from .errors import HttpParseError, HttpTooLarge
 from .messages import (LAST_CHUNK, MAX_BODY_BYTES, MAX_HEADER_BYTES, Request,
-                       RequestParser, Response, encode_chunk)
+                       RequestParser, Response, consume_views, encode_chunk,
+                       wire_buffers)
 from .server import Handler, _ServerCore, set_reuse_port
 
 _LISTENER = "listener"
@@ -131,6 +133,18 @@ class _Conn:
         #: active streaming request, or None (at most one per connection;
         #: it owns the wire until its terminal chunk goes out)
         self.stream: Optional[_ActiveStream] = None
+
+    def queue(self, payload: bytes) -> None:
+        """Append a view of ``payload`` to the write queue (no copy)."""
+        if payload:
+            self.out.append(memoryview(payload))
+            self.out_bytes += len(payload)
+
+    def queue_response(self, response: Response) -> None:
+        """Queue the response as views that one ``sendmsg`` gathers: a
+        cached payload reaches the kernel without being concatenated."""
+        for buffer in wire_buffers(response):
+            self.queue(buffer)
 
 
 class ReactorHttpServer(_ServerCore):
@@ -586,7 +600,7 @@ class ReactorHttpServer(_ServerCore):
                 f"Content-Type: {content_type}\r\n")
         if not stream.keep_alive:
             head += "Connection: close\r\n"
-        self._queue_bytes(conn, (head + "\r\n").encode("latin-1"))
+        conn.queue((head + "\r\n").encode("latin-1"))
         self._pump_stream(conn)
 
     def _pump_stream(self, conn: _Conn) -> None:
@@ -615,13 +629,13 @@ class ReactorHttpServer(_ServerCore):
         produced = 0
         if out:
             produced += len(out)
-            self._queue_bytes(conn, encode_chunk(out))
+            conn.queue(encode_chunk(out))
         if done:
             if tail:
                 produced += len(tail)
-                self._queue_bytes(conn, encode_chunk(tail) + LAST_CHUNK)
+                conn.queue(encode_chunk(tail) + LAST_CHUNK)
             else:
-                self._queue_bytes(conn, LAST_CHUNK)
+                conn.queue(LAST_CHUNK)
             conn.stream = None
             conn.boundary_at = time.monotonic()
             if not stream.keep_alive:
@@ -636,12 +650,6 @@ class ReactorHttpServer(_ServerCore):
             if not conn.close_when_flushed:
                 self._parse_available(conn)
             self._advance(conn)
-
-    def _queue_bytes(self, conn: _Conn, payload: bytes) -> None:
-        if not payload:
-            return
-        conn.out.append(memoryview(payload))
-        conn.out_bytes += len(payload)
 
     # ------------------------------------------------------------------
     # dispatch / completion / ordered flush
@@ -698,9 +706,7 @@ class ReactorHttpServer(_ServerCore):
                           and not self._draining)
             if not keep_alive:
                 response.headers.set("Connection", "close")
-            payload = response.to_bytes()
-            conn.out.append(memoryview(payload))
-            conn.out_bytes += len(payload)
+            conn.queue_response(response)
             if slot.error or not slot.keep_alive:
                 conn.close_when_flushed = True
                 conn.slots.clear()
@@ -730,10 +736,7 @@ class ReactorHttpServer(_ServerCore):
         while conn.out:
             try:
                 if len(conn.out) > 1:
-                    buffers = [conn.out[i]
-                               for i in range(min(len(conn.out),
-                                                  _SENDMSG_BATCH))]
-                    sent = sock.sendmsg(buffers)
+                    sent = sock.sendmsg(islice(conn.out, _SENDMSG_BATCH))
                 else:
                     sent = sock.send(conn.out[0])
             except (BlockingIOError, InterruptedError):
@@ -742,14 +745,7 @@ class ReactorHttpServer(_ServerCore):
                 self._close_conn(conn)
                 return
             conn.out_bytes -= sent
-            while sent:
-                head = conn.out[0]
-                if sent >= len(head):
-                    sent -= len(head)
-                    conn.out.popleft()
-                else:
-                    conn.out[0] = head[sent:]
-                    sent = 0
+            consume_views(conn.out, sent)
         if not conn.out:
             if conn.close_when_flushed or (conn.read_eof
                                            and not conn.slots):

@@ -56,7 +56,8 @@ from typing import Callable, Dict, Optional, TYPE_CHECKING, Tuple
 from ..serving.deadline import deadline_from_headers
 from .errors import HttpConnectionClosed, HttpParseError, HttpTooLarge
 from .messages import (MAX_BODY_BYTES, MAX_HEADER_BYTES, LineReader, Request,
-                       Response, etag_matches, read_request)
+                       Response, etag_matches, read_request, send_gather,
+                       wire_buffers)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..serving.admission import AdmissionController
@@ -530,7 +531,8 @@ class ThreadedHttpServer(_ServerCore):
     @staticmethod
     def _safe_send(conn: socket.socket, response: Response) -> bool:
         try:
-            conn.sendall(response.to_bytes())
+            for _ in send_gather(conn, *wire_buffers(response)):
+                pass
             return True
         except OSError:
             return False

@@ -280,12 +280,27 @@ class PbioSession:
         The announcement (if due), the data header and the payload parts
         are joined in a single pass.
         """
+        return self._pack_joined(fmt, value)[0]
+
+    def pack_split(self, fmt: Union[Format, str],
+                   value: Dict[str, Any]) -> Tuple[bytes, memoryview]:
+        """:meth:`pack_bytes`, plus a view of the data message at its end —
+        the bytes :meth:`send_cached` can replay once the peer has the
+        announcement — without joining the payload a second time."""
+        blob, data_at = self._pack_joined(fmt, value)
+        return blob, memoryview(blob)[data_at:]
+
+    def _pack_joined(self, fmt: Union[Format, str],
+                     value: Dict[str, Any]) -> Tuple[bytes, int]:
+        """The joined message and the offset of its data message."""
         if isinstance(fmt, str):
             fmt = self.registry.by_name(fmt)
         fid = self.registry.register(fmt)
         parts: List[bytes] = []
+        data_at = 0
         if fid not in self._announced:
             parts.append(self._announce(fmt, fid))
+            data_at = len(parts[0])
         compact = self._use_compact()
         flags = FLAG_LITTLE_ENDIAN if self.endian == LITTLE else 0
         if compact:
@@ -299,7 +314,7 @@ class PbioSession:
         blob = b"".join(parts)
         self.stats.messages_sent += 1
         self.stats.bytes_sent += len(blob)
-        return blob
+        return blob, data_at
 
     def has_announced(self, fmt: Union[Format, str]) -> bool:
         """True once this session has announced ``fmt`` to the peer — i.e.
@@ -314,7 +329,7 @@ class PbioSession:
             return False
         return fid in self._announced
 
-    def send_cached(self, blob: bytes) -> bytes:
+    def send_cached(self, blob: Buffer) -> Buffer:
         """Account for a pre-encoded data message being replayed on this
         session (the response-cache byte path), keeping :attr:`stats`
         consistent with :meth:`pack_bytes`."""

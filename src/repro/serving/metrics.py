@@ -379,6 +379,10 @@ def _quality_families(quality: Mapping[str, Any]) -> List[Metric]:
             _counter("repro_cache_result_misses_total",
                      "Requests to a pure operation that ran its handler.",
                      cache.get("result_misses", 0)),
+            _counter("repro_cache_payload_hits_total",
+                     "Replies answered from stored encoded bytes (no "
+                     "encode), any message type.",
+                     cache.get("payload_hits", 0)),
             _gauge("repro_cache_entries",
                    "Entries currently cached.", cache.get("entries", 0)),
             _gauge("repro_cache_bytes",

@@ -19,14 +19,18 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Union
 
 
 @dataclass
 class ChannelReply:
-    """The reply half of a channel exchange."""
+    """The reply half of a channel exchange.
 
-    body: bytes
+    ``body`` is ``bytes`` or a read-only ``memoryview`` (a response-cache
+    replay of bytes first sent inside a larger reply); either way nothing
+    writes to it."""
+
+    body: Union[bytes, memoryview]
     content_type: str = "application/octet-stream"
     headers: Dict[str, str] = field(default_factory=dict)
     status: int = 200

@@ -13,6 +13,7 @@ np = pytest.importorskip("numpy")
 
 from repro.core import (HEADER_CLIENT_ID, HEADER_RTT, PBIO_CONTENT_TYPE,
                         SoapBinService)
+from repro.core.qcache import estimated_weight
 from repro.core.quality_handlers import HandlerRegistry
 from repro.pbio import Format, FormatRegistry, PbioSession
 from repro.soap.client import SoapClient
@@ -269,3 +270,46 @@ def test_concurrent_requests_and_flushes_never_keep_a_stale_result():
         assert value["n"] == source["version"]
     stats = h.cache_stats()
     assert stats["result_hits"] + stats["result_misses"] == sum(calls) + 3
+
+
+class TestDegradedBytesNeedTheirQualityEntry:
+    """A memoised result's full-fidelity encoding gets an entry of its own;
+    a degraded encoding only ever rides on its quality entry.  When that
+    entry is missing at encode time the bytes are dropped: stored alone
+    under the degraded key, the next request (same key — neither a flush
+    nor a refused store moves the codec epoch) would read the value-less
+    entry as a quality hit."""
+
+    def _repeat_at_degraded_level(self, h, times=3):
+        for _ in range(times):
+            _, level, value = h.call({"n": 3, "pad": 0}, rtt=0.40)
+            assert level == "PureHalf" and len(value["data"]) == 6
+
+    def test_flush_between_quality_selection_and_encode(self):
+        # another request's attribute header, or put_image(), can flush the
+        # cache after outgoing_keyed stored the entry and before the encode
+        h = Harness()
+        cache = h.service.quality.cache
+        pack_reply = h.service._pack_reply
+
+        def flush_then_pack(*args):
+            cache.invalidate()
+            return pack_reply(*args)
+
+        h.service._pack_reply = flush_then_pack
+        self._repeat_at_degraded_level(h, times=2)  # first contact, then not
+        del h.service._pack_reply
+        self._repeat_at_degraded_level(h)
+        assert cache.stats()["payload_hits"] == 2
+
+    def test_budget_that_admits_the_bytes_but_not_the_value(self):
+        value = halve({"n": 3, "data": np.arange(12, dtype=np.float64)},
+                      FULL, HALF, None, None)
+        probe = Harness()
+        probe.call({"n": 3, "pad": 0}, rtt=0.40)
+        data, _, _ = probe.call({"n": 3, "pad": 0}, rtt=0.40)
+        weight = estimated_weight(value)
+        assert len(data.body) < weight
+        h = Harness(cache_max_payload_bytes=(len(data.body) + weight) // 2)
+        self._repeat_at_degraded_level(h)
+        assert h.cache_stats()["entries"] == 0

@@ -328,6 +328,40 @@ class TestPayloadAttachment:
         cache = QualityCache(registry)
         cache.attach_payload('"0000"', b"data")
         assert cache.payload('"0000"') is None
+        assert cache.stats()["entries"] == 0
+
+    def test_create_stores_bytes_alone_uncounted(self):
+        registry, full, _half = make_registry()
+        cache = QualityCache(registry)
+        value = {"seq": 1, "data": [1.0]}
+        key = cache.key(full, full, value)
+        cache.attach_payload(key, b"encoded", create=True)
+        assert cache.payload(key) == b"encoded"
+        assert cache.payload(key) == b"encoded"
+        stats = cache.stats()
+        assert stats["entries"] == 1
+        assert stats["bytes"] == len(b"encoded")
+        # a bytes-only entry is no quality entry: lookups never scored it
+        assert (stats["hits"], stats["misses"]) == (0, 0)
+        assert stats["payload_hits"] == 2
+        cache.invalidate()
+        assert cache.payload(key) is None
+        assert cache.stats()["payload_hits"] == 2
+
+    def test_read_only_views_are_kept_and_mutable_buffers_copied(self):
+        registry, full, _half = make_registry()
+        cache = QualityCache(registry)
+        reply = b"announcement" + b"encoded"
+        view = memoryview(reply)[len(b"announcement"):]
+        writable = bytearray(b"encoded")
+        keys = [cache.key(full, full, {"seq": seq, "data": [1.0]})
+                for seq in (1, 2)]
+        cache.attach_payload(keys[0], view, create=True)
+        cache.attach_payload(keys[1], writable, create=True)
+        assert cache.payload(keys[0]) is view
+        assert cache.stats()["bytes"] == 2 * len(b"encoded")
+        writable[:] = b"changed"
+        assert cache.payload(keys[1]) == b"encoded"
 
     def test_oversize_payload_is_rejected(self):
         registry, full, half = make_registry()

@@ -1,0 +1,268 @@
+"""Bulk bodies on the pull path: gather writes, direct body reads, the
+ownership rule and the bound on a declared ``Content-Length``.
+
+See the ``repro.http11.messages`` module docstring for the rule these
+tests hold the reader to.
+"""
+
+import socket
+import threading
+import tracemalloc
+from collections import deque
+
+import pytest
+
+np = pytest.importorskip("numpy")
+
+from repro.http11 import (Headers, HttpConnection, HttpParseError,
+                          HttpServer, LineReader, Request, Response,
+                          read_request, read_response)
+from repro.http11.messages import send_gather
+from repro.pbio import Format, FormatRegistry, PbioSession
+
+FULL_BODY = 640 * 480 * 3          # one ImageFull frame of pixels
+
+
+class Pieces:
+    """A byte source that delivers scripted pieces, one per read, through
+    ``recv`` and ``recv_into`` alike (a socket as the reader sees it)."""
+
+    def __init__(self, pieces):
+        self.pieces = deque(p for p in pieces if p)
+
+    def recv(self, n):
+        if not self.pieces:
+            return b""
+        piece = self.pieces.popleft()
+        if len(piece) > n:
+            self.pieces.appendleft(piece[n:])
+        return piece[:n]
+
+    def recv_into(self, view):
+        data = self.recv(len(view))
+        view[:len(data)] = data
+        return len(data)
+
+
+def recv_only(pieces):
+    """The same pieces through a plain function (no ``recv_into``); like
+    some callers' sources, it ignores the requested size."""
+    pending = deque(p for p in pieces if p)
+    return lambda _n: pending.popleft() if pending else b""
+
+
+def _stream():
+    first = Response(body=bytes(range(256)) * 9)
+    first.headers.set("ETag", '"first"')
+    second = Response(status=404, body=b"")
+    third = Response(body=b"x" * 700 + b"\r\n\r\n" + b"y" * 300)
+    return first.to_bytes() + second.to_bytes() + third.to_bytes()
+
+
+def _parse_all(reader, count=3):
+    return [(r.status, list(r.headers), bytes(r.body))
+            for r in (read_response(reader) for _ in range(count))]
+
+
+class TestSplitAtEveryOffset:
+    @pytest.mark.parametrize("source", ["recv_into", "recv"])
+    def test_identical_messages_for_every_split(self, source):
+        stream = _stream()
+        expected = _parse_all(LineReader(Pieces([stream]).recv))
+        assert [status for status, _, _ in expected] == [200, 404, 200]
+        for k in range(len(stream) + 1):
+            pieces = [stream[:k], stream[k:]]
+            recv = (Pieces(pieces).recv if source == "recv_into"
+                    else recv_only(pieces))
+            reader = LineReader(recv)
+            assert _parse_all(reader) == expected, k
+            assert reader.at_start()
+
+    def test_byte_at_a_time(self):
+        stream = _stream()
+        reader = LineReader(Pieces([bytes([b]) for b in stream]).recv)
+        assert _parse_all(reader) == _parse_all(
+            LineReader(Pieces([stream]).recv))
+
+    @pytest.mark.parametrize("source", ["recv_into", "recv"])
+    def test_body_larger_than_the_first_buffer(self, source):
+        body = np.arange(1_500_000, dtype=np.uint32).astype(np.uint8)
+        raw = (Response(body=body.tobytes()).to_bytes()
+               + Response(status=204).to_bytes())
+        pieces = [raw[i:i + 100_003] for i in range(0, len(raw), 100_003)]
+        reader = LineReader(Pieces(pieces).recv if source == "recv_into"
+                            else recv_only(pieces))
+        response = read_response(reader)
+        assert type(response.body) is bytes
+        assert response.body == body.tobytes()
+        assert read_response(reader).status == 204     # successor intact
+
+
+class TestDeclaredLength:
+    """A ``Content-Length`` is what the peer claims, not what it sends."""
+
+    def _peak_while(self, parse):
+        tracemalloc.start()
+        try:
+            with pytest.raises(HttpParseError):
+                parse()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_response_declaring_200_mb_then_closing(self):
+        a, b = socket.socketpair()
+        with a, b:
+            a.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 200000000\r\n\r\n"
+                      + b"0123456789")
+            a.shutdown(socket.SHUT_WR)
+            peak = self._peak_while(lambda: read_response(LineReader(b.recv)))
+        assert peak < 1 << 20
+
+    def test_request_declaring_200_mb_then_closing(self):
+        # the threaded server reads requests through the same LineReader
+        a, b = socket.socketpair()
+        with a, b:
+            a.sendall(b"POST / HTTP/1.1\r\nContent-Length: 200000000\r\n\r\n"
+                      + b"0123456789")
+            a.shutdown(socket.SHUT_WR)
+            peak = self._peak_while(lambda: read_request(LineReader(b.recv)))
+        assert peak < 1 << 20
+
+    def test_truncated_body_is_not_at_a_message_boundary(self):
+        reader = LineReader(Pieces([b"POST / HTTP/1.1\r\n"
+                                    b"Content-Length: 10\r\n\r\n", b"abc"]
+                                   ).recv)
+        with pytest.raises(HttpParseError):
+            read_request(reader)
+        assert not reader.at_start()
+
+
+class TestGatherWrites:
+    def test_head_and_body_are_the_whole_message(self):
+        for message in (Request(body=b"abc"), Response(status=500, body=b""),
+                        Response(body=bytearray(b"\x00" * 70_000))):
+            assert message.head_bytes() + message.body == message.to_bytes()
+
+    def test_send_gather_yields_every_write(self):
+        a, b = socket.socketpair()
+        with a, b:
+            a.settimeout(10.0)          # timeout mode: writes may be partial
+            head, body = b"H" * 10, bytes(range(256)) * 16_384
+            received = bytearray()
+
+            def drain():
+                while len(received) < len(head) + len(body):
+                    received.extend(b.recv(1 << 16))
+
+            reader = threading.Thread(target=drain)
+            reader.start()
+            writes = list(send_gather(a, head, body))
+            reader.join()
+            assert sum(writes) == len(head) + len(body)
+            assert len(writes) > 1      # 4 MiB does not fit one write
+            assert bytes(received) == head + body
+
+
+# ----------------------------------------------------------------------
+# 0.92 MB replies over real connections
+# ----------------------------------------------------------------------
+def _image_registry():
+    registry = FormatRegistry()
+    image = Format.from_dict("OwnedImage", {"seq": "int32",
+                                            "pixels": "uint8[]"})
+    registry.register(image)
+    return registry, image
+
+
+@pytest.fixture(params=["threaded", "reactor"])
+def frame_server(request):
+    """Every request answers with the next 0.92 MB PBIO frame, whose
+    pixels are all equal to its sequence number."""
+    registry, image = _image_registry()
+    session = PbioSession(registry)
+    lock = threading.Lock()
+    served = [0]
+
+    def handler(_request):
+        with lock:
+            served[0] += 1
+            seq = served[0]
+            body = session.pack_bytes(image, {
+                "seq": seq, "pixels": np.full(FULL_BODY, seq, np.uint8)})
+        return Response(body=body)
+
+    with HttpServer(handler, concurrency=request.param) as server:
+        yield server
+
+
+class TestOwnership:
+    def test_first_reply_survives_the_second_on_one_connection(
+            self, frame_server):
+        registry, _ = _image_registry()
+        decoder = PbioSession(registry)
+        with HttpConnection(frame_server.address) as conn:
+            first = conn.get("/")
+            _, value = decoder.unpack_stream(first.body)
+            pixels = value["pixels"]
+            # zero-copy: the decoded array is a view over the body
+            assert np.shares_memory(pixels, np.frombuffer(first.body,
+                                                          np.uint8))
+            second = conn.get("/")
+            third = conn.get("/")
+        assert type(first.body) is bytes
+        assert pixels.min() == pixels.max() == 1
+        assert decoder.unpack_stream(second.body)[1]["seq"] == 2
+        assert decoder.unpack_stream(third.body)[1]["pixels"][-1] == 3
+
+    def test_non_chunked_error_reply_through_iter_chunks(self):
+        body = b"e" * 300_000
+
+        def handler(request):
+            return Response(status=500, body=body)
+
+        with HttpServer(handler, concurrency="threaded") as server:
+            with HttpConnection(server.address) as conn:
+                response = conn.stream("/x", [b"a", b"b"])
+                assert response.status == 500
+                assert b"".join(response.iter_chunks()) == body
+                assert conn.get("/again").body == body   # still framed
+
+
+class TestClientAllocation:
+    def test_reading_a_full_size_reply_allocates_about_the_body(self):
+        registry, image = _image_registry()
+        reply = Response(body=PbioSession(registry).pack_bytes(
+            image, {"seq": 1, "pixels": np.zeros(FULL_BODY, np.uint8)}))
+        head = reply.head_bytes()
+        a, b = socket.socketpair()
+        with a, b:
+            writer = threading.Thread(
+                target=lambda: sum(send_gather(a, head, reply.body)))
+            reader = LineReader(b.recv)
+            tracemalloc.start()
+            try:
+                writer.start()
+                response = read_response(reader)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                writer.join()
+        assert response.body == reply.body
+        assert peak <= 1.1 * len(reply.body)
+
+
+def test_request_headers_and_body_go_out_separately_and_arrive_whole():
+    seen = []
+
+    def handler(request):
+        seen.append(request.body)
+        return Response(body=request.body[::-1])
+
+    payload = bytes(range(256)) * 2000
+    with HttpServer(handler) as server:
+        with HttpConnection(server.address) as conn:
+            response = conn.post("/", payload, "application/octet-stream",
+                                 headers=Headers([("X-Tag", "t")]))
+    assert seen == [payload]
+    assert response.body == payload[::-1]

@@ -17,6 +17,21 @@ def sample_image(width=8, height=6, seed=3):
     return rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
 
 
+def whole_frame_edge_detect(image):
+    """The Sobel transform in one pass over the frame (the reference the
+    banded :func:`edge_detect` must match byte for byte)."""
+    gray = image.astype(np.float64) @ np.array([0.299, 0.587, 0.114])
+    padded = np.pad(gray, 1, mode="edge")
+    gx = (padded[:-2, 2:] + 2 * padded[1:-1, 2:] + padded[2:, 2:]
+          - padded[:-2, :-2] - 2 * padded[1:-1, :-2] - padded[2:, :-2])
+    gy = (padded[2:, :-2] + 2 * padded[2:, 1:-1] + padded[2:, 2:]
+          - padded[:-2, :-2] - 2 * padded[:-2, 1:-1] - padded[:-2, 2:])
+    magnitude = np.sqrt(gx * gx + gy * gy)
+    scaled = np.clip(magnitude / magnitude.max() * 255 if magnitude.max()
+                     else magnitude, 0, 255).astype(np.uint8)
+    return np.repeat(scaled[..., None], 3, axis=2)
+
+
 class TestPpm:
     def test_p6_roundtrip(self):
         image = sample_image()
@@ -116,6 +131,32 @@ class TestOps:
     def test_edge_detect_black_image(self):
         edges = edge_detect(np.zeros((8, 8, 3), dtype=np.uint8))
         assert edges.max() == 0
+
+    @pytest.mark.parametrize("height,width", [
+        (1, 1), (1, 7), (7, 1), (63, 5), (64, 9), (65, 9), (129, 41),
+        (480, 640)])
+    def test_edge_detect_bands_match_a_whole_frame_pass(self, height, width):
+        image = sample_image(width, height, seed=height * width)
+        np.testing.assert_array_equal(edge_detect(image),
+                                      whole_frame_edge_detect(image))
+
+    def test_edge_detect_starfield_and_strided_input_match(self):
+        for image in (starfield(640, 480, seed=2),
+                      sample_image(300, 200)[::2, ::3]):
+            np.testing.assert_array_equal(edge_detect(image),
+                                          whole_frame_edge_detect(image))
+
+    def test_edge_detect_float_temporaries_stay_small(self):
+        import tracemalloc
+        image = starfield(640, 480, seed=1)
+        tracemalloc.start()
+        try:
+            edge_detect(image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a whole-frame pass peaks at 16.4 MB
+        assert peak < 8 * 2**20
 
     def test_crop(self):
         image = sample_image(10, 10)

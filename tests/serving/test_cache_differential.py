@@ -276,11 +276,14 @@ def _reported_rtt(call_number):
 class ImagingPeer:
     """One ``ImageServer`` and a raw PBIO client driving its endpoint."""
 
-    def __init__(self, pure, cache_max_payload_bytes=None):
+    def __init__(self, pure, cache_max_payload_bytes=None,
+                 response_cache=True):
         self.server = ImageServer()
         service = self.server.service
-        if cache_max_payload_bytes is not None:
-            service.cache_max_payload_bytes = cache_max_payload_bytes
+        if cache_max_payload_bytes is not None or not response_cache:
+            if cache_max_payload_bytes is not None:
+                service.cache_max_payload_bytes = cache_max_payload_bytes
+            service.response_cache = response_cache
             service.install_quality(DEFAULT_QUALITY_FILE)
         self.op = service.xml_service.operations["GetImage"]
         if not pure:    # the same server, registered the plain way
@@ -328,6 +331,10 @@ class ImagingPeer:
 
     def cache_stats(self):
         return self.server.service.quality_stats()["cache"]
+
+    def encodes(self):
+        """Data messages the service encoded (its replies go compact)."""
+        return self.server.service.wire_stats()["compact_messages_sent"]
 
 
 def _run_schedule(peer):
@@ -409,6 +416,58 @@ class TestPureEqualsPlainOnTheImagingSchedule:
         assert stats["bytes"] <= budget
         assert stats["result_entries"] < len(FILES)
         assert len(FILES) < pure.runs <= plain.runs == 3 * CYCLE
+
+
+def _encode_schedule(peer):
+    """Three healthy/degraded cycles with a ``redefine()`` and a
+    ``put_image`` between them; returns the distinct (file, level, cache
+    epoch) triples served, the epoch counting the two flushes."""
+    triples, epoch = set(), 0
+
+    def cycle():
+        for filename, image in peer.cycle():
+            triples.add((filename, image.shape[1], epoch))
+
+    cycle()
+    cycle()
+    peer.server.registry.redefine(Format.from_dict(
+        "ImageHalf", {"filename": "string", "width": "int16",
+                      "height": "int16", "pixels": "uint8[]"}))
+    epoch += 1
+    cycle()
+    peer.server.put_image("sky01.ppm", starfield(640, 480, seed=99))
+    epoch += 1
+    cycle()
+    return triples
+
+
+class TestEncodedBytesOnTheImagingSchedule:
+    def test_one_encode_per_file_level_and_epoch(self):
+        pure = ImagingPeer(pure=True)
+        plain = ImagingPeer(pure=False)
+        bare = ImagingPeer(pure=False, response_cache=False)
+        triples = _encode_schedule(pure)
+        _encode_schedule(plain)
+        _encode_schedule(bare)
+        calls = len(pure.stream)
+        assert calls == 4 * CYCLE
+        assert {level for _, level, _ in triples} == {640, 320}
+        # every full-size and half-size reply after the first of its
+        # (file, level, epoch) is replayed from stored bytes
+        assert pure.encodes() == len(triples)
+        stats = pure.cache_stats()
+        assert stats["payload_hits"] == calls - len(triples)
+        # bytes on the wire are the cache-less service's; validators and
+        # quality-entry counts are the non-memoised cached service's
+        assert [body for _, body, _ in pure.stream] \
+            == [body for _, body, _ in bare.stream]
+        assert pure.stream == plain.stream
+        assert all(etag is None for _, _, etag in bare.stream)
+        plain_stats = plain.cache_stats()
+        assert (stats["hits"], stats["misses"]) \
+            == (plain_stats["hits"], plain_stats["misses"])
+        # without a memo only the degraded type's entries keep bytes
+        assert plain_stats["payload_hits"] < stats["payload_hits"]
 
 
 class TestMidSessionInvalidation:

@@ -160,6 +160,8 @@ class TestResultMemoFamilies:
             server.close()
         assert parsed["repro_cache_result_hits_total"] == 2.0
         assert parsed["repro_cache_result_misses_total"] == 2.0
+        # the two repeats were also sent from the stored encoding
+        assert parsed["repro_cache_payload_hits_total"] == 2.0
         # the memos are entries of the one LRU the old families describe
         assert parsed["repro_cache_entries"] >= 2.0
         assert service.quality_stats()["cache"]["result_entries"] == 2

@@ -345,7 +345,7 @@ class _ServerUnderTest:
         if self._fleet is not None:
             return "repro_fleet_requests_served_total"
         if self.cfg.mix.get("largemsg", 0) > 0:
-            # stream routes run on the reactor thread, outside admission
+            # stream routes run on the owner thread, outside admission
             return "repro_http_chunked_requests_total"
         return "repro_admission_admitted_total"
 

@@ -1,9 +1,10 @@
 """Minimal HTTP/1.1 stack: the transport SOAP rides on.
 
 Request/response model with case-insensitive headers, two server cores —
-an event-driven selector reactor (default) and the classic
-thread-per-connection server — plus persistent-connection and pipelined
-clients::
+an epoll reactor (default; ``workers + 1`` threads share one epoll set and
+the thread woken for a connection serves it from read to write) and the
+classic thread-per-connection server — plus persistent-connection and
+pipelined clients::
 
     from repro.http11 import HttpServer, HttpConnection, Response
 
@@ -11,11 +12,11 @@ clients::
         with HttpConnection(server.address) as conn:
             assert conn.get("/").body == b"pong"
 
-``HttpServer(...)`` is a factory: ``concurrency="reactor"`` (default,
-overridable via the ``REPRO_HTTP_CONCURRENCY`` env var) builds a
-:class:`ReactorHttpServer`, ``concurrency="threaded"`` the original
-:class:`ThreadedHttpServer`.  Both expose the identical surface and run
-the same test suite.
+``HttpServer(...)`` is a factory: ``concurrency="reactor"`` (default where
+``select.epoll`` exists, overridable via the ``REPRO_HTTP_CONCURRENCY``
+env var) builds a :class:`ReactorHttpServer`, ``concurrency="threaded"``
+the original :class:`ThreadedHttpServer`.  Both expose the identical
+surface and run the same test suite.
 """
 
 from .client import (HttpConnection, HttpConnectionPool, default_pool,

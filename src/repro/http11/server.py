@@ -9,10 +9,11 @@ Two concurrency models share one behavioural contract (`_ServerCore`):
 * :class:`ThreadedHttpServer` — the historical thread-per-connection
   model: simple, but at keep-alive scale every idle client pins a thread;
 * :class:`~repro.http11.reactor.ReactorHttpServer` — an event-driven
-  core: one ``selectors`` reactor thread owns every socket (non-blocking
-  accept/read/write, incremental request parsing, HTTP/1.1 pipelining,
-  write-queue backpressure) and dispatches complete requests to a bounded
-  worker pool, so 10k idle connections cost file descriptors, not threads.
+  core: ``workers + 1`` threads share one ``epoll`` set, and the thread
+  woken for a connection owns it from read through handler to write
+  (incremental request parsing, HTTP/1.1 pipelining, write-queue
+  backpressure), so 10k idle connections cost file descriptors, not
+  threads.
 
 :func:`HttpServer` is the factory both run behind: pass
 ``concurrency="threaded"`` or ``"reactor"`` (default: the
@@ -48,6 +49,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import select
 import socket
 import threading
 import time
@@ -94,15 +96,16 @@ def set_reuse_port(sock: socket.socket) -> None:
 def default_concurrency() -> str:
     """The concurrency model :func:`HttpServer` uses when not told.
 
-    An unset (or blank) ``REPRO_HTTP_CONCURRENCY`` means ``"reactor"``; a
-    set-but-unrecognized value is a configuration error and raises — a
-    typo like ``REPRO_HTTP_CONCURRENCY=reactr`` silently falling back to
-    the default is exactly how a deployment ends up benchmarking the
-    wrong server.
+    An unset (or blank) ``REPRO_HTTP_CONCURRENCY`` means ``"reactor"`` —
+    or ``"threaded"`` where ``select.epoll``, which the reactor needs, is
+    missing; a set-but-unrecognized value is a configuration error and
+    raises — a typo like ``REPRO_HTTP_CONCURRENCY=reactr`` silently
+    falling back to the default is exactly how a deployment ends up
+    benchmarking the wrong server.
     """
     raw = os.environ.get(CONCURRENCY_ENV)
     if raw is None or not raw.strip():
-        return "reactor"
+        return "reactor" if hasattr(select, "epoll") else "threaded"
     mode = raw.strip().lower()
     if mode not in _CONCURRENCY_MODES:
         raise ValueError(
@@ -374,11 +377,10 @@ class ThreadedHttpServer(_ServerCore):
     (the default) keeps the historical unbounded behaviour.
 
     The reactor-only tuning knobs (``workers``, ``max_buffered_bytes``,
-    ``max_pipeline``, ``pipeline_execution``, ``stream_routes``) are
-    accepted and ignored so both servers can be constructed with one
-    argument set.  Chunked request bodies are still decoded here — they
-    are just buffered whole and dispatched normally; incremental
-    streaming is the reactor's feature.
+    ``max_pipeline``, ``stream_routes``) are accepted and ignored so both
+    servers can be constructed with one argument set.  Chunked request
+    bodies are still decoded here — they are just buffered whole and
+    dispatched normally; incremental streaming is the reactor's feature.
     """
 
     def __init__(self, handler: Handler, host: str = "127.0.0.1",
@@ -401,7 +403,6 @@ class ThreadedHttpServer(_ServerCore):
                  workers: int = 8,
                  max_buffered_bytes: int = 1 << 20,
                  max_pipeline: int = 128,
-                 pipeline_execution: str = "serial",
                  stream_routes: Optional[Dict[str, object]] = None) -> None:
         if conn_receiver is not None or not listen:
             raise ValueError(
@@ -621,14 +622,14 @@ def HttpServer(handler: Handler, host: str = "127.0.0.1", port: int = 0,
                workers: int = 8,
                max_buffered_bytes: int = 1 << 20,
                max_pipeline: int = 128,
-               pipeline_execution: str = "serial",
                stream_routes: Optional[Dict[str, object]] = None) -> _ServerCore:
     """Build an HTTP server with the selected concurrency model.
 
     ``concurrency`` is ``"threaded"`` (one thread per connection),
-    ``"reactor"`` (event loop + bounded worker pool), or ``None`` to use
-    :func:`default_concurrency` (the ``REPRO_HTTP_CONCURRENCY``
-    environment variable, falling back to ``"reactor"``).  Both models
+    ``"reactor"`` (``workers + 1`` threads over one epoll set), or
+    ``None`` to use :func:`default_concurrency` (the
+    ``REPRO_HTTP_CONCURRENCY`` environment variable, falling back to
+    ``"reactor"`` where epoll exists).  Both models
     honour the same protection contract; the reactor additionally
     supports HTTP/1.1 pipelining and holds idle keep-alive connections
     for the price of a file descriptor instead of a thread.
@@ -658,6 +659,4 @@ def HttpServer(handler: Handler, host: str = "127.0.0.1", port: int = 0,
                reuse_port=reuse_port, conn_receiver=conn_receiver,
                listen=listen,
                workers=workers, max_buffered_bytes=max_buffered_bytes,
-               max_pipeline=max_pipeline,
-               pipeline_execution=pipeline_execution,
-               stream_routes=stream_routes)
+               max_pipeline=max_pipeline, stream_routes=stream_routes)

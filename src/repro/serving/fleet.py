@@ -5,7 +5,7 @@ one process tops out at roughly one core — the GIL, not the hardware, is
 the ceiling.  :class:`FleetServer` removes it the classic prefork way:
 
 * **fork N workers** (default ``os.cpu_count()``), each running an
-  unmodified :class:`~repro.http11.ReactorHttpServer` + worker pool +
+  unmodified :class:`~repro.http11.ReactorHttpServer` +
   ``_ServerCore`` — admission control, deadline shedding, quality
   coupling, pipelining all behave exactly as in a single process;
 * all workers accept on **one port**.  Where the platform has it, each

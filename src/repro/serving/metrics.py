@@ -292,10 +292,10 @@ def server_families(server) -> List[Metric]:
         stats = connection_stats()
         families.extend([
             _gauge("repro_reactor_worker_threads",
-                   "Size of the reactor's dispatch worker pool.",
+                   "Reactor handler slots (requests in a handler at once).",
                    getattr(server, "workers", 0)),
             _gauge("repro_reactor_connections",
-                   "Connections owned by the reactor thread.", len(stats)),
+                   "Connections held by the reactor.", len(stats)),
             _gauge("repro_reactor_buffered_bytes",
                    "Response bytes queued across all connections.",
                    sum(c["buffered_bytes"] for c in stats)),

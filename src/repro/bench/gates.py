@@ -7,8 +7,9 @@ that judgment logic:
 
 * ``python -m repro.bench.gates BENCH_headline.json BENCH_fresh.json``
   runs the regression gates (rpc p50 budget, pipelined throughput
-  floor, scaleout/cache baseline sanity) with the exact thresholds the
-  inline steps enforced;
+  floor, scaleout/cache/wire baseline sanity) with the exact thresholds
+  the inline steps enforced, plus the same-run small-struct codec ratio
+  of the fresh report;
 * ``python -m repro.bench.gates --loadgen LOADGEN_report.json``
   validates a load-generator report (schema, zero transport errors,
   p99 bound) for the ``loadgen-smoke`` job.
@@ -41,6 +42,9 @@ WIRE_COMPACT_MIN_SPEEDUP_VS_SCALAR = 8.0
 #: compact encode of the small-int shape may be at most 3x slower than
 #: native encode (the ROADMAP's "within 3x of native")
 WIRE_COMPACT_ENCODE_MAX_SLOWDOWN = 3.0
+#: compact encode and decode of the depth-8 nested struct may each be at
+#: most this many times slower than native, timed in the same run
+WIRE_COMPACT_STRUCT_MAX_SLOWDOWN = 6.0
 #: streaming a large payload may grow RSS by at most 25% of the payload
 STREAM_RSS_MAX_RATIO = 0.25
 
@@ -172,6 +176,32 @@ def gate_wire_baseline(baseline: Dict[str, Any]) -> None:
             f"bound")
 
 
+def gate_wire_fresh(fresh: Dict[str, Any]) -> None:
+    """The small-struct codec, judged as a same-run ratio.
+
+    ``wire.shapes.nested_struct_d8`` times native and compact encode and
+    decode of the 69-byte depth-8 struct back to back, so the host's speed
+    cancels out of ``native / compact`` and the gate can demand it of any
+    fresh run: each direction must run at no less than
+    1/:data:`WIRE_COMPACT_STRUCT_MAX_SLOWDOWN` of native ops/s.  This is
+    the struct ``wire=auto`` sends compact on every small call, so a
+    compact plan that falls back to per-field calls shows here first.
+    """
+    shape = require_section(fresh, "wire",
+                            "BENCH_fresh.json")["shapes"]["nested_struct_d8"]
+    for direction in ("encode", "decode"):
+        slowdown = (shape[f"native_{direction}_ops_s"]
+                    / shape[f"compact_{direction}_ops_s"])
+        print(f"wire fresh: nested_struct_d8 compact {direction} "
+              f"{slowdown:.2f}x slower than native (max "
+              f"{WIRE_COMPACT_STRUCT_MAX_SLOWDOWN}x)")
+        if slowdown > WIRE_COMPACT_STRUCT_MAX_SLOWDOWN:
+            raise GateFailure(
+                f"compact {direction} of nested_struct_d8 is "
+                f"{slowdown:.2f}x slower than native "
+                f"(> {WIRE_COMPACT_STRUCT_MAX_SLOWDOWN}x)")
+
+
 def run_bench_gates(baseline: Dict[str, Any],
                     fresh: Dict[str, Any]) -> None:
     """All regression gates, in the order ci.yml ran them."""
@@ -180,6 +210,7 @@ def run_bench_gates(baseline: Dict[str, Any],
     gate_scaleout_baseline(baseline)
     gate_cache_baseline(baseline)
     gate_wire_baseline(baseline)
+    gate_wire_fresh(fresh)
 
 
 def gate_loadgen(report: Dict[str, Any],

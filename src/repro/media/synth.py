@@ -19,18 +19,27 @@ def starfield(width: int = 640, height: int = 480, n_stars: int = 120,
 
     Dark sky with Poisson-ish noise plus gaussian star blobs of varying
     brightness.  Deterministic per seed.
+
+    A blob reaches 6 sigma from its centre, so each star is drawn over
+    that box alone: the same values as a whole-frame pass, without its
+    frame-sized temporaries per star (a server's start-up peak, which
+    glibc may keep resident for the life of the process).
     """
     rng = np.random.default_rng(seed)
     sky = rng.poisson(6.0, size=(height, width)).astype(np.float64)
-    ys, xs = np.mgrid[0:height, 0:width]
+    ys, xs = np.ogrid[0:height, 0:width]
     for _ in range(n_stars):
         cx = rng.uniform(0, width)
         cy = rng.uniform(0, height)
         brightness = rng.uniform(40, 255)
         sigma = rng.uniform(0.8, 2.5)
-        d2 = (xs - cx) ** 2 + (ys - cy) ** 2
-        mask = d2 < (6 * sigma) ** 2
-        sky[mask] += brightness * np.exp(-d2[mask] / (2 * sigma * sigma))
+        reach = 6 * sigma
+        x0, x1 = max(int(cx - reach), 0), min(int(cx + reach) + 2, width)
+        y0, y1 = max(int(cy - reach), 0), min(int(cy + reach) + 2, height)
+        d2 = (xs[:, x0:x1] - cx) ** 2 + (ys[y0:y1] - cy) ** 2
+        mask = d2 < reach ** 2
+        sky[y0:y1, x0:x1][mask] += brightness * np.exp(
+            -d2[mask] / (2 * sigma * sigma))
     frame = np.clip(sky, 0, 255).astype(np.uint8)
     return np.repeat(frame[..., None], 3, axis=2)
 

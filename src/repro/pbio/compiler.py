@@ -118,11 +118,27 @@ def _pack_prim_array(values: Any, char: str, endian: str) -> bytes:
         return raw
     if _np is not None and isinstance(values, _np.ndarray):
         dtype = _np.dtype(endian + _NP_CHARS[char])
-        return values.astype(dtype, copy=False).tobytes()
+        if _np.can_cast(values.dtype, dtype, "safe") or \
+                _cast_keeps_values(values, dtype):
+            return values.astype(dtype, copy=False).tobytes()
+        values = values.tolist()        # the list path names the refusal
     try:
         return _array_struct(endian, len(values), char).pack(*values)
-    except struct.error as exc:
+    except (struct.error, OverflowError) as exc:
         raise EncodeError(f"bad array value: {exc}")
+
+
+def _cast_keeps_values(values: Any, dtype: Any) -> bool:
+    """Whether an unsafe cast of ``values`` to ``dtype`` keeps every
+    element: the range check the list path makes."""
+    kind = values.dtype.kind
+    if dtype.kind == "f":       # a narrower float overflows to inf
+        with _np.errstate(over="ignore"):
+            return kind in "iuf" and (_np.isinf(values.astype(dtype)).sum()
+                                      == _np.isinf(values).sum())
+    return kind in "iu" and values.size > 0 and (
+        _np.iinfo(dtype).min <= int(values.min())
+        and int(values.max()) <= _np.iinfo(dtype).max)
 
 
 def _unpack_prim_array(buf: Any, off: int, char: str, count: int,
@@ -185,63 +201,13 @@ def _unpack_compact_string(buf: Any, off: int) -> Tuple[str, int]:
     return bytes(buf[off:off + n]).decode("utf-8"), off + n
 
 
-@lru_cache(maxsize=64)
-def _compact_int_encoder(kind: str) -> Callable[[Any], bytes]:
-    """A specialized scalar encoder for one integer kind: a varint, or the
-    native byte of a one-byte kind."""
-    lo, hi = _INT_RANGES[kind]
-    signed = kind[0] == "i"
-    one_byte = kind in _BYTE_KINDS
-
-    def enc(value: Any) -> bytes:
-        try:
-            n = value.__index__()
-        except (AttributeError, TypeError):
-            raise EncodeError(
-                f"required an integer for {kind}, got "
-                f"{type(value).__name__}")
-        if not lo <= n <= hi:
-            raise EncodeError(f"{n} out of range for {kind}")
-        if one_byte:
-            return bytes((n & 0xFF,))
-        if signed:
-            n = (n << 1) ^ (n >> 63)
-        out = bytearray()
-        while n > 0x7F:
-            out.append((n & 0x7F) | 0x80)
-            n >>= 7
-        out.append(n)
-        return bytes(out)
-
-    return enc
-
-
-@lru_cache(maxsize=64)
-def _compact_int_decoder(kind: str) -> Callable[[Any, int], Tuple[int, int]]:
-    """A specialized scalar decoder for one integer kind (the inverse of
-    :func:`_compact_int_encoder`)."""
-    lo, hi = _INT_RANGES[kind]
-    signed = kind[0] == "i"
-
-    if kind in _BYTE_KINDS:
-        def dec_byte(buf: Any, off: int) -> Tuple[int, int]:
-            if off >= len(buf):
-                raise DecodeError(f"truncated {kind}")
-            n = buf[off]
-            if signed and n >= 0x80:
-                n -= 0x100
-            return n, off + 1
-
-        return dec_byte
-
-    def dec(buf: Any, off: int) -> Tuple[int, int]:
-        u, off = decode_uvarint(buf, off)
-        n = ((u >> 1) ^ -(u & 1)) if signed else u
-        if not lo <= n <= hi:
-            raise DecodeError(f"{n} out of range for {kind}")
-        return n, off
-
-    return dec
+def _index(value: Any, kind: str) -> int:
+    """``value.__index__()``, or the compact plan's type error for it."""
+    try:
+        return value.__index__()
+    except (AttributeError, TypeError):
+        raise EncodeError(f"required an integer for {kind}, got "
+                          f"{type(value).__name__}")
 
 
 def _pack_compact_int_array_scalar(values: Any, kind: str) -> bytes:
@@ -581,8 +547,11 @@ class _SourceBuilder:
         }
         self._counter = 0
 
-    def emit(self, line: str, depth: int = 1) -> None:
-        self.lines.append("    " * depth + line)
+    def emit(self, text: str, depth: int = 1) -> None:
+        """Append the lines of ``text`` indented by ``depth`` (blank lines
+        dropped, so a template can leave an optional line empty)."""
+        self.lines.extend("    " * depth + line
+                          for line in text.splitlines() if line.strip())
 
     def fresh(self, prefix: str) -> str:
         self._counter += 1
@@ -603,10 +572,11 @@ class _SourceBuilder:
 
 
 class _EncodeBatch:
-    """A pending run of fixed-size encode expressions."""
+    """A pending run of fixed-size encode expressions, stored by ``sink``."""
 
-    def __init__(self, sb: _SourceBuilder) -> None:
+    def __init__(self, sb: _SourceBuilder, sink: str = "_a({})") -> None:
         self.sb = sb
+        self.sink = sink
         self.items: List[Tuple[str, str]] = []  # (struct char, value expr)
 
     def add(self, char: str, expr: str) -> None:
@@ -618,7 +588,7 @@ class _EncodeBatch:
         chars = "".join(c for c, _ in self.items)
         packer = self.sb.add_const("s", struct.Struct(self.sb.endian + chars))
         exprs = ", ".join(e for _, e in self.items)
-        self.sb.emit(f"_a({packer}.pack({exprs}))", depth)
+        self.sb.emit(self.sink.format(f"{packer}.pack({exprs})"), depth)
         self.items.clear()
 
 
@@ -656,6 +626,110 @@ class _DecodeBatch:
         for line in self.post:
             self.sb.emit(line, depth)
         self.post.clear()
+
+
+def _emit_encode_excepts(sb: _SourceBuilder, name: str, depth: int) -> None:
+    """The ``except`` clauses turning a bad value into an
+    :class:`EncodeError` naming the format ``name`` evaluates to (``name``
+    is generated code: a literal, or the compact plan's ``_fmt``)."""
+    prefix = f"'format ' + repr({name}) + ': '"
+    sb.emit(f"except KeyError as _e:\n"
+            f"    raise _EncodeError({prefix} + 'missing field ' + str(_e))\n"
+            f"except (_struct.error, OverflowError, TypeError, "
+            f"AttributeError) as _e:\n"
+            f"    raise _EncodeError({prefix} + str(_e))", depth)
+
+
+def _emit_decode_excepts(sb: _SourceBuilder, name: str, depth: int) -> None:
+    """The ``except`` clause naming the format ``name`` evaluates to in a
+    truncation."""
+    sb.emit(f"except _struct.error as _e:\n    raise _DecodeError('format ' "
+            f"+ repr({name}) + ': truncated message: ' + str(_e))", depth)
+
+
+def _emit_varint_encode(sb: _SourceBuilder, src: str, kind: Optional[str],
+                        depth: int) -> None:
+    """Append ``src`` to the scalar run ``_b`` as a compact integer of
+    ``kind`` (``None``: an array count): the oracle's checks and messages
+    minus its ``field`` prefix, then the raw byte of a one-byte kind or a
+    varint, unrolled under 2**21.  (CPython specialises ``+`` on ints, not
+    shifts: hence zigzag as ``2n`` / ``~2n``.)"""
+    n = z = sb.fresh("n")
+    sb.emit(f"{n} = {src}", depth)
+    bits = 64
+    if kind is not None:
+        lo, hi = _INT_RANGES[kind]
+        sb.emit(f"if type({n}) is not int: {n} = _index({n}, {kind!r})\n"
+                f"if not {lo} <= {n} <= {hi}: raise _EncodeError("
+                f"f'{{{n}}} out of range for {kind}')", depth)
+        if kind in _BYTE_KINDS:
+            sb.emit(f"_ba({n} & 255)", depth)
+            return
+        bits = 8 * Primitive(kind).size
+        if kind[0] == "i":
+            z = sb.fresh("z")
+            sb.emit(f"{z} = {n} + {n} if {n} >= 0 else ~({n} + {n})", depth)
+    three = (f"_ba({z} & 127 | 128); _ba({z} >> 7 & 127 | 128); "
+             f"_ba({z} >> 14)")
+    sb.emit(f"if {z} < 128: _ba({z})\n"
+            f"elif {z} < 16384: _ba({z} & 127 | 128); _ba({z} >> 7)\n"
+            + (f"else: {three}" if bits == 16 else
+               f"elif {z} < 2097152: {three}\nelse: _b += _uv({z})"), depth)
+
+
+def _emit_varint_decode(sb: _SourceBuilder, t: str, kind: Optional[str],
+                        depth: int) -> None:
+    """Read a compact integer of ``kind`` (``None``: an array count) at
+    ``_off`` into ``t``, with :func:`decode_uvarint`'s checks and then the
+    kind's range check (needless while the value has too few bits).
+
+    Bytes 2 and 3 are unrolled, then a loop: each is added as ``(byte - 1)
+    << shift``, which also drops the continuation bit the byte before left
+    at ``shift``.  A varint cut short indexes past the buffer, named
+    ``truncated varint`` by the decoder's one ``except IndexError``; a
+    one-byte kind is checked explicitly instead."""
+    if kind in _BYTE_KINDS:
+        sb.emit(f"if _off >= _end: raise _DecodeError('truncated {kind}')\n"
+                f"{t} = _buf[_off]\n_off += 1\n"
+                + (f"if {t} > 127: {t} -= 256" if kind == "int8" else ""),
+                depth)
+        return
+    bits = 64 if kind is None else 8 * Primitive(kind).size
+    signed = kind is not None and kind[0] == "i"
+    c, sh = sb.fresh("c"), sb.fresh("sh")
+    bad = (f"if {t} >> {bits}: raise _DecodeError(f'{{"
+           + (f"{t} >> 1 ^ -({t} & 1)" if signed else t)
+           + f"}} out of range for {kind}')")
+    sb.emit(f"""{t} = _buf[_off]
+if {t} < 128: _off += 1
+else:
+    {c} = _buf[_off + 1]
+    {t} += ({c} - 1) * 128
+    if {c} < 128: _off += 2
+    else:
+        {c} = _buf[_off + 2]
+        {t} += ({c} - 1) * 16384
+        _off += 3
+        if {c} > 127:
+            {sh} = 21
+            while True:
+                {c} = _buf[_off]
+                _off += 1
+                {t} += ({c} - 1) << {sh}
+                if {c} < 128: break
+                {sh} += 7
+                if {sh} >= 70: raise _DecodeError('varint longer than 10 bytes')
+            if {t} >> 64: raise _DecodeError('varint exceeds 64 bits')
+            {bad if bits == 32 else ""}
+        {bad if bits == 16 else ""}
+{f"{t} = ~({t} >> 1) if {t} & 1 else {t} >> 1" if signed else ""}""",
+            depth)
+
+
+def _emit_part(sb: _SourceBuilder, expr: str, depth: int) -> None:
+    """Append ``expr`` as a part of its own, never copied into the run."""
+    sb.emit(f"if _b:\n    _a(_b); _b = bytearray(); _ba = _b.append\n"
+            f"_a({expr})", depth)
 
 
 class CodecCompiler:
@@ -760,18 +834,24 @@ class CodecCompiler:
         self._compact_encoder_parts.clear()
         self._compact_decoders.clear()
 
+    def _interp_plan(self, walk: Callable, fmt: Format,
+                     *tail: Any) -> Callable:
+        """The ``use_codegen=False`` plan: an :mod:`.interp` ``walk``."""
+        registry = self.registry
+
+        def run(*args: Any) -> Any:
+            return walk(fmt, *args, registry, *tail)
+
+        run.__pbio_plan__ = "interp"
+        return run
+
     # ------------------------------------------------------------------
     # encoder generation
     # ------------------------------------------------------------------
     def _build_encoders(self, fmt: Format, endian: str) -> None:
         key = (fmt.fingerprint, endian)
         if not self.use_codegen:
-            registry = self.registry
-
-            def encode(value: Dict[str, Any]) -> bytes:
-                return interp_encode(fmt, value, registry, endian)
-
-            encode.__pbio_plan__ = "interp"
+            encode = self._interp_plan(interp_encode, fmt, endian)
             self._encoders[key] = encode
             self._encoder_parts[key] = lambda value: [encode(value)]
             return
@@ -792,17 +872,8 @@ class CodecCompiler:
         for name, ret in (("_encode", f"return {packer}.pack({exprs})"),
                           ("_encode_parts",
                            f"return [{packer}.pack({exprs})]")):
-            sb.emit(f"def {name}(_v):", 0)
-            sb.emit("try:")
-            sb.emit(ret, 2)
-            sb.emit("except KeyError as _e:")
-            sb.emit("raise _EncodeError(" +
-                    repr(f"format {fmt.name!r}: missing field ") +
-                    " + str(_e))", 2)
-            sb.emit("except (_struct.error, TypeError, AttributeError) "
-                    "as _e:")
-            sb.emit("raise _EncodeError(" +
-                    repr(f"format {fmt.name!r}: ") + " + str(_e))", 2)
+            sb.emit(f"def {name}(_v):\n    try:\n        {ret}", 0)
+            _emit_encode_excepts(sb, repr(fmt.name), 1)
         fn = sb.compile("_encode", f"<pbio-encode:{fmt.name}>")
         parts_fn = sb.namespace["_encode_parts"]
         fn.__pbio_plan__ = parts_fn.__pbio_plan__ = "fixed"
@@ -822,13 +893,7 @@ class CodecCompiler:
             self._gen_encode_field(sb, f.name, f"_v[{f.name!r}]", f.ftype,
                                    batch, depth=2)
         batch.flush(2)
-        sb.emit("except KeyError as _e:")
-        sb.emit("raise _EncodeError(" +
-                repr(f"format {fmt.name!r}: missing field ") +
-                " + str(_e))", 2)
-        sb.emit("except (_struct.error, TypeError, AttributeError) as _e:")
-        sb.emit("raise _EncodeError(" +
-                repr(f"format {fmt.name!r}: ") + " + str(_e))", 2)
+        _emit_encode_excepts(sb, repr(fmt.name), 1)
         body = sb.lines[1:]
         sb.emit("return _out")
         sb.emit("def _encode(_v):", 0)
@@ -903,13 +968,7 @@ class CodecCompiler:
     # ------------------------------------------------------------------
     def _compile_decoder(self, fmt: Format, endian: str) -> DecodeFn:
         if not self.use_codegen:
-            registry = self.registry
-
-            def decode(buf: Any, off: int) -> Tuple[Dict[str, Any], int]:
-                return interp_decode(fmt, buf, off, registry, endian)
-
-            decode.__pbio_plan__ = "interp"
-            return decode
+            return self._interp_plan(interp_decode, fmt, endian)
         leaves = flatten_fixed_format(fmt, self.registry)
         if leaves is not None:
             return self._compile_fixed_decoder(fmt, endian, leaves)
@@ -925,14 +984,9 @@ class CodecCompiler:
         pairs = [(path, f"_f{i}") for i, (path, _) in enumerate(leaves)]
         targets = ", ".join(t for _, t in pairs)
         trailing = "," if len(pairs) == 1 else ""
-        sb.emit("def _decode(_buf, _off):", 0)
-        sb.emit("try:")
-        sb.emit(f"{targets}{trailing} = {unpacker}.unpack_from(_buf, _off)",
-                2)
-        sb.emit("except _struct.error as _e:")
-        sb.emit("raise _DecodeError(" +
-                repr(f"format {fmt.name!r}: truncated message: ") +
-                " + str(_e))", 2)
+        sb.emit(f"def _decode(_buf, _off):\n    try:\n        {targets}"
+                f"{trailing} = {unpacker}.unpack_from(_buf, _off)", 0)
+        _emit_decode_excepts(sb, repr(fmt.name), 1)
         for (_, char), (_, target) in zip(leaves, pairs):
             if char == "c":
                 sb.emit(f"{target} = {target}.decode('latin-1')")
@@ -944,9 +998,7 @@ class CodecCompiler:
     def _compile_general_decoder(self, fmt: Format, endian: str) -> DecodeFn:
         sb = _SourceBuilder(endian)
         sb.emit("def _decode(_buf, _off):", 0)
-        sb.emit("_v = {}")
-        sb.emit("try:")
-        sb.emit("pass", 2)
+        sb.emit("_v = {}\ntry:\n    pass")
         batch = _DecodeBatch(sb)
         tmp_targets: Dict[str, str] = {}
         for f in fmt.fields:
@@ -957,10 +1009,7 @@ class CodecCompiler:
         batch.flush(2)
         for fname, target in tmp_targets.items():
             sb.emit(f"_v[{fname!r}] = {target}", 2)
-        sb.emit("except _struct.error as _e:")
-        sb.emit("raise _DecodeError(" +
-                repr(f"format {fmt.name!r}: truncated message: ") +
-                " + str(_e))", 2)
+        _emit_decode_excepts(sb, repr(fmt.name), 1)
         sb.emit("return _v, _off")
         fn = sb.compile("_decode", f"<pbio-decode:{fmt.name}>")
         fn.__pbio_plan__ = "general"
@@ -1021,13 +1070,31 @@ class CodecCompiler:
     # ------------------------------------------------------------------
     # compact (varint/zigzag) plan generation
     # ------------------------------------------------------------------
+    #
+    # One generated function per format: registered, non-recursive nested
+    # structs are inlined and scalar ints emitted inline, encode writing
+    # every scalar into one ``bytearray`` run; strings, arrays and
+    # ``_LazyCodec`` sub-plans stay parts of their own.  The local ``_fmt``
+    # names the struct whose fields run (an inlined struct names its parent
+    # again as it ends), so the function's one set of handlers names the
+    # format an error occurred in.  ``path`` is the chain of structs being
+    # inlined, outermost first.
+    def _compact_inline(self, ftype: StructRef,
+                        path: Tuple[str, ...]) -> Optional[Format]:
+        """The format to inline for ``ftype``, or ``None`` for a
+        ``_LazyCodec``: the ref is recursive or not registered yet."""
+        name = ftype.format_name
+        if name in path or not self.registry.has_name(name):
+            return None
+        return self.registry.by_name(name)
+
     def _compact_source_builder(self) -> _SourceBuilder:
         """A source builder whose struct batches (floats, chars) are
         little-endian — the compact plan's one fixed-layout byte order."""
         sb = _SourceBuilder(LITTLE)
         sb.namespace.update({
             "_uv": encode_uvarint,
-            "_duv": decode_uvarint,
+            "_index": _index,
             "_pack_compact_string": _pack_compact_string,
             "_unpack_compact_string": _unpack_compact_string,
             "_pack_compact_int_array": _pack_compact_int_array,
@@ -1038,38 +1105,19 @@ class CodecCompiler:
     def _build_compact_encoders(self, fmt: Format) -> None:
         key = fmt.fingerprint
         if not self.use_codegen:
-            registry = self.registry
-
-            def encode(value: Dict[str, Any]) -> bytes:
-                return interp_encode_compact(fmt, value, registry)
-
-            encode.__pbio_plan__ = "interp"
+            encode = self._interp_plan(interp_encode_compact, fmt)
             self._compact_encoders[key] = encode
             self._compact_encoder_parts[key] = lambda value: [encode(value)]
             return
         sb = self._compact_source_builder()
         sb.emit("def _encode_parts(_v):", 0)
-        sb.emit("_out = []")
-        sb.emit("_a = _out.append")
-        sb.emit("try:")
-        sb.emit("pass", 2)
-        batch = _EncodeBatch(sb)
-        for f in fmt.fields:
-            self._gen_compact_encode_field(sb, f.name, f"_v[{f.name!r}]",
-                                           f.ftype, batch, depth=2)
-        batch.flush(2)
-        sb.emit("except KeyError as _e:")
-        sb.emit("raise _EncodeError(" +
-                repr(f"format {fmt.name!r}: missing field ") +
-                " + str(_e))", 2)
-        sb.emit("except (_struct.error, TypeError, AttributeError) as _e:")
-        sb.emit("raise _EncodeError(" +
-                repr(f"format {fmt.name!r}: ") + " + str(_e))", 2)
-        body = sb.lines[1:]
-        sb.emit("return _out")
-        sb.emit("def _encode(_v):", 0)
-        sb.lines.extend(body)
-        sb.emit("return b''.join(_out)")
+        sb.emit("_out = []\n_a = _out.append\n_b = bytearray()\n"
+                "_ba = _b.append\ntry:")
+        self._gen_compact_encode_struct(sb, fmt, "_v", 2, ())
+        _emit_encode_excepts(sb, "_fmt", 1)
+        # one copy of a body this long: ``_encode`` only joins the parts
+        sb.emit("if _b:\n    _a(_b)\nreturn _out")
+        sb.emit("def _encode(_v):\n    return b''.join(_encode_parts(_v))", 0)
         fn = sb.compile("_encode", f"<pbio-compact-encode:{fmt.name}>")
         parts_fn = sb.namespace["_encode_parts"]
         parts_fn.__pbio_source__ = fn.__pbio_source__
@@ -1077,18 +1125,32 @@ class CodecCompiler:
         self._compact_encoders[key] = fn
         self._compact_encoder_parts[key] = parts_fn
 
+    def _gen_compact_encode_struct(self, sb: _SourceBuilder, fmt: Format,
+                                   src: str, depth: int,
+                                   path: Tuple[str, ...]) -> None:
+        """Encode the fields of ``fmt`` held in local ``src``."""
+        batch = _EncodeBatch(sb, "_b += {}")
+        sb.emit(f"_fmt = {fmt.name!r}", depth)
+        for f in fmt.fields:
+            self._gen_compact_encode_field(sb, f.name, f"{src}[{f.name!r}]",
+                                           f.ftype, batch, depth,
+                                           path + (fmt.name,))
+        batch.flush(depth)
+        if path:
+            sb.emit(f"_fmt = {path[-1]!r}", depth)
+
     def _gen_compact_encode_field(self, sb: _SourceBuilder, fname: str,
                                   src: str, ftype: FieldType,
-                                  batch: _EncodeBatch, depth: int) -> None:
+                                  batch: _EncodeBatch, depth: int,
+                                  path: Tuple[str, ...]) -> None:
         if isinstance(ftype, Primitive):
             kind = ftype.kind
             if kind in _INT_RANGES:
                 batch.flush(depth)
-                enc = sb.add_const("ci", _compact_int_encoder(kind))
-                sb.emit(f"_a({enc}({src}))", depth)
+                _emit_varint_encode(sb, src, kind, depth)
             elif kind == "string":
                 batch.flush(depth)
-                sb.emit(f"_a(_pack_compact_string({src}))", depth)
+                _emit_part(sb, f"_pack_compact_string({src})", depth)
             elif kind == "char":
                 batch.add("c", f"{src}.encode('latin-1')")
             else:
@@ -1102,87 +1164,89 @@ class CodecCompiler:
                 sb.emit(f"_check_len({var}, {ftype.length}, {fname!r})",
                         depth)
             else:
-                sb.emit(f"_a(_uv(len({var})))", depth)
+                _emit_varint_encode(sb, f"len({var})", None, depth)
             el = ftype.element
             if isinstance(el, Primitive) and el.kind in _INT_RANGES:
-                sb.emit(f"_a(_pack_compact_int_array({var}, {el.kind!r}))",
-                        depth)
+                _emit_part(sb, f"_pack_compact_int_array({var}, "
+                           f"{el.kind!r})", depth)
             elif isinstance(el, Primitive) and el.is_fixed:
-                sb.emit(f"_a(_pack_prim_array({var}, {el.struct_char!r}, "
-                        f"'<'))", depth)
+                _emit_part(sb, f"_pack_prim_array({var}, "
+                           f"{el.struct_char!r}, '<')", depth)
             else:
                 item = sb.fresh("it")
                 sb.emit(f"for {item} in {var}:", depth)
-                inner = _EncodeBatch(sb)
+                inner = _EncodeBatch(sb, "_b += {}")
                 self._gen_compact_encode_field(sb, fname, item, el, inner,
-                                               depth + 1)
+                                               depth + 1, path)
                 inner.flush(depth + 1)
             return
         if isinstance(ftype, StructRef):
             batch.flush(depth)
-            sub = sb.add_const("sub", _LazyCodec(self, ftype.format_name,
-                                                 LITTLE, "compact_encoder"))
-            sb.emit(f"_a({sub}({src}))", depth)
+            sub = self._compact_inline(ftype, path)
+            if sub is not None:
+                var = sb.fresh("s")
+                sb.emit(f"{var} = {src}", depth)
+                self._gen_compact_encode_struct(sb, sub, var, depth, path)
+                return
+            lazy = sb.add_const("sub", _LazyCodec(self, ftype.format_name,
+                                                  LITTLE, "compact_encoder"))
+            _emit_part(sb, f"{lazy}({src})", depth)
             return
         raise FormatError(f"cannot encode type {ftype!r}")
 
     def _compile_compact_decoder(self, fmt: Format) -> DecodeFn:
         if not self.use_codegen:
-            registry = self.registry
-
-            def decode(buf: Any, off: int) -> Tuple[Dict[str, Any], int]:
-                return interp_decode_compact(fmt, buf, off, registry)
-
-            decode.__pbio_plan__ = "interp"
-            return decode
+            return self._interp_plan(interp_decode_compact, fmt)
         sb = self._compact_source_builder()
         sb.emit("def _decode(_buf, _off):", 0)
-        sb.emit("_v = {}")
-        sb.emit("try:")
-        sb.emit("pass", 2)
-        batch = _DecodeBatch(sb)
-        tmp_targets: Dict[str, str] = {}
-        for f in fmt.fields:
-            target = sb.fresh("f")
-            tmp_targets[f.name] = target
-            self._gen_compact_decode_field(sb, f.name, target, f.ftype,
-                                           batch, depth=2)
-        batch.flush(2)
-        for fname, target in tmp_targets.items():
-            sb.emit(f"_v[{fname!r}] = {target}", 2)
-        sb.emit("except _struct.error as _e:")
-        sb.emit("raise _DecodeError(" +
-                repr(f"format {fmt.name!r}: truncated message: ") +
-                " + str(_e))", 2)
-        sb.emit("return _v, _off")
+        sb.emit("_end = len(_buf)\ntry:")
+        value = self._gen_compact_decode_struct(sb, fmt, 2, ())
+        _emit_decode_excepts(sb, "_fmt", 1)
+        sb.emit("except IndexError:\n"
+                "    raise _DecodeError('truncated varint') from None\n"
+                f"return {value}, _off")
         fn = sb.compile("_decode", f"<pbio-compact-decode:{fmt.name}>")
         fn.__pbio_plan__ = "compact"
         return fn
 
-    def _gen_compact_decode_field(self, sb: _SourceBuilder, fname: str,
-                                  target: str, ftype: FieldType,
-                                  batch: _DecodeBatch, depth: int) -> None:
+    def _gen_compact_decode_struct(self, sb: _SourceBuilder, fmt: Format,
+                                   depth: int, path: Tuple[str, ...]) -> str:
+        """Decode the fields of ``fmt``; returns the dict literal that
+        rebuilds the value."""
+        batch = _DecodeBatch(sb)
+        sb.emit(f"_fmt = {fmt.name!r}", depth)
+        items = [f"{f.name!r}: " + self._gen_compact_decode_field(
+            sb, sb.fresh("f"), f.ftype, batch, depth, path + (fmt.name,))
+            for f in fmt.fields]
+        batch.flush(depth)
+        if path:
+            sb.emit(f"_fmt = {path[-1]!r}", depth)
+        return "{" + ", ".join(items) + "}"
+
+    def _gen_compact_decode_field(self, sb: _SourceBuilder, target: str,
+                                  ftype: FieldType, batch: _DecodeBatch,
+                                  depth: int, path: Tuple[str, ...]) -> str:
+        """Decode one value into ``target``; returns the expression that
+        holds it (``target``, or an inlined struct's dict literal)."""
         if isinstance(ftype, Primitive):
             kind = ftype.kind
             if kind in _INT_RANGES:
                 batch.flush(depth)
-                dec = sb.add_const("cd", _compact_int_decoder(kind))
-                sb.emit(f"{target}, _off = {dec}(_buf, _off)", depth)
+                _emit_varint_decode(sb, target, kind, depth)
             elif kind == "string":
                 batch.flush(depth)
                 sb.emit(f"{target}, _off = _unpack_compact_string(_buf, "
                         f"_off)", depth)
             else:
                 batch.add(ftype.struct_char, target)
-            return
+            return target
         if isinstance(ftype, Array):
             batch.flush(depth)
             if ftype.length is not None:
                 count_expr = str(ftype.length)
             else:
-                cnt = sb.fresh("n")
-                sb.emit(f"{cnt}, _off = _duv(_buf, _off)", depth)
-                count_expr = cnt
+                count_expr = sb.fresh("n")
+                _emit_varint_decode(sb, count_expr, None, depth)
             el = ftype.element
             if isinstance(el, Primitive) and el.kind in _INT_RANGES:
                 sb.emit(f"{target}, _off = _unpack_compact_int_array(_buf, "
@@ -1194,19 +1258,21 @@ class CodecCompiler:
                 sb.emit(f"{target} = []", depth)
                 idx = sb.fresh("i")
                 sb.emit(f"for {idx} in range({count_expr}):", depth)
-                item = sb.fresh("e")
                 inner = _DecodeBatch(sb)
-                self._gen_compact_decode_field(sb, fname, item, el, inner,
-                                               depth + 1)
+                item = self._gen_compact_decode_field(
+                    sb, sb.fresh("e"), el, inner, depth + 1, path)
                 inner.flush(depth + 1)
                 sb.emit(f"{target}.append({item})", depth + 1)
-            return
+            return target
         if isinstance(ftype, StructRef):
             batch.flush(depth)
-            sub = sb.add_const("sub", _LazyCodec(self, ftype.format_name,
-                                                 LITTLE, "compact_decoder"))
-            sb.emit(f"{target}, _off = {sub}(_buf, _off)", depth)
-            return
+            sub = self._compact_inline(ftype, path)
+            if sub is not None:
+                return self._gen_compact_decode_struct(sb, sub, depth, path)
+            lazy = sb.add_const("sub", _LazyCodec(self, ftype.format_name,
+                                                  LITTLE, "compact_decoder"))
+            sb.emit(f"{target}, _off = {lazy}(_buf, _off)", depth)
+            return target
         raise FormatError(f"cannot decode type {ftype!r}")
 
 

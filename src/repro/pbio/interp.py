@@ -81,7 +81,7 @@ def _encode_primitive(fname: str, value: Any, ftype: Primitive,
         if ftype.kind == "char":
             return value.encode("latin-1")
         return struct.pack(endian + ftype.struct_char, value)
-    except (struct.error, AttributeError, TypeError) as exc:
+    except (struct.error, OverflowError, AttributeError, TypeError) as exc:
         raise EncodeError(f"field {fname!r}: {exc}")
 
 
@@ -303,7 +303,7 @@ def _encode_compact_primitive(fname: str, value: Any,
         if kind == "char":
             return value.encode("latin-1")
         return _FLOAT_STRUCTS[kind].pack(value)
-    except (struct.error, AttributeError, TypeError,
+    except (struct.error, OverflowError, AttributeError, TypeError,
             UnicodeEncodeError) as exc:
         raise EncodeError(f"field {fname!r}: {exc}")
 

@@ -36,6 +36,12 @@ BASELINE = {
                 "compact_encode_speedup_vs_scalar": 9.0,
                 "compact_decode_speedup_vs_scalar": 20.0,
             },
+            "nested_struct_d8": {
+                "native_encode_ops_s": 240000.0,
+                "compact_encode_ops_s": 70000.0,
+                "native_decode_ops_s": 460000.0,
+                "compact_decode_ops_s": 110000.0,
+            },
         },
         "streaming": {
             "payload_bytes": 64 << 20,
@@ -156,6 +162,57 @@ class TestBaselineGates:
         broken = {k: v for k, v in BASELINE.items() if k != "wire"}
         with pytest.raises(GateFailure, match="--sections wire"):
             gates.gate_wire_baseline(broken)
+
+
+def nested_d8(native_encode, compact_encode, native_decode, compact_decode):
+    fresh = copy.deepcopy(BASELINE)
+    fresh["wire"]["shapes"]["nested_struct_d8"] = {
+        "native_encode_ops_s": native_encode,
+        "compact_encode_ops_s": compact_encode,
+        "native_decode_ops_s": native_decode,
+        "compact_decode_ops_s": compact_decode,
+    }
+    return fresh
+
+
+class TestWireFreshGate:
+    def test_ratio_within_bound(self):
+        # 3.5x / 4.3x slower than native: the inlined compact plan
+        gates.gate_wire_fresh(nested_d8(240e3, 240e3 / 3.5,
+                                        460e3, 460e3 / 4.3))
+
+    def test_exactly_at_the_bound(self):
+        gates.gate_wire_fresh(nested_d8(240e3, 40e3, 480e3, 80e3))
+
+    @pytest.mark.parametrize("direction", ["encode", "decode"])
+    def test_just_past_the_bound(self, direction):
+        fresh = nested_d8(240e3, 240e3 / 5.9, 480e3, 480e3 / 5.9)
+        shape = fresh["wire"]["shapes"]["nested_struct_d8"]
+        shape[f"compact_{direction}_ops_s"] = (
+            shape[f"native_{direction}_ops_s"] / 6.1)
+        with pytest.raises(GateFailure, match=f"compact {direction}"):
+            gates.gate_wire_fresh(fresh)
+
+    def test_committed_per_field_plan_fails(self):
+        # the figures BENCH_headline.json recorded for the per-field plan
+        # (6.4x encode, 10.0x decode)
+        fresh = nested_d8(242459.2, 38096.2, 466375.8, 46512.1)
+        with pytest.raises(GateFailure, match="6.36x slower"):
+            gates.gate_wire_fresh(fresh)
+
+    def test_judges_the_fresh_report(self, tmp_path, capsys):
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(BASELINE))
+        fresh = tmp_path / "fresh.json"
+        fresh.write_text(json.dumps(nested_d8(240e3, 20e3, 460e3, 460e3)))
+        assert gates.main([str(base), str(fresh)]) == 1
+        assert "compact encode of nested_struct_d8" in \
+            capsys.readouterr().err
+
+    def test_section_missing(self):
+        fresh = {k: v for k, v in BASELINE.items() if k != "wire"}
+        with pytest.raises(GateFailure, match="BENCH_fresh.json lacks"):
+            gates.gate_wire_fresh(fresh)
 
 
 class TestLoadgenGate:

@@ -32,6 +32,24 @@ def whole_frame_edge_detect(image):
     return np.repeat(scaled[..., None], 3, axis=2)
 
 
+def whole_frame_starfield(width, height, n_stars, seed):
+    """Each star drawn over the whole frame (the reference the per-star
+    boxes of :func:`starfield` must match byte for byte)."""
+    rng = np.random.default_rng(seed)
+    sky = rng.poisson(6.0, size=(height, width)).astype(np.float64)
+    ys, xs = np.mgrid[0:height, 0:width]
+    for _ in range(n_stars):
+        cx = rng.uniform(0, width)
+        cy = rng.uniform(0, height)
+        brightness = rng.uniform(40, 255)
+        sigma = rng.uniform(0.8, 2.5)
+        d2 = (xs - cx) ** 2 + (ys - cy) ** 2
+        mask = d2 < (6 * sigma) ** 2
+        sky[mask] += brightness * np.exp(-d2[mask] / (2 * sigma * sigma))
+    frame = np.clip(sky, 0, 255).astype(np.uint8)
+    return np.repeat(frame[..., None], 3, axis=2)
+
+
 class TestPpm:
     def test_p6_roundtrip(self):
         image = sample_image()
@@ -235,6 +253,27 @@ class TestSynth:
         frame = starfield()
         assert frame.shape == (480, 640, 3)
         assert frame.nbytes == 921600
+
+    @pytest.mark.parametrize("width,height,n_stars", [
+        (640, 480, 120), (37, 23, 40), (5, 3, 10), (200, 150, 500)])
+    def test_starfield_matches_a_whole_frame_pass(self, width, height,
+                                                  n_stars):
+        # stars near every border: the per-star box must clip exactly
+        for seed in range(4):
+            np.testing.assert_array_equal(
+                starfield(width, height, n_stars, seed),
+                whole_frame_starfield(width, height, n_stars, seed))
+
+    def test_starfield_temporaries_stay_small(self):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            starfield(640, 480, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a whole-frame pass peaks at ~15 MB: frame-sized d2 per star
+        assert peak < 6 * 2**20
 
     def test_trajectory_determinism(self):
         a = MoleculeTrajectory(n_atoms=20, seed=9).run(3)

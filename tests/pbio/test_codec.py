@@ -233,6 +233,66 @@ class TestEncodeErrors:
             struct.pack("<i", 1)
 
 
+#: (plan, input) pairs; an array field is never on the fixed plan
+_PLAN_INPUTS = [(plan, shape)
+                for plan in ("native fixed", "native general", "compact",
+                             "interp", "interp-compact")
+                for shape in ("scalar", "list", "ndarray")
+                if plan != "native fixed" or shape == "scalar"]
+
+
+class TestBadValuesRefusedByEveryPlan:
+    """A value its field cannot hold is an :class:`EncodeError` on every
+    plan and in every container — never a silent cast or a raw
+    ``OverflowError``."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind,bad", [("int32", 2**40), ("uint8", 300),
+                                          ("uint8", -1), ("float32", 1e300)])
+    @pytest.mark.parametrize("plan,shape", _PLAN_INPUTS)
+    def test_encode_error(self, plan, shape, kind, bad):
+        spec = {"v": kind if shape == "scalar" else f"{kind}[]"}
+        if plan == "native general" and shape == "scalar":
+            spec["s"] = "string"            # keeps it off the fixed plan
+        fmt = Format.from_dict("Bad", spec)
+        registry = FormatRegistry()
+        registry.register(fmt)
+        compiler = CodecCompiler(registry,
+                                 use_codegen=not plan.startswith("interp"))
+        encode = (compiler.compact_encoder if plan.endswith("compact")
+                  else compiler.encoder)(fmt)
+        assert encode.__pbio_plan__ == {
+            "native fixed": "fixed", "native general": "general",
+            "compact": "compact"}.get(plan, "interp")
+        held = {"scalar": bad, "list": [1, bad],
+                "ndarray": np.array([1, bad])}[shape]
+        with pytest.raises(EncodeError):
+            encode({"v": held, "s": "x"})
+
+    @pytest.mark.parametrize("kind,values", [
+        ("int32", np.array([2**31 - 1, -2**31], dtype=np.int64)),
+        ("uint8", np.array([0, 255], dtype=np.int16)),
+        ("float32", np.array([1.5, -np.inf, 3.0e38], dtype=np.float64)),
+        ("float64", np.array([7, -7], dtype=np.int64))])
+    def test_values_that_fit_still_cast(self, compiler, kind, values):
+        fmt = Format.from_dict("Fits", {"v": f"{kind}[]"})
+        encode = compiler.encoder(fmt)
+        assert encode({"v": values}) == encode({"v": values.tolist()})
+
+    def test_matching_dtype_is_not_checked(self, compiler, monkeypatch):
+        from repro.pbio import compiler as compiler_module
+
+        def checked(*args):
+            raise AssertionError("a matching dtype was range-checked")
+
+        monkeypatch.setattr(compiler_module, "_cast_keeps_values", checked)
+        pixels = np.arange(1000, dtype=np.uint32).astype(np.uint8)
+        for spec in ({"v": "uint8[]"}, {"v": "int16[]"}):
+            fmt = Format.from_dict("Same", spec)
+            compiler.encoder(fmt)({"v": pixels})
+            compiler.compact_encoder(fmt)({"v": pixels})
+
+
 class TestDecodeErrors:
     def test_truncated_scalar(self, compiler):
         fmt = Format.from_dict("d", {"a": "int64"})

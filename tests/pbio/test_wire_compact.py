@@ -766,3 +766,257 @@ class TestVectorisedErrorTaxonomy:
         self.assert_same_encode_error(
             "int32", np.zeros((100, 2), dtype=np.int32),
             "required an integer")
+
+
+# ----------------------------------------------------------------------
+# the inlined plan: one generated function per format
+# ----------------------------------------------------------------------
+
+def nested_registry(depth=8):
+    """The ``small_call`` chain, ``NestedL0`` .. ``NestedL<depth>``."""
+    registry = FormatRegistry()
+    registry.register(Format.from_dict(
+        "NestedL0", {"id": "int32", "flag": "uint8", "amount": "float64"}))
+    for level in range(1, depth + 1):
+        registry.register(Format.from_dict(
+            f"NestedL{level}",
+            {"id": "int32", "flag": "uint8", "seq": "int16",
+             "child": f"struct NestedL{level - 1}"}))
+    return registry, registry.by_name(f"NestedL{depth}")
+
+
+def nested_value(depth=8):
+    value = {"id": -7, "flag": 1, "amount": 2.5}
+    for level in range(1, depth + 1):
+        value = {"id": 1000 * level * level, "flag": level % 2,
+                 "seq": -level * 300, "child": value}
+    return value
+
+
+def lazy_refs(fn):
+    """The formats a compiled plan reaches through a ``_LazyCodec``."""
+    return {v._name for v in fn.__globals__.values()
+            if isinstance(v, compiler_module._LazyCodec)}
+
+
+#: a recursive ref (``Tree`` inside ``Tree``), and a format registered
+#: only after the plans that reference it were compiled
+TREE = Format.from_dict("Tree", {"v": "int16", "kids": "struct Tree[]"})
+LATE = Format.from_dict("Late", {"x": "int32", "s": "string"})
+
+_SCALAR_KINDS = INT_KINDS + ["float32", "float64", "char", "string"]
+#: float32 values that survive the round trip exactly
+_F32 = [0.0, -1.5, 2.25, 1048576.5, 2.0 ** 127]
+
+_trees = st.recursive(
+    st.builds(lambda v: {"v": v, "kids": []}, st.integers(-2**15, 2**15 - 1)),
+    lambda kids: st.builds(lambda v, k: {"v": v, "kids": k},
+                           st.integers(-2**15, 2**15 - 1),
+                           st.lists(kids, max_size=2)),
+    max_leaves=4)
+
+
+def scalar_values(kind):
+    if kind in _INT_BOUNDS:
+        lo, hi = _INT_BOUNDS[kind]
+        return st.one_of(st.sampled_from(boundary_values(kind)),
+                         st.integers(lo, hi))
+    if kind == "float32":
+        return st.sampled_from(_F32)
+    if kind == "float64":
+        return st.floats(allow_nan=False)
+    if kind == "char":
+        return st.characters(max_codepoint=255)
+    return st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+
+
+@st.composite
+def nested_cases(draw):
+    """(registry, format, value): a format nested up to 4 levels over
+    every scalar kind, fixed and variable arrays of scalars and structs,
+    plus ``tree: struct Tree`` and ``late: struct Late`` at the top."""
+    registry = FormatRegistry()
+    registry.register(TREE)
+    names = iter(range(1000))
+
+    def field_type(depth):
+        if depth and draw(st.integers(0, 3)) == 0:
+            element = f"struct {build(depth - 1)}"
+        else:
+            element = draw(st.sampled_from(_SCALAR_KINDS))
+        return element + draw(st.sampled_from(["", "", "[]", "[2]"]))
+
+    def build(depth, extra=None):
+        name = f"G{next(names)}"
+        spec = {f"f{i}": field_type(depth)
+                for i in range(draw(st.integers(1, 4)))}
+        registry.register(Format.from_dict(name, {**spec, **(extra or {})}))
+        return name
+
+    def value_of(ftype):
+        if isinstance(ftype, Primitive):
+            return draw(scalar_values(ftype.kind))
+        if isinstance(ftype, Array):
+            count = (ftype.length if ftype.length is not None
+                     else draw(st.integers(0, 3)))
+            items = [value_of(ftype.element) for _ in range(count)]
+            # a char array decodes to a str
+            return ("".join(items) if ftype.element == Primitive("char")
+                    else items)
+        if ftype.format_name == "Tree":
+            return draw(_trees)
+        sub = LATE if ftype.format_name == "Late" else \
+            registry.by_name(ftype.format_name)
+        return {f.name: value_of(f.ftype) for f in sub.fields}
+
+    fmt = registry.by_name(build(4, {"tree": "struct Tree",
+                                     "late": "struct Late"}))
+    return registry, fmt, {f.name: value_of(f.ftype) for f in fmt.fields}
+
+
+def cut_messages(blob, layout):
+    """The error every prefix ``blob[:k]`` must raise, by ``k``.
+
+    ``layout`` lists the fields in wire order: ``("varint", None)``,
+    ``("raw", kind)`` for a one-byte kind, ``("string", None)``, or
+    ``("struct", (format name, size))`` for a run of fixed-size fields
+    unpacked by one ``struct`` call.
+    """
+    expected, off = [], 0
+    for what, detail in layout:
+        start = off
+        if what in ("varint", "string"):
+            n, off = decode_uvarint(blob, start)
+            expected += ["truncated varint"] * (off - start)
+            if what == "string":
+                expected += ["truncated string body"] * n
+                off += n
+        elif what == "raw":
+            expected.append(f"truncated {detail}")
+            off += 1
+        else:
+            name, size = detail
+            expected += [
+                f"format {name!r}: truncated message: unpack_from requires "
+                f"a buffer of at least {start + size} bytes for unpacking "
+                f"{size} bytes at offset {start} (actual buffer size is {k})"
+                for k in range(start, start + size)]
+            off += size
+    assert off == len(blob)
+    return expected
+
+
+MIXED_PT = Format.from_dict("MixedPt", {"x": "float32", "y": "float64",
+                                        "tag": "char"})
+MIXED = Format.from_dict("Mixed", {
+    "a": "uint16", "pt": "struct MixedPt", "s": "string", "v": "int32[]",
+    "c": "char", "b": "int8", "q": "uint64"})
+
+
+class TestInlinedPlan:
+    @settings(max_examples=60, deadline=None)
+    @given(nested_cases())
+    def test_differential_against_oracle(self, case):
+        registry, fmt, value = case
+        compiler = registry.compiler
+        encode = compiler.compact_encoder(fmt)
+        decode = compiler.compact_decoder(fmt)
+        registry.register(LATE)
+        # everything else is inlined into the one function
+        assert lazy_refs(encode) == lazy_refs(decode) == {"Tree", "Late"}
+        blob = encode(value)
+        assert blob == interp_encode_compact(fmt, value, registry)
+        assert b"".join(compiler.compact_encoder_parts(fmt)(value)) == blob
+        decoded, end = decode(blob, 0)
+        assert end == len(blob)
+        assert decoded == value
+
+    def test_nested_l8_is_one_function(self):
+        registry, fmt = nested_registry()
+        compiler = registry.compiler
+        for fn in (compiler.compact_encoder(fmt),
+                   compiler.compact_encoder_parts(fmt),
+                   compiler.compact_decoder(fmt)):
+            assert fn.__pbio_plan__ == "compact"
+            assert lazy_refs(fn) == set()
+            assert "_sub" not in fn.__pbio_source__
+
+    def test_deep_chain_compiles_flat(self):
+        # inlined structs add no ``try`` blocks, so depth is not bounded
+        # by the compiler's limit on nested blocks
+        registry, fmt = nested_registry(40)
+        value = nested_value(40)
+        blob = registry.compiler.compact_encoder(fmt)(value)
+        assert blob == interp_encode_compact(fmt, value, registry)
+        assert registry.compiler.compact_decoder(fmt)(blob, 0) == \
+            (value, len(blob))
+
+    def test_truncated_nested_l8(self):
+        registry, fmt = nested_registry()
+        blob = registry.compiler.compact_encoder(fmt)(nested_value())
+        decode = registry.compiler.compact_decoder(fmt)
+        level = [("varint", None), ("raw", "uint8"), ("varint", None)]
+        expected = cut_messages(blob, level * 8 + [
+            ("varint", None), ("raw", "uint8"), ("struct", ("NestedL0", 8))])
+        for cut, message in enumerate(expected):
+            assert raised_by(decode, blob[:cut], 0) == (DecodeError, message)
+
+    def test_truncated_mixed(self):
+        registry = FormatRegistry()
+        registry.register(MIXED_PT)
+        registry.register(MIXED)
+        value = {"a": 40000, "pt": {"x": 1.5, "y": -2.0, "tag": "k"},
+                 "s": "h\xe9llo", "v": [1, -300, 70000], "c": "z", "b": -5,
+                 "q": 2**63}
+        blob = registry.compiler.compact_encoder(MIXED)(value)
+        decode = registry.compiler.compact_decoder(MIXED)
+        assert decode(blob, 0) == (value, len(blob))
+        expected = cut_messages(blob, [
+            ("varint", None), ("struct", ("MixedPt", 13)), ("string", None),
+            ("varint", None), ("varint", None), ("varint", None),
+            ("varint", None), ("struct", ("Mixed", 1)), ("raw", "int8"),
+            ("varint", None)])
+        for cut, message in enumerate(expected):
+            assert raised_by(decode, blob[:cut], 0) == (DecodeError, message)
+
+    def test_errors_name_the_struct_they_occur_in(self):
+        registry, fmt = nested_registry(2)
+        encode = registry.compiler.compact_encoder(fmt)
+        value = nested_value(2)
+        value["child"]["child"] = {"id": 1, "flag": 0}
+        assert raised_by(encode, value) == (
+            EncodeError, "format 'NestedL0': missing field 'amount'")
+        value["child"]["child"] = None
+        assert raised_by(encode, value) == (
+            EncodeError, "format 'NestedL0': 'NoneType' object is not "
+                         "subscriptable")
+        del value["child"]
+        assert raised_by(encode, value) == (
+            EncodeError, "format 'NestedL2': missing field 'child'")
+        # back in the parent between two elements of an inlined struct
+        registry.register(MIXED_PT)
+        grid = Format.from_dict("Grid", {"rows": "struct MixedPt[][2]"})
+        registry.register(grid)
+        point = {"x": 1.5, "y": 2.0, "tag": "k"}
+        assert raised_by(registry.compiler.compact_encoder(grid),
+                         {"rows": [[point], 5]}) == (
+            EncodeError, "format 'Grid': object of type 'int' has no len()")
+
+    def test_redefine_recompiles_the_inlined_child(self):
+        registry = FormatRegistry()
+        registry.register(Format.from_dict("Kid", {"a": "int32"}))
+        parent = Format.from_dict("Parent", {"kid": "struct Kid",
+                                             "n": "int16"})
+        registry.register(parent)
+        compiler = registry.compiler
+        old = compiler.compact_encoder(parent)
+        value = {"kid": {"a": -3, "b": "new"}, "n": 7}
+        assert old(value) == b"\x05\x0e"
+        registry.redefine(Format.from_dict("Kid", {"a": "int32",
+                                                   "b": "string"}))
+        blob = compiler.compact_encoder(parent)(value)
+        assert blob == b"\x05\x03new\x0e"
+        assert blob == interp_encode_compact(parent, value, registry)
+        assert compiler.compact_decoder(parent)(blob, 0) == (value, len(blob))
+        # a plan already handed out keeps the layout it was compiled for
+        assert old(value) == b"\x05\x0e"

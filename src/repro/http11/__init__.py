@@ -23,9 +23,8 @@ from .client import (HttpConnection, HttpConnectionPool, default_pool,
                      parse_address)
 from .errors import (HttpConnectionClosed, HttpError, HttpParseError,
                      HttpTooLarge)
-from .messages import (MAX_BODY_BYTES, MAX_HEADER_BYTES, Headers, LineReader,
-                       Request, RequestParser, Response, ResponseParser,
-                       etag_matches, read_request, read_response)
+from .messages import (MAX_BODY_BYTES, MAX_HEADER_BYTES, Headers, Request,
+                       RequestParser, Response, ResponseParser, etag_matches)
 from .pipeline import PipelinedHttpConnection, PipelineError
 from .reactor import ReactorHttpServer
 from .server import (CONCURRENCY_ENV, HttpServer, ThreadedHttpServer,
@@ -34,8 +33,8 @@ from .server import (CONCURRENCY_ENV, HttpServer, ThreadedHttpServer,
 
 __all__ = [
     "HttpError", "HttpParseError", "HttpConnectionClosed", "HttpTooLarge",
-    "Headers", "Request", "Response", "LineReader", "read_request",
-    "read_response", "RequestParser", "ResponseParser", "etag_matches",
+    "Headers", "Request", "Response", "RequestParser", "ResponseParser",
+    "etag_matches",
     "MAX_HEADER_BYTES", "MAX_BODY_BYTES",
     "HttpServer", "ThreadedHttpServer", "ReactorHttpServer",
     "default_concurrency", "CONCURRENCY_ENV",

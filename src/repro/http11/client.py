@@ -16,10 +16,8 @@ import time
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import HttpConnectionClosed, HttpError, HttpParseError
-from .messages import (Headers, LAST_CHUNK, LineReader, MAX_HEADER_BYTES,
-                       Request, Response, _MAX_CHUNK_LINE, _parse_chunk_size,
-                       _read_headers, encode_chunk, read_response,
-                       send_gather, wire_buffers)
+from .messages import (Headers, LAST_CHUNK, Request, Response, ResponseParser,
+                       encode_chunk, send_gather, wire_buffers)
 
 
 class HttpConnection:
@@ -38,7 +36,7 @@ class HttpConnection:
         self.address = address
         self.timeout = timeout
         self._sock: Optional[socket.socket] = None
-        self._reader: Optional[LineReader] = None
+        self._parser: Optional[ResponseParser] = None
         self.requests_sent = 0
         #: request-body bytes written through :meth:`stream` (pre-framing)
         self.bytes_streamed = 0
@@ -48,7 +46,7 @@ class HttpConnection:
         self._sock = socket.create_connection(self.address,
                                               timeout=self.timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._reader = LineReader(self._sock.recv)
+        self._parser = ResponseParser()
 
     def _ensure_connected(self) -> None:
         if self._sock is None:
@@ -80,7 +78,7 @@ class HttpConnection:
             try:
                 for written in send_gather(self._sock, *buffers):
                     sent += written
-                response = read_response(self._reader)
+                response = self._parser.read_message(self._sock)
                 break
             except (HttpConnectionClosed, OSError) as exc:
                 self.close()
@@ -90,6 +88,9 @@ class HttpConnection:
                     # Reconnecting and resending is provably safe.
                     continue
                 exc.bytes_written = sent > 0
+                raise
+            except HttpError:
+                self.close()            # framing is lost: never reuse it
                 raise
         self.requests_sent += 1
         if (response.headers.get("Connection") or "").lower() == "close":
@@ -125,7 +126,7 @@ class HttpConnection:
         :meth:`StreamResponse.read`) before reusing this connection.
         """
         self._ensure_connected()
-        sock, reader = self._sock, self._reader
+        sock, parser = self._sock, self._parser
         request = Request(method="POST", target=target,
                           headers=headers or Headers(), body=b"")
         request.headers.set("Host",
@@ -164,20 +165,17 @@ class HttpConnection:
         sender = threading.Thread(target=_send_body, daemon=True,
                                   name="http-stream-sender")
         sender.start()
+        parser.stream_chunked = True    # a chunked reply: head now, body later
         try:
-            status_line = reader.read_line().decode("latin-1")
-            parts = status_line.split(" ", 2)
-            if len(parts) < 2 or not parts[0].startswith("HTTP/"):
-                raise HttpParseError(f"bad status line {status_line!r}")
-            status = int(parts[1])
-            response_headers = _read_headers(reader)
-        except (HttpError, OSError, ValueError) as exc:
+            response = parser.read_message(sock)
+        except (HttpError, OSError):
             self.close()
             sender.join(timeout=5.0)
             raise
+        finally:
+            parser.stream_chunked = False
         self.requests_sent += 1
-        return StreamResponse(status, response_headers, self, reader,
-                              sender, sender_error)
+        return StreamResponse(response, self, sender, sender_error)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -187,7 +185,7 @@ class HttpConnection:
             except OSError:
                 pass
             self._sock = None
-            self._reader = None
+            self._parser = None
 
     def __enter__(self) -> "HttpConnection":
         return self
@@ -206,14 +204,14 @@ class StreamResponse:
     no second code path.
     """
 
-    def __init__(self, status: int, headers: Headers,
-                 conn: HttpConnection, reader: LineReader,
+    def __init__(self, response: Response, conn: HttpConnection,
                  sender: threading.Thread,
                  sender_error: List[BaseException]) -> None:
-        self.status = status
-        self.headers = headers
+        self.status = response.status
+        self.headers = response.headers
+        self._response = response
         self._conn = conn
-        self._reader = reader
+        self._sock, self._parser = conn._sock, conn._parser
         self._sender = sender
         self._sender_error = sender_error
         self._finished = False
@@ -225,24 +223,24 @@ class StreamResponse:
     def iter_chunks(self):
         """Yield decoded response-body chunks as they arrive; finishes the
         exchange (joins the sender thread, re-raising its error)."""
-        reader = self._reader
-        te = (self.headers.get("Transfer-Encoding") or "").lower()
-        if "chunked" not in te:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length:
-                yield reader.read_exact(length)
+        if not self._response.streaming:
+            if self._response.body:
+                yield self._response.body
             self._finish()
             return
-        while True:
-            size = _parse_chunk_size(reader.read_line(limit=_MAX_CHUNK_LINE))
-            if size == 0:
-                while reader.read_line(limit=MAX_HEADER_BYTES):
-                    pass  # drain trailers
-                break
-            data = reader.read_exact(size)
-            if reader.read_exact(2) != b"\r\n":
-                raise HttpParseError("chunk data not terminated by CRLF")
-            yield data
+        parser, sock = self._parser, self._sock
+        try:
+            while True:
+                data, done = parser.drain_body()
+                if data:
+                    yield data
+                if done:
+                    break
+                if not parser.read_from(sock):
+                    raise HttpParseError("connection closed mid-body")
+        except (HttpError, OSError):
+            self._conn.close()
+            raise
         self._finish()
 
     def read(self) -> bytes:

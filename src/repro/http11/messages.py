@@ -8,22 +8,27 @@ header bytes, request lines and parsing all cost what they cost.
 
 Scope: HTTP/1.1 with ``Content-Length`` framing, persistent connections,
 and ``Transfer-Encoding: chunked`` for the large-message streaming path
-(docs/wire-compact.md): both the pull (:class:`LineReader`) and push
-(:class:`_IncrementalParser`) parsers decode chunked bodies, and
-:func:`encode_chunk` / :data:`LAST_CHUNK` frame outgoing streams.  Other
-transfer codings are rejected.
+(docs/wire-compact.md); :func:`encode_chunk` / :data:`LAST_CHUNK` frame
+outgoing streams.  Other transfer codings are rejected.
+
+**One parser.**  Every reader — both servers, the blocking and the
+pipelined client — reads HTTP through :class:`RequestParser` /
+:class:`ResponseParser`: :meth:`~_IncrementalParser.read_from` does one
+read from a socket, blocking or not, and messages come out whole however
+the bytes were split.  A read into the parse buffer is one ``recv`` of
+64 KiB (:data:`_RECV_SIZE`).
 
 Bulk bodies cross each process once.  Senders write a message as two
 buffers — :meth:`Response.head_bytes` and the body object itself — with a
 gather write (:func:`send_gather`, or the reactor's ``sendmsg`` queue), so
 a cached payload goes to the kernel without being concatenated; only a
 body under 32 KiB is joined to its head (:func:`wire_buffers`).  On the
-pull path, :meth:`LineReader.read_exact` hands out a body that is already
-buffered as a slice; a body that is still arriving is read straight into a
-buffer of its own (``recv_into`` on a socket).
+read side a body that arrived with its head is copied out of the parse
+buffer once; a ``Content-Length`` body that is still arriving is read
+straight into a buffer of its own (``recv_into``).
 
 **Ownership rule.**  A body read directly owns its buffer: it is returned
-as an immutable ``bytes`` that nothing else writes to, and the reader
+as an immutable ``bytes`` that nothing else writes to, and the parser
 starts a fresh buffer for whatever follows, so a keep-alive or pipelined
 successor can never alias it.  A zero-copy view into a body (the PBIO
 decode of a one-byte array is one) therefore stays valid and unchanged
@@ -53,6 +58,14 @@ MAX_BODY_BYTES = 256 * 1024 * 1024
 #: doubles what has arrived, so an unverified ``Content-Length`` is never
 #: allocated up front.
 _OWNED_BODY_START = 512 * 1024
+#: Size of one ``recv`` into the parse buffer.  CPython allocates the full
+#: size before every ``recv``, and whether that is cheap depends on glibc's
+#: mmap threshold, which rises only after an earlier large block was freed:
+#: in a fresh interpreter a 256 KiB ``recv`` of a 185 B message costs
+#: ~15 us against ~1 us at 64 KiB, and a 256 KiB size cost the perf/
+#: ``small_call`` server ~30 us of CPU per call (2-vCPU VM, one pinned
+#: CPU).  Large bodies bypass it (read_from).
+_RECV_SIZE = 64 * 1024
 
 REASONS = {
     200: "OK",
@@ -164,6 +177,9 @@ class Response:
     headers: Headers = field(default_factory=Headers)
     body: bytes = b""
     version: str = "HTTP/1.1"
+    #: True when the body is NOT in :attr:`body` but drains incrementally
+    #: through ``ResponseParser.drain_body`` (``HttpConnection.stream``).
+    streaming: bool = False
 
     @property
     def reason(self) -> str:
@@ -353,234 +369,23 @@ def consume_views(views: "deque[memoryview]", sent: int) -> None:
 # wire parsing
 # ----------------------------------------------------------------------
 
-class LineReader:
-    """Buffered reader over a ``recv``-style byte source.
-
-    Lines are cut at a moving offset into the last received chunk, so a
-    header block costs one pass over its bytes.  When ``recv`` is a bound
-    method of an object that also has ``recv_into`` (a socket), bodies
-    still arriving are read with that (see the module's ownership rule).
-    """
-
-    def __init__(self, recv, bufsize: int = 65536) -> None:
-        self._recv = recv
-        self._bufsize = bufsize
-        self._buf = b""
-        self._pos = 0               # bytes of _buf before it are consumed
-        self._in_body = False       # a direct body read has not finished
-        self._recv_into = getattr(getattr(recv, "__self__", None),
-                                  "recv_into", None)
-
-    def _fill(self) -> bool:
-        chunk = self._recv(self._bufsize)
-        if not chunk:
-            return False
-        if self._pos < len(self._buf):
-            chunk = self._buf[self._pos:] + chunk
-        self._buf, self._pos = chunk, 0
-        return True
-
-    def read_line(self, limit: int = MAX_HEADER_BYTES) -> bytes:
-        """Read one CRLF-terminated line (returned without the CRLF)."""
-        while True:
-            buf, pos = self._buf, self._pos
-            idx = buf.find(b"\r\n", pos)
-            if idx >= 0:
-                self._pos = idx + 2
-                return buf[pos:idx]
-            if len(buf) - pos > limit:
-                raise HttpTooLarge("header line too long")
-            if not self._fill():
-                if self._pos < len(self._buf):
-                    raise HttpParseError("connection closed mid-line")
-                raise HttpConnectionClosed("connection closed")
-
-    def read_exact(self, n: int) -> bytes:
-        pos = self._pos
-        if len(self._buf) - pos >= n:
-            self._pos = pos + n
-            return self._buf[pos:pos + n]
-        return self._read_owned(n)
-
-    def _read_owned(self, n: int) -> bytes:
-        """Read ``n`` bytes, most not yet received, into a buffer that
-        becomes the returned ``bytes`` itself (``BytesIO.getvalue`` hands
-        over its buffer when no view of it is alive)."""
-        self._in_body = True
-        body = io.BytesIO()
-        filled = 0
-        while filled < n:
-            size = min(n, max(_OWNED_BODY_START, 2 * filled))
-            body.seek(size - 1)
-            body.write(b"\0")       # grow in place, no temporary
-            with body.getbuffer() as view:
-                while filled < size:
-                    got = self._read_into(view[filled:size])
-                    if not got:
-                        raise HttpParseError(
-                            f"connection closed with {n - filled} body "
-                            f"bytes outstanding")
-                    filled += got
-        self._in_body = False
-        return body.getvalue()
-
-    def _read_into(self, view: memoryview) -> int:
-        """Fill a prefix of ``view``: buffered bytes first, then one read
-        from the source.  Returns the count, 0 at end of stream."""
-        buf, pos = self._buf, self._pos
-        if pos < len(buf):
-            n = min(len(view), len(buf) - pos)
-            view[:n] = memoryview(buf)[pos:pos + n]
-            pos += n
-            if pos == len(buf):
-                buf, pos = b"", 0   # drop the drained chunk early
-            self._buf, self._pos = buf, pos
-            return n
-        if self._recv_into is not None:
-            return self._recv_into(view)
-        chunk = self._recv(min(len(view), self._bufsize))
-        n = min(len(chunk), len(view))
-        view[:n] = memoryview(chunk)[:n]
-        # a source may return more than asked: keep the rest buffered
-        self._buf, self._pos = chunk, n
-        return n
-
-    def at_start(self) -> bool:
-        """True when no buffered bytes are pending and no body read was
-        left half done (between messages)."""
-        return self._pos >= len(self._buf) and not self._in_body
-
-
-def _read_headers(reader: LineReader,
-                  max_header_bytes: int = MAX_HEADER_BYTES) -> Headers:
-    headers = Headers()
-    total = 0
-    while True:
-        line = reader.read_line(limit=max_header_bytes)
-        if not line:
-            return headers
-        total += len(line)
-        if total > max_header_bytes:
-            raise HttpTooLarge(
-                f"header block exceeds limit of {max_header_bytes} bytes")
-        if b":" not in line:
-            raise HttpParseError(f"bad header line {line!r}")
-        name, _, value = line.partition(b":")
-        headers.add(name.decode("latin-1").strip(),
-                    value.decode("latin-1").strip())
-
-
-def _read_chunked_body(reader: LineReader, headers: Headers,
-                       max_body_bytes: int) -> bytes:
-    """Drain a chunked body (pull path), appending trailers to ``headers``.
-
-    The cumulative size limit applies to the *decoded* body, mirroring the
-    Content-Length check — a peer cannot smuggle an oversized payload by
-    slicing it into small chunks.
-    """
-    parts: List[bytes] = []
-    total = 0
-    while True:
-        size = _parse_chunk_size(reader.read_line(limit=_MAX_CHUNK_LINE))
-        if size == 0:
-            break
-        total += size
-        if total > max_body_bytes:
-            raise HttpTooLarge(
-                f"chunked body exceeds limit of {max_body_bytes} bytes")
-        parts.append(reader.read_exact(size))
-        if reader.read_exact(2) != b"\r\n":
-            raise HttpParseError("chunk data not terminated by CRLF")
-    while True:  # trailer section, ended by an empty line
-        line = reader.read_line(limit=MAX_HEADER_BYTES)
-        if not line:
-            return b"".join(parts)
-        if b":" not in line:
-            raise HttpParseError(f"bad trailer line {line!r}")
-        name, _, value = line.partition(b":")
-        headers.add(name.decode("latin-1").strip(),
-                    value.decode("latin-1").strip())
-
-
-def _read_body(reader: LineReader, headers: Headers,
-               max_body_bytes: int = MAX_BODY_BYTES) -> bytes:
-    raw_length = headers.get("Content-Length")
-    if _parse_transfer_encoding(headers.get("Transfer-Encoding"), raw_length):
-        return _read_chunked_body(reader, headers, max_body_bytes)
-    if raw_length is None:
-        return b""
-    try:
-        length = int(raw_length)
-    except ValueError:
-        raise HttpParseError(f"bad Content-Length {raw_length!r}")
-    if length < 0:
-        raise HttpParseError("negative Content-Length")
-    if length > max_body_bytes:
-        raise HttpTooLarge(
-            f"body of {length} bytes exceeds limit of "
-            f"{max_body_bytes} bytes")
-    return reader.read_exact(length)
-
-
-def read_request(reader: LineReader,
-                 max_header_bytes: int = MAX_HEADER_BYTES,
-                 max_body_bytes: int = MAX_BODY_BYTES) -> Request:
-    """Parse one request from the reader.
-
-    Raises :class:`HttpConnectionClosed` when the peer closed cleanly
-    between requests (the keep-alive loop exits on that).  The size limits
-    default to the module constants; servers pass their own
-    (``HttpServer(max_body_bytes=..., max_header_bytes=...)``).
-    """
-    line = reader.read_line(limit=max_header_bytes).decode("latin-1")
-    parts = line.split(" ")
-    if len(parts) != 3:
-        raise HttpParseError(f"bad request line {line!r}")
-    method, target, version = parts
-    if version not in ("HTTP/1.1", "HTTP/1.0"):
-        raise HttpParseError(f"unsupported HTTP version {version!r}")
-    headers = _read_headers(reader, max_header_bytes)
-    body = _read_body(reader, headers, max_body_bytes)
-    return Request(method=method, target=target, headers=headers, body=body,
-                   version=version)
-
-
-def read_response(reader: LineReader) -> Response:
-    """Parse one response from the reader."""
-    line = reader.read_line().decode("latin-1")
-    parts = line.split(" ", 2)
-    if len(parts) < 2 or not parts[0].startswith("HTTP/"):
-        raise HttpParseError(f"bad status line {line!r}")
-    try:
-        status = int(parts[1])
-    except ValueError:
-        raise HttpParseError(f"bad status code in {line!r}")
-    headers = _read_headers(reader)
-    body = _read_body(reader, headers)
-    return Response(status=status, headers=headers, body=body,
-                    version=parts[0])
-
-
-# ----------------------------------------------------------------------
-# incremental (push) parsing for event-driven endpoints
-# ----------------------------------------------------------------------
-
 class _IncrementalParser:
-    """Push-style HTTP/1.1 message parser.
+    """Incremental HTTP/1.1 message parser: the only reader of HTTP bytes.
 
-    Where :class:`LineReader` *pulls* bytes from a blocking socket, this
-    parser is *fed* whatever bytes happen to arrive on a non-blocking one
-    (:meth:`feed`) and hands out complete messages as they materialize
-    (:meth:`next_message`, ``None`` while incomplete).  Back-to-back
+    Bytes come in through :meth:`read_from` (one read from a socket,
+    blocking or not) or :meth:`feed` (bytes already in hand); complete
+    messages come out of :meth:`next_message` (``None`` while incomplete)
+    or, on a blocking socket, :meth:`read_message`.  Back-to-back
     pipelined messages in one buffer come out one at a time; the parse
     state survives arbitrary fragmentation, including a header block
-    split mid-CRLF.
+    split mid-CRLF.  Drive one parser either with :meth:`read_from` or
+    with :meth:`feed`, not both: a body being read directly is not in
+    the fed buffer.
 
-    Errors are the same taxonomy as the pull path:
-    :class:`~repro.http11.errors.HttpParseError` for malformed messages,
-    :class:`~repro.http11.errors.HttpTooLarge` for limit violations.  An
-    errored parser stays errored — the connection is unrecoverable because
-    message framing is lost.
+    Errors: :class:`~repro.http11.errors.HttpParseError` for malformed
+    messages, :class:`~repro.http11.errors.HttpTooLarge` for limit
+    violations.  An errored parser stays errored — the connection is
+    unrecoverable because message framing is lost.
     """
 
     # chunked-parse states
@@ -609,21 +414,78 @@ class _IncrementalParser:
         #: streaming drain mode: the head was handed out already and body
         #: bytes leave through :meth:`drain_body` instead of accumulating
         self._streaming = False
+        #: the ``Content-Length`` body being read directly, and its count
+        #: of bytes received (see :meth:`read_from`)
+        self._owned: Optional[io.BytesIO] = None
+        self._owned_filled = 0
 
     def feed(self, data: bytes) -> None:
-        """Append freshly received bytes."""
+        """Append bytes received elsewhere."""
         self._buf += data
+
+    def read_from(self, sock) -> int:
+        """Do one read from ``sock`` (anything with ``recv`` and
+        ``recv_into``) and return the byte count, 0 at end of stream.
+
+        Normally that is one ``recv`` of 64 KiB into the parse buffer.
+        While a parsed head's ``Content-Length`` body is not fully
+        buffered, the body is read directly instead: its buffered part is
+        copied once into a buffer of its own and the rest arrives there
+        through ``recv_into``, never past the body's end, so a pipelined
+        successor stays in the socket (see the module's ownership rule).
+        ``BlockingIOError`` and ``TimeoutError`` propagate with the parse
+        state intact; call again to continue.
+        """
+        if (self._owned is None and self._head is not None
+                and not self._chunked
+                and len(self._buf) - self._pos < self._body_length):
+            with memoryview(self._buf) as view:
+                self._owned = io.BytesIO(view[self._pos:])
+            self._owned.seek(0, io.SEEK_END)
+            self._owned_filled = len(self._buf) - self._pos
+            del self._buf[:]
+            self._pos = self._scan = 0
+        body, filled = self._owned, self._owned_filled
+        if body is None or filled == self._body_length:
+            data = sock.recv(_RECV_SIZE)
+            self._buf += data
+            return len(data)
+        size = body.tell()              # the buffer's size so far
+        if filled == size:
+            # Full: grow in place, no temporary.  Doubling rather than
+            # growing per read keeps BytesIO from adding 1/8 to the size,
+            # which it does to any step under 1.125x.
+            size = min(self._body_length,
+                       max(_OWNED_BODY_START, 2 * filled))
+            body.seek(size - 1)
+            body.write(b"\0")
+        with body.getbuffer() as view:
+            got = sock.recv_into(view[filled:size])
+        self._owned_filled = filled + got
+        return got
+
+    def read_message(self, sock):
+        """Block on ``sock`` until the next message is complete.
+
+        Raises :class:`HttpConnectionClosed` when the peer closes between
+        messages and :class:`HttpParseError` when it closes mid-message.
+        """
+        while True:
+            message = self.next_message()
+            if message is not None:
+                return message
+            if not self.read_from(sock):
+                if self.mid_message:
+                    raise HttpParseError("connection closed mid-message")
+                raise HttpConnectionClosed("connection closed")
 
     @property
     def mid_message(self) -> bool:
         """True while a partially received message is pending (the
-        distinction between a quiet keep-alive hang-up and a 408)."""
+        distinction between a quiet keep-alive hang-up and a 408); a body
+        being read directly counts, since its head is pending."""
         return (len(self._buf) > self._pos or self._head is not None
                 or self._streaming)
-
-    @property
-    def buffered_bytes(self) -> int:
-        return len(self._buf) - self._pos
 
     def _compact(self) -> None:
         if self._pos:
@@ -675,16 +537,23 @@ class _IncrementalParser:
                 return self._build_streaming(parsed_start, headers)
         if self._chunked:
             return self._next_chunked()
-        if len(self._buf) - self._pos < self._body_length:
+        if self._owned is not None:
+            if self._owned_filled < self._body_length:
+                return None
+            body = self._owned.getvalue()   # hands its buffer over
+            self._owned = None
+        elif len(self._buf) - self._pos < self._body_length:
             self._compact()  # keep the wait-for-body footprint small
             return None
-        body = bytes(self._buf[self._pos:self._pos + self._body_length])
-        self._pos += self._body_length
-        if self._pos >= len(self._buf):
-            del self._buf[:]            # cheap reset: all bytes consumed
-            self._pos = self._scan = 0
-        elif self._pos > 65536:
-            self._compact()
+        else:
+            end = self._pos + self._body_length
+            body = bytes(memoryview(self._buf)[self._pos:end])
+            self._pos = end
+            if self._pos >= len(self._buf):
+                del self._buf[:]        # cheap reset: all bytes consumed
+                self._pos = self._scan = 0
+            elif self._pos > 65536:
+                self._compact()
         parsed_start, headers = self._head
         self._head = None
         self._body_length = 0
@@ -772,7 +641,7 @@ class _IncrementalParser:
                     raise HttpParseError("chunk data not terminated by CRLF")
                 self._pos += 2
                 self._chunk_state = self._CHUNK_SIZE
-            else:  # _CHUNK_TRAILERS — validated and discarded (push path)
+            else:  # _CHUNK_TRAILERS
                 idx = buf.find(b"\r\n", self._pos)
                 if idx < 0:
                     if n - self._pos > self.max_header_bytes:
@@ -782,8 +651,14 @@ class _IncrementalParser:
                 self._pos = idx + 2
                 if not line:
                     return True
-                if b":" not in line:
+                name, sep, value = line.partition(b":")
+                if not sep:
                     raise HttpParseError(f"bad trailer line {line!r}")
+                if self._head is not None:
+                    # a buffered body's trailers join its headers; a
+                    # streamed one's head is out already, so they drop
+                    self._head[1].add(name.decode("latin-1").strip(),
+                                      value.decode("latin-1").strip())
 
     def _reset_chunk_state(self) -> None:
         self._chunked = False
@@ -801,7 +676,7 @@ class _IncrementalParser:
 
     def _should_stream(self, parsed_start, headers: Headers) -> bool:
         """Hook: hand the head out before the body finishes arriving.
-        Only consulted for chunked messages; requests only."""
+        Only consulted for chunked messages."""
         return False
 
     def _build_streaming(self, parsed_start,
@@ -861,7 +736,7 @@ class _IncrementalParser:
 
 
 class RequestParser(_IncrementalParser):
-    """Incremental request parser (the reactor server's read path).
+    """Incremental request parser (both servers' read path).
 
     Set :attr:`stream_decider` — ``(method, target, headers) -> bool`` —
     to opt chunked requests into streaming mode: the :class:`Request` is
@@ -905,7 +780,23 @@ class RequestParser(_IncrementalParser):
 
 
 class ResponseParser(_IncrementalParser):
-    """Incremental response parser (the pipelined client's read path)."""
+    """Incremental response parser (every client's read path).
+
+    Set :attr:`stream_chunked` to hand a chunked response out as soon as
+    its head parses (``streaming=True``, empty ``body``); its body then
+    drains through :meth:`drain_body` (``HttpConnection.stream``).
+    """
+
+    stream_chunked = False
+
+    def _should_stream(self, parsed_start, headers: Headers) -> bool:
+        return self.stream_chunked
+
+    def _build_streaming(self, parsed_start: Tuple[str, int],
+                         headers: Headers) -> Response:
+        version, status = parsed_start
+        return Response(status=status, headers=headers, version=version,
+                        streaming=True)
 
     def _parse_start_line(self, line: str) -> Tuple[str, int]:
         parts = line.split(" ", 2)

@@ -33,7 +33,6 @@ from .client import parse_address
 from .errors import HttpError, HttpParseError
 from .messages import Headers, Request, Response, ResponseParser
 
-_RECV_SIZE = 256 * 1024
 _SENDMSG_BATCH = 64
 
 
@@ -161,13 +160,12 @@ class PipelinedHttpConnection:
             return PipelineError(message, responses, len(responses),
                                  bytes_written=total_sent > 0)
 
-        def ingest(data: bytes) -> None:
+        def ingest(got: int) -> None:
             nonlocal server_closing
-            if not data:
+            if not got:
                 raise fail(
                     "server closed connection mid-pipeline "
                     f"({len(responses)}/{total} responses received)")
-            parser.feed(data)
             while True:
                 try:
                     response = parser.next_response()
@@ -222,13 +220,13 @@ class PipelinedHttpConnection:
                         out[0] = head[sent:]
                         sent = 0
             try:
-                data = sock.recv(_RECV_SIZE)
+                got = parser.read_from(sock)
             except (BlockingIOError, InterruptedError):
-                data = None
+                got = None
             except OSError as exc:
                 raise fail(f"pipeline recv failed: {exc}") from exc
-            if data is not None:
-                ingest(data)
+            if got is not None:
+                ingest(got)
                 progressed = True
             if progressed:
                 last_progress = time.monotonic()
@@ -240,15 +238,15 @@ class PipelinedHttpConnection:
             if not out:
                 sock.settimeout(tick)
                 try:
-                    data = sock.recv(_RECV_SIZE)
+                    got = parser.read_from(sock)
                 except (socket.timeout, InterruptedError):
-                    data = None
+                    got = None
                 except OSError as exc:
                     raise fail(f"pipeline recv failed: {exc}") from exc
                 finally:
                     sock.setblocking(False)
-                if data is not None:
-                    ingest(data)
+                if got is not None:
+                    ingest(got)
                     last_progress = time.monotonic()
                     continue
             else:

@@ -11,7 +11,7 @@ pattern):
 * every thread loops on ``epoll.poll()`` over the **same** epoll set, and
   every connection is registered ``EPOLLIN | EPOLLONESHOT`` — so the one
   thread the kernel wakes **owns** that connection until it re-arms it;
-* the owner does the whole exchange on its own thread: ``recv``, feed an
+* the owner does the whole exchange on its own thread: read through an
   incremental :class:`~repro.http11.messages.RequestParser` (partial
   reads, split CRLFs, pipelined bursts all welcome), run each complete
   request in arrival order through ``_ServerCore._respond`` (shared
@@ -71,7 +71,6 @@ _READ = _IN | getattr(select, "EPOLLHUP", 0x010) | getattr(select,
 #: sendmsg scatter-gather batch bound (IOV_MAX is 1024 on Linux; 64 keeps
 #: each syscall's setup cost trivial while still batching a whole burst).
 _SENDMSG_BATCH = 64
-_RECV_SIZE = 256 * 1024
 
 # Ownership of a registered fd.  Transitions happen under ``_own_lock``;
 # only the owner (or whoever claims an ARMED/WAITING source) touches it.
@@ -492,19 +491,16 @@ class ReactorHttpServer(_ServerCore):
     def _serve(self, conn: _Conn, mask: int) -> None:
         if conn.out:
             self._flush(conn)
-        if mask & _READ and conn.state is _OWNED:
+        # bytes after Connection: close / an error are never read
+        if mask & _READ and conn.state is _OWNED and not conn.stop_parsing:
             try:
-                data = conn.sock.recv(_RECV_SIZE)
+                if not conn.parser.read_from(conn.sock):
+                    conn.read_eof = True
             except (BlockingIOError, InterruptedError):
-                data = None
+                pass
             except OSError:
                 self._close_conn(conn)
                 return
-            if data == b"":
-                conn.read_eof = True
-            elif data and not conn.stop_parsing:
-                # bytes after Connection: close / an error are ignored
-                conn.parser.feed(data)
         if conn.state is _OWNED:
             self._advance(conn)
 

@@ -57,8 +57,8 @@ from typing import Callable, Dict, Optional, TYPE_CHECKING, Tuple
 
 from ..serving.deadline import deadline_from_headers
 from .errors import HttpConnectionClosed, HttpParseError, HttpTooLarge
-from .messages import (MAX_BODY_BYTES, MAX_HEADER_BYTES, LineReader, Request,
-                       Response, etag_matches, read_request, send_gather,
+from .messages import (MAX_BODY_BYTES, MAX_HEADER_BYTES, Request,
+                       RequestParser, Response, etag_matches, send_gather,
                        wire_buffers)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -478,15 +478,14 @@ class ThreadedHttpServer(_ServerCore):
                 self._idle_cond.notify_all()
 
     def _serve_connection_inner(self, conn: socket.socket) -> None:
-        reader = LineReader(conn.recv)
+        parser = RequestParser(max_header_bytes=self.max_header_bytes,
+                               max_body_bytes=self.max_body_bytes)
         if self.idle_timeout_s is not None:
             conn.settimeout(self.idle_timeout_s)
         with conn:
             while self._running:
                 try:
-                    request = read_request(
-                        reader, max_header_bytes=self.max_header_bytes,
-                        max_body_bytes=self.max_body_bytes)
+                    request = parser.read_message(conn)
                 except HttpConnectionClosed:
                     return
                 except HttpTooLarge as exc:
@@ -497,7 +496,7 @@ class ThreadedHttpServer(_ServerCore):
                     # worker thread instead of pinning it forever.  A
                     # timeout mid-request earns a 408; silence between
                     # requests is just a quiet hang-up.
-                    if not reader.at_start():
+                    if parser.mid_message:
                         self._safe_send(
                             conn, Response.text(408, "request timeout"))
                     return

@@ -1,54 +1,27 @@
-"""Bulk bodies on the pull path: gather writes, direct body reads, the
-ownership rule and the bound on a declared ``Content-Length``.
+"""Bulk bodies: gather writes, direct body reads, the ownership rule and
+the bound on a declared ``Content-Length`` — for the one parser every
+reader goes through (both servers, the blocking and pipelined clients).
 
 See the ``repro.http11.messages`` module docstring for the rule these
-tests hold the reader to.
+tests hold the parser to.
 """
 
 import socket
 import threading
 import tracemalloc
-from collections import deque
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
 from repro.http11 import (Headers, HttpConnection, HttpParseError,
-                          HttpServer, LineReader, Request, Response,
-                          read_request, read_response)
+                          HttpServer, PipelinedHttpConnection, Request,
+                          RequestParser, Response, ResponseParser)
 from repro.http11.messages import send_gather
 from repro.pbio import Format, FormatRegistry, PbioSession
+from tests.http11.scripted import Pieces
 
 FULL_BODY = 640 * 480 * 3          # one ImageFull frame of pixels
-
-
-class Pieces:
-    """A byte source that delivers scripted pieces, one per read, through
-    ``recv`` and ``recv_into`` alike (a socket as the reader sees it)."""
-
-    def __init__(self, pieces):
-        self.pieces = deque(p for p in pieces if p)
-
-    def recv(self, n):
-        if not self.pieces:
-            return b""
-        piece = self.pieces.popleft()
-        if len(piece) > n:
-            self.pieces.appendleft(piece[n:])
-        return piece[:n]
-
-    def recv_into(self, view):
-        data = self.recv(len(view))
-        view[:len(data)] = data
-        return len(data)
-
-
-def recv_only(pieces):
-    """The same pieces through a plain function (no ``recv_into``); like
-    some callers' sources, it ignores the requested size."""
-    pending = deque(p for p in pieces if p)
-    return lambda _n: pending.popleft() if pending else b""
 
 
 def _stream():
@@ -59,30 +32,44 @@ def _stream():
     return first.to_bytes() + second.to_bytes() + third.to_bytes()
 
 
-def _parse_all(reader, count=3):
-    return [(r.status, list(r.headers), bytes(r.body))
-            for r in (read_response(reader) for _ in range(count))]
+def _summary(responses):
+    return [(r.status, list(r.headers), bytes(r.body)) for r in responses]
+
+
+def _read(parser, source, count=3):
+    """``count`` responses through ``read_from`` over ``source``."""
+    return _summary(parser.read_message(source) for _ in range(count))
+
+
+def _fed(parser, pieces):
+    """Every response the pieces hold, fed in as received elsewhere."""
+    out = []
+    for piece in pieces:
+        parser.feed(piece)
+        while (response := parser.next_response()) is not None:
+            out.append(response)
+    return _summary(out)
 
 
 class TestSplitAtEveryOffset:
     @pytest.mark.parametrize("source", ["recv_into", "recv"])
     def test_identical_messages_for_every_split(self, source):
         stream = _stream()
-        expected = _parse_all(LineReader(Pieces([stream]).recv))
+        expected = _read(ResponseParser(), Pieces([stream]))
         assert [status for status, _, _ in expected] == [200, 404, 200]
         for k in range(len(stream) + 1):
             pieces = [stream[:k], stream[k:]]
-            recv = (Pieces(pieces).recv if source == "recv_into"
-                    else recv_only(pieces))
-            reader = LineReader(recv)
-            assert _parse_all(reader) == expected, k
-            assert reader.at_start()
+            parser = ResponseParser()
+            if source == "recv_into":
+                assert _read(parser, Pieces(pieces)) == expected, k
+            else:
+                assert _fed(parser, pieces) == expected, k
+            assert not parser.mid_message
 
     def test_byte_at_a_time(self):
         stream = _stream()
-        reader = LineReader(Pieces([bytes([b]) for b in stream]).recv)
-        assert _parse_all(reader) == _parse_all(
-            LineReader(Pieces([stream]).recv))
+        assert _read(ResponseParser(), Pieces.split(stream, 1)) == _read(
+            ResponseParser(), Pieces([stream]))
 
     @pytest.mark.parametrize("source", ["recv_into", "recv"])
     def test_body_larger_than_the_first_buffer(self, source):
@@ -90,12 +77,19 @@ class TestSplitAtEveryOffset:
         raw = (Response(body=body.tobytes()).to_bytes()
                + Response(status=204).to_bytes())
         pieces = [raw[i:i + 100_003] for i in range(0, len(raw), 100_003)]
-        reader = LineReader(Pieces(pieces).recv if source == "recv_into"
-                            else recv_only(pieces))
-        response = read_response(reader)
+        parser = ResponseParser()
+        if source == "recv_into":
+            source = Pieces(pieces)
+            response = parser.read_message(source)
+            successor = parser.read_message(source)
+        else:
+            for piece in pieces:
+                parser.feed(piece)
+            response = parser.next_response()
+            successor = parser.next_response()
         assert type(response.body) is bytes
         assert response.body == body.tobytes()
-        assert read_response(reader).status == 204     # successor intact
+        assert successor.status == 204              # successor intact
 
 
 class TestDeclaredLength:
@@ -116,26 +110,45 @@ class TestDeclaredLength:
             a.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 200000000\r\n\r\n"
                       + b"0123456789")
             a.shutdown(socket.SHUT_WR)
-            peak = self._peak_while(lambda: read_response(LineReader(b.recv)))
+            peak = self._peak_while(
+                lambda: ResponseParser().read_message(b))
         assert peak < 1 << 20
 
     def test_request_declaring_200_mb_then_closing(self):
-        # the threaded server reads requests through the same LineReader
         a, b = socket.socketpair()
         with a, b:
             a.sendall(b"POST / HTTP/1.1\r\nContent-Length: 200000000\r\n\r\n"
                       + b"0123456789")
             a.shutdown(socket.SHUT_WR)
-            peak = self._peak_while(lambda: read_request(LineReader(b.recv)))
+            peak = self._peak_while(lambda: RequestParser().read_message(b))
         assert peak < 1 << 20
 
     def test_truncated_body_is_not_at_a_message_boundary(self):
-        reader = LineReader(Pieces([b"POST / HTTP/1.1\r\n"
-                                    b"Content-Length: 10\r\n\r\n", b"abc"]
-                                   ).recv)
+        parser = RequestParser()
         with pytest.raises(HttpParseError):
-            read_request(reader)
-        assert not reader.at_start()
+            parser.read_message(Pieces([b"POST / HTTP/1.1\r\n"
+                                        b"Content-Length: 10\r\n\r\n",
+                                        b"abc"]))
+        assert parser.mid_message
+
+    @pytest.mark.parametrize("concurrency", ["threaded", "reactor"])
+    def test_server_peak_for_a_request_declaring_200_mb(self, concurrency):
+        with HttpServer(lambda request: Response(),
+                        concurrency=concurrency) as server:
+            with socket.create_connection(server.address) as raw:
+                tracemalloc.start()
+                try:
+                    raw.sendall(b"POST / HTTP/1.1\r\n"
+                                b"Content-Length: 200000000\r\n\r\n"
+                                b"0123456789")
+                    raw.shutdown(socket.SHUT_WR)
+                    raw.settimeout(10.0)
+                    while raw.recv(4096):   # until the server hangs up
+                        pass
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestGatherWrites:
@@ -229,25 +242,88 @@ class TestOwnership:
                 assert conn.get("/again").body == body   # still framed
 
 
+    def test_pipelined_batch_of_full_size_replies(self, frame_server):
+        registry, _ = _image_registry()
+        decoder = PbioSession(registry)
+        get = [Request(method="GET", target="/") for _ in range(4)]
+        with PipelinedHttpConnection(frame_server.address, depth=4) as conn:
+            first, *rest = conn.request_many(get)
+            pixels = decoder.unpack_stream(first.body)[1]["pixels"]
+            assert np.shares_memory(pixels, np.frombuffer(first.body,
+                                                          np.uint8))
+            later = conn.request_many(get)
+        assert all(type(r.body) is bytes for r in [first, *rest, *later])
+        assert pixels.min() == pixels.max() == 1
+        assert [decoder.unpack_stream(r.body)[1]["pixels"][-1]
+                for r in rest + later] == [2, 3, 4, 5, 6, 7, 8]
+
+    @pytest.mark.parametrize("concurrency", ["threaded", "reactor"])
+    def test_large_post_reaches_the_handler_as_bytes(self, concurrency):
+        payload = np.arange(1_500_000, dtype=np.uint32).astype(
+            np.uint8).tobytes()
+        seen = []
+
+        def handler(request):
+            seen.append(request.body)
+            return Response(body=b"ok")
+
+        with HttpServer(handler, concurrency=concurrency) as server:
+            with HttpConnection(server.address) as conn:
+                assert conn.post("/", payload, "application/x").body == b"ok"
+        assert type(seen[0]) is bytes
+        assert seen[0] == payload
+
+
+def _full_size_reply():
+    registry, image = _image_registry()
+    return Response(body=PbioSession(registry).pack_bytes(
+        image, {"seq": 1, "pixels": np.zeros(FULL_BODY, np.uint8)}))
+
+
 class TestClientAllocation:
     def test_reading_a_full_size_reply_allocates_about_the_body(self):
-        registry, image = _image_registry()
-        reply = Response(body=PbioSession(registry).pack_bytes(
-            image, {"seq": 1, "pixels": np.zeros(FULL_BODY, np.uint8)}))
+        reply = _full_size_reply()
         head = reply.head_bytes()
         a, b = socket.socketpair()
         with a, b:
             writer = threading.Thread(
                 target=lambda: sum(send_gather(a, head, reply.body)))
-            reader = LineReader(b.recv)
+            parser = ResponseParser()
             tracemalloc.start()
             try:
                 writer.start()
-                response = read_response(reader)
+                response = parser.read_message(b)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
                 writer.join()
+        assert response.body == reply.body
+        assert peak <= 1.1 * len(reply.body)
+
+    def test_pipelined_client_allocates_about_the_body(self):
+        reply = _full_size_reply()
+        head = reply.head_bytes()
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(4096)                 # the GET
+                sum(send_gather(conn, head, reply.body))
+                conn.recv(1)                    # until the client closes
+
+        server = threading.Thread(target=serve)
+        server.start()
+        with listener, PipelinedHttpConnection(
+                listener.getsockname()) as client:
+            client._ensure_connected()
+            tracemalloc.start()
+            try:
+                response = client.get("/")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        server.join()
         assert response.body == reply.body
         assert peak <= 1.1 * len(reply.body)
 

@@ -5,27 +5,20 @@ import threading
 import pytest
 
 from repro.http11 import (Headers, HttpConnection, HttpParseError,
-                          HttpServer, HttpTooLarge, LineReader, Request,
-                          Response, etag_matches, parse_address,
-                          read_request, read_response)
+                          HttpServer, HttpTooLarge, Request, RequestParser,
+                          Response, ResponseParser, etag_matches,
+                          parse_address)
 from repro.http11.errors import HttpConnectionClosed
+from tests.http11.scripted import Pieces
 
 
-def reader_for(data: bytes) -> LineReader:
-    chunks = [data]
+def parse_request(data: bytes, **limits) -> Request:
+    # 7-byte reads exercise every refill path
+    return RequestParser(**limits).read_message(Pieces.split(data, 7))
 
-    def recv(n):
-        if not chunks:
-            return b""
-        head = chunks[0]
-        out, rest = head[:n], head[n:]
-        if rest:
-            chunks[0] = rest
-        else:
-            chunks.pop(0)
-        return out
 
-    return LineReader(recv, bufsize=7)  # tiny buffer exercises refills
+def parse_response(data: bytes) -> Response:
+    return ResponseParser().read_message(Pieces.split(data, 7))
 
 
 class TestHeaders:
@@ -124,7 +117,7 @@ class TestParsing:
     def test_roundtrip_request(self):
         req = Request(method="POST", target="/x", body=b"abc")
         req.headers.set("X-Custom", "v")
-        parsed = read_request(reader_for(req.to_bytes()))
+        parsed = parse_request(req.to_bytes())
         assert parsed.method == "POST"
         assert parsed.target == "/x"
         assert parsed.body == b"abc"
@@ -132,12 +125,12 @@ class TestParsing:
 
     def test_roundtrip_response(self):
         resp = Response(status=200, body=b"out")
-        parsed = read_response(reader_for(resp.to_bytes()))
+        parsed = parse_response(resp.to_bytes())
         assert parsed.status == 200
         assert parsed.body == b"out"
 
     def test_no_body_without_content_length(self):
-        parsed = read_request(reader_for(b"GET / HTTP/1.1\r\n\r\n"))
+        parsed = parse_request(b"GET / HTTP/1.1\r\n\r\n")
         assert parsed.body == b""
 
     @pytest.mark.parametrize("raw", [
@@ -150,63 +143,62 @@ class TestParsing:
     ])
     def test_malformed_requests_rejected(self, raw):
         with pytest.raises(HttpParseError):
-            read_request(reader_for(raw))
+            parse_request(raw)
 
     def test_chunked_body_decoded(self):
         raw = (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
                b"5\r\nhello\r\n6\r\n world\r\n0\r\n\r\n")
-        request = read_request(reader_for(raw))
+        request = parse_request(raw)
         assert request.body == b"hello world"
 
     def test_chunked_trailers_land_in_headers(self):
         raw = (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
                b"2\r\nhi\r\n0\r\nX-Trailer: 7\r\n\r\n")
-        request = read_request(reader_for(raw))
+        request = parse_request(raw)
         assert request.body == b"hi"
         assert request.headers.get("X-Trailer") == "7"
 
     def test_non_chunked_transfer_encoding_rejected(self):
         raw = b"POST / HTTP/1.1\r\nTransfer-Encoding: gzip\r\n\r\n"
         with pytest.raises(HttpParseError):
-            read_request(reader_for(raw))
+            parse_request(raw)
 
     def test_chunked_with_content_length_rejected(self):
         raw = (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
                b"Content-Length: 5\r\n\r\n")
         with pytest.raises(HttpParseError):
-            read_request(reader_for(raw))
+            parse_request(raw)
 
     def test_chunked_body_over_limit_rejected(self):
         raw = (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
                b"b\r\nhello world\r\n0\r\n\r\n")
         with pytest.raises(HttpTooLarge):
-            read_request(reader_for(raw), max_body_bytes=10)
+            parse_request(raw, max_body_bytes=10)
 
     def test_huge_body_rejected(self):
         raw = b"POST / HTTP/1.1\r\nContent-Length: 999999999999\r\n\r\n"
         with pytest.raises(HttpTooLarge):
-            read_request(reader_for(raw))
+            parse_request(raw)
 
     def test_closed_before_message(self):
         with pytest.raises(HttpConnectionClosed):
-            read_request(reader_for(b""))
+            parse_request(b"")
 
     def test_closed_mid_body(self):
         raw = b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc"
         with pytest.raises(HttpParseError):
-            read_request(reader_for(raw))
+            parse_request(raw)
 
     def test_bad_status_line(self):
         with pytest.raises(HttpParseError):
-            read_response(reader_for(b"HTTP/1.1 xx Bad\r\n\r\n"))
+            parse_response(b"HTTP/1.1 xx Bad\r\n\r\n")
 
     def test_keep_alive_defaults(self):
-        req = read_request(reader_for(b"GET / HTTP/1.1\r\n\r\n"))
+        req = parse_request(b"GET / HTTP/1.1\r\n\r\n")
         assert req.wants_keep_alive()
-        req2 = read_request(
-            reader_for(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n"))
+        req2 = parse_request(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n")
         assert not req2.wants_keep_alive()
-        req3 = read_request(reader_for(b"GET / HTTP/1.0\r\n\r\n"))
+        req3 = parse_request(b"GET / HTTP/1.0\r\n\r\n")
         assert not req3.wants_keep_alive()
 
 

@@ -7,9 +7,12 @@ also covered here so the two cores stay interchangeable for buffered
 callers.
 """
 
+import socket
+import threading
+
 import pytest
 
-from repro.http11 import HttpConnection, HttpServer, Response
+from repro.http11 import HttpConnection, HttpParseError, HttpServer, Response
 from repro.pbio import (Format, FormatRegistry, PbioSession,
                         RecordStreamReader, iter_frames, pbio_stream_route)
 
@@ -134,6 +137,44 @@ class TestThreadedChunked:
                 assert resp.status == 200
                 assert resp.read() == b"plain:abc"
             assert server.chunked_requests == 1
+
+
+class TestStreamResponseFraming:
+    """``stream()`` reads its reply with the same framing checks as every
+    other reader: a bad head fails the exchange and the socket is
+    dropped, never reused mis-framed."""
+
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n",
+        b"HTTP/1.1 abc OK\r\nContent-Length: 0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip, chunked\r\n\r\n"
+        b"2\r\nok\r\n0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
+        b"Transfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n",
+    ], ids=["negative-length", "non-numeric-length", "non-numeric-status",
+            "gzip-then-chunked", "length-and-chunked"])
+    def test_bad_reply_head_fails_and_drops_the_connection(self, reply):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                request = b""
+                while not request.endswith(b"0\r\n\r\n"):
+                    request += conn.recv(4096)
+                conn.sendall(reply + b"HTTP/1.1 204 No Content\r\n\r\n")
+                while conn.recv(4096):      # until the client hangs up
+                    pass
+
+        server = threading.Thread(target=serve)
+        server.start()
+        with listener, HttpConnection(listener.getsockname(),
+                                      timeout=10.0) as conn:
+            with pytest.raises(HttpParseError):
+                conn.stream("/up", [b"abc"]).read()
+            assert conn._sock is None
+        server.join()
 
 
 class TestPbioStreamOverHttp:

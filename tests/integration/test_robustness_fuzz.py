@@ -8,29 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.compress import CompressError, lzss, lzw, zlib_codec
 from repro.core import PBIO_CONTENT_TYPE, SoapBinService
-from repro.http11 import (HttpError, LineReader,
-                          read_request, read_response)
+from repro.http11 import HttpError, RequestParser, ResponseParser
 from repro.pbio import (DecodeError, Format, FormatRegistry, PbioSession,
                         UnknownFormatError, parse_message)
 from repro.soap import SoapError, parse_envelope
 from repro.sunrpc import RpcProtocolError, XdrDecoder, XdrError, decode_call
 from repro.wsdl import WsdlError, parse_wsdl
 from repro.xmlcore import XmlError, parse, tokenize
+from tests.http11.scripted import Pieces
 
 random_bytes = st.binary(max_size=300)
 random_text = st.text(max_size=300)
-
-
-def reader_for(data: bytes) -> LineReader:
-    state = [data]
-
-    def recv(n):
-        if not state:
-            return b""
-        out = state.pop(0)
-        return out
-
-    return LineReader(recv)
 
 
 class TestXmlRobustness:
@@ -144,17 +132,17 @@ class TestCompressionRobustness:
 class TestHttpRobustness:
     @settings(max_examples=60, deadline=None)
     @given(random_bytes)
-    def test_read_request(self, blob):
+    def test_request_parser(self, blob):
         try:
-            read_request(reader_for(blob))
+            RequestParser().read_message(Pieces([blob]))
         except HttpError:
             pass
 
     @settings(max_examples=60, deadline=None)
     @given(random_bytes)
-    def test_read_response(self, blob):
+    def test_response_parser(self, blob):
         try:
-            read_response(reader_for(blob))
+            ResponseParser().read_message(Pieces([blob]))
         except HttpError:
             pass
 

@@ -28,6 +28,7 @@ import time
 from ..netsim.clock import Clock, WallClock
 from ..pbio import Format, FormatRegistry, LITTLE, PbioSession
 from ..transport import Channel
+from .attributes import AttributeStore
 from .conversion import ConversionHandler
 from .errors import BinProtocolError
 from .manager import QualityManager
@@ -321,7 +322,6 @@ class SoapBinClient:
         if self.quality is not None:
             return self.quality.restore(reply_value, reply_format,
                                         output_format)
-        from .attributes import AttributeStore
         return trivial_handler(reply_value, reply_format, output_format,
                                self.registry, AttributeStore())
 

@@ -11,6 +11,16 @@ and ``Transfer-Encoding: chunked`` for the large-message streaming path
 (docs/wire-compact.md); :func:`encode_chunk` / :data:`LAST_CHUNK` frame
 outgoing streams.  Other transfer codings are rejected.
 
+**Framing is unambiguous or refused** (RFC 9112 §5.1, §6.3): a message
+whose body length two readers could disagree on — the request-smuggling
+class — fails with :class:`~repro.http11.errors.HttpParseError`.  A
+``Content-Length`` value is one or more ASCII digits and nothing else (no
+sign, no ``_``, no list); the header may appear **once**: a repeat is
+refused even when it repeats the same value (no collapsing).  A field
+name followed by whitespace before its colon is refused for every field,
+and ``Content-Length`` together with ``Transfer-Encoding: chunked`` is
+refused as well.
+
 **One parser.**  Every reader — both servers, the blocking and the
 pipelined client — reads HTTP through :class:`RequestParser` /
 :class:`ResponseParser`: :meth:`~_IncrementalParser.read_from` does one
@@ -105,9 +115,11 @@ class Headers:
         """Replace all values of ``name`` with one value."""
         lower = name.lower()
         items = self._items
-        if any(t[2] == lower for t in items):
-            self._items = [t for t in items if t[2] != lower]
-        self._items.append((name, str(value), lower))
+        for item in items:
+            if item[2] == lower:
+                items = self._items = [t for t in items if t[2] != lower]
+                break
+        items.append((name, str(value), lower))
 
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
         lower = name.lower()
@@ -696,13 +708,15 @@ class _IncrementalParser:
         content_length = transfer_encoding = None
         for line in lines[1:]:
             name, sep, value = line.partition(":")
-            if not sep:
+            if not sep or name.endswith((" ", "\t")):
                 raise HttpParseError(f"bad header line {line!r}")
             name = name.strip()
             value = value.strip()
             lower = name.lower()
             items.append((name, value, lower))
             if lower == "content-length":
+                if content_length is not None:
+                    raise HttpParseError("repeated Content-Length header")
                 content_length = value
             elif lower == "transfer-encoding":
                 transfer_encoding = value
@@ -715,12 +729,9 @@ class _IncrementalParser:
             return 0
         if raw_length is None:
             return 0
-        try:
-            length = int(raw_length)
-        except ValueError:
+        if not (raw_length.isascii() and raw_length.isdigit()):
             raise HttpParseError(f"bad Content-Length {raw_length!r}")
-        if length < 0:
-            raise HttpParseError("negative Content-Length")
+        length = int(raw_length)
         if length > self.max_body_bytes:
             raise HttpTooLarge(
                 f"body of {length} bytes exceeds limit of "

@@ -8,7 +8,8 @@ extends the same adaptation loop to links (and servers) that *break*.
   classifier that maps annotated low-level exceptions onto it;
 * :mod:`~repro.reliability.policy` — :class:`RetryPolicy` (per-call
   timeout, end-to-end deadline budget, deterministic jitter, idempotency
-  aware retries) and the shared execution engine;
+  aware retries) and :class:`RetryEngine`, the one round-based engine
+  every policed call runs through;
 * :mod:`~repro.reliability.breaker` — the closed→open→half-open
   :class:`CircuitBreaker`;
 * :mod:`~repro.reliability.faults` — scripted, clock-charged fault
@@ -22,21 +23,23 @@ the existing quality handlers shed payload during outages and recover after.
 """
 
 from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker, StateListener
-from .channel import ReliableChannel, reply_unavailable
+from .channel import ReliableChannel
 from .errors import (CallTimeout, CircuitOpen, ConnectFailed,
                      DeadlineExceeded, ReliabilityError, ResetMidStream,
                      ServiceUnavailable, StalledRead, TransportFailure,
                      TruncatedReply, classify_failure, mark_bytes_written)
 from .faults import (FaultInjectingChannel, FaultInjector, FaultKind,
                      FaultSchedule, FaultWindow)
-from .policy import CallMeta, JitterFn, RetryPolicy, call_with_policy
+from .policy import (CallMeta, JitterFn, RetryEngine, RetryPolicy,
+                     call_with_policy, reply_unavailable)
 
 __all__ = [
     "ReliabilityError", "ConnectFailed", "CallTimeout", "StalledRead",
     "ResetMidStream", "TruncatedReply", "TransportFailure",
     "ServiceUnavailable", "CircuitOpen", "DeadlineExceeded",
     "classify_failure", "mark_bytes_written",
-    "RetryPolicy", "CallMeta", "JitterFn", "call_with_policy",
+    "RetryPolicy", "RetryEngine", "CallMeta", "JitterFn",
+    "call_with_policy",
     "CircuitBreaker", "StateListener", "CLOSED", "OPEN", "HALF_OPEN",
     "FaultKind", "FaultWindow", "FaultSchedule", "FaultInjector",
     "FaultInjectingChannel",

@@ -5,7 +5,8 @@ This is the reliability layer's main wiring point: wrap any
 :class:`~repro.reliability.policy.RetryPolicy`, optionally guarded by a
 :class:`~repro.reliability.breaker.CircuitBreaker` whose state can be
 coupled into the quality manager (see
-:class:`~repro.core.monitor.BreakerRttCoupling`).
+:class:`~repro.core.monitor.BreakerRttCoupling`).  The work is done by one
+:class:`~repro.reliability.policy.RetryEngine`, bound at construction.
 
 Guarantees to callers above (:class:`~repro.soap.client.SoapClient`,
 :class:`~repro.core.binclient.SoapBinClient`):
@@ -19,36 +20,35 @@ Guarantees to callers above (:class:`~repro.soap.client.SoapClient`,
 * :attr:`last_call` always holds the
   :class:`~repro.reliability.policy.CallMeta` of the most recent call —
   attempts, elapsed, backoff and deadline headroom — which the SOAP and
-  SOAP-bin clients re-surface.
+  SOAP-bin clients re-surface; :attr:`last_calls` does the same per
+  sub-call of the most recent :meth:`call_many` batch.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
-from ..netsim.clock import Clock, WallClock
-from ..transport.base import Channel, ChannelReply
+from ..netsim.clock import Clock
+from ..transport.base import (BatchHeaders, BatchResult, Channel,
+                              ChannelReply, batch_headers)
 from .breaker import CircuitBreaker
-from .errors import ServiceUnavailable
-from .policy import CallMeta, RetryPolicy, call_with_policy
+from .errors import ReliabilityError
+from .policy import CallMeta, RetryEngine, RetryPolicy, one_by_one
 
 
-def reply_unavailable(reply: ChannelReply) -> ServiceUnavailable:
-    """Build the typed 503 error, honoring a ``Retry-After`` header."""
-    retry_after: Optional[float] = None
-    for name, value in (reply.headers or {}).items():
-        if name.lower() == "retry-after":
-            try:
-                retry_after = max(0.0, float(value))
-            except ValueError:
-                retry_after = None
-            break
-    return ServiceUnavailable("server answered 503 Service Unavailable",
-                              retry_after_s=retry_after)
+def _engine_attribute(name: str) -> property:
+    return property(lambda self: getattr(self.engine, name),
+                    lambda self, value: setattr(self.engine, name, value))
 
 
 class ReliableChannel(Channel):
     """A channel that absorbs transient faults instead of surfacing them."""
+
+    policy = _engine_attribute("policy")
+    breaker = _engine_attribute("breaker")
+    clock = _engine_attribute("clock")
+    coupling = _engine_attribute("coupling")
+    idempotent = _engine_attribute("idempotent")
 
     def __init__(self, inner: Channel,
                  policy: Optional[RetryPolicy] = None,
@@ -57,76 +57,39 @@ class ReliableChannel(Channel):
                  coupling: Optional[object] = None,
                  idempotent: bool = True) -> None:
         self.inner = inner
-        self.policy = policy or RetryPolicy()
-        self.breaker = breaker
-        self.clock = clock or WallClock()
-        self.coupling = coupling
-        self.idempotent = idempotent
+        self.engine = RetryEngine(policy or RetryPolicy(), clock, idempotent,
+                                  breaker, coupling)
         self.last_call: Optional[CallMeta] = None
+        self.last_calls: List[Optional[CallMeta]] = []
 
     def call(self, body: bytes, content_type: str,
              headers: Optional[Dict[str, str]] = None) -> ChannelReply:
-        # Propagate the end-to-end budget: every attempt carries the
-        # remaining milliseconds as X-Deadline-Ms (recomputed per attempt,
-        # so retries carry a shrinking budget).  See repro.serving.deadline.
-        from ..serving.deadline import with_deadline_header
-
-        deadline = None
-        if self.policy.deadline_s is not None:
-            deadline = self.clock.now() + self.policy.deadline_s
-
-        def attempt() -> ChannelReply:
-            sent = headers
-            if deadline is not None:
-                sent = with_deadline_header(headers,
-                                            deadline - self.clock.now())
-            reply = self.inner.call(body, content_type, sent)
-            if reply.status == 503:
-                raise reply_unavailable(reply)
-            return reply
-
         try:
-            reply, meta = call_with_policy(
-                attempt, self.policy, clock=self.clock,
-                idempotent=self.idempotent, breaker=self.breaker,
-                coupling=self.coupling)
-        except Exception as exc:
-            self.last_call = getattr(exc, "meta", None)
+            reply, self.last_call = self.engine.call(
+                self.inner.call, body, content_type, headers)
+        except ReliabilityError as exc:
+            self.last_call = exc.meta
             raise
-        self.last_call = meta
         return reply
 
-    def call_many(self, bodies, content_type: str, headers=None):
-        """Batch surface: one policed call per body, results in order.
+    def call_many(self, bodies: Sequence[bytes], content_type: str,
+                  headers: BatchHeaders = None) -> List[BatchResult]:
+        """Batch surface: one :class:`~repro.transport.base.BatchResult`
+        per body, in order.
 
-        Each sub-call runs under the channel's full policy independently
-        (its own attempts, backoff and deadline budget) and yields a
-        :class:`~repro.transport.sockets.BatchResult` — the same contract
-        as :meth:`~repro.transport.sockets.PipelinedHttpChannel.call_many`,
-        minus the wire-level concurrency.  This is the correctness-first
-        fallback that lets ``SoapBinClient.call_many`` run over *any*
-        wrapped transport; put a ``PipelinedHttpChannel`` inside (or use
-        one directly) when you want requests actually in flight together.
+        Each retry round goes to the inner channel's own ``call_many``
+        when it has one — so a
+        :class:`~repro.transport.sockets.PipelinedHttpChannel` inside keeps
+        its requests in flight together — and only the sub-calls whose
+        attempt failed are re-sent.  Without one, a round's sub-calls go
+        out one after another.
         """
-        from ..transport.sockets import BatchResult
-
-        if headers is None or isinstance(headers, dict):
-            headers_list = [headers] * len(bodies)
-        else:
-            if len(headers) != len(bodies):
-                raise ValueError(
-                    f"got {len(headers)} header dicts for "
-                    f"{len(bodies)} bodies")
-            headers_list = list(headers)
-        results = []
-        for body, sent in zip(bodies, headers_list):
-            try:
-                reply = self.call(body, content_type, sent)
-            except Exception as exc:  # noqa: BLE001 - typed by call()
-                results.append(BatchResult(
-                    error=exc, meta=getattr(exc, "meta", None)))
-            else:
-                results.append(BatchResult(reply=reply, meta=self.last_call))
+        send_many = getattr(self.inner, "call_many", None)
+        if send_many is None:
+            send_many = one_by_one(self.inner.call)
+        results = self.engine.call_many(send_many, bodies, content_type,
+                                        batch_headers(headers, len(bodies)))
+        self.last_calls = [result.meta for result in results]
         return results
 
     def close(self) -> None:

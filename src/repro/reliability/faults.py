@@ -37,8 +37,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..netsim.clock import Clock, VirtualClock
-from ..transport.base import Channel, ChannelReply
+from ..transport.base import (BatchHeaders, BatchResult, Channel,
+                              ChannelReply, batch_headers)
 from .errors import mark_bytes_written
+from .policy import one_by_one
 
 
 class FaultKind(enum.Enum):
@@ -239,27 +241,17 @@ class FaultInjectingChannel(Channel):
         return self._fire(kind)
 
     def call_many(self, bodies: Sequence[bytes], content_type: str,
-                  headers: Optional[Union[Dict[str, str],
-                                          Sequence[Optional[Dict[str, str]]]]]
-                  = None) -> List[Any]:
+                  headers: BatchHeaders = None) -> List[BatchResult]:
         """Batch counterpart of :meth:`call`: each slot consults the
         schedule independently, faulted slots become per-slot
-        :class:`~repro.transport.sockets.BatchResult` failures (an
+        :class:`~repro.transport.base.BatchResult` failures (an
         injected 503 stays a *reply*, everything else an *error*), and
         the surviving slots ride ``inner.call_many`` as one sub-batch —
         merged back in input order so the caller's suffix-retry logic
         sees exactly what a flaky pipelined link would produce.
         """
-        from ..transport.sockets import BatchResult
-
         total = len(bodies)
-        if headers is None or isinstance(headers, dict):
-            headers_list: List[Optional[Dict[str, str]]] = [headers] * total
-        else:
-            if len(headers) != total:
-                raise ValueError("headers sequence length != bodies length")
-            headers_list = list(headers)
-
+        headers_list = batch_headers(headers, total)
         results: List[Optional[BatchResult]] = [None] * total
         clean_idx: List[int] = []
         for i in range(total):
@@ -274,22 +266,12 @@ class FaultInjectingChannel(Channel):
             else:
                 results[i] = BatchResult(reply=reply)
         if clean_idx:
-            inner_many = getattr(self.inner, "call_many", None)
-            if inner_many is not None:
-                sub = inner_many([bodies[i] for i in clean_idx],
-                                 content_type,
-                                 [headers_list[i] for i in clean_idx])
-                for i, res in zip(clean_idx, sub):
-                    results[i] = res
-            else:
-                for i in clean_idx:
-                    try:
-                        reply = self.inner.call(bodies[i], content_type,
-                                                headers_list[i])
-                    except Exception as exc:
-                        results[i] = BatchResult(error=exc)
-                    else:
-                        results[i] = BatchResult(reply=reply)
+            inner_many = (getattr(self.inner, "call_many", None)
+                          or one_by_one(self.inner.call))
+            sub = inner_many([bodies[i] for i in clean_idx], content_type,
+                             [headers_list[i] for i in clean_idx])
+            for i, res in zip(clean_idx, sub):
+                results[i] = res
         return results  # type: ignore[return-value]
 
     def _fire(self, kind: FaultKind) -> ChannelReply:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 
 @dataclass
@@ -38,6 +38,36 @@ class ChannelReply:
     @property
     def ok(self) -> bool:
         return 200 <= self.status < 300
+
+
+@dataclass
+class BatchResult:
+    """Outcome of one sub-call of a ``call_many`` batch: exactly one of
+    ``reply`` / ``error`` is set, and ``meta`` carries the sub-call's
+    :class:`~repro.reliability.policy.CallMeta` whenever a retry policy
+    drove the batch."""
+
+    reply: Optional[ChannelReply] = None
+    error: Optional[Exception] = None
+    meta: Optional[object] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None and self.reply is not None
+
+
+#: ``call_many`` headers: one dict shared by every sub-call, or one each.
+BatchHeaders = Union[None, Dict[str, str], Sequence[Optional[Dict[str, str]]]]
+
+
+def batch_headers(headers: BatchHeaders,
+                  total: int) -> List[Optional[Dict[str, str]]]:
+    """One header dict (or ``None``) per sub-call of a batch of ``total``."""
+    if headers is None or isinstance(headers, dict):
+        return [headers] * total
+    if len(headers) != total:
+        raise ValueError(f"got {len(headers)} header dicts for {total} bodies")
+    return list(headers)
 
 
 #: Server-side request handler shared by all transports.

@@ -1,123 +1,112 @@
 """Real-socket transport: Channel over HTTP/1.1.
 
-Both socket channels optionally run every call under a
+Every socket channel optionally runs its calls under a
 :class:`~repro.reliability.policy.RetryPolicy` (plus an optional
 :class:`~repro.reliability.breaker.CircuitBreaker`): pass ``retry_policy=``
 and transient transport faults — stale sockets, refused connects, 503
 shedding from ``HttpServer(max_connections=...)`` — are classified, retried
 within the policy's deadline budget, and surfaced as typed
 :class:`~repro.reliability.errors.ReliabilityError` instead of bare
-``OSError``.  Without a policy the channels behave exactly as before.
+``OSError``.  The knobs are bound into one
+:class:`~repro.reliability.policy.RetryEngine` at construction — the same
+engine :class:`~repro.reliability.channel.ReliableChannel` uses.  Without a
+policy the channels behave exactly as before.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import (Callable, Dict, List, Optional, Sequence, Tuple, Union,
-                    TYPE_CHECKING)
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from ..http11 import (Headers, HttpConnection, HttpConnectionPool,
                       HttpError, HttpServer, PipelinedHttpConnection,
                       PipelineError, Request, Response, default_pool)
-from .base import Channel, ChannelReply, Endpoint
+from ..netsim.clock import Clock
+from ..reliability.breaker import CircuitBreaker
+from ..reliability.errors import ReliabilityError
+from ..reliability.policy import CallMeta, RetryEngine, RetryPolicy
+from .base import (BatchHeaders, BatchResult, Channel, ChannelReply,
+                   Endpoint, batch_headers)
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..netsim.clock import Clock
-    from ..reliability.breaker import CircuitBreaker
-    from ..reliability.policy import CallMeta, RetryPolicy
+
+def _to_reply(response: Response) -> ChannelReply:
+    return ChannelReply(
+        body=response.body,
+        content_type=response.content_type,
+        headers=dict(response.headers),
+        status=response.status,
+    )
 
 
-def _policed(channel: "HttpChannel | PooledHttpChannel",
-             call_once: Callable[[Optional[Dict[str, str]]], ChannelReply],
-             headers: Optional[Dict[str, str]]) -> ChannelReply:
-    """Run one channel call under the channel's retry policy.
+def _to_headers(headers: Optional[Dict[str, str]]) -> Headers:
+    extra = Headers()
+    for name, value in (headers or {}).items():
+        extra.set(name, value)
+    return extra
 
-    When the policy carries an end-to-end deadline budget, every attempt is
-    stamped with ``X-Deadline-Ms`` — the budget *remaining at send time* —
-    so an admission-controlled server (see :mod:`repro.serving`) can refuse
-    work this client is going to abandon anyway.  The value shrinks across
-    retries because it is recomputed per attempt.
 
-    Imported lazily so ``repro.transport`` and ``repro.reliability`` can be
-    imported in either order without a cycle.
-    """
-    from ..netsim.clock import WallClock
-    from ..reliability.channel import reply_unavailable
-    from ..reliability.policy import call_with_policy
-    from ..serving.deadline import with_deadline_header
+class _SocketChannel(Channel):
+    """What the socket channels share: the optional retry engine, bound
+    once from the ``retry_policy=`` / ``breaker=`` / ``clock=`` /
+    ``idempotent=`` knobs, and the policed :meth:`call` over each
+    channel's own single-attempt ``_call_once``."""
 
-    clock = channel.clock or WallClock()
-    deadline = None
-    if channel.retry_policy.deadline_s is not None:
-        deadline = clock.now() + channel.retry_policy.deadline_s
+    def _bind_policy(self, retry_policy: Optional[RetryPolicy],
+                     breaker: Optional[CircuitBreaker],
+                     clock: Optional[Clock], idempotent: bool) -> None:
+        self.engine = (RetryEngine(retry_policy, clock, idempotent, breaker)
+                       if retry_policy is not None else None)
+        self.last_call: Optional[CallMeta] = None
 
-    def attempt() -> ChannelReply:
-        sent = headers
-        if deadline is not None:
-            sent = with_deadline_header(headers, deadline - clock.now())
-        reply = call_once(sent)
-        if reply.status == 503:
-            raise reply_unavailable(reply)
+    def call(self, body: bytes, content_type: str,
+             headers: Optional[Dict[str, str]] = None) -> ChannelReply:
+        if self.engine is None:
+            return self._call_once(body, content_type, headers)
+        try:
+            reply, self.last_call = self.engine.call(
+                self._call_once, body, content_type, headers)
+        except ReliabilityError as exc:
+            self.last_call = exc.meta
+            raise
         return reply
 
-    try:
-        reply, meta = call_with_policy(
-            attempt, channel.retry_policy, clock=channel.clock,
-            idempotent=channel.idempotent, breaker=channel.breaker)
-    except Exception as exc:
-        channel.last_call = getattr(exc, "meta", None)
-        raise
-    channel.last_call = meta
-    return reply
+    def _call_once(self, body: bytes, content_type: str,
+                   headers: Optional[Dict[str, str]]) -> ChannelReply:
+        raise NotImplementedError
 
 
-class HttpChannel(Channel):
+def _timeout(timeout: float, retry_policy: Optional[RetryPolicy]) -> float:
+    """A policy's per-attempt timeout, when it has one, is the socket's."""
+    if retry_policy is not None and retry_policy.call_timeout_s is not None:
+        return retry_policy.call_timeout_s
+    return timeout
+
+
+class HttpChannel(_SocketChannel):
     """A channel speaking HTTP POST over a persistent connection."""
 
     def __init__(self, address: Union[Tuple[str, int], str],
                  target: str = "/", timeout: float = 30.0,
-                 retry_policy: Optional["RetryPolicy"] = None,
-                 breaker: Optional["CircuitBreaker"] = None,
-                 clock: Optional["Clock"] = None,
+                 retry_policy: Optional[RetryPolicy] = None,
+                 breaker: Optional[CircuitBreaker] = None,
+                 clock: Optional[Clock] = None,
                  idempotent: bool = True) -> None:
-        if retry_policy is not None \
-                and retry_policy.call_timeout_s is not None:
-            timeout = retry_policy.call_timeout_s
-        self.connection = HttpConnection(address, timeout=timeout)
+        self.connection = HttpConnection(
+            address, timeout=_timeout(timeout, retry_policy))
         self.target = target
-        self.retry_policy = retry_policy
-        self.breaker = breaker
-        self.clock = clock
-        self.idempotent = idempotent
-        self.last_call: Optional["CallMeta"] = None
-
-    def call(self, body: bytes, content_type: str,
-             headers: Optional[Dict[str, str]] = None) -> ChannelReply:
-        if self.retry_policy is None:
-            return self._call_once(body, content_type, headers)
-        return _policed(
-            self, lambda h: self._call_once(body, content_type, h), headers)
+        self._bind_policy(retry_policy, breaker, clock, idempotent)
 
     def _call_once(self, body: bytes, content_type: str,
                    headers: Optional[Dict[str, str]]) -> ChannelReply:
-        extra = Headers()
-        for name, value in (headers or {}).items():
-            extra.set(name, value)
-        response = self.connection.post(self.target, body, content_type,
-                                        headers=extra)
-        return ChannelReply(
-            body=response.body,
-            content_type=response.content_type,
-            headers={name: value for name, value in response.headers},
-            status=response.status,
-        )
+        return _to_reply(self.connection.post(
+            self.target, body, content_type, headers=_to_headers(headers)))
 
     def close(self) -> None:
         self.connection.close()
 
 
-class PooledHttpChannel(Channel):
+class PooledHttpChannel(_SocketChannel):
     """A channel drawing keep-alive connections from a shared pool.
 
     Where :class:`HttpChannel` pins one socket per channel object, this
@@ -130,84 +119,27 @@ class PooledHttpChannel(Channel):
     def __init__(self, address: Union[Tuple[str, int], str],
                  target: str = "/",
                  pool: Optional[HttpConnectionPool] = None,
-                 retry_policy: Optional["RetryPolicy"] = None,
-                 breaker: Optional["CircuitBreaker"] = None,
-                 clock: Optional["Clock"] = None,
+                 retry_policy: Optional[RetryPolicy] = None,
+                 breaker: Optional[CircuitBreaker] = None,
+                 clock: Optional[Clock] = None,
                  idempotent: bool = True) -> None:
         self.address = address
         self.target = target
         self.pool = pool if pool is not None else default_pool()
-        self.retry_policy = retry_policy
-        self.breaker = breaker
-        self.clock = clock
-        self.idempotent = idempotent
-        self.last_call: Optional["CallMeta"] = None
-
-    def call(self, body: bytes, content_type: str,
-             headers: Optional[Dict[str, str]] = None) -> ChannelReply:
-        if self.retry_policy is None:
-            return self._call_once(body, content_type, headers)
-        return _policed(
-            self, lambda h: self._call_once(body, content_type, h), headers)
+        self._bind_policy(retry_policy, breaker, clock, idempotent)
 
     def _call_once(self, body: bytes, content_type: str,
                    headers: Optional[Dict[str, str]]) -> ChannelReply:
-        extra = Headers()
-        for name, value in (headers or {}).items():
-            extra.set(name, value)
-        response = self.pool.post(self.address, self.target, body,
-                                  content_type, headers=extra)
-        return ChannelReply(
-            body=response.body,
-            content_type=response.content_type,
-            headers={name: value for name, value in response.headers},
-            status=response.status,
-        )
+        return _to_reply(self.pool.post(
+            self.address, self.target, body, content_type,
+            headers=_to_headers(headers)))
 
     def close(self) -> None:
         # Connections belong to the pool; closing the channel is a no-op.
         pass
 
 
-def _to_reply(response: Response) -> ChannelReply:
-    return ChannelReply(
-        body=response.body,
-        content_type=response.content_type,
-        headers={name: value for name, value in response.headers},
-        status=response.status,
-    )
-
-
-@dataclass
-class BatchResult:
-    """Outcome of one sub-call in a :meth:`PipelinedHttpChannel.call_many`
-    batch: exactly one of ``reply`` / ``error`` is set, and ``meta`` carries
-    the per-sub-call :class:`~repro.reliability.policy.CallMeta` whenever a
-    retry policy drove the batch."""
-
-    reply: Optional[ChannelReply] = None
-    error: Optional[Exception] = None
-    meta: Optional["CallMeta"] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None and self.reply is not None
-
-
-class _PendingCall:
-    """One sub-call's mutable state inside the batch engine."""
-
-    __slots__ = ("index", "body", "headers", "meta")
-
-    def __init__(self, index: int, body: bytes,
-                 headers: Optional[Dict[str, str]], meta) -> None:
-        self.index = index
-        self.body = body
-        self.headers = headers
-        self.meta = meta
-
-
-class PipelinedHttpChannel(Channel):
+class PipelinedHttpChannel(_SocketChannel):
     """A channel that keeps up to ``depth`` requests in flight per
     connection and spreads batches across ``connections`` sockets.
 
@@ -216,56 +148,39 @@ class PipelinedHttpChannel(Channel):
     :meth:`call_many` is the concurrency layer: the batch is split into
     contiguous chunks, one per connection, each chunk driven through an
     HTTP/1.1 pipeline at the configured depth.  With a ``retry_policy``
-    the engine re-drives *only the failed suffix* of a broken pipeline —
-    completed prefix responses are never re-sent — under the same
-    semantics as :func:`~repro.reliability.policy.call_with_policy`:
-    typed failure classification, exponential backoff honoring
-    ``Retry-After``, the end-to-end deadline budget stamped per attempt
-    as ``X-Deadline-Ms``, and per-sub-call
-    :class:`~repro.reliability.policy.CallMeta`.  503 replies are
-    treated as retryable shedding (like every policed channel); without
-    a policy they are returned as ordinary replies.
+    each retry round re-drives *only the sub-calls that failed* — the
+    answered prefix of a broken pipeline is never re-sent — through the
+    same :class:`~repro.reliability.policy.RetryEngine` rounds every
+    policed call uses: typed failure classification, exponential backoff
+    honoring ``Retry-After``, the end-to-end deadline budget stamped per
+    attempt as ``X-Deadline-Ms``, and per-sub-call
+    :class:`~repro.reliability.policy.CallMeta`.  503 replies are treated
+    as retryable shedding (like every policed channel); without a policy
+    they are returned as ordinary replies.
     """
 
     def __init__(self, address: Union[Tuple[str, int], str],
                  target: str = "/", depth: int = 8, connections: int = 1,
                  timeout: float = 30.0,
-                 retry_policy: Optional["RetryPolicy"] = None,
-                 breaker: Optional["CircuitBreaker"] = None,
-                 clock: Optional["Clock"] = None,
+                 retry_policy: Optional[RetryPolicy] = None,
+                 breaker: Optional[CircuitBreaker] = None,
+                 clock: Optional[Clock] = None,
                  idempotent: bool = True) -> None:
         if connections < 1:
             raise ValueError("connections must be >= 1")
-        if retry_policy is not None \
-                and retry_policy.call_timeout_s is not None:
-            timeout = retry_policy.call_timeout_s
         self.address = address
         self.target = target
         self.depth = depth
         self.connections = connections
-        self.timeout = timeout
-        self.retry_policy = retry_policy
-        self.breaker = breaker
-        self.clock = clock
-        self.idempotent = idempotent
-        self.last_call: Optional["CallMeta"] = None
+        self.timeout = _timeout(timeout, retry_policy)
+        self._bind_policy(retry_policy, breaker, clock, idempotent)
         #: per-sub-call metadata of the most recent call_many batch
-        self.last_calls: List[Optional["CallMeta"]] = []
+        self.last_calls: List[Optional[CallMeta]] = []
         #: dedicated connection for single calls (never shared with the
         #: batch workers, so call() stays safe alongside call_many())
         self._call_conn = PipelinedHttpConnection(address, depth=1,
-                                                  timeout=timeout)
+                                                  timeout=self.timeout)
         self._pipes: List[PipelinedHttpConnection] = []
-
-    # ------------------------------------------------------------------
-    # single-call surface (Channel protocol)
-    # ------------------------------------------------------------------
-    def call(self, body: bytes, content_type: str,
-             headers: Optional[Dict[str, str]] = None) -> ChannelReply:
-        if self.retry_policy is None:
-            return self._call_once(body, content_type, headers)
-        return _policed(
-            self, lambda h: self._call_once(body, content_type, h), headers)
 
     def _call_once(self, body: bytes, content_type: str,
                    headers: Optional[Dict[str, str]]) -> ChannelReply:
@@ -276,9 +191,7 @@ class PipelinedHttpChannel(Channel):
     # batch surface
     # ------------------------------------------------------------------
     def call_many(self, bodies: Sequence[bytes], content_type: str,
-                  headers: Optional[Union[Dict[str, str],
-                                          Sequence[Optional[Dict[str, str]]]]]
-                  = None) -> List[BatchResult]:
+                  headers: BatchHeaders = None) -> List[BatchResult]:
         """Drive ``bodies`` concurrently; one :class:`BatchResult` each.
 
         ``headers`` is either one dict shared by every sub-call or a
@@ -286,227 +199,75 @@ class PipelinedHttpChannel(Channel):
         come back in input order regardless of how the batch was spread
         across connections.
         """
-        total = len(bodies)
-        if total == 0:
-            self.last_calls = []
-            return []
-        if headers is None or isinstance(headers, dict):
-            headers_list: List[Optional[Dict[str, str]]] = \
-                [headers] * total  # type: ignore[list-item]
+        headers_list = batch_headers(headers, len(bodies))
+        if not bodies:
+            results: List[BatchResult] = []
+        elif self.engine is None:
+            results = self._send_many(bodies, content_type, headers_list)
         else:
-            if len(headers) != total:
-                raise ValueError(
-                    f"got {len(headers)} header dicts for {total} bodies")
-            headers_list = list(headers)
+            results = self.engine.call_many(self._send_many, bodies,
+                                            content_type, headers_list)
+        self.last_calls = [result.meta for result in results]
+        return results
+
+    def _send_many(self, bodies: Sequence[bytes], content_type: str,
+                   headers_list: Sequence[Optional[Dict[str, str]]]
+                   ) -> List[BatchResult]:
+        """One unpoliced round: contiguous chunks, one per connection."""
+        total = len(bodies)
         fanout = min(self.connections, total)
         while len(self._pipes) < fanout:
             self._pipes.append(PipelinedHttpConnection(
                 self.address, depth=self.depth, timeout=self.timeout))
-        chunks: List[List[_PendingCall]] = [[] for _ in range(fanout)]
-        per_chunk = -(-total // fanout)  # contiguous chunks, ceil division
-        for index in range(total):
-            chunks[index // per_chunk].append(
-                _PendingCall(index, bodies[index], headers_list[index],
-                             meta=None))
-        results: Dict[int, BatchResult] = {}
-        if fanout == 1:
-            results.update(self._drive(self._pipes[0], chunks[0],
-                                       content_type))
-        else:
-            errors: List[BaseException] = []
-            lock = threading.Lock()
+        per_chunk = -(-total // fanout)  # ceil division
+        spans = [(pipe, lo, min(lo + per_chunk, total))
+                 for pipe, lo in zip(self._pipes, range(0, total, per_chunk))]
+        results: List[Any] = [None] * total
+        requests = [self._build_request(body, content_type, headers)
+                    for body, headers in zip(bodies, headers_list)]
+        if len(spans) == 1:
+            self._drive(*spans[0], requests, results)
+            return results
+        errors: List[BaseException] = []
 
-            def worker(pipe: PipelinedHttpConnection,
-                       chunk: List[_PendingCall]) -> None:
-                try:
-                    chunk_results = self._drive(pipe, chunk, content_type)
-                except BaseException as exc:  # noqa: BLE001 - re-raised
-                    with lock:
-                        errors.append(exc)
-                    return
-                with lock:
-                    results.update(chunk_results)
+        def worker(*span) -> None:
+            try:
+                self._drive(*span, requests, results)
+            except BaseException as exc:  # noqa: BLE001 - re-raised
+                errors.append(exc)
 
-            threads = [threading.Thread(target=worker,
-                                        args=(self._pipes[i], chunks[i]),
-                                        daemon=True)
-                       for i in range(fanout) if chunks[i]]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            if errors:
-                raise errors[0]
-        ordered = [results[i] for i in range(total)]
-        self.last_calls = [r.meta for r in ordered]
-        return ordered
+        threads = [threading.Thread(target=worker, args=span, daemon=True)
+                   for span in spans]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[0]
+        return results
 
-    # ------------------------------------------------------------------
+    def _drive(self, pipe: PipelinedHttpConnection, lo: int, hi: int,
+               requests: List[Request], results: List[BatchResult]) -> None:
+        """Pipeline ``requests[lo:hi]`` on ``pipe``; the answered prefix of
+        a broken pipeline keeps its replies, the rest share its error."""
+        error: Optional[BaseException] = None
+        try:
+            responses = pipe.request_many(requests[lo:hi])
+        except PipelineError as exc:
+            responses, error = exc.responses, exc
+        except (HttpError, OSError) as exc:
+            responses, error = [], exc
+        for index, response in enumerate(responses, lo):
+            results[index] = BatchResult(reply=_to_reply(response))
+        for index in range(lo + len(responses), hi):
+            results[index] = BatchResult(error=error)
+
     def _build_request(self, body: bytes, content_type: str,
                        headers: Optional[Dict[str, str]]) -> Request:
-        extra = Headers()
-        for name, value in (headers or {}).items():
-            extra.set(name, value)
         request = Request(method="POST", target=self.target,
-                          headers=extra, body=body)
+                          headers=_to_headers(headers), body=body)
         request.headers.set("Content-Type", content_type)
         return request
-
-    def _drive(self, pipe: PipelinedHttpConnection,
-               chunk: List[_PendingCall],
-               content_type: str) -> Dict[int, BatchResult]:
-        """Run one chunk through one pipelined connection (with retries)."""
-        if self.retry_policy is None:
-            return self._drive_once(pipe, chunk, content_type)
-        return self._drive_policed(pipe, chunk, content_type)
-
-    def _drive_once(self, pipe: PipelinedHttpConnection,
-                    chunk: List[_PendingCall],
-                    content_type: str) -> Dict[int, BatchResult]:
-        results: Dict[int, BatchResult] = {}
-        requests = [self._build_request(item.body, content_type,
-                                        item.headers) for item in chunk]
-        try:
-            responses = pipe.request_many(requests)
-        except PipelineError as exc:
-            for item, response in zip(chunk, exc.responses):
-                results[item.index] = BatchResult(reply=_to_reply(response))
-            for item in chunk[len(exc.responses):]:
-                results[item.index] = BatchResult(error=exc)
-            return results
-        except (HttpError, OSError) as exc:
-            for item in chunk:
-                results[item.index] = BatchResult(error=exc)
-            return results
-        for item, response in zip(chunk, responses):
-            results[item.index] = BatchResult(reply=_to_reply(response))
-        return results
-
-    def _drive_policed(self, pipe: PipelinedHttpConnection,
-                       chunk: List[_PendingCall],
-                       content_type: str) -> Dict[int, BatchResult]:
-        # The batched twin of reliability.policy.call_with_policy: same
-        # classification, retry-safety, backoff and deadline rules, but
-        # one *round* pipelines every still-pending sub-call, and only
-        # the unanswered suffix of a broken round is re-driven.
-        from ..netsim.clock import WallClock
-        from ..reliability.channel import reply_unavailable
-        from ..reliability.errors import (CircuitOpen, DeadlineExceeded,
-                                          classify_failure)
-        from ..reliability.policy import CallMeta
-        from ..serving.deadline import with_deadline_header
-
-        policy = self.retry_policy
-        assert policy is not None
-        clock = self.clock or WallClock()
-        start = clock.now()
-        deadline = (start + policy.deadline_s
-                    if policy.deadline_s is not None else None)
-        results: Dict[int, BatchResult] = {}
-        for item in chunk:
-            item.meta = CallMeta(deadline_s=policy.deadline_s)
-
-        def finalize(item: _PendingCall, error) -> None:
-            item.meta.elapsed_s = clock.now() - start
-            if deadline is not None:
-                item.meta.deadline_remaining_s = max(
-                    0.0, deadline - clock.now())
-            error.attempts = item.meta.attempts
-            error.meta = item.meta
-            results[item.index] = BatchResult(error=error, meta=item.meta)
-
-        def succeed(item: _PendingCall, reply: ChannelReply) -> None:
-            item.meta.elapsed_s = clock.now() - start
-            if deadline is not None:
-                item.meta.deadline_remaining_s = deadline - clock.now()
-            results[item.index] = BatchResult(reply=reply, meta=item.meta)
-
-        pending = list(chunk)
-        while pending:
-            if deadline is not None and clock.now() >= deadline:
-                for item in pending:
-                    item.meta.faults.append("DeadlineExceeded")
-                    finalize(item, DeadlineExceeded(
-                        f"deadline budget of {policy.deadline_s:g}s "
-                        f"exhausted after {item.meta.attempts} attempt(s)"))
-                return results
-            for item in pending:
-                item.meta.attempts += 1
-            failed: List[Tuple[_PendingCall, object]] = []
-            if self.breaker is not None and not self.breaker.allow():
-                for item in pending:
-                    failed.append((item, CircuitOpen(
-                        "circuit breaker is open",
-                        retry_after_s=self.breaker.cooldown_remaining())))
-            else:
-                requests = []
-                for item in pending:
-                    sent = item.headers
-                    if deadline is not None:
-                        sent = with_deadline_header(
-                            item.headers, deadline - clock.now())
-                    requests.append(self._build_request(
-                        item.body, content_type, sent))
-                answered: List[Response] = []
-                batch_error: Optional[BaseException] = None
-                try:
-                    answered = pipe.request_many(requests)
-                except PipelineError as exc:
-                    answered = exc.responses
-                    batch_error = exc
-                except (HttpError, OSError) as exc:
-                    batch_error = exc
-                for item, response in zip(pending, answered):
-                    if response.status == 503:
-                        if self.breaker is not None:
-                            self.breaker.record_failure()
-                        failed.append(
-                            (item, reply_unavailable(_to_reply(response))))
-                    else:
-                        if self.breaker is not None:
-                            self.breaker.record_success()
-                        succeed(item, _to_reply(response))
-                if batch_error is not None:
-                    # Every unanswered sub-call shares the round's typed
-                    # error: the head of the suffix genuinely failed, the
-                    # rest were aborted by pipeline ordering.  The shared
-                    # bytes_written annotation keeps the conservative
-                    # idempotency rule for all of them.
-                    typed = classify_failure(batch_error)
-                    for item in pending[len(answered):]:
-                        if self.breaker is not None:
-                            self.breaker.record_failure()
-                        failed.append((item, typed))
-            survivors: List[_PendingCall] = []
-            pauses: List[float] = []
-            for item, error in failed:
-                item.meta.faults.append(type(error).__name__)
-                if (not policy.may_retry(error, self.idempotent)
-                        or item.meta.attempts >= policy.max_attempts):
-                    finalize(item, error)
-                    continue
-                pause = policy.backoff_for(item.meta.attempts)
-                if error.retry_after_s is not None:
-                    pause = max(pause, error.retry_after_s)
-                survivors.append(item)
-                pauses.append(pause)
-            if not survivors:
-                return results
-            pause = max(pauses)
-            if deadline is not None and clock.now() + pause >= deadline:
-                for item in survivors:
-                    overrun = DeadlineExceeded(
-                        f"backoff of {pause:g}s would overrun the "
-                        f"{policy.deadline_s:g}s deadline budget")
-                    item.meta.faults.append("DeadlineExceeded")
-                    finalize(item, overrun)
-                return results
-            for item in survivors:
-                item.meta.retried = True
-                item.meta.backoff_s += pause
-            clock.sleep(pause)
-            pending = survivors
-        return results
 
     def close(self) -> None:
         self._call_conn.close()

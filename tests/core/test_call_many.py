@@ -8,8 +8,8 @@ import pytest
 from repro.core import BinProtocolError, SoapBinClient, SoapBinService
 from repro.pbio import Format, FormatRegistry
 from repro.reliability import ReliableChannel, RetryPolicy
-from repro.transport import (DirectChannel, PipelinedHttpChannel,
-                             serve_endpoint)
+from repro.transport import (ChannelReply, DirectChannel,
+                             PipelinedHttpChannel, serve_endpoint)
 
 
 @pytest.fixture()
@@ -142,7 +142,8 @@ class TestPartialFailure:
 
 
 class TestPolicedBatch:
-    def test_shed_subcalls_are_retried_with_meta(self, registry):
+    def _shed_first_three(self, registry):
+        """Echo service whose first three requests are shed with 503."""
         svc = SoapBinService(registry)
         state = {"left": 3}
         lock = threading.Lock()
@@ -162,17 +163,18 @@ class TestPolicedBatch:
                 if shed:
                     state["left"] -= 1
             if shed:
-                from repro.transport.base import ChannelReply
                 return ChannelReply(body=b"shed", content_type="text/plain",
                                     headers={"Retry-After": "0.01"},
                                     status=503)
             return inner(body, content_type, headers)
 
-        with serve_endpoint(shedding_endpoint) as server:
+        return shedding_endpoint
+
+    def _shed_subcalls_are_retried(self, registry, make_channel):
+        with serve_endpoint(self._shed_first_three(registry)) as server:
             policy = RetryPolicy(max_attempts=4, backoff_initial_s=0.01,
                                  backoff_max_s=0.05)
-            channel = PipelinedHttpChannel(server.address, depth=4,
-                                           retry_policy=policy)
+            channel = make_channel(server.address, policy)
             client = SoapBinClient(channel, registry)
             out = client.call_many("Echo", params_batch(8),
                                    registry.by_name("EchoRequest"),
@@ -182,6 +184,52 @@ class TestPolicedBatch:
             assert any(m.retried for m in metas)
             assert any("ServiceUnavailable" in m.faults for m in metas)
             channel.close()
+
+    def test_shed_subcalls_are_retried_with_meta(self, registry):
+        self._shed_subcalls_are_retried(
+            registry, lambda address, policy: PipelinedHttpChannel(
+                address, depth=4, retry_policy=policy))
+
+    def test_shed_subcalls_are_retried_through_reliable_channel(
+            self, registry):
+        self._shed_subcalls_are_retried(
+            registry, lambda address, policy: ReliableChannel(
+                PipelinedHttpChannel(address, depth=4), policy=policy))
+
+    def test_reliable_channel_pipelines_each_round(self):
+        """ReliableChannel over a pipelined channel hands each retry round
+        to ``inner.call_many`` once — not once per body — and re-sends
+        only the shed sub-calls."""
+        shed = {"left": 3}
+        lock = threading.Lock()
+
+        def shedding_echo(body, content_type, headers):
+            with lock:
+                if shed["left"] > 0:
+                    shed["left"] -= 1
+                    return ChannelReply(body=b"", status=503,
+                                        headers={"Retry-After": "0"})
+            return ChannelReply(body=body, content_type=content_type)
+
+        with serve_endpoint(shedding_echo) as server:
+            inner = PipelinedHttpChannel(server.address, depth=4)
+            rounds = []
+            send_many = inner.call_many
+
+            def counting_call_many(bodies, content_type, headers=None):
+                rounds.append(list(bodies))
+                return send_many(bodies, content_type, headers)
+
+            inner.call_many = counting_call_many
+            channel = ReliableChannel(inner, policy=RetryPolicy(
+                max_attempts=3, backoff_initial_s=0.0))
+            bodies = [b"%d" % i for i in range(8)]
+            results = channel.call_many(bodies, "text/plain")
+            channel.close()
+        assert [r.reply.body for r in results] == bodies
+        # one pipelined round for the batch, one for the shed prefix
+        assert rounds == [bodies, bodies[:3]]
+        assert [m.attempts for m in channel.last_calls] == [2] * 3 + [1] * 5
 
     def test_reliable_channel_fallback_batch(self, service, registry):
         with serve_endpoint(service.endpoint) as server:

@@ -5,7 +5,9 @@ messages, chunked bodies with trailers — must parse to the same
 (start line, headers, body) sequence whether the input arrives whole,
 fed in pieces split at arbitrary offsets, or read through ``read_from``
 over a socket-like source.  Malformed input must end in a typed
-``HttpError`` for every split, never in a hang.
+``HttpError`` for every split, never in a hang, and a committed corpus of
+ambiguous framings (the request-smuggling class) must be refused with
+``HttpParseError`` by both parsers at every split.
 
 ``REPRO_SOAK=1`` (the CI ``reactor-soak`` job) runs ten times the
 examples.
@@ -15,8 +17,10 @@ import os
 
 from hypothesis import given, settings, strategies as st
 
-from repro.http11 import (HttpConnectionClosed, HttpError, Request,
-                          RequestParser, ResponseParser)
+import pytest
+
+from repro.http11 import (HttpConnectionClosed, HttpError, HttpParseError,
+                          Request, RequestParser, ResponseParser)
 from tests.http11.scripted import Pieces
 
 EXAMPLES = 100 * (10 if os.environ.get("REPRO_SOAK") == "1" else 1)
@@ -125,3 +129,39 @@ def test_malformed_input_ends_in_a_typed_error_for_every_split(case, data):
     assert _read(kind, _pieces(blob, [o for o in offsets
                                       if o <= len(blob)])) == outcome
     assert _read(kind, Pieces.split(blob, 1).pieces) == outcome
+
+
+#: Header blocks whose body length two readers could disagree on
+#: (RFC 9112 §5.1, §6.3).  Each is followed by five body bytes, so a
+#: parser that picks any one of the values frames *some* message.
+SMUGGLING_CORPUS = {
+    "differing-repeat": b"Content-Length: 3\r\nContent-Length: 5\r\n",
+    "identical-repeat": b"Content-Length: 5\r\nContent-Length: 5\r\n",
+    "list-value": b"Content-Length: 5, 5\r\n",
+    "space-before-colon": b"Content-Length : 3\r\n",
+    "tab-before-colon": b"Content-Length\t: 3\r\n",
+    "space-before-colon-any-field": b"X-Pad : 1\r\nContent-Length: 5\r\n",
+    "plus-sign": b"Content-Length: +3\r\n",
+    "underscore": b"Content-Length: 1_0\r\n",
+    "non-ascii-digit": "Content-Length: \u00b3\r\n".encode("latin-1"),
+}
+
+_STARTS = {"request": b"POST /x HTTP/1.1\r\n",
+           "response": b"HTTP/1.1 200 OK\r\n"}
+
+
+def _every_split(wire):
+    yield [wire]
+    for at in range(1, len(wire)):
+        yield [wire[:at], wire[at:]]
+    yield Pieces.split(wire, 1).pieces
+
+
+@pytest.mark.parametrize("kind", ["request", "response"])
+@pytest.mark.parametrize("case", sorted(SMUGGLING_CORPUS))
+def test_ambiguous_framing_is_refused_at_every_split(kind, case):
+    wire = _STARTS[kind] + SMUGGLING_CORPUS[case] + b"\r\nabcde"
+    for pieces in _every_split(wire):
+        assert _read(kind, list(pieces)) == ([], HttpParseError)
+        with pytest.raises(HttpParseError):
+            _fed(kind, list(pieces))

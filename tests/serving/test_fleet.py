@@ -12,7 +12,7 @@ import pytest
 from repro.core import SoapBinClient, SoapBinService
 from repro.http11 import HttpConnection, Response
 from repro.pbio import Format, FormatRegistry
-from repro.reliability import RetryPolicy
+from repro.reliability import ReliableChannel, RetryPolicy
 from repro.serving import AdmissionController, FleetServer
 from repro.transport import (HttpChannel, PipelinedHttpChannel,
                              endpoint_http_handler)
@@ -194,7 +194,7 @@ class TestSupervision:
             fleet.close()
             capfd.readouterr()           # swallow the children's tracebacks
 
-    def test_sigkill_mid_batch_loses_no_calls_under_retry(self):
+    def _sigkill_mid_batch(self, make_channel):
         """Acceptance: killing one worker mid-load must not lose accepted
         in-flight calls beyond that worker's — and with the client retry
         policy re-driving the failed suffix, even those complete."""
@@ -204,9 +204,7 @@ class TestSupervision:
             registry.register(ECHO_FMT)
             policy = RetryPolicy(max_attempts=5, deadline_s=60.0,
                                  backoff_initial_s=0.02)
-            channel = PipelinedHttpChannel(fleet.address, depth=8,
-                                           connections=2,
-                                           retry_policy=policy)
+            channel = make_channel(fleet.address, policy)
             client = SoapBinClient(channel, registry)
             params = [{"seq": i, "payload": [float(i)], "pid": 0}
                       for i in range(240)]
@@ -229,6 +227,15 @@ class TestSupervision:
             assert len(results) == 240
             assert [r["seq"] for r in results] == list(range(240))
             assert fleet.wait_ready(10.0)    # capacity restored
+
+    def test_sigkill_mid_batch_loses_no_calls_under_retry(self):
+        self._sigkill_mid_batch(lambda address, policy: PipelinedHttpChannel(
+            address, depth=8, connections=2, retry_policy=policy))
+
+    def test_sigkill_mid_batch_through_reliable_channel(self):
+        self._sigkill_mid_batch(lambda address, policy: ReliableChannel(
+            PipelinedHttpChannel(address, depth=8, connections=2),
+            policy=policy))
 
 
 class TestRollingRestart:

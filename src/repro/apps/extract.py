@@ -46,6 +46,7 @@ from ..core import SoapBinService
 from ..core.lru import LruTtlCache
 from ..http11.messages import etag_matches
 from ..pbio import Format, FormatRegistry
+from ..serving.deadline import HEADER_DEADLINE_MS, header_value
 
 #: Operation names (also the request format → operation mapping keys).
 DESCRIBE_OPERATION = "ExtractDescribe"
@@ -256,7 +257,7 @@ class _ExtractBinService(SoapBinService):
         op = self._operation_for(wire_format, headers)
         params = self._restore_request(wire_value, wire_format, op)
         self._ingest_reported_rtt(headers)
-        if_none_match = self._if_none_match(headers)
+        if_none_match = header_value(headers, "If-None-Match")
         dedup_key = None
         if op.name == FETCH_OPERATION:
             dedup_key = (params["job_id"], params["cursor"])
@@ -420,13 +421,13 @@ class ExtractService:
 
     @staticmethod
     def _deadline_ms(headers: Dict[str, str]) -> Optional[float]:
-        for name, value in headers.items():
-            if name.lower() == "x-deadline-ms":
-                try:
-                    return float(value)
-                except ValueError:
-                    return None
-        return None
+        value = header_value(headers, HEADER_DEADLINE_MS)
+        if value is None:
+            return None
+        try:
+            return float(value)
+        except ValueError:
+            return None
 
     # -- job registry ---------------------------------------------------
     def _touch_job(self, job_id: str, watermark: int) -> int:

@@ -27,6 +27,7 @@ from typing import Any, Callable, Dict, Optional, Set, Tuple, Union
 
 from ..pbio import (Format, FormatRegistry, PbioSession,
                     UnknownFormatError, WIRE_MODES)
+from ..serving.deadline import header_value
 from ..soap.errors import SoapFault
 from ..soap.service import Operation, SoapService
 from ..transport import ChannelReply
@@ -182,8 +183,8 @@ class SoapBinService:
         """
         if content_type.split(";")[0].strip() == PBIO_CONTENT_TYPE:
             return self._binary_request(body, headers)
-        if self.quality is not None and "content-encoding" not in {
-                k.lower() for k in headers}:
+        if self.quality is not None and header_value(
+                headers, "Content-Encoding") is None:
             return self._xml_quality_request(body, headers)
         # Interoperability: plain SOAP clients hit the same endpoint.
         return self.xml_service.endpoint(body, content_type, headers)
@@ -203,7 +204,7 @@ class SoapBinService:
             wire_format, wire_value, etag, not_modified = \
                 self.quality.outgoing_keyed(
                     result, op.output_format,
-                    if_none_match=self._if_none_match(headers),
+                    if_none_match=header_value(headers, "If-None-Match"),
                     variant=f"xml:{op.response_name}",
                     value_digest=digest)
             if not_modified:
@@ -264,7 +265,7 @@ class SoapBinService:
         # so it is computed after unpack_stream, never before.
         variant = f"pbio:{session.wire_rep()}"
         reply_format, reply_value, etag, not_modified = self._apply_quality(
-            result, op.output_format, self._if_none_match(headers),
+            result, op.output_format, header_value(headers, "If-None-Match"),
             variant=variant, value_digest=digest)
         # a degraded reply's bytes ride on its quality entry and must never
         # make one: a value-less entry under its key would read as a hit
@@ -295,13 +296,6 @@ class SoapBinService:
         result = self.xml_service.invoke(op, params, headers)
         return cache.store_result(op.name, params_digest, result,
                                   flushes_before)
-
-    @staticmethod
-    def _if_none_match(headers: Dict[str, str]) -> Optional[str]:
-        for name, value in headers.items():
-            if name.lower() == "if-none-match":
-                return value
-        return None
 
     def _pack_reply(self, session: PbioSession, reply_format: Format,
                     reply_value: Dict[str, Any], etag: Optional[str],

@@ -19,7 +19,7 @@ sign, no ``_``, no list); the header may appear **once**: a repeat is
 refused even when it repeats the same value (no collapsing).  A field
 name followed by whitespace before its colon is refused for every field,
 and ``Content-Length`` together with ``Transfer-Encoding: chunked`` is
-refused as well.
+refused as well; so is a CR or LF outside a CRLF, a NUL, or a folded line.
 
 **One parser.**  Every reader — both servers, the blocking and the
 pipelined client — reads HTTP through :class:`RequestParser` /
@@ -53,7 +53,7 @@ import io
 import socket
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import HttpConnectionClosed, HttpParseError, HttpTooLarge
 
@@ -96,57 +96,69 @@ REASONS = {
 class Headers:
     """A case-insensitive, order-preserving header multimap.
 
-    Stored as ``(name, value, lowercased-name)`` triples so lookups on
-    the parse/serialize hot path never re-lowercase stored keys.
+    ``_items``: the ``(name, value)`` pairs in wire order and case;
+    ``_index``: lower-cased name -> first value, so lookups never scan.
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ("_items", "_index")
 
-    def __init__(self, items: Optional[List[Tuple[str, str]]] = None) -> None:
-        self._items: List[Tuple[str, str, str]] = []
-        if items:
-            for name, value in items:
-                self.add(name, value)
+    def __init__(self, items: Optional[Iterable[Tuple[str, str]]] = None
+                 ) -> None:
+        self._items: List[Tuple[str, str]] = []
+        self._index: Dict[str, str] = {}
+        for name, value in items or ():
+            self.add(name, value)
 
     def add(self, name: str, value: str) -> None:
-        self._items.append((name, str(value), name.lower()))
+        value = str(value)
+        self._items.append((name, value))
+        self._index.setdefault(name.lower(), value)
 
     def set(self, name: str, value: str) -> None:
         """Replace all values of ``name`` with one value."""
         lower = name.lower()
-        items = self._items
-        for item in items:
-            if item[2] == lower:
-                items = self._items = [t for t in items if t[2] != lower]
-                break
-        items.append((name, str(value), lower))
+        if lower in self._index:
+            self._drop(lower)
+        value = str(value)
+        self._items.append((name, value))
+        self._index[lower] = value
 
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
-        lower = name.lower()
-        for _n, v, l in self._items:
-            if l == lower:
-                return v
-        return default
+        return self._index.get(name.lower(), default)
 
     def get_all(self, name: str) -> List[str]:
         lower = name.lower()
-        return [v for _n, v, l in self._items if l == lower]
+        if lower not in self._index:
+            return []
+        return [v for n, v in self._items if n.lower() == lower]
 
     def remove(self, name: str) -> None:
-        lower = name.lower()
-        self._items = [t for t in self._items if t[2] != lower]
+        self._drop(name.lower())
+
+    def _drop(self, lower: str) -> None:
+        if self._index.pop(lower, None) is not None:
+            self._items = [item for item in self._items
+                           if item[0].lower() != lower]
 
     def __contains__(self, name: str) -> bool:
-        return self.get(name) is not None
+        return name.lower() in self._index
 
     def __iter__(self) -> Iterator[Tuple[str, str]]:
-        return iter([(n, v) for n, v, _l in self._items])
+        return iter(self._items.copy())
 
     def __len__(self) -> int:
         return len(self._items)
 
     def __repr__(self) -> str:
-        return f"Headers({[(n, v) for n, v, _l in self._items]!r})"
+        return f"Headers({self._items!r})"
+
+
+class HeaderFields(dict):
+    """A request's headers as endpoints get them: wire-case name -> value.
+    ``folded`` (lower-cased name -> value) makes a lookup in any letter
+    case O(1) (:func:`repro.serving.deadline.header_value`)."""
+
+    __slots__ = ("folded",)
 
 
 @dataclass
@@ -161,16 +173,26 @@ class Request:
     #: True when the body is NOT in :attr:`body` but drains incrementally
     #: through ``RequestParser.drain_body`` (reactor streaming routes).
     streaming: bool = False
+    _fields: Optional[HeaderFields] = field(default=None, init=False,
+                                            repr=False, compare=False)
 
     @property
     def content_type(self) -> str:
         return self.headers.get("Content-Type", "")
 
+    def fields(self) -> HeaderFields:
+        """The headers as one dict (a repeated name keeps its last value),
+        built once and shared by every caller: change no header after."""
+        if self._fields is None:
+            self._fields = HeaderFields(self.headers._items)
+            self._fields.folded = self.headers._index.copy()
+        return self._fields
+
     def wants_keep_alive(self) -> bool:
-        token = (self.headers.get("Connection") or "").lower()
+        token = self.headers.get("Connection")
         if self.version == "HTTP/1.0":
-            return token == "keep-alive"
-        return token != "close"
+            return token is not None and token.lower() == "keep-alive"
+        return token is None or token.lower() != "close"
 
     def head_bytes(self) -> bytes:
         """Request line and header block; the body follows it on the wire."""
@@ -207,8 +229,9 @@ class Response:
 
     def head_bytes(self) -> bytes:
         """Status line and header block; the body follows it on the wire."""
-        return _serialize_head(f"{self.version} {self.status} {self.reason}",
-                               self.headers, len(self.body))
+        start = (_STATUS_LINES.get((self.version, self.status))
+                 or f"{self.version} {self.status} {self.reason}")
+        return _serialize_head(start, self.headers, len(self.body))
 
     def to_bytes(self) -> bytes:
         return self.head_bytes() + self.body
@@ -287,23 +310,11 @@ def encode_chunk(data: bytes) -> bytes:
     return b"%x\r\n" % len(data) + bytes(data) + b"\r\n"
 
 
-def _parse_transfer_encoding(value: Optional[str],
-                             raw_length: Optional[str]) -> bool:
-    """True when ``value`` declares a chunked body.
-
-    Only the single ``chunked`` coding is supported; anything else — and
-    the illegal combination with ``Content-Length`` — fails the message
-    (framing would be ambiguous, RFC 9112 §6.3).
-    """
-    if not value:
-        return False
-    codings = [t.strip().lower() for t in value.split(",") if t.strip()]
-    if codings != ["chunked"]:
-        raise HttpParseError(f"unsupported Transfer-Encoding {value!r}")
-    if raw_length is not None:
-        raise HttpParseError(
-            "message has both Content-Length and Transfer-Encoding: chunked")
-    return True
+def _stray(text: str, crlfs: int) -> bool:
+    """Whether ``text``, holding ``crlfs`` CRLFs, also holds a CR or LF
+    outside them, or a NUL."""
+    return (text.count("\n") != crlfs or text.count("\r") != crlfs
+            or "\0" in text)
 
 
 def _parse_chunk_size(line: bytes) -> int:
@@ -317,18 +328,22 @@ def _parse_chunk_size(line: bytes) -> int:
     return size
 
 
+#: The status line of every ``(version, status)`` in ``REASONS``.
+_STATUS_LINES = {(version, status): f"{version} {status} {reason}"
+                 for version in ("HTTP/1.1", "HTTP/1.0")
+                 for status, reason in REASONS.items()}
+
+
 def _serialize_head(start_line: str, headers: Headers,
                     body_length: int) -> bytes:
-    parts = [start_line, "\r\n"]
-    has_length = False
-    for name, value, lower in headers._items:
-        if lower in ("content-length", "transfer-encoding"):
-            has_length = True
-        parts += (name, ": ", value, "\r\n")
-    if not has_length:
-        parts += ("Content-Length: ", str(body_length), "\r\n")
-    parts.append("\r\n")
-    return "".join(parts).encode("latin-1")
+    """The head in one join; ``Content-Length`` is added unless the
+    headers frame the body themselves."""
+    lines = [start_line, *map(": ".join, headers._items)]
+    index = headers._index
+    if "content-length" not in index and "transfer-encoding" not in index:
+        lines.append(f"Content-Length: {body_length}")
+    lines.append("\r\n")
+    return "\r\n".join(lines).encode("latin-1")
 
 
 #: A body shorter than this goes out copied behind its head as one buffer:
@@ -364,16 +379,17 @@ def send_gather(sock: socket.socket, *buffers) -> Iterator[int]:
         consume_views(views, sent)
 
 
-def consume_views(views: "deque[memoryview]", sent: int) -> None:
+def consume_views(views: deque, sent: int) -> None:
     """Drop the first ``sent`` bytes from a queue of buffers written in
-    order (whole buffers popped, a partly written one re-sliced)."""
+    order (whole buffers popped, a partly written one replaced by a view
+    of its unwritten tail)."""
     while sent:
         head = views[0]
         if sent >= len(head):
             sent -= len(head)
             views.popleft()
         else:
-            views[0] = head[sent:]
+            views[0] = memoryview(head)[sent:]
             sent = 0
 
 
@@ -511,65 +527,76 @@ class _IncrementalParser:
         if self._failed:
             raise HttpParseError("parser already failed; framing lost")
         try:
-            return self._next()
+            if self._streaming:
+                # The head is already out; body bytes leave via drain_body().
+                return None
+            buf = self._buf
+            if self._head is None:
+                end = buf.find(b"\r\n\r\n", max(self._pos, self._scan - 3))
+                if end < 0:
+                    if len(buf) > self._pos:
+                        self._check_partial_head()
+                    return None
+                if end - self._pos > self.max_header_bytes:
+                    raise HttpTooLarge(
+                        f"header block exceeds limit of "
+                        f"{self.max_header_bytes} bytes")
+                head = bytes(buf[self._pos:end])
+                self._pos = self._scan = end + 4
+                (start_line, headers, raw_length,
+                 transfer_encoding) = self._split_head(head)
+                parsed_start = self._parse_start_line(start_line)
+                self._body_length = self._content_length(raw_length,
+                                                         transfer_encoding)
+                self._head = (parsed_start, headers)
+                if self._chunked and self._should_stream(parsed_start,
+                                                         headers):
+                    self._head = None
+                    self._streaming = True
+                    return self._build_streaming(parsed_start, headers)
+            if self._chunked:
+                return self._next_chunked()
+            if self._owned is not None:
+                if self._owned_filled < self._body_length:
+                    return None
+                body = self._owned.getvalue()   # hands its buffer over
+                self._owned = None
+            elif len(buf) - self._pos < self._body_length:
+                self._compact()  # keep the wait-for-body footprint small
+                return None
+            else:
+                end = self._pos + self._body_length
+                body = bytes(memoryview(buf)[self._pos:end])
+                self._pos = end
+                if end >= len(buf):
+                    del buf[:]          # cheap reset: all bytes consumed
+                    self._pos = self._scan = 0
+                elif end > 65536:
+                    self._compact()
+            parsed_start, headers = self._head
+            self._head = None
+            self._body_length = 0
+            return self._build(parsed_start, headers, body)
         except (HttpParseError, HttpTooLarge):
             self._failed = True
             raise
 
-    def _next(self):
-        if self._streaming:
-            # The head is already out; body bytes leave via drain_body().
-            return None
-        if self._head is None:
-            end = self._buf.find(b"\r\n\r\n",
-                                 max(self._pos, self._scan - 3))
-            if end < 0:
-                if len(self._buf) - self._pos > self.max_header_bytes:
-                    raise HttpTooLarge(
-                        f"header block exceeds limit of "
-                        f"{self.max_header_bytes} bytes")
-                self._scan = len(self._buf)
-                return None
-            if end - self._pos > self.max_header_bytes:
-                raise HttpTooLarge(
-                    f"header block exceeds limit of "
-                    f"{self.max_header_bytes} bytes")
-            head = bytes(self._buf[self._pos:end])
-            self._pos = end + 4
-            self._scan = self._pos
-            (start_line, headers, raw_length,
-             transfer_encoding) = self._split_head(head)
-            parsed_start = self._parse_start_line(start_line)
-            self._body_length = self._content_length(raw_length,
-                                                     transfer_encoding)
-            self._head = (parsed_start, headers)
-            if self._chunked and self._should_stream(parsed_start, headers):
-                self._head = None
-                self._streaming = True
-                return self._build_streaming(parsed_start, headers)
-        if self._chunked:
-            return self._next_chunked()
-        if self._owned is not None:
-            if self._owned_filled < self._body_length:
-                return None
-            body = self._owned.getvalue()   # hands its buffer over
-            self._owned = None
-        elif len(self._buf) - self._pos < self._body_length:
-            self._compact()  # keep the wait-for-body footprint small
-            return None
-        else:
-            end = self._pos + self._body_length
-            body = bytes(memoryview(self._buf)[self._pos:end])
-            self._pos = end
-            if self._pos >= len(self._buf):
-                del self._buf[:]        # cheap reset: all bytes consumed
-                self._pos = self._scan = 0
-            elif self._pos > 65536:
-                self._compact()
-        parsed_start, headers = self._head
-        self._head = None
-        self._body_length = 0
-        return self._build(parsed_start, headers, body)
+    def _check_partial_head(self) -> None:
+        """No head end yet: refuse a head that can never end (too large, a
+        bare CR or LF, a NUL) instead of waiting.  Checks the bytes new
+        since the last call; a CR at the very end may still get its LF."""
+        buf, pos = self._buf, self._pos
+        start = max(pos, self._scan - 1)
+        if start > pos and buf[start] == 10:
+            start += 1              # an LF checked together with its CR
+        tail = buf[start:len(buf) - buf.endswith(b"\r")].decode("latin-1")
+        if _stray(tail, tail.count("\r\n")):
+            raise HttpParseError("bare CR, LF or NUL in the message head")
+        if len(buf) - pos > self.max_header_bytes:
+            raise HttpTooLarge(
+                f"header block exceeds limit of "
+                f"{self.max_header_bytes} bytes")
+        self._scan = len(buf)
 
     # -- chunked bodies ------------------------------------------------
     def _next_chunked(self):
@@ -699,32 +726,52 @@ class _IncrementalParser:
     @staticmethod
     def _split_head(head: bytes) -> Tuple[str, Headers, Optional[str],
                                           Optional[str]]:
-        """Split a header block; also captures the two framing headers
-        (Content-Length, Transfer-Encoding) during the same pass so the
-        hot path never re-scans the header list."""
-        lines = head.decode("latin-1").split("\r\n")
+        """Split a header block into its start line, :class:`Headers` and
+        the two framing headers (Content-Length, Transfer-Encoding).
+        Refused: a CR or LF outside a CRLF or a NUL (RFC 9110 §5.5), a
+        folded line (RFC 9112 §5.2), whitespace before a colon, and a
+        repeated framing header."""
+        text = head.decode("latin-1")
+        lines = text.split("\r\n")
+        if _stray(text, len(lines) - 1):
+            raise HttpParseError("bare CR, LF or NUL in the message head")
+        tabs = "\t" in text            # rare: one cheap scan spares two
+        if "\n " in text or tabs and "\n\t" in text:
+            raise HttpParseError("obsolete line folding in the message head")
+        # " :" may sit in a value: names are checked only if the head has any
+        check_names = " :" in text or tabs and "\t:" in text
         headers = Headers()
-        items = headers._items
-        content_length = transfer_encoding = None
+        items, index = headers._items, headers._index
         for line in lines[1:]:
             name, sep, value = line.partition(":")
-            if not sep or name.endswith((" ", "\t")):
+            if not sep or check_names and name.endswith((" ", "\t")):
                 raise HttpParseError(f"bad header line {line!r}")
-            name = name.strip()
             value = value.strip()
+            items.append((name, value))
             lower = name.lower()
-            items.append((name, value, lower))
-            if lower == "content-length":
-                if content_length is not None:
-                    raise HttpParseError("repeated Content-Length header")
-                content_length = value
-            elif lower == "transfer-encoding":
-                transfer_encoding = value
-        return lines[0], headers, content_length, transfer_encoding
+            if lower not in index:
+                index[lower] = value
+            elif lower in ("content-length", "transfer-encoding"):
+                raise HttpParseError(f"repeated {name} header")
+        return (lines[0], headers, index.get("content-length"),
+                index.get("transfer-encoding"))
 
     def _content_length(self, raw_length: Optional[str],
                         transfer_encoding: Optional[str]) -> int:
-        if _parse_transfer_encoding(transfer_encoding, raw_length):
+        """The body length a head declares; a chunked body sets
+        ``_chunked`` and returns 0.  Only the single ``chunked`` coding is
+        supported; anything else, and its illegal combination with
+        ``Content-Length``, fails the message (framing would be ambiguous,
+        RFC 9112 §6.3)."""
+        if transfer_encoding:
+            codings = [t.strip().lower() for t in transfer_encoding.split(",")
+                       if t.strip()]
+            if codings != ["chunked"]:
+                raise HttpParseError(
+                    f"unsupported Transfer-Encoding {transfer_encoding!r}")
+            if raw_length is not None:
+                raise HttpParseError("message has both Content-Length and "
+                                     "Transfer-Encoding: chunked")
             self._chunked = True
             return 0
         if raw_length is None:
@@ -786,8 +833,8 @@ class RequestParser(_IncrementalParser):
         return Request(method=method, target=target, headers=headers,
                        body=body, version=version)
 
-    def next_request(self) -> Optional[Request]:
-        return self.next_message()
+    #: the next complete request, or ``None`` (:meth:`next_message`)
+    next_request = _IncrementalParser.next_message
 
 
 class ResponseParser(_IncrementalParser):
@@ -825,5 +872,5 @@ class ResponseParser(_IncrementalParser):
         return Response(status=status, headers=headers, body=body,
                         version=version)
 
-    def next_response(self) -> Optional[Response]:
-        return self.next_message()
+    #: the next complete response, or ``None`` (:meth:`next_message`)
+    next_response = _IncrementalParser.next_message

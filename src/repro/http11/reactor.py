@@ -57,7 +57,7 @@ from itertools import islice
 from typing import Deque, Dict, List, Optional, Set
 
 from .errors import HttpParseError, HttpTooLarge
-from .messages import (LAST_CHUNK, MAX_BODY_BYTES, MAX_HEADER_BYTES, Request,
+from .messages import (LAST_CHUNK, Request,
                        RequestParser, Response, consume_views, encode_chunk,
                        wire_buffers)
 from .server import Handler, _ServerCore, set_reuse_port
@@ -72,7 +72,7 @@ _READ = _IN | getattr(select, "EPOLLHUP", 0x010) | getattr(select,
 #: each syscall's setup cost trivial while still batching a whole burst).
 _SENDMSG_BATCH = 64
 
-# Ownership of a registered fd.  Transitions happen under ``_own_lock``;
+# Ownership of a registered fd.  Transitions happen under ``_lock``;
 # only the owner (or whoever claims an ARMED/WAITING source) touches it.
 _ARMED = 0     # in the epoll set, waiting for the kernel to wake a thread
 _OWNED = 1     # held by exactly one thread
@@ -106,8 +106,8 @@ class _Stream:
 class _Conn:
     """Connection state, touched only by the thread that owns it."""
 
-    __slots__ = ("sock", "parser", "state", "next", "has_slot", "out",
-                 "out_bytes", "queued", "answered", "boundary_at", "read_eof",
+    __slots__ = ("sock", "parser", "state", "next", "out", "out_bytes",
+                 "queued", "answered", "boundary_at", "read_eof",
                  "stop_parsing", "close_when_flushed", "paused", "stream")
 
     def __init__(self, sock: socket.socket, parser: RequestParser,
@@ -117,9 +117,8 @@ class _Conn:
         self.state = _ARMED
         #: the request being answered, or waiting in the FIFO for a slot
         self.next: Optional[Request] = None
-        #: a handler slot handed over with the connection by the FIFO
-        self.has_slot = False
-        self.out: Deque[memoryview] = collections.deque()
+        #: buffers to write, in order (a partly sent one: its unsent tail)
+        self.out: Deque = collections.deque()
         self.out_bytes = 0
         #: replies queued since the write queue was last empty
         self.queued = 0
@@ -137,16 +136,17 @@ class _Conn:
         self.stream: Optional[_Stream] = None
 
     def queue(self, payload: bytes) -> None:
-        """Append a view of ``payload`` to the write queue (no copy)."""
+        """Append ``payload`` itself to the write queue (no copy)."""
         if payload:
-            self.out.append(memoryview(payload))
+            self.out.append(payload)
             self.out_bytes += len(payload)
 
     def queue_response(self, response: Response) -> None:
-        """Queue the response as views that one ``sendmsg`` gathers: a
-        cached payload reaches the kernel without being concatenated."""
+        """Queue the response's (never empty) wire buffers: a cached
+        payload reaches the kernel without being concatenated."""
         for buffer in wire_buffers(response):
-            self.queue(buffer)
+            self.out.append(buffer)
+            self.out_bytes += len(buffer)
         self.queued += 1
         self.answered = True
 
@@ -154,12 +154,16 @@ class _Conn:
 class ReactorHttpServer(_ServerCore):
     """Event-driven HTTP server: see the module docstring.
 
-    Accepts the same arguments as :class:`~repro.http11.server.HttpServer`
-    plus the reactor tuning knobs:
+    ``options`` are the serving options both servers share
+    (``max_connections``, ``retry_after_s``, ``admission``,
+    ``load_coupling``, ``assume_synced_clock``, ``idle_timeout_s``,
+    ``max_body_bytes``, ``max_header_bytes``, ``health_path``,
+    ``metrics_path``, ``quality_stats``; see :mod:`repro.http11.server`).
+    The reactor's own knobs:
 
     ``workers``
-        Handler slots: how many requests may be inside ``_respond`` at
-        once (default 8).  The server runs ``workers + 1`` threads.
+        Handler slots: how many turns may hold one at once (default 8).
+        The server runs ``workers + 1`` threads.
         Request admission is still the ``admission`` controller's job.
     ``max_buffered_bytes``
         Per-connection cap on queued response bytes before reads pause.
@@ -169,23 +173,14 @@ class ReactorHttpServer(_ServerCore):
 
     def __init__(self, handler: Handler, host: str = "127.0.0.1",
                  port: int = 0, backlog: int = 128,
-                 max_connections: Optional[int] = None,
-                 retry_after_s: float = 1.0,
-                 admission=None, load_coupling=None,
-                 assume_synced_clock: bool = False,
-                 idle_timeout_s: Optional[float] = None,
-                 max_body_bytes: int = MAX_BODY_BYTES,
-                 max_header_bytes: int = MAX_HEADER_BYTES,
-                 health_path: str = "/healthz",
-                 metrics_path: str = "/metrics",
-                 quality_stats=None,
                  reuse_port: bool = False,
                  conn_receiver: Optional[socket.socket] = None,
                  listen: bool = True,
                  workers: int = 8,
                  max_buffered_bytes: int = 1 << 20,
                  max_pipeline: int = 128,
-                 stream_routes: Optional[Dict[str, object]] = None) -> None:
+                 stream_routes: Optional[Dict[str, object]] = None,
+                 **options) -> None:
         if not hasattr(select, "epoll"):
             raise RuntimeError(
                 "ReactorHttpServer needs select.epoll, which this platform "
@@ -196,16 +191,7 @@ class ReactorHttpServer(_ServerCore):
             raise ValueError(
                 "listen=False requires a conn_receiver — a server with "
                 "neither could never see a connection")
-        super().__init__(handler, max_connections=max_connections,
-                         retry_after_s=retry_after_s, admission=admission,
-                         load_coupling=load_coupling,
-                         assume_synced_clock=assume_synced_clock,
-                         idle_timeout_s=idle_timeout_s,
-                         max_body_bytes=max_body_bytes,
-                         max_header_bytes=max_header_bytes,
-                         health_path=health_path,
-                         metrics_path=metrics_path,
-                         quality_stats=quality_stats)
+        super().__init__(handler, **options)
         self.workers = workers
         self.max_buffered_bytes = max_buffered_bytes
         self.max_pipeline = max_pipeline
@@ -218,9 +204,8 @@ class ReactorHttpServer(_ServerCore):
         #: ``max_buffered_bytes`` of response chunks are queued, reads
         #: pause and TCP flow control holds the sender.
         self.stream_routes: Dict[str, object] = dict(stream_routes or {})
-        self._idle_cond = threading.Condition(self._lock)
-        #: guards ownership states, ``_fds``, the slot FIFO and the timer
-        self._own_lock = threading.Lock()
+        # ``_lock`` guards the counters and, here, also ownership states,
+        # ``_fds``, the handler slots and their FIFO, and the idle timer.
         self._free_slots = workers
         self._waiting: Deque[_Conn] = collections.deque()
         self._fds: Dict[int, object] = {}
@@ -284,7 +269,7 @@ class ReactorHttpServer(_ServerCore):
     def _register(self, source) -> None:
         """Put a new listener/receiver/connection into the epoll set."""
         fd = source.sock.fileno()
-        with self._own_lock:
+        with self._lock:
             live = self._running
             if live:
                 self._fds[fd] = source
@@ -298,7 +283,7 @@ class ReactorHttpServer(_ServerCore):
 
     def _claim(self, source, waiting: bool = False) -> bool:
         """Take ownership of an ARMED (optionally also a WAITING) source."""
-        with self._own_lock:
+        with self._lock:
             if source.state is _ARMED or (waiting
                                           and source.state is _WAITING):
                 if source.state is _WAITING:
@@ -308,7 +293,7 @@ class ReactorHttpServer(_ServerCore):
         return False
 
     def _arm_timer(self, boundary_at: float) -> bool:
-        """Under ``_own_lock``: note an idle deadline; True if it moved the
+        """Under ``_lock``: note an idle deadline; True if it moved the
         timer earlier (the caller then pokes a poller to re-read it)."""
         if self.idle_timeout_s is None:
             return False
@@ -327,7 +312,7 @@ class ReactorHttpServer(_ServerCore):
     def _take_slot(self, conn: _Conn, park: bool) -> bool:
         """A handler slot, FIFO-fair: never taken past a waiting
         connection.  With ``park`` a refused ``conn`` joins the FIFO."""
-        with self._own_lock:
+        with self._lock:
             if self._free_slots and not self._waiting:
                 self._free_slots -= 1
                 return True
@@ -336,18 +321,14 @@ class ReactorHttpServer(_ServerCore):
                 self._waiting.append(conn)
         return False
 
-    def _give_slot(self) -> None:
-        with self._own_lock:
-            self._free_slots += 1
-
     # ------------------------------------------------------------------
     # the loop every thread runs
     # ------------------------------------------------------------------
     def _loop(self) -> None:
         fds = self._fds
         while self._running:
-            # A slot frees only when a handler returns, and that thread
-            # comes back here before it polls: no wake is needed.
+            # A slot frees only when a turn ends, and that thread comes
+            # back here before it polls: no wake is needed.
             if self._waiting and self._free_slots:
                 self._serve_waiters()
                 continue
@@ -358,14 +339,23 @@ class ReactorHttpServer(_ServerCore):
             except (OSError, ValueError):
                 continue  # EINTR, or the epoll closed under shutdown
             for fd, mask in events:
-                if fd == self._wake_fd:
-                    self._drain_wake()
-                    continue
                 source = fds.get(fd)
-                if source is None or not self._claim(source):
-                    continue  # stale event: another owner, or closed
+                if source is None:
+                    if fd == self._wake_fd:
+                        self._drain_wake()
+                    continue  # the wake pipe, or a connection just closed
+                # One section claims the connection and, when one is free
+                # and nobody waits for it, a handler slot for the turn.
+                with self._lock:
+                    if source.state is not _ARMED:
+                        continue  # stale event: another owner
+                    source.state = _OWNED
+                    slot = (self._free_slots > 0 and not self._waiting
+                            and type(source) is _Conn)
+                    if slot:
+                        self._free_slots -= 1
                 if type(source) is _Conn:
-                    self._serve(source, mask)
+                    self._serve(source, mask, slot)
                 else:
                     self._release_source(source, source.ready())
             due = self._next_timer_at
@@ -375,14 +365,13 @@ class ReactorHttpServer(_ServerCore):
     def _serve_waiters(self) -> None:
         """Hand free slots to parked connections, oldest first."""
         while True:
-            with self._own_lock:
+            with self._lock:
                 if not self._waiting or not self._free_slots:
                     return
                 conn = self._waiting.popleft()
                 self._free_slots -= 1
                 conn.state = _OWNED
-            conn.has_slot = True
-            self._advance(conn)
+            self._serve(conn, 0, True)
 
     def _drain_wake(self) -> None:
         try:
@@ -433,7 +422,7 @@ class ReactorHttpServer(_ServerCore):
                 self._adopt_socket(sock)
 
     def _release_source(self, source: _Source, keep: bool) -> None:
-        with self._own_lock:
+        with self._lock:
             keep = keep and self._running and not self._draining
             if keep:
                 try:
@@ -446,31 +435,7 @@ class ReactorHttpServer(_ServerCore):
 
     def _adopt_socket(self, sock: socket.socket) -> None:
         """One accepted/handed-off connection enters the epoll set."""
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass
-        with self._lock:
-            self.connections_accepted += 1
-            over_cap = (self.max_connections is not None
-                        and self._active_connections
-                        >= self.max_connections)
-            if over_cap:
-                self.connections_rejected += 1
-            else:
-                self._active_connections += 1
-        if over_cap:
-            # The reject is written synchronously: ~120 bytes always
-            # fit a fresh socket's send buffer, and not registering
-            # the connection is the whole point of the cap.
-            try:
-                sock.sendall(self._reject_response().to_bytes())
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
+        if not self._admit_connection(sock):
             return
         sock.setblocking(False)
         parser = RequestParser(
@@ -486,9 +451,13 @@ class ReactorHttpServer(_ServerCore):
         return target in self.stream_routes
 
     # ------------------------------------------------------------------
-    # one owned turn: write, read, answer, re-arm
+    # one owned turn: read, answer, write, re-arm
     # ------------------------------------------------------------------
-    def _serve(self, conn: _Conn, mask: int) -> None:
+    def _serve(self, conn: _Conn, mask: int, slot: bool) -> None:
+        """One owned turn: read, answer every buffered request, count
+        them, write the replies with one ``send``/``sendmsg``, re-arm.
+        ``mask`` is the epoll event (0 from the slot FIFO); ``slot`` says
+        whether the turn holds a handler slot."""
         if conn.out:
             self._flush(conn)
         # bytes after Connection: close / an error are never read
@@ -500,16 +469,23 @@ class ReactorHttpServer(_ServerCore):
                 pass
             except OSError:
                 self._close_conn(conn)
-                return
-        if conn.state is _OWNED:
-            self._advance(conn)
+        answered = self._answer(conn, slot)
+        if answered is None:
+            return  # parked: the FIFO owns conn now
+        served, slot = answered
+        if served:
+            # counted before a reply leaves, so a scrape sent after any
+            # reply arrived counts it
+            with self._lock:
+                self.requests_served += served
+        self._release(conn, slot)
 
-    def _advance(self, conn: _Conn) -> None:
-        """Answer every buffered request in order, then flush and re-arm.
-
-        Stops early — with ``conn`` parked in the slot FIFO instead of
-        re-armed — when a request needs a handler slot and none is free.
-        """
+    def _answer(self, conn: _Conn, slot: bool):
+        """Queue a reply for every buffered request, in order; returns
+        ``(served, slot)``, or ``None`` once ``conn`` is parked in the slot
+        FIFO.  A slot serves the rest of a burst unless another connection
+        waits for one: then it goes back after each request."""
+        parser = conn.parser
         served = 0
         while conn.state is _OWNED:
             if conn.out and (conn.out_bytes > self.max_buffered_bytes
@@ -525,10 +501,10 @@ class ReactorHttpServer(_ServerCore):
                 continue
             request = conn.next
             if request is None:
-                if conn.stop_parsing:
-                    break
+                if conn.stop_parsing or not parser.mid_message:
+                    break  # nothing (more) to parse
                 try:
-                    request = conn.parser.next_request()
+                    request = parser.next_request()
                 except HttpTooLarge as exc:
                     self._fail_conn(conn, Response.text(413, str(exc)))
                     break
@@ -544,25 +520,22 @@ class ReactorHttpServer(_ServerCore):
                 conn.next = request
             # /healthz and /metrics take no slot: readiness and scrapes
             # answer even when every handler slot is taken.
-            slotted = request.target not in (self.health_path,
-                                             self.metrics_path)
-            if slotted and conn.has_slot:
-                conn.has_slot = False
-            elif slotted and not self._take_slot(conn, park=False):
-                # Earlier replies go out before the connection waits.
-                self._flush(conn)
-                if conn.state is not _OWNED:
-                    break
-                if not self._take_slot(conn, park=True):
-                    self._count_served(served)
-                    return  # parked: the FIFO owns conn now
+            if not slot and request.target not in (self.health_path,
+                                                   self.metrics_path):
+                if not self._take_slot(conn, park=False):
+                    # Earlier replies go out, counted, before it waits.
+                    self._settle(served, False)
+                    served = 0
+                    self._flush(conn)
+                    if conn.state is not _OWNED:
+                        break
+                    if not self._take_slot(conn, park=True):
+                        return None
+                slot = True
             try:
                 response = self._respond(request)
             except Exception as exc:  # noqa: BLE001 - last-ditch boundary
                 response = Response.text(500, f"internal error: {exc}")
-            finally:
-                if slotted:
-                    self._give_slot()
             conn.next = None
             if not request.wants_keep_alive() or self._draining:
                 response.headers.set("Connection", "close")
@@ -571,17 +544,17 @@ class ReactorHttpServer(_ServerCore):
                 conn.stop_parsing = conn.close_when_flushed = True
             conn.queue_response(response)
             served += 1
-        if conn.has_slot:  # closed before the handed-over slot was used
-            conn.has_slot = False
-            self._give_slot()
-        self._count_served(served)
-        if conn.state is _OWNED:
-            self._release(conn)
+            if slot and self._waiting:
+                self._settle(0, True)
+                slot = False
+        return served, slot
 
-    def _count_served(self, served: int) -> None:
-        if served:
-            with self._lock:
-                self.requests_served += served
+    def _settle(self, served: int, slot: bool) -> None:
+        """Count requests served and hand back a handler slot."""
+        with self._lock:
+            self.requests_served += served
+            if slot:
+                self._free_slots += 1
 
     def _fail_conn(self, conn: _Conn, response: Response) -> None:
         """Queue a protocol-error reply (400/413/408/500) after every
@@ -590,36 +563,43 @@ class ReactorHttpServer(_ServerCore):
         conn.queue_response(response)
         conn.stop_parsing = conn.close_when_flushed = True
 
-    def _release(self, conn: _Conn) -> None:
-        """Flush, then hand ``conn`` back to epoll — or close it."""
-        self._flush(conn)
+    def _release(self, conn: _Conn, slot: bool = False) -> None:
+        """Write what is queued, then hand ``conn`` back to epoll — or close
+        it — in the lock section that also returns the turn's slot."""
+        if conn.out and conn.state is _OWNED:
+            self._flush(conn)
         if conn.state is not _OWNED:
+            if slot:
+                self._settle(0, True)
             return
-        over = (conn.out_bytes > self.max_buffered_bytes
-                or conn.queued >= self.max_pipeline)
-        conn.paused = bool(conn.out) and over
-        mask = _OUT if conn.out else 0
-        if not (conn.paused or conn.read_eof or conn.stop_parsing):
+        if conn.out:
+            paused = conn.paused = (conn.out_bytes > self.max_buffered_bytes
+                                    or conn.queued >= self.max_pipeline)
+            mask, idle, keep = _OUT, False, True
+        else:
+            paused = conn.paused = False
+            mask = 0
+            idle = conn.next is None and conn.stream is None
+            keep = not (conn.close_when_flushed or conn.read_eof)
+        if not (paused or conn.read_eof or conn.stop_parsing):
             mask |= _IN
-        idle = not conn.out and conn.next is None and conn.stream is None
-        if idle and conn.answered:
+        # the idle timer covers everything with nothing queued
+        timed = idle and self.idle_timeout_s is not None
+        if timed and conn.answered:
             conn.answered = False
             conn.boundary_at = time.monotonic()
-        keep = bool(conn.out) or not (conn.close_when_flushed
-                                      or conn.read_eof)
         poke = False
-        if keep:
-            with self._own_lock:
-                keep = self._running and not (self._draining and idle)
-                if keep:
-                    try:
-                        self._epoll.modify(conn.sock, mask | _ONESHOT)
-                        conn.state = _ARMED
-                    except (OSError, ValueError):
-                        keep = False
-                    # the idle timer covers everything with nothing queued
-                    poke = (keep and not conn.out
-                            and self._arm_timer(conn.boundary_at))
+        with self._lock:
+            if slot:
+                self._free_slots += 1
+            keep = keep and self._running and not (self._draining and idle)
+            if keep:
+                try:
+                    self._epoll.modify(conn.sock, mask | _ONESHOT)
+                    conn.state = _ARMED
+                except (OSError, ValueError):
+                    keep = False
+                poke = keep and timed and self._arm_timer(conn.boundary_at)
         if not keep:
             self._close_conn(conn)
         elif poke:
@@ -714,6 +694,9 @@ class ReactorHttpServer(_ServerCore):
                 self._close_conn(conn)
                 return
             conn.out_bytes -= sent
+            if not conn.out_bytes:
+                out.clear()             # the usual case: all of it went
+                break
             consume_views(out, sent)
         conn.queued = 0
 
@@ -725,7 +708,7 @@ class ReactorHttpServer(_ServerCore):
         if not self._timer_lock.acquire(blocking=False):
             return
         try:
-            with self._own_lock:
+            with self._lock:
                 self._next_timer_at = None  # releases during the scan re-arm
             now = time.monotonic()
             nearest: Optional[float] = None
@@ -747,7 +730,7 @@ class ReactorHttpServer(_ServerCore):
                     else:
                         self._close_conn(conn)
             if nearest is not None:
-                with self._own_lock:
+                with self._lock:
                     if (self._next_timer_at is None
                             or nearest < self._next_timer_at):
                         self._next_timer_at = nearest
@@ -759,7 +742,7 @@ class ReactorHttpServer(_ServerCore):
     # ------------------------------------------------------------------
     def _drop(self, source) -> None:
         """Close a source its caller owns (or that never got registered)."""
-        with self._own_lock:
+        with self._lock:
             source.state = _CLOSED
             fd = source.sock.fileno()
             if self._fds.get(fd) is source:
@@ -821,13 +804,7 @@ class ReactorHttpServer(_ServerCore):
         if drain_s is not None:
             self._draining = True
             self._begin_drain()
-            deadline = time.monotonic() + max(0.0, drain_s)
-            with self._idle_cond:
-                while self._active_connections > 0:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._idle_cond.wait(remaining)
+            self._wait_idle(drain_s)
         self._running = False
         try:
             self._wake_w.shutdown(socket.SHUT_WR)  # EOF wakes every poller

@@ -55,7 +55,7 @@ import threading
 import time
 from typing import Callable, Dict, Optional, TYPE_CHECKING, Tuple
 
-from ..serving.deadline import deadline_from_headers
+from ..serving.deadline import HEADER_DEADLINE_MS, deadline_from_headers
 from .errors import HttpConnectionClosed, HttpParseError, HttpTooLarge
 from .messages import (MAX_BODY_BYTES, MAX_HEADER_BYTES, Request,
                        RequestParser, Response, etag_matches, send_gather,
@@ -162,7 +162,7 @@ class _ServerCore:
         self.requests_served = 0
         self.requests_shed = 0
         #: conditional requests answered header-only (endpoint-issued 304s
-        #: and 200s the validator in :meth:`_finalize` converted)
+        #: and 200s the validator in :meth:`_respond` converted)
         self.responses_304 = 0
         self.connections_accepted = 0
         self.connections_rejected = 0
@@ -175,6 +175,7 @@ class _ServerCore:
         self.streamed_bytes_out = 0
         self._active_connections = 0
         self._lock = threading.Lock()
+        self._idle_cond = threading.Condition(self._lock)
         self.address: Tuple[str, int] = ("", 0)
 
     @property
@@ -191,26 +192,47 @@ class _ServerCore:
     # request-level behaviour (identical in both concurrency models)
     # ------------------------------------------------------------------
     def _respond(self, request: Request) -> Response:
-        """Health check, admission gate, application handler, validators."""
+        """Health and metrics targets, else the admission gate around the
+        handler; then the validator: a ``GET``/``HEAD`` ``200`` whose
+        ``ETag`` the request's ``If-None-Match`` holds becomes a header-only
+        ``304`` (RFC 9110 scopes it to GET/HEAD; the SOAP-bin service emits
+        its conditional-POST 304s itself, see ``docs/caching.md``), with
+        ``Content-Length: 0`` to keep keep-alive framing exact."""
         if "Transfer-Encoding" in request.headers:
             with self._lock:
                 self.chunked_requests += 1
-        return self._finalize(request, self._respond_inner(request))
-
-    def _finalize(self, request: Request, response: Response) -> Response:
-        """HTTP validator pass shared by both concurrency models.
-
-        A ``GET``/``HEAD`` ``200`` carrying an ``ETag`` that the request's
-        ``If-None-Match`` already holds is converted to a header-only
-        ``304 Not Modified``; other methods are left alone, since RFC 9110
-        defines ``If-None-Match``/``304`` cache-update semantics for
-        GET/HEAD only.  (The SOAP-bin service's conditional *POST* is its
-        own documented endpoint-level contract between repro endpoints —
-        it emits 304 directly and just gets counted here; see
-        ``docs/caching.md``.)  Always emitting ``Content-Length: 0`` keeps
-        framing exact under keep-alive and pipelining.
-        """
-        if response.status == 200 and request.method in ("GET", "HEAD"):
+        target = request.target
+        admission = self.admission
+        if target == self.health_path:
+            response = self._health_response()
+        elif target == self.metrics_path:
+            response = self._metrics_response()
+        else:
+            decision = None
+            if admission is not None:
+                deadline = None
+                if HEADER_DEADLINE_MS in request.headers:
+                    deadline = deadline_from_headers(
+                        request.fields(), admission.clock.now(),
+                        assume_synced_clock=self.assume_synced_clock)
+                decision = admission.acquire(deadline=deadline)
+            if decision is None or decision.admitted:
+                try:
+                    response = self.handler(request)
+                except Exception as exc:  # noqa: BLE001 - server boundary
+                    response = Response.text(500, f"internal error: {exc}")
+                finally:
+                    if decision is not None:
+                        admission.release(decision.ticket)
+            else:
+                with self._lock:
+                    self.requests_shed += 1
+                response = self._shed_response(decision.reason
+                                               or "overloaded")
+            if decision is not None and self.load_coupling is not None:
+                self.load_coupling.observe()
+        status = response.status
+        if status == 200 and request.method in ("GET", "HEAD"):
             etag = response.headers.get("ETag")
             if etag is not None and etag_matches(
                     request.headers.get("If-None-Match"), etag):
@@ -218,38 +240,11 @@ class _ServerCore:
                 headers.remove("Content-Length")
                 response = Response(status=304, headers=headers, body=b"",
                                     version=response.version)
-        if response.status == 304:
+                status = 304
+        if status == 304:
             with self._lock:
                 self.responses_304 += 1
         return response
-
-    def _respond_inner(self, request: Request) -> Response:
-        """Health check, admission gate, then the application handler."""
-        if request.target == self.health_path:
-            return self._health_response()
-        if self.metrics_path is not None and request.target == self.metrics_path:
-            return self._metrics_response()
-        if self.admission is None:
-            return self._dispatch(request)
-        headers = {name: value for name, value in request.headers}
-        now = self.admission.clock.now()
-        deadline = deadline_from_headers(
-            headers, now, assume_synced_clock=self.assume_synced_clock)
-        decision = self.admission.acquire(deadline=deadline)
-        if not decision.admitted:
-            with self._lock:
-                self.requests_shed += 1
-            self._observe_load()
-            return self._shed_response(decision.reason or "overloaded")
-        try:
-            return self._dispatch(request)
-        finally:
-            self.admission.release(decision.ticket)
-            self._observe_load()
-
-    def _observe_load(self) -> None:
-        if self.load_coupling is not None:
-            self.load_coupling.observe()
 
     def _health_payload(self) -> Dict[str, object]:
         """The load snapshot the health endpoint serves as JSON.
@@ -342,11 +337,40 @@ class _ServerCore:
                              str(int(math.ceil(self.retry_after_s))))
         return response
 
-    def _dispatch(self, request: Request) -> Response:
+    def _admit_connection(self, sock: socket.socket) -> bool:
+        """Count a new connection; past ``max_connections`` answer the
+        connection-cap 503 and close it.  Nagle goes off first: with small
+        request/response pairs, delayed ACKs would cost ~40 ms per call."""
         try:
-            return self.handler(request)
-        except Exception as exc:  # noqa: BLE001 - boundary of the server
-            return Response.text(500, f"internal error: {exc}")
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:
+            pass
+        with self._lock:
+            self.connections_accepted += 1
+            admitted = (self.max_connections is None
+                        or self._active_connections < self.max_connections)
+            if admitted:
+                self._active_connections += 1
+            else:
+                self.connections_rejected += 1
+        if not admitted:
+            # ~120 bytes always fit a fresh socket's send buffer
+            try:
+                sock.sendall(self._reject_response().to_bytes())
+            except OSError:
+                pass
+            sock.close()
+        return admitted
+
+    def _wait_idle(self, drain_s: float) -> None:
+        """Wait up to ``drain_s`` seconds for the last connection to end."""
+        deadline = time.monotonic() + max(0.0, drain_s)
+        with self._idle_cond:
+            while self._active_connections > 0:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return
+                self._idle_cond.wait(remaining)
 
     def __enter__(self) -> "_ServerCore":
         return self
@@ -385,39 +409,19 @@ class ThreadedHttpServer(_ServerCore):
 
     def __init__(self, handler: Handler, host: str = "127.0.0.1",
                  port: int = 0, backlog: int = 32,
-                 max_connections: Optional[int] = None,
-                 retry_after_s: float = 1.0,
-                 admission: Optional["AdmissionController"] = None,
-                 load_coupling: Optional["LoadQualityCoupling"] = None,
-                 assume_synced_clock: bool = False,
-                 idle_timeout_s: Optional[float] = None,
-                 max_body_bytes: int = MAX_BODY_BYTES,
-                 max_header_bytes: int = MAX_HEADER_BYTES,
-                 health_path: str = "/healthz",
-                 metrics_path: str = "/metrics",
-                 quality_stats: Optional[
-                     Callable[[], Optional[Dict[str, object]]]] = None,
                  reuse_port: bool = False,
                  conn_receiver: Optional[socket.socket] = None,
                  listen: bool = True,
                  workers: int = 8,
                  max_buffered_bytes: int = 1 << 20,
                  max_pipeline: int = 128,
-                 stream_routes: Optional[Dict[str, object]] = None) -> None:
+                 stream_routes: Optional[Dict[str, object]] = None,
+                 **options) -> None:
         if conn_receiver is not None or not listen:
             raise ValueError(
                 "the fd-handoff accept path (conn_receiver/listen=False) "
                 "requires the reactor server; use concurrency='reactor'")
-        super().__init__(handler, max_connections=max_connections,
-                         retry_after_s=retry_after_s, admission=admission,
-                         load_coupling=load_coupling,
-                         assume_synced_clock=assume_synced_clock,
-                         idle_timeout_s=idle_timeout_s,
-                         max_body_bytes=max_body_bytes,
-                         max_header_bytes=max_header_bytes,
-                         health_path=health_path,
-                         metrics_path=metrics_path,
-                         quality_stats=quality_stats)
+        super().__init__(handler, **options)
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         if reuse_port:
@@ -425,7 +429,6 @@ class ThreadedHttpServer(_ServerCore):
         self._sock.bind((host, port))
         self._sock.listen(backlog)
         self.address = self._sock.getsockname()
-        self._idle_cond = threading.Condition(self._lock)
         #: open connection sockets -> True while a request is mid-dispatch
         self._connections: Dict[socket.socket, bool] = {}
         self._thread = threading.Thread(target=self._accept_loop,
@@ -439,34 +442,13 @@ class ThreadedHttpServer(_ServerCore):
                 conn, _addr = self._sock.accept()
             except OSError:
                 return
-            # Disable Nagle before the handler thread even spawns: SOAP
-            # RPC exchanges are small request/response pairs, and a
-            # delayed-ACK/Nagle interaction costs ~40 ms per call.
-            try:
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            except OSError:
-                pass
-            with self._lock:
-                self.connections_accepted += 1
-                over_cap = (self.max_connections is not None
-                            and self._active_connections
-                            >= self.max_connections)
-                if over_cap:
-                    self.connections_rejected += 1
-                else:
-                    self._active_connections += 1
-                    self._connections[conn] = False
-            if over_cap:
-                self._reject_connection(conn)
+            if not self._admit_connection(conn):
                 continue
+            with self._lock:
+                self._connections[conn] = False
             thread = threading.Thread(target=self._serve_connection,
                                       args=(conn,), daemon=True)
             thread.start()
-
-    def _reject_connection(self, conn: socket.socket) -> None:
-        """Answer 503 and hang up — no handler thread is spawned."""
-        with conn:
-            self._safe_send(conn, self._reject_response())
 
     def _serve_connection(self, conn: socket.socket) -> None:
         try:
@@ -508,11 +490,13 @@ class ThreadedHttpServer(_ServerCore):
                     # Socket torn down under us (peer reset, or drain
                     # closed an idle connection) — nothing to answer.
                     return
-                self._mark_processing(conn, True)
+                # mid-dispatch: a drain leaves this connection be (a value
+                # store, which never resizes the dict drain iterates)
+                self._connections[conn] = True
                 try:
                     response = self._respond(request)
                 finally:
-                    self._mark_processing(conn, False)
+                    self._connections[conn] = False
                 keep_alive = request.wants_keep_alive() and not self._draining
                 if not keep_alive:
                     response.headers.set("Connection", "close")
@@ -522,11 +506,6 @@ class ThreadedHttpServer(_ServerCore):
                     return
                 if not keep_alive:
                     return
-
-    def _mark_processing(self, conn: socket.socket, busy: bool) -> None:
-        with self._lock:
-            if conn in self._connections:
-                self._connections[conn] = busy
 
     @staticmethod
     def _safe_send(conn: socket.socket, response: Response) -> bool:
@@ -556,13 +535,7 @@ class ThreadedHttpServer(_ServerCore):
         self._draining = True
         self._close_listener()
         self._close_idle_connections()
-        deadline = time.monotonic() + max(0.0, drain_s)
-        with self._idle_cond:
-            while self._active_connections > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._idle_cond.wait(remaining)
+        self._wait_idle(drain_s)
         self._running = False
         # Anything still open after the bound is abandoned ungracefully.
         self._close_idle_connections(force=True)
@@ -601,27 +574,8 @@ class ThreadedHttpServer(_ServerCore):
 
 
 def HttpServer(handler: Handler, host: str = "127.0.0.1", port: int = 0,
-               backlog: int = 32,
-               max_connections: Optional[int] = None,
-               retry_after_s: float = 1.0,
-               admission: Optional["AdmissionController"] = None,
-               load_coupling: Optional["LoadQualityCoupling"] = None,
-               assume_synced_clock: bool = False,
-               idle_timeout_s: Optional[float] = None,
-               max_body_bytes: int = MAX_BODY_BYTES,
-               max_header_bytes: int = MAX_HEADER_BYTES,
-               health_path: str = "/healthz",
-               metrics_path: str = "/metrics",
-               quality_stats: Optional[
-                   Callable[[], Optional[Dict[str, object]]]] = None,
-               concurrency: Optional[str] = None,
-               reuse_port: bool = False,
-               conn_receiver: Optional[socket.socket] = None,
-               listen: bool = True,
-               workers: int = 8,
-               max_buffered_bytes: int = 1 << 20,
-               max_pipeline: int = 128,
-               stream_routes: Optional[Dict[str, object]] = None) -> _ServerCore:
+               backlog: int = 32, concurrency: Optional[str] = None,
+               **options) -> _ServerCore:
     """Build an HTTP server with the selected concurrency model.
 
     ``concurrency`` is ``"threaded"`` (one thread per connection),
@@ -633,8 +587,11 @@ def HttpServer(handler: Handler, host: str = "127.0.0.1", port: int = 0,
     supports HTTP/1.1 pipelining and holds idle keep-alive connections
     for the price of a file descriptor instead of a thread.
 
-    ``reuse_port`` binds the listener with ``SO_REUSEPORT`` so several
-    processes can accept on one port (the fleet's scale-out mechanism);
+    ``options`` are the keyword arguments both server classes take (see
+    :class:`ThreadedHttpServer` and
+    :class:`~repro.http11.reactor.ReactorHttpServer`).  ``reuse_port``
+    binds the listener with ``SO_REUSEPORT`` so several processes can
+    accept on one port (the fleet's scale-out mechanism);
     ``conn_receiver``/``listen=False`` select the reactor-only fd-handoff
     accept path — see :mod:`repro.serving.fleet`.
     """
@@ -648,14 +605,4 @@ def HttpServer(handler: Handler, host: str = "127.0.0.1", port: int = 0,
     else:
         from .reactor import ReactorHttpServer
         cls = ReactorHttpServer
-    return cls(handler, host=host, port=port, backlog=backlog,
-               max_connections=max_connections, retry_after_s=retry_after_s,
-               admission=admission, load_coupling=load_coupling,
-               assume_synced_clock=assume_synced_clock,
-               idle_timeout_s=idle_timeout_s, max_body_bytes=max_body_bytes,
-               max_header_bytes=max_header_bytes, health_path=health_path,
-               metrics_path=metrics_path, quality_stats=quality_stats,
-               reuse_port=reuse_port, conn_receiver=conn_receiver,
-               listen=listen,
-               workers=workers, max_buffered_bytes=max_buffered_bytes,
-               max_pipeline=max_pipeline, stream_routes=stream_routes)
+    return cls(handler, host=host, port=port, backlog=backlog, **options)

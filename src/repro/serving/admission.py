@@ -124,7 +124,10 @@ class AdmissionController:
         self.utilization_window_s = utilization_window_s
         self.clock = clock or WallClock()
         self.metrics = AdmissionMetrics()
-        self._cond = threading.Condition()
+        #: a plain lock, so the uncontended path never enters Python-level
+        #: Condition code; waiters wait on a condition over the same lock
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self._busy = 0
         self._waiters: List[_Waiter] = []
         self._inflight: Dict[int, Ticket] = {}
@@ -144,13 +147,16 @@ class AdmissionController:
         right mode for single-threaded (simulated) servers where nobody
         else could ever release a permit while we wait.
         """
-        with self._cond:
+        with self._lock:
             now = self.clock.now()
             if deadline is not None and now >= deadline:
                 return self._shed_decision(SHED_DEADLINE_EXPIRED)
             if self._busy < self.max_concurrency and not self._waiters:
-                return Decision(admitted=True,
-                                ticket=self._grant(now, deadline, waited=0.0))
+                self._busy += 1
+                self.metrics.admitted += 1
+                ticket = Ticket(now, deadline)
+                self._inflight[id(ticket)] = ticket
+                return Decision(True, None, ticket)
             if not block or self.queue_limit == 0:
                 return self._shed_decision(SHED_SATURATED if not block
                                            else SHED_QUEUE_FULL)
@@ -176,22 +182,27 @@ class AdmissionController:
                 self._count_shed(waiter.reason or SHED_QUEUE_FULL)
                 return Decision(admitted=False, reason=waiter.reason,
                                 waited_s=waited)
-            ticket = self._grant(waiter.granted_at or self.clock.now(),
-                                 waiter.deadline, waited=waited,
-                                 pre_counted=True)
+            ticket = Ticket(waiter.granted_at or self.clock.now(),
+                            waiter.deadline, waited)
+            self._inflight[id(ticket)] = ticket
             return Decision(admitted=True, ticket=ticket, waited_s=waited)
 
     def release(self, ticket: Ticket) -> None:
         """Return a permit; records service time and wakes the next waiter."""
-        with self._cond:
+        with self._lock:
             now = self.clock.now()
+            started = ticket.started_at
             self._busy -= 1
             self._inflight.pop(id(ticket), None)
-            duration = max(0.0, now - ticket.started_at)
-            self._service_times.append(duration)
-            self._busy_intervals.append((ticket.started_at, now))
-            self._prune_intervals(now)
+            self._service_times.append(max(0.0, now - started))
+            intervals = self._busy_intervals
+            intervals.append((started, now))
+            horizon = now - self.utilization_window_s
+            while intervals and intervals[0][1] < horizon:
+                intervals.popleft()
             self.metrics.completed += 1
+            if not self._waiters:
+                return                  # the uncontended path ends here
             self._expire_waiters(now)
             nxt = self._next_waiter()
             if nxt is not None and self._busy < self.max_concurrency:
@@ -205,15 +216,6 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # shed-policy internals (all called under the lock)
     # ------------------------------------------------------------------
-    def _grant(self, now: float, deadline: Optional[float], waited: float,
-               pre_counted: bool = False) -> Ticket:
-        ticket = Ticket(started_at=now, deadline=deadline, waited_s=waited)
-        if not pre_counted:
-            self._busy += 1
-            self.metrics.admitted += 1
-        self._inflight[id(ticket)] = ticket
-        return ticket
-
     def _shed_decision(self, reason: str) -> Decision:
         self._count_shed(reason)
         return Decision(admitted=False, reason=reason)
@@ -263,24 +265,16 @@ class AdmissionController:
             if new_deadline is None or tightest.deadline <= new_deadline:
                 return tightest
             return None  # the new arrival has the least slack: shed it
-        if new_deadline is not None:
-            # undated waiters outrank a dated arrival only if it is the
-            # tightest; with no dated waiter the oldest undated one goes.
-            return min(self._waiters, key=lambda w: w.enqueued_at)
+        # no dated waiter: the oldest undated one goes
         return min(self._waiters, key=lambda w: w.enqueued_at)
 
     # ------------------------------------------------------------------
     # load metrics
     # ------------------------------------------------------------------
-    def _prune_intervals(self, now: float) -> None:
-        horizon = now - self.utilization_window_s
-        while self._busy_intervals and self._busy_intervals[0][1] < horizon:
-            self._busy_intervals.popleft()
-
     def utilization(self, now: Optional[float] = None) -> float:
         """Busy worker-seconds over the sliding window, normalized per
         worker — 0.0 is idle, 1.0 is every worker busy the whole window."""
-        with self._cond:
+        with self._lock:
             return self._utilization_locked(
                 self.clock.now() if now is None else now)
 
@@ -295,7 +289,7 @@ class AdmissionController:
         return busy / denom if denom > 0 else 0.0
 
     def p95_service_time(self) -> float:
-        with self._cond:
+        with self._lock:
             return self._p95_locked()
 
     def _p95_locked(self) -> float:
@@ -307,17 +301,17 @@ class AdmissionController:
 
     @property
     def queue_depth(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._waiters)
 
     @property
     def busy(self) -> int:
-        with self._cond:
+        with self._lock:
             return self._busy
 
     def snapshot(self) -> Dict[str, object]:
         """One coherent reading of the live load picture."""
-        with self._cond:
+        with self._lock:
             now = self.clock.now()
             return {
                 "busy": self._busy,

@@ -24,7 +24,7 @@ control sheds such requests immediately.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 #: Request header: milliseconds of end-to-end budget remaining at send time.
 HEADER_DEADLINE_MS = "X-Deadline-Ms"
@@ -50,15 +50,28 @@ def with_deadline_header(headers: Optional[Dict[str, str]],
     return out
 
 
-def _header(headers: Dict[str, str], name: str) -> Optional[str]:
+def header_value(headers: Mapping[str, str], name: str) -> Optional[str]:
+    """The value of header ``name`` in ``headers``, in any letter case.
+
+    An exact-case hit answers at once.  A miss is answered from the
+    mapping's lower-case index when it keeps one (``folded``, as a parsed
+    request's :class:`~repro.http11.messages.HeaderFields` does), so it
+    stays O(1); any other mapping is scanned.
+    """
+    value = headers.get(name)
+    if value is not None:
+        return value
     lower = name.lower()
+    folded = getattr(headers, "folded", None)
+    if folded is not None:
+        return folded.get(lower)
     for key, value in headers.items():
         if key.lower() == lower:
             return value
     return None
 
 
-def deadline_from_headers(headers: Dict[str, str], now: float,
+def deadline_from_headers(headers: Mapping[str, str], now: float,
                           assume_synced_clock: bool = False
                           ) -> Optional[float]:
     """Absolute local deadline for a request, or ``None`` when unbounded.
@@ -67,7 +80,7 @@ def deadline_from_headers(headers: Dict[str, str], now: float,
     under.  An unparsable header is treated as absent (a garbled budget
     must not get a request shed).
     """
-    raw = _header(headers, HEADER_DEADLINE_MS)
+    raw = header_value(headers, HEADER_DEADLINE_MS)
     if raw is None:
         return None
     try:
@@ -76,7 +89,7 @@ def deadline_from_headers(headers: Dict[str, str], now: float,
         return None
     base = now
     if assume_synced_clock:
-        stamp = _header(headers, HEADER_SEND_TIMESTAMP)
+        stamp = header_value(headers, HEADER_SEND_TIMESTAMP)
         if stamp is not None:
             try:
                 sent_at = float(stamp)

@@ -282,13 +282,12 @@ def endpoint_http_handler(endpoint: Endpoint) -> Callable[[Request], Response]:
     def handler(request: Request) -> Response:
         if request.method != "POST":
             return Response.text(405, "POST only")
-        headers = {name: value for name, value in request.headers}
-        reply = endpoint(request.body, request.content_type, headers)
-        response = Response(status=reply.status, body=reply.body)
-        response.headers.set("Content-Type", reply.content_type)
+        reply = endpoint(request.body, request.content_type,
+                         request.fields())
+        headers = Headers([("Content-Type", reply.content_type)])
         for name, value in reply.headers.items():
-            response.headers.set(name, value)
-        return response
+            headers.set(name, value)    # one dict operation per new name
+        return Response(reply.status, headers, reply.body)
 
     return handler
 

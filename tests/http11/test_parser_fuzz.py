@@ -144,6 +144,8 @@ SMUGGLING_CORPUS = {
     "plus-sign": b"Content-Length: +3\r\n",
     "underscore": b"Content-Length: 1_0\r\n",
     "non-ascii-digit": "Content-Length: \u00b3\r\n".encode("latin-1"),
+    # a peer that unfolds obsolete line folding reads X-Pad's value here
+    "folded-content-length": b"X-Pad: 1\r\n Content-Length: 5\r\n",
 }
 
 _STARTS = {"request": b"POST /x HTTP/1.1\r\n",
@@ -165,3 +167,40 @@ def test_ambiguous_framing_is_refused_at_every_split(kind, case):
         assert _read(kind, list(pieces)) == ([], HttpParseError)
         with pytest.raises(HttpParseError):
             _fed(kind, list(pieces))
+
+
+#: Heads holding a CR or LF outside a CRLF, or a NUL (RFC 9110 §5.5, RFC
+#: 9112 §2.2); ``%s`` is the start line.  Some would parse into a field
+#: value holding the stray byte, others would wait for a blank line that
+#: never comes: each must be refused as soon as the stray byte arrives.
+BARE_CORPUS = {
+    "lf-line-ends": b"%s\nHost: a\nContent-Length: 0\n\n",
+    "lf-in-value": b"%s\r\nHost: a\nX: y\r\n\r\n",
+    "lf-blank-line": b"%s\r\nHost: a\r\n\n",
+    "cr-line-ends": b"%s\rHost: a\r\r",
+    "cr-in-value": b"%s\r\nX: a\rb\r\n\r\n",
+    "cr-before-crlf": b"%s\r\nX: a\r\r\n\r\n",
+    "nul-in-value": b"%s\r\nX: a\0b\r\n\r\n",
+}
+
+
+class _Open(Pieces):
+    """A peer that stays connected: once the pieces are read, a read finds
+    nothing yet (a non-blocking socket's ``BlockingIOError``), never EOF."""
+
+    def recv(self, n):
+        if not self.pieces:
+            raise BlockingIOError
+        return super().recv(n)
+
+
+@pytest.mark.parametrize("kind", ["request", "response"])
+@pytest.mark.parametrize("case", sorted(BARE_CORPUS))
+def test_bare_cr_lf_or_nul_in_a_head_is_refused_at_every_split(kind, case):
+    wire = BARE_CORPUS[case] % _STARTS[kind].rstrip(b"\r\n")
+    for pieces in _every_split(wire):
+        assert _read(kind, list(pieces)) == ([], HttpParseError)
+        with pytest.raises(HttpParseError):
+            _fed(kind, list(pieces))
+        with pytest.raises(HttpParseError):
+            _parser(kind).read_message(_Open(list(pieces)))

@@ -15,6 +15,7 @@ from repro.http11 import (CONCURRENCY_ENV, Headers, HttpConnection,
                           HttpServer, PipelinedHttpConnection,
                           ReactorHttpServer, Request, Response,
                           ThreadedHttpServer, default_concurrency)
+from repro.http11.reactor import _ARMED
 
 
 @pytest.mark.parametrize("workers", [1, 8])
@@ -135,6 +136,41 @@ def test_saturated_pool_does_not_mask_health():
         for thread in parkers:
             thread.join(5.0)
     assert parked_replies == {"a": b"/park/a", "b": b"/park/b"}
+
+
+class _CountingLock:
+    """The server's lock, counting the sections entered through it."""
+
+    def __init__(self, lock):
+        self.lock = lock
+        self.entries = 0
+
+    def __enter__(self):
+        self.lock.acquire()
+        self.entries += 1
+
+    def __exit__(self, *exc):
+        self.lock.release()
+
+
+def test_a_serial_request_takes_at_most_three_lock_sections():
+    """Claim (with a handler slot), the count taken before the reply
+    leaves, and the re-arm that hands the slot back: three sections per
+    keep-alive request."""
+    requests = 50
+    with ReactorHttpServer(lambda request: Response(body=b"ok")) as server:
+        with HttpConnection(server.address, timeout=10.0) as conn:
+            assert conn.get("/").body == b"ok"
+            # the first turn re-arms after its reply left: wait for it
+            deadline = time.monotonic() + 5.0
+            while not all(c.state is _ARMED for c in server._conns):
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            counting = server._lock = _CountingLock(server._lock)
+            for _ in range(requests):
+                assert conn.get("/").body == b"ok"
+            server._lock = counting.lock
+    assert 0 < counting.entries <= 3 * requests
 
 
 def test_reactor_requires_epoll(monkeypatch):

@@ -704,7 +704,7 @@ class TestHttpValidators:
             assert server.responses_304 == 11
 
     def test_server_core_converts_any_handler_etag(self, mode):
-        """`_finalize` turns 200-with-matching-ETag into 304 for *plain*
+        """`_respond` turns 200-with-matching-ETag into 304 for *plain*
         handlers too — the validator pass is serving-core behaviour, not a
         SoapBinService feature."""
         def handler(request):

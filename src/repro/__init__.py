@@ -8,7 +8,7 @@ A from-scratch Python reproduction of Seshasayee, Schwan & Widener,
 ``repro.xmlcore``   hand-written XML tokenizer / tree / pull parser
 ``repro.pbio``      PBIO binary formats, format server, generated codecs
 ``repro.compress``  Lempel-Ziv codecs (LZSS, LZW, zlib)
-``repro.http11``    minimal HTTP/1.1 client + threaded server
+``repro.http11``    minimal HTTP/1.1 client + epoll reactor server
 ``repro.netsim``    deterministic links, cross-traffic, virtual clocks
 ``repro.transport`` channel abstraction (sockets / simulated / direct)
 ``repro.sunrpc``    Sun RPC + XDR baseline (Fig. 4)

@@ -21,9 +21,9 @@ standing judgment instrument the ROADMAP calls for:
   bound) or **open-loop** (a target aggregate RPS with Poisson or uniform
   inter-arrival times, so the harness keeps offering load while the
   server queues);
-* the server under test is any of the three shapes — ``threaded``,
-  ``reactor``, a prefork ``fleet`` — built in-process with admission
-  control and load-coupled quality, or an ``external`` address;
+* the server under test is the ``reactor`` or a prefork ``fleet`` of
+  them, built in-process with admission control and load-coupled
+  quality, or an ``external`` address;
 * the coordinator samples server-side **RSS + CPU from /proc** once a
   second, scrapes ``/metrics`` before and after the measurement window
   (so the report can assert the induced load against the server's own
@@ -54,7 +54,7 @@ from .timers import LogHistogram
 SCHEMA_VERSION = 1
 
 KINDS = ("binary", "xml", "pipelined", "extract", "largemsg")
-SERVER_SHAPES = ("threaded", "reactor", "fleet", "external")
+SERVER_SHAPES = ("reactor", "fleet", "external")
 ARRIVALS = ("poisson", "uniform")
 MODES = ("closed", "open")
 
@@ -118,7 +118,7 @@ class LoadgenConfig:
     #: distinct request values in circulation (1 = max cache hits)
     value_pool: int = 8
     payload_elements: int = 256
-    #: server under test: threaded/reactor/fleet (in-process) or external
+    #: server under test: reactor/fleet (in-process) or external
     server: str = "reactor"
     #: worker processes for the fleet shape
     workers: int = 2
@@ -275,7 +275,7 @@ def _protection(cfg: LoadgenConfig, quality, fleet_view=None):
 
 
 class _ServerUnderTest:
-    """One of the three in-process server shapes, or an external target.
+    """The in-process reactor or fleet, or an external target.
 
     Owns everything the coordinator needs afterwards: the app address,
     the scrape address (+ path semantics are identical), and the pids to
@@ -324,7 +324,7 @@ class _ServerUnderTest:
                 STREAM_ROUTE: pbio_stream_route(_stream_registry(),
                                                 wire=cfg.wire)}
         self._server = serve_endpoint(
-            service.endpoint, concurrency=self.shape, port=port,
+            service.endpoint, port=port,
             admission=admission, load_coupling=coupling,
             quality_stats=quality_stats, backlog=512, **server_kwargs)
         self.address = self._server.address

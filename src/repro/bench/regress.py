@@ -24,7 +24,7 @@ one JSON file:
 * **concurrency** — the event-driven serving core under load: active-call
   latency while thousands of idle keep-alive connections are held (with
   thread and RSS growth recorded), pipelined vs serial throughput at
-  depths 1/8/32, and a reactor-vs-threaded A/B of plain call latency;
+  depths 1/8/32;
 * **cache** — the content-addressed quality/response cache tier: the
   quality-managed RPC with the cache off (every call re-runs the quality
   handler + encode) vs on (steady-state hits replay memoized bytes), and
@@ -238,7 +238,6 @@ def _stream_rss_child(payload_bytes: int, out_q) -> None:
             yield fmt, {"seq": seq, "data": data}
 
     server = HttpServer(lambda request: Response(status=404),
-                        concurrency="reactor",
                         stream_routes={"/stream":
                                        pbio_stream_route(registry)})
     stop = threading.Event()
@@ -471,8 +470,7 @@ def _bench_idle_hold(requested: int, active_calls: int) -> Dict[str, Any]:
     # two fds per loopback connection (client + server end), plus slack
     target = max(64, min(requested, (soft - 256) // 2))
     registry, service = _echo_rpc_setup()
-    server = serve_endpoint(service.endpoint, concurrency="reactor",
-                            backlog=1024)
+    server = serve_endpoint(service.endpoint, backlog=1024)
     value = {"seq": 0, "payload": [float(i) for i in range(256)]}
     threads_before = threading.active_count()
     rss_before = _rss_kb()
@@ -532,7 +530,7 @@ def _bench_pipelined(requests_per_depth: int) -> Dict[str, Any]:
     # transport throughput, not Request-object construction
     requests = [Request(method="POST", target="/", body=body)
                 for _ in range(requests_per_depth)]
-    with HttpServer(handler, concurrency="reactor") as server:
+    with HttpServer(handler) as server:
         serial = HttpConnection(server.address)
         pipes = {depth: PipelinedHttpConnection(server.address, depth=depth)
                  for depth in depths}
@@ -575,29 +573,6 @@ def _bench_pipelined(requests_per_depth: int) -> Dict[str, Any]:
     return out
 
 
-def _bench_mode_ab(calls: int) -> Dict[str, Any]:
-    """Serial keep-alive call latency, reactor vs threaded — the switch
-    must not tax the single-connection happy path."""
-
-    def handler(request):
-        return Response(body=request.body)
-
-    out: Dict[str, Any] = {}
-    body = b"x" * 256
-    for mode in ("reactor", "threaded"):
-        with HttpServer(handler, concurrency=mode) as server:
-            with PipelinedHttpConnection(server.address, depth=1) as pipe:
-                for _ in range(min(10, calls)):
-                    pipe.post("/", body, "application/octet-stream")
-                latencies: List[float] = []
-                for _ in range(calls):
-                    start = time.perf_counter()
-                    pipe.post("/", body, "application/octet-stream")
-                    latencies.append(time.perf_counter() - start)
-        out[f"{mode}_p50_call_latency_s"] = percentile(latencies, 50)
-    return out
-
-
 def _bench_concurrency(smoke: bool) -> Dict[str, Any]:
     out: Dict[str, Any] = {
         "idle_hold": _bench_idle_hold(
@@ -605,7 +580,6 @@ def _bench_concurrency(smoke: bool) -> Dict[str, Any]:
             active_calls=60 if smoke else 200),
     }
     out.update(_bench_pipelined(300 if smoke else 3000))
-    out.update(_bench_mode_ab(60 if smoke else 400))
     return out
 
 
@@ -714,8 +688,7 @@ def _bench_scaleout(smoke: bool) -> Dict[str, Any]:
                                  duration_s, nclients)
             pipe = _drive_clients(_scaleout_pipe_client, fleet.address,
                                   duration_s, max(1, n_workers))
-            return {"rpc_ops_s": rpc, "pipelined_depth8_ops_s": pipe,
-                    "mode": fleet.mode}
+            return {"rpc_ops_s": rpc, "pipelined_depth8_ops_s": pipe}
         finally:
             fleet.close()
 
@@ -746,7 +719,7 @@ def _bench_scaleout(smoke: bool) -> Dict[str, Any]:
     return {
         "cores": cores,
         "workers": workers,
-        "mode": fleet_n["mode"],
+        "mode": "reuseport",
         "duration_s": duration_s,
         "rpc_client_processes": nclients,
         "single_worker_rpc_ops_s": single["rpc_ops_s"],

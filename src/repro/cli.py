@@ -111,9 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_cmd.add_argument("--port", type=int, default=0)
     fleet_cmd.add_argument("--workers", type=int, default=0,
                            help="worker processes (0 = os.cpu_count())")
-    fleet_cmd.add_argument("--mode", default="auto",
-                           choices=["auto", "reuseport", "handoff"],
-                           help="accept distribution (default: auto)")
     fleet_cmd.add_argument("--control-port", type=int, default=0,
                            help="fleet /healthz control port (0 = any)")
     fleet_cmd.add_argument("--requests", type=int, default=0,
@@ -371,7 +368,7 @@ def cmd_serve_fleet(args: argparse.Namespace) -> int:
 
     fleet = FleetServer(handler_factory,
                         workers=args.workers or None,
-                        port=args.port, mode=args.mode,
+                        port=args.port,
                         control_port=args.control_port)
     served = 0
     try:
@@ -382,7 +379,7 @@ def cmd_serve_fleet(args: argparse.Namespace) -> int:
         host, port = fleet.address
         chost, cport = fleet.control_address
         print(f"Echo fleet: {fleet.workers} workers on "
-              f"http://{host}:{port} (mode={fleet.mode})")
+              f"http://{host}:{port}")
         print(f"Fleet /healthz on http://{chost}:{cport}/healthz")
         while True:
             served = fleet.aggregate()["requests_served"]
@@ -452,8 +449,7 @@ def cmd_extract_serve(args: argparse.Namespace) -> int:
     app = build_app()
     admission = AdmissionController()
     coupling = LoadQualityCoupling(app.service.quality, admission)
-    server = serve_endpoint(app.endpoint, concurrency="reactor",
-                            port=args.port, admission=admission,
+    server = serve_endpoint(app.endpoint, port=args.port, admission=admission,
                             load_coupling=coupling,
                             quality_stats=app.quality_stats)
     print(f"Extraction service ({args.records} records) on {server.url}")

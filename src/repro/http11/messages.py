@@ -686,18 +686,27 @@ class _IncrementalParser:
                     if n - self._pos > self.max_header_bytes:
                         raise HttpTooLarge("trailer section too large")
                     return False
-                line = bytes(buf[self._pos:idx])
+                line = buf[self._pos:idx].decode("latin-1")
                 self._pos = idx + 2
                 if not line:
                     return True
-                name, sep, value = line.partition(b":")
-                if not sep:
-                    raise HttpParseError(f"bad trailer line {line!r}")
-                if self._head is not None:
-                    # a buffered body's trailers join its headers; a
-                    # streamed one's head is out already, so they drop
-                    self._head[1].add(name.decode("latin-1").strip(),
-                                      value.decode("latin-1").strip())
+                self._add_trailer(line)
+
+    def _add_trailer(self, line: str) -> None:
+        """Check one trailer line as the head's lines are checked — no
+        stray CR, LF or NUL, no folding, no whitespace before the colon —
+        and refuse the fields a trailer may not carry (RFC 9110 §6.5.1).
+        A buffered body's trailers then join its headers; a streamed
+        one's head is out already, so they drop."""
+        if _stray(line, 0):
+            raise HttpParseError("bare CR, LF or NUL in a trailer")
+        name, sep, value = line.partition(":")
+        if not sep or not name or name[0] in " \t" or name[-1] in " \t":
+            raise HttpParseError(f"bad trailer line {line!r}")
+        if name.lower() in ("content-length", "transfer-encoding", "host"):
+            raise HttpParseError(f"{name} is not allowed in a trailer")
+        if self._head is not None:
+            self._head[1].add(name, value.strip())
 
     def _reset_chunk_state(self) -> None:
         self._chunked = False

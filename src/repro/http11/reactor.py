@@ -1,6 +1,6 @@
-"""Event-driven HTTP/1.1 server: leader/followers over one shared epoll set.
+"""The HTTP/1.1 server: leader/followers over one shared epoll set.
 
-The thread-per-connection model spends a thread on every keep-alive
+A thread-per-connection server spends a thread on every keep-alive
 client, busy or not — at the ROADMAP's "millions of users" scale, idle
 connections exhaust threads long before the compiled codecs or the
 streaming XML engine become the bottleneck.  :class:`ReactorHttpServer`
@@ -14,10 +14,10 @@ pattern):
 * the owner does the whole exchange on its own thread: read through an
   incremental :class:`~repro.http11.messages.RequestParser` (partial
   reads, split CRLFs, pipelined bursts all welcome), run each complete
-  request in arrival order through ``_ServerCore._respond`` (shared
-  verbatim with the threaded server: admission, deadline shedding,
-  quality coupling, the handler), and gather-write the replies with
-  ``sendmsg``.  No request, response or byte crosses threads;
+  request in arrival order through ``_ServerCore._respond`` (admission,
+  deadline shedding, quality coupling, the handler), and gather-write
+  the replies with ``sendmsg``.  No request, response or byte crosses
+  threads;
 * **handler slots**: at most ``workers`` threads may be inside a handler
   at once, so one thread is always free to poll.  ``/healthz`` and
   ``/metrics`` need no slot, so a saturated pool cannot mask readiness; a
@@ -33,22 +33,20 @@ pattern):
   resume when the client drains.  Memory per connection is O(limits),
   never O(client behaviour).
 
-Semantics carried over from the threaded server (same test suite runs
-against both): ``max_connections`` 503s, ``/healthz``, per-request
-admission shedding with ``Retry-After``/``X-Shed-Reason``, 413/400/408
-error replies, ``idle_timeout_s`` (here measured from the last message
-*boundary*, so byte-at-a-time slowloris headers are evicted too), and
+The protection contract lives in ``_ServerCore``: ``max_connections``
+503s, ``/healthz``, per-request admission shedding with
+``Retry-After``/``X-Shed-Reason``, 413/400/408 error replies,
+``idle_timeout_s`` (measured from the last message *boundary*, so
+byte-at-a-time slowloris headers are evicted too), and
 ``close(drain_s=...)`` graceful drain with zero resets.
 
-Requires ``select.epoll`` (Linux): elsewhere the constructor raises
-``RuntimeError`` and :func:`~repro.http11.server.default_concurrency`
-picks the threaded server.
+Requires ``select.epoll``, so Linux: elsewhere the constructor raises
+``RuntimeError``.
 """
 
 from __future__ import annotations
 
 import collections
-import os
 import select
 import socket
 import threading
@@ -81,14 +79,13 @@ _CLOSED = 3
 
 
 class _Source:
-    """The listener or the fd-handoff receiver: claimed like a connection;
-    ``ready()`` adopts what arrived and returns False once it is spent."""
+    """The listening socket: claimed like a connection, and its owner
+    accepts everything queued before re-arming it."""
 
-    __slots__ = ("sock", "ready", "state")
+    __slots__ = ("sock", "state")
 
-    def __init__(self, sock: socket.socket, ready) -> None:
+    def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        self.ready = ready
         self.state = _ARMED
 
 
@@ -154,7 +151,7 @@ class _Conn:
 class ReactorHttpServer(_ServerCore):
     """Event-driven HTTP server: see the module docstring.
 
-    ``options`` are the serving options both servers share
+    ``options`` are the serving options of ``_ServerCore``
     (``max_connections``, ``retry_after_s``, ``admission``,
     ``load_coupling``, ``assume_synced_clock``, ``idle_timeout_s``,
     ``max_body_bytes``, ``max_header_bytes``, ``health_path``,
@@ -174,8 +171,6 @@ class ReactorHttpServer(_ServerCore):
     def __init__(self, handler: Handler, host: str = "127.0.0.1",
                  port: int = 0, backlog: int = 128,
                  reuse_port: bool = False,
-                 conn_receiver: Optional[socket.socket] = None,
-                 listen: bool = True,
                  workers: int = 8,
                  max_buffered_bytes: int = 1 << 20,
                  max_pipeline: int = 128,
@@ -184,13 +179,9 @@ class ReactorHttpServer(_ServerCore):
         if not hasattr(select, "epoll"):
             raise RuntimeError(
                 "ReactorHttpServer needs select.epoll, which this platform "
-                "lacks; use concurrency='threaded'")
+                "lacks; the server runs on Linux")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if not listen and conn_receiver is None:
-            raise ValueError(
-                "listen=False requires a conn_receiver — a server with "
-                "neither could never see a connection")
         super().__init__(handler, **options)
         self.workers = workers
         self.max_buffered_bytes = max_buffered_bytes
@@ -222,26 +213,16 @@ class ReactorHttpServer(_ServerCore):
         self._wake_w.setblocking(False)
         self._wake_fd = self._wake_r.fileno()
         self._epoll.register(self._wake_fd, _IN)
-        self._listener: Optional[_Source] = None
-        if listen:
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            if reuse_port:
-                set_reuse_port(sock)
-            sock.bind((host, port))
-            sock.listen(backlog)
-            sock.setblocking(False)
-            self.address = sock.getsockname()
-            self._listener = _Source(sock, self._accept_ready)
-            self._register(self._listener)
-        #: fd-handoff accept path: connected sockets arrive over this unix
-        #: socket (``socket.send_fds`` on the parent acceptor's side)
-        #: instead of — or in addition to — the listener.
-        self._receiver: Optional[_Source] = None
-        if conn_receiver is not None:
-            conn_receiver.setblocking(False)
-            self._receiver = _Source(conn_receiver, self._handoff_ready)
-            self._register(self._receiver)
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        if reuse_port:
+            set_reuse_port(sock)
+        sock.bind((host, port))
+        sock.listen(backlog)
+        sock.setblocking(False)
+        self.address = sock.getsockname()
+        self._listener = _Source(sock)
+        self._register(self._listener)
         self._threads = [
             threading.Thread(target=self._loop, name=f"http-reactor-{i}",
                              daemon=True)
@@ -267,7 +248,7 @@ class ReactorHttpServer(_ServerCore):
     # ownership
     # ------------------------------------------------------------------
     def _register(self, source) -> None:
-        """Put a new listener/receiver/connection into the epoll set."""
+        """Put the listener or a new connection into the epoll set."""
         fd = source.sock.fileno()
         with self._lock:
             live = self._running
@@ -357,7 +338,7 @@ class ReactorHttpServer(_ServerCore):
                 if type(source) is _Conn:
                     self._serve(source, mask, slot)
                 else:
-                    self._release_source(source, source.ready())
+                    self._accept(source)
             due = self._next_timer_at
             if due is not None and time.monotonic() >= due:
                 self._fire_timeouts()
@@ -383,58 +364,27 @@ class ReactorHttpServer(_ServerCore):
     # ------------------------------------------------------------------
     # accept / reject
     # ------------------------------------------------------------------
-    def _accept_ready(self) -> bool:
-        listener = self._listener.sock
+    def _accept(self, listener: _Source) -> None:
+        """Adopt every queued connection, then re-arm the listener."""
         while True:
             try:
-                sock, _addr = listener.accept()
+                sock, _addr = listener.sock.accept()
             except OSError:
-                return True  # drained (EAGAIN), or a transient error
+                break  # drained (EAGAIN), or a transient error
             self._adopt_socket(sock)
-
-    def _handoff_ready(self) -> bool:
-        """Adopt connected sockets handed over the fd-handoff channel.
-
-        The parent acceptor sends each connection as one byte of payload
-        plus the fd in ancillary data (``socket.send_fds``); EOF on the
-        channel means the parent is gone — existing connections keep
-        being served, but no new ones can arrive that way.
-        """
-        receiver = self._receiver.sock
-        while True:
-            try:
-                msg, fds, _flags, _addr = socket.recv_fds(receiver, 64, 8)
-            except (BlockingIOError, InterruptedError):
-                return True
-            except OSError:
-                return False
-            if not msg and not fds:
-                return False
-            for fd in fds:
-                try:
-                    sock = socket.socket(fileno=fd)
-                except OSError:
-                    try:
-                        os.close(fd)
-                    except OSError:
-                        pass
-                    continue
-                self._adopt_socket(sock)
-
-    def _release_source(self, source: _Source, keep: bool) -> None:
         with self._lock:
-            keep = keep and self._running and not self._draining
+            keep = self._running and not self._draining
             if keep:
                 try:
-                    self._epoll.modify(source.sock, _IN | _ONESHOT)
-                    source.state = _ARMED
+                    self._epoll.modify(listener.sock, _IN | _ONESHOT)
+                    listener.state = _ARMED
                 except (OSError, ValueError):
                     keep = False
         if not keep:
-            self._drop(source)
+            self._drop(listener)
 
     def _adopt_socket(self, sock: socket.socket) -> None:
-        """One accepted/handed-off connection enters the epoll set."""
+        """One accepted connection enters the epoll set."""
         if not self._admit_connection(sock):
             return
         sock.setblocking(False)
@@ -768,9 +718,8 @@ class ReactorHttpServer(_ServerCore):
     def _begin_drain(self) -> None:
         """Stop accepting and hang up idle keep-alive connections; busy
         ones close after their in-flight replies (see ``_release``)."""
-        for source in (self._listener, self._receiver):
-            if source is not None and self._claim(source):
-                self._drop(source)
+        if self._claim(self._listener):
+            self._drop(self._listener)
         for conn in list(self._conns):
             if self._claim(conn):
                 self._release(conn)
@@ -789,7 +738,7 @@ class ReactorHttpServer(_ServerCore):
             sock.close()
 
     def close(self, drain_s: Optional[float] = None) -> None:
-        """Stop the server (same contract as the threaded server).
+        """Stop the server.
 
         ``drain_s=None`` is an immediate shutdown: every thread leaves its
         loop and every socket closes.  With a drain bound: stop accepting
@@ -819,3 +768,14 @@ class ReactorHttpServer(_ServerCore):
                    > self.workers - self._free_slots):
                 thread.join(0.01)
         self._teardown()
+
+
+def HttpServer(handler: Handler, host: str = "127.0.0.1", port: int = 0,
+               backlog: int = 32, **options) -> ReactorHttpServer:
+    """Build the HTTP server: a :class:`ReactorHttpServer` listening with
+    a backlog of 32 unless told otherwise.  ``options`` are the
+    reactor's keyword arguments; ``reuse_port`` binds the listener with
+    ``SO_REUSEPORT`` so several processes can accept on one port (the
+    fleet's scale-out mechanism, see :mod:`repro.serving.fleet`)."""
+    return ReactorHttpServer(handler, host=host, port=port, backlog=backlog,
+                             **options)

@@ -1,26 +1,16 @@
-"""HTTP/1.1 servers: a shared serving core with two concurrency models.
+"""The HTTP/1.1 serving core: everything above the socket.
 
 The server is handler-driven: you give it a callable
 ``handler(Request) -> Response`` and it owns sockets, keep-alive and error
 responses.  The SOAP and SOAP-bin services plug their dispatchers in here.
 
-Two concurrency models share one behavioural contract (`_ServerCore`):
+:class:`_ServerCore` holds the configuration, counters and request-level
+behaviour; :class:`~repro.http11.reactor.ReactorHttpServer` owns the
+sockets (``workers + 1`` threads over one ``epoll`` set) and is the one
+server, built by :func:`~repro.http11.reactor.HttpServer`.
 
-* :class:`ThreadedHttpServer` — the historical thread-per-connection
-  model: simple, but at keep-alive scale every idle client pins a thread;
-* :class:`~repro.http11.reactor.ReactorHttpServer` — an event-driven
-  core: ``workers + 1`` threads share one ``epoll`` set, and the thread
-  woken for a connection owns it from read through handler to write
-  (incremental request parsing, HTTP/1.1 pipelining, write-queue
-  backpressure), so 10k idle connections cost file descriptors, not
-  threads.
-
-:func:`HttpServer` is the factory both run behind: pass
-``concurrency="threaded"`` or ``"reactor"`` (default: the
-``REPRO_HTTP_CONCURRENCY`` environment variable, else ``"reactor"``).
-
-Overload protection carries over identically in both models (see
-``docs/overload.md`` and ``docs/serving-reactor.md``):
+Overload protection (see ``docs/overload.md`` and
+``docs/serving-reactor.md``):
 
 * ``max_connections`` caps live connections (connection-level 503);
 * ``admission`` (an :class:`~repro.serving.admission.AdmissionController`)
@@ -28,9 +18,9 @@ Overload protection carries over identically in both models (see
   ``X-Shed-Reason``, and honors the client's ``X-Deadline-Ms`` budget;
 * ``load_coupling`` (a :class:`~repro.serving.coupling.LoadQualityCoupling`)
   takes a load reading after every request;
-* ``idle_timeout_s`` bounds silent keep-alive clients (and, on the
-  reactor, byte-at-a-time slowloris headers — the timer runs from the
-  last message boundary, not the last byte);
+* ``idle_timeout_s`` bounds silent keep-alive clients and byte-at-a-time
+  slowloris headers — the timer runs from the last message boundary, not
+  the last byte;
 * ``max_body_bytes`` / ``max_header_bytes`` per-server size limits
   (413 replies name the limit);
 * ``GET /healthz`` answers readiness with a JSON load snapshot without
@@ -49,17 +39,14 @@ from __future__ import annotations
 import json
 import math
 import os
-import select
 import socket
 import threading
 import time
 from typing import Callable, Dict, Optional, TYPE_CHECKING, Tuple
 
 from ..serving.deadline import HEADER_DEADLINE_MS, deadline_from_headers
-from .errors import HttpConnectionClosed, HttpParseError, HttpTooLarge
 from .messages import (MAX_BODY_BYTES, MAX_HEADER_BYTES, Request,
-                       RequestParser, Response, etag_matches, send_gather,
-                       wire_buffers)
+                       Response, etag_matches)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..serving.admission import AdmissionController
@@ -67,60 +54,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 Handler = Callable[[Request], Response]
 
-#: Environment variable selecting the default concurrency model.
-CONCURRENCY_ENV = "REPRO_HTTP_CONCURRENCY"
-_CONCURRENCY_MODES = ("threaded", "reactor")
-
-
-def supports_reuse_port() -> bool:
-    """Whether this platform can load-balance accepts via ``SO_REUSEPORT``."""
-    return hasattr(socket, "SO_REUSEPORT")
-
 
 def set_reuse_port(sock: socket.socket) -> None:
     """Enable ``SO_REUSEPORT`` on ``sock`` (before bind), or raise.
 
     Every socket sharing the port must set the option before binding —
     this is how a :class:`~repro.serving.fleet.FleetServer` worker joins
-    the kernel's accept-balancing group.  On platforms without the option
-    (old kernels, some BSDs behind different constants) a clear ``OSError``
-    names the fd-handoff fallback.
+    the kernel's accept-balancing group.  Without the option a clear
+    ``OSError`` names it: the fleet needs Linux.
     """
-    if not supports_reuse_port():
+    if not hasattr(socket, "SO_REUSEPORT"):
         raise OSError(
-            "SO_REUSEPORT is not available on this platform; use the "
-            "fleet's fd-handoff mode (mode='handoff') instead")
+            "SO_REUSEPORT is not available on this platform; the fleet "
+            "needs Linux")
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
 
 
-def default_concurrency() -> str:
-    """The concurrency model :func:`HttpServer` uses when not told.
-
-    An unset (or blank) ``REPRO_HTTP_CONCURRENCY`` means ``"reactor"`` —
-    or ``"threaded"`` where ``select.epoll``, which the reactor needs, is
-    missing; a set-but-unrecognized value is a configuration error and
-    raises — a typo like ``REPRO_HTTP_CONCURRENCY=reactr`` silently
-    falling back to the default is exactly how a deployment ends up
-    benchmarking the wrong server.
-    """
-    raw = os.environ.get(CONCURRENCY_ENV)
-    if raw is None or not raw.strip():
-        return "reactor" if hasattr(select, "epoll") else "threaded"
-    mode = raw.strip().lower()
-    if mode not in _CONCURRENCY_MODES:
-        raise ValueError(
-            f"{CONCURRENCY_ENV}={raw!r} is not a recognized concurrency "
-            f"model: choose one of {_CONCURRENCY_MODES}")
-    return mode
-
-
 class _ServerCore:
-    """Configuration, counters and request-level behaviour shared by the
-    threaded and reactor servers.
+    """Configuration, counters and request-level behaviour of the server.
 
-    Subclasses own the sockets; everything above the socket — health,
+    The subclass owns the sockets; everything above the socket — health,
     admission, deadline shedding, load coupling, the application dispatch
-    boundary — lives here so both models answer identically.
+    boundary — lives here.
     """
 
     def __init__(self, handler: Handler,
@@ -189,7 +144,7 @@ class _ServerCore:
         return self._running and not self._draining
 
     # ------------------------------------------------------------------
-    # request-level behaviour (identical in both concurrency models)
+    # request-level behaviour
     # ------------------------------------------------------------------
     def _respond(self, request: Request) -> Response:
         """Health and metrics targets, else the admission gate around the
@@ -328,7 +283,7 @@ class _ServerCore:
         return response
 
     def _reject_response(self) -> Response:
-        """The connection-cap 503 (no handler, no thread, no reactor slot)."""
+        """The connection-cap 503 (no handler, no handler slot)."""
         response = Response.text(503, "connection limit reached")
         response.headers.set("Connection", "close")
         # RFC 9110 Retry-After is integer delay-seconds; round up so a
@@ -377,232 +332,3 @@ class _ServerCore:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-    def close(self, drain_s: Optional[float] = None) -> None:
-        raise NotImplementedError  # pragma: no cover - abstract
-
-
-class ThreadedHttpServer(_ServerCore):
-    """The thread-per-connection HTTP server.
-
-    Usage::
-
-        def handler(request):
-            return Response(status=200, body=b"hi")
-
-        with ThreadedHttpServer(handler) as server:
-            ...  # server.address is (host, port)
-
-    ``max_connections`` bounds the thread-per-connection growth: beyond the
-    cap new connections are answered immediately with ``503 Service
-    Unavailable`` (``Connection: close`` and a ``Retry-After`` of
-    ``retry_after_s`` seconds) instead of spawning a thread, so a client
-    stampede degrades loudly rather than exhausting the process.  ``None``
-    (the default) keeps the historical unbounded behaviour.
-
-    The reactor-only tuning knobs (``workers``, ``max_buffered_bytes``,
-    ``max_pipeline``, ``stream_routes``) are accepted and ignored so both
-    servers can be constructed with one argument set.  Chunked request
-    bodies are still decoded here — they are just buffered whole and
-    dispatched normally; incremental streaming is the reactor's feature.
-    """
-
-    def __init__(self, handler: Handler, host: str = "127.0.0.1",
-                 port: int = 0, backlog: int = 32,
-                 reuse_port: bool = False,
-                 conn_receiver: Optional[socket.socket] = None,
-                 listen: bool = True,
-                 workers: int = 8,
-                 max_buffered_bytes: int = 1 << 20,
-                 max_pipeline: int = 128,
-                 stream_routes: Optional[Dict[str, object]] = None,
-                 **options) -> None:
-        if conn_receiver is not None or not listen:
-            raise ValueError(
-                "the fd-handoff accept path (conn_receiver/listen=False) "
-                "requires the reactor server; use concurrency='reactor'")
-        super().__init__(handler, **options)
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if reuse_port:
-            set_reuse_port(self._sock)
-        self._sock.bind((host, port))
-        self._sock.listen(backlog)
-        self.address = self._sock.getsockname()
-        #: open connection sockets -> True while a request is mid-dispatch
-        self._connections: Dict[socket.socket, bool] = {}
-        self._thread = threading.Thread(target=self._accept_loop,
-                                        name="http-server", daemon=True)
-        self._thread.start()
-
-    # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                conn, _addr = self._sock.accept()
-            except OSError:
-                return
-            if not self._admit_connection(conn):
-                continue
-            with self._lock:
-                self._connections[conn] = False
-            thread = threading.Thread(target=self._serve_connection,
-                                      args=(conn,), daemon=True)
-            thread.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        try:
-            self._serve_connection_inner(conn)
-        finally:
-            with self._idle_cond:
-                self._active_connections -= 1
-                self._connections.pop(conn, None)
-                self._idle_cond.notify_all()
-
-    def _serve_connection_inner(self, conn: socket.socket) -> None:
-        parser = RequestParser(max_header_bytes=self.max_header_bytes,
-                               max_body_bytes=self.max_body_bytes)
-        if self.idle_timeout_s is not None:
-            conn.settimeout(self.idle_timeout_s)
-        with conn:
-            while self._running:
-                try:
-                    request = parser.read_message(conn)
-                except HttpConnectionClosed:
-                    return
-                except HttpTooLarge as exc:
-                    self._safe_send(conn, Response.text(413, str(exc)))
-                    return
-                except TimeoutError:
-                    # Dead or dawdling keep-alive client: release the
-                    # worker thread instead of pinning it forever.  A
-                    # timeout mid-request earns a 408; silence between
-                    # requests is just a quiet hang-up.
-                    if parser.mid_message:
-                        self._safe_send(
-                            conn, Response.text(408, "request timeout"))
-                    return
-                except HttpParseError as exc:
-                    self._safe_send(conn,
-                                    Response.text(400, f"bad request: {exc}"))
-                    return
-                except OSError:
-                    # Socket torn down under us (peer reset, or drain
-                    # closed an idle connection) — nothing to answer.
-                    return
-                # mid-dispatch: a drain leaves this connection be (a value
-                # store, which never resizes the dict drain iterates)
-                self._connections[conn] = True
-                try:
-                    response = self._respond(request)
-                finally:
-                    self._connections[conn] = False
-                keep_alive = request.wants_keep_alive() and not self._draining
-                if not keep_alive:
-                    response.headers.set("Connection", "close")
-                with self._lock:
-                    self.requests_served += 1
-                if not self._safe_send(conn, response):
-                    return
-                if not keep_alive:
-                    return
-
-    @staticmethod
-    def _safe_send(conn: socket.socket, response: Response) -> bool:
-        try:
-            for _ in send_gather(conn, *wire_buffers(response)):
-                pass
-            return True
-        except OSError:
-            return False
-
-    # ------------------------------------------------------------------
-    def close(self, drain_s: Optional[float] = None) -> None:
-        """Stop the server.
-
-        ``drain_s=None`` keeps the historical immediate shutdown.  With a
-        drain bound the server: (1) stops accepting and reports not-ready
-        on the health path, (2) lets every in-flight request finish and
-        marks its reply ``Connection: close``, (3) hangs up idle
-        keep-alive connections, and (4) waits up to ``drain_s`` seconds
-        for the last connection before returning.  In-flight work is never
-        reset while the bound holds.
-        """
-        if drain_s is None:
-            self._running = False
-            self._close_listener()
-            return
-        self._draining = True
-        self._close_listener()
-        self._close_idle_connections()
-        self._wait_idle(drain_s)
-        self._running = False
-        # Anything still open after the bound is abandoned ungracefully.
-        self._close_idle_connections(force=True)
-
-    def _close_listener(self) -> None:
-        # shutdown() before close(): a thread blocked in accept() holds a
-        # kernel reference to the listening socket, so close() alone would
-        # leave the port accepting until the next connection arrives.
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    def _close_idle_connections(self, force: bool = False) -> None:
-        """Hang up connections with no request mid-dispatch.
-
-        With ``force=True`` even busy connections are torn down — only
-        used after the drain bound has expired.
-        """
-        with self._lock:
-            victims = [conn for conn, busy in self._connections.items()
-                       if force or not busy]
-        for conn in victims:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-
-def HttpServer(handler: Handler, host: str = "127.0.0.1", port: int = 0,
-               backlog: int = 32, concurrency: Optional[str] = None,
-               **options) -> _ServerCore:
-    """Build an HTTP server with the selected concurrency model.
-
-    ``concurrency`` is ``"threaded"`` (one thread per connection),
-    ``"reactor"`` (``workers + 1`` threads over one epoll set), or
-    ``None`` to use :func:`default_concurrency` (the
-    ``REPRO_HTTP_CONCURRENCY`` environment variable, falling back to
-    ``"reactor"`` where epoll exists).  Both models
-    honour the same protection contract; the reactor additionally
-    supports HTTP/1.1 pipelining and holds idle keep-alive connections
-    for the price of a file descriptor instead of a thread.
-
-    ``options`` are the keyword arguments both server classes take (see
-    :class:`ThreadedHttpServer` and
-    :class:`~repro.http11.reactor.ReactorHttpServer`).  ``reuse_port``
-    binds the listener with ``SO_REUSEPORT`` so several processes can
-    accept on one port (the fleet's scale-out mechanism);
-    ``conn_receiver``/``listen=False`` select the reactor-only fd-handoff
-    accept path — see :mod:`repro.serving.fleet`.
-    """
-    mode = (concurrency or default_concurrency()).strip().lower()
-    if mode not in _CONCURRENCY_MODES:
-        raise ValueError(
-            f"concurrency must be one of {_CONCURRENCY_MODES}, "
-            f"not {mode!r}")
-    if mode == "threaded":
-        cls = ThreadedHttpServer
-    else:
-        from .reactor import ReactorHttpServer
-        cls = ReactorHttpServer
-    return cls(handler, host=host, port=port, backlog=backlog, **options)

@@ -20,8 +20,8 @@ quality attribute:
   all of the above around any transport endpoint;
 * :mod:`~repro.serving.fleet` / :mod:`~repro.serving.shm_stats` —
   :class:`FleetServer` preforks N reactor workers on one
-  ``SO_REUSEPORT`` port (fd-handoff fallback) with a supervising
-  parent, and :class:`FleetStats` publishes per-worker load through a
+  ``SO_REUSEPORT`` port with a supervising parent, and
+  :class:`FleetStats` publishes per-worker load through a
   seqlock shared-memory segment so both the control-port ``/healthz``
   and every worker's :class:`LoadQualityCoupling` see *fleet* load;
 * :mod:`~repro.serving.metrics` — Prometheus text exposition for all of

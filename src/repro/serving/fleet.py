@@ -8,11 +8,9 @@ the ceiling.  :class:`FleetServer` removes it the classic prefork way:
   unmodified :class:`~repro.http11.ReactorHttpServer` +
   ``_ServerCore`` — admission control, deadline shedding, quality
   coupling, pipelining all behave exactly as in a single process;
-* all workers accept on **one port**.  Where the platform has it, each
-  worker binds its own ``SO_REUSEPORT`` listener and the kernel load-
-  balances the accept queue; elsewhere (``mode="handoff"``) the parent
-  owns the only listener and round-robins connected sockets to workers
-  over ``socket.send_fds`` unix socketpairs;
+* all workers accept on **one port**: each worker binds its own
+  ``SO_REUSEPORT`` listener and the kernel load-balances the accept
+  queue (Linux; without the option the constructor raises ``OSError``);
 * the **parent supervises**: crash detection with bounded exponential
   respawn backoff, :meth:`rolling_restart` (drain one worker at a time,
   zero in-flight calls lost), SIGTERM fan-out on :meth:`close`;
@@ -56,8 +54,6 @@ from .shm_stats import (DEFAULT_STALE_AFTER_S, STATE_DRAINING, STATE_READY,
 
 __all__ = ["FleetServer", "WorkerContext"]
 
-_MODES = ("auto", "reuseport", "handoff")
-
 
 class WorkerContext:
     """What a worker factory sees: who am I, and how loaded is the fleet.
@@ -84,10 +80,10 @@ class WorkerContext:
 class _WorkerConfig:
     """Everything a forked worker needs (passed in memory, never pickled)."""
 
-    __slots__ = ("index", "workers", "generation", "mode", "host", "port",
+    __slots__ = ("index", "workers", "generation", "host", "port",
                  "backlog", "stats_name", "publish_interval_s",
                  "stale_after_s", "drain_s", "handler_factory",
-                 "worker_config", "conn_receiver", "close_in_child")
+                 "worker_config", "close_in_child")
 
     def __init__(self, **kw) -> None:
         for name in self.__slots__:
@@ -121,18 +117,13 @@ def _worker_main(cfg: _WorkerConfig) -> None:
         handler, extra = made, {}
     if cfg.worker_config is not None:
         extra.update(cfg.worker_config(ctx))
-    if cfg.mode == "reuseport":
-        server = ReactorHttpServer(handler, host=cfg.host, port=cfg.port,
-                                   backlog=cfg.backlog, reuse_port=True,
-                                   **extra)
-    else:
-        server = ReactorHttpServer(handler, listen=False,
-                                   conn_receiver=cfg.conn_receiver, **extra)
+    server = ReactorHttpServer(handler, host=cfg.host, port=cfg.port,
+                               backlog=cfg.backlog, reuse_port=True, **extra)
     server.fleet_workers = cfg.workers
     server.fleet_index = cfg.index
     writer = stats.writer(cfg.index)
     pid = os.getpid()
-    port = server.address[1] if cfg.mode == "reuseport" else 0
+    port = server.address[1]
     parent = os.getppid()
 
     def publish(state: int) -> None:
@@ -156,14 +147,13 @@ def _worker_main(cfg: _WorkerConfig) -> None:
 class _WorkerSlot:
     """Parent-side bookkeeping for one worker position in the fleet."""
 
-    __slots__ = ("index", "proc", "generation", "parent_sock", "spawned_at",
+    __slots__ = ("index", "proc", "generation", "spawned_at",
                  "fails", "next_spawn_at", "restarting", "failed")
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.proc = None
         self.generation = 0
-        self.parent_sock: Optional[socket.socket] = None
         self.spawned_at = 0.0
         self.fails = 0
         self.next_spawn_at = 0.0
@@ -185,18 +175,15 @@ class FleetServer:
     factory's — build them there, not in the parent, so every worker gets
     fresh admission state and a coupling wired to ``ctx.fleet_view``.
 
-    ``mode="reuseport"`` (default where available) gives kernel accept
-    balancing; ``mode="handoff"`` keeps a single parent listener and
-    round-robins connected fds to workers over ``socket.send_fds`` —
-    deterministic distribution, and the accept backlog survives worker
-    restarts.  ``mode="auto"`` picks reuseport when the platform has it.
+    The kernel balances accepts over the workers' ``SO_REUSEPORT``
+    listeners.  A worker that dies takes its accept queue with it: those
+    connections are reset, and clients retry onto a live worker.
     """
 
     def __init__(self, handler_factory: Callable[[WorkerContext], Callable],
                  *, workers: Optional[int] = None,
                  host: str = "127.0.0.1", port: int = 0,
                  backlog: int = 128,
-                 mode: str = "auto",
                  worker_config: Optional[Callable[[WorkerContext], dict]]
                  = None,
                  control_host: str = "127.0.0.1",
@@ -209,15 +196,8 @@ class FleetServer:
                  publish_interval_s: float = 0.05,
                  stale_after_s: float = DEFAULT_STALE_AFTER_S,
                  drain_s: float = 5.0) -> None:
-        from ..http11.server import ThreadedHttpServer, supports_reuse_port
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
-        if mode == "auto":
-            mode = "reuseport" if supports_reuse_port() else "handoff"
-        if mode == "reuseport" and not supports_reuse_port():
-            raise OSError("SO_REUSEPORT is not available; use "
-                          "mode='handoff'")
-        self.mode = mode
+        from ..http11.reactor import ReactorHttpServer
+        from ..http11.server import set_reuse_port
         self.workers = workers if workers is not None \
             else (os.cpu_count() or 1)
         if self.workers < 1:
@@ -242,59 +222,40 @@ class FleetServer:
         self._lock = threading.Lock()
         self._running = True
 
-        # Port setup.  reuseport: a bound-but-never-listening placeholder
-        # pins the port in the parent (workers each bind+listen their own
-        # SO_REUSEPORT socket on it, and the port survives every worker
-        # restarting at once).  handoff: the parent owns the only
-        # listener and an acceptor thread distributes connections.
-        self._placeholder: Optional[socket.socket] = None
-        self._listener: Optional[socket.socket] = None
+        # A bound-but-never-listening placeholder pins the port in the
+        # parent: workers each bind+listen their own SO_REUSEPORT socket
+        # on it, and the port survives every worker restarting at once.
+        # Without the option this raises before any worker is forked.
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            if mode == "reuseport":
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+            set_reuse_port(sock)
             sock.bind((host, port))
-            if mode == "handoff":
-                sock.listen(backlog)
             self.address = sock.getsockname()
         except BaseException:
             sock.close()
             self._stats.close()
             raise
-        if mode == "reuseport":
-            self._placeholder = sock
-        else:
-            self._listener = sock
+        self._placeholder = sock
 
         self._slots = [_WorkerSlot(i) for i in range(self.workers)]
-        self._rr = 0                     # handoff round-robin cursor
         for slot in self._slots:
             self._spawn(slot)
-
-        self._acceptor: Optional[threading.Thread] = None
-        if mode == "handoff":
-            self._acceptor = threading.Thread(target=self._accept_loop,
-                                              name="fleet-acceptor",
-                                              daemon=True)
-            self._acceptor.start()
 
         self._supervisor = threading.Thread(target=self._supervise,
                                             name="fleet-supervisor",
                                             daemon=True)
         self._supervisor.start()
 
-        # Control-port health endpoint (None disables it).  The tiny
-        # threaded server is plenty: probes are rare and short.  Its own
-        # built-in health path is parked elsewhere so /healthz reaches
-        # the fleet handler below.
-        self._control: Optional[ThreadedHttpServer] = None
+        # Control-port health endpoint (None disables it).  One handler
+        # slot is plenty: probes are rare and short.  The control server's
+        # own built-in paths are parked elsewhere so /healthz and /metrics
+        # both reach the fleet handler below.
+        self._control: Optional[ReactorHttpServer] = None
         if control_port is not None:
-            # Park the control server's own built-in paths so /healthz and
-            # /metrics both reach the fleet handler below.
-            self._control = ThreadedHttpServer(
+            self._control = ReactorHttpServer(
                 self._control_handler, host=control_host, port=control_port,
-                health_path="/__control_self",
+                workers=1, health_path="/__control_self",
                 metrics_path="/__control_self_metrics")
         self.control_address = (self._control.address
                                 if self._control is not None else None)
@@ -305,49 +266,23 @@ class FleetServer:
     def _spawn(self, slot: _WorkerSlot) -> None:
         """Fork one worker into ``slot`` (parent side).  Lock not held."""
         slot.generation += 1
-        conn_receiver = None
-        parent_sock: Optional[socket.socket] = None
-        close_in_child: List[socket.socket] = []
-        if self._placeholder is not None:
-            close_in_child.append(self._placeholder)
-        if self._listener is not None:
-            close_in_child.append(self._listener)
-        if self.mode == "handoff":
-            parent_sock, child_sock = socket.socketpair(
-                socket.AF_UNIX, socket.SOCK_STREAM)
-            conn_receiver = child_sock
-            # every *other* worker's parent-side pipe is in our fd table
-            # at fork time; the child closes those copies so a dead
-            # worker's pipe does not linger half-open.
-            close_in_child.extend(
-                s.parent_sock for s in self._slots
-                if s.parent_sock is not None)
         cfg = _WorkerConfig(
             index=slot.index, workers=self.workers,
-            generation=slot.generation, mode=self.mode,
-            host=self.host, port=self.address[1], backlog=self.backlog,
+            generation=slot.generation, host=self.host,
+            port=self.address[1], backlog=self.backlog,
             stats_name=self._stats.name,
             publish_interval_s=self.publish_interval_s,
             stale_after_s=self.stale_after_s, drain_s=self.drain_s,
             handler_factory=self.handler_factory,
             worker_config=self.worker_config,
-            conn_receiver=conn_receiver, close_in_child=close_in_child)
+            close_in_child=[self._placeholder])
         proc = self._mp.Process(target=_worker_main, args=(cfg,),
                                 name=f"fleet-worker-{slot.index}",
                                 daemon=True)
         proc.start()
-        if conn_receiver is not None:
-            conn_receiver.close()        # child inherited its copy
         with self._lock:
-            old = slot.parent_sock
-            slot.parent_sock = parent_sock
             slot.proc = proc
             slot.spawned_at = time.monotonic()
-        if old is not None:
-            try:
-                old.close()
-            except OSError:              # pragma: no cover
-                pass
 
     def _supervise(self) -> None:
         """Crash detection + bounded-backoff respawn."""
@@ -381,45 +316,6 @@ class FleetServer:
                     slot.next_spawn_at = 0.0
                     self.respawns_total += 1
                     self._spawn(slot)
-
-    # ------------------------------------------------------------------
-    # handoff acceptor
-    # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        """Parent acceptor: round-robin connected fds to live workers."""
-        listener = self._listener
-        assert listener is not None
-        listener.settimeout(0.2)
-        while self._running:
-            try:
-                conn, _addr = listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            if not self._route(conn):
-                conn.close()             # no live worker: reset the client
-
-    def _route(self, conn: socket.socket) -> bool:
-        """Send one connected socket to the next live worker."""
-        with self._lock:
-            order = [self._slots[(self._rr + k) % self.workers]
-                     for k in range(self.workers)]
-            self._rr = (self._rr + 1) % self.workers
-        for slot in order:
-            with self._lock:
-                sock = slot.parent_sock
-                alive = (slot.proc is not None and slot.proc.is_alive()
-                         and not slot.restarting)
-            if sock is None or not alive:
-                continue
-            try:
-                socket.send_fds(sock, [b"c"], [conn.fileno()])
-            except OSError:
-                continue
-            conn.close()                 # the worker holds the dup now
-            return True
-        return False
 
     # ------------------------------------------------------------------
     # fleet state (parent side)
@@ -476,7 +372,6 @@ class FleetServer:
                  else "degraded" if live else "down")
         return {
             "state": state,
-            "mode": self.mode,
             "pid": os.getpid(),
             "address": list(self.address),
             "workers": self.workers,
@@ -532,9 +427,9 @@ class FleetServer:
         os.kill(proc.pid, sig)
         if sig == signal.SIGKILL:
             # Reap before returning: until the victim is actually gone,
-            # the handoff acceptor's is_alive() check can still route a
-            # connection onto its socketpair, and that fd dies (client
-            # reset) with the process.
+            # its listener is still in the SO_REUSEPORT group, and a
+            # connection the kernel queues there dies (client reset) with
+            # the process.
             proc.join(timeout=5.0)
         return proc.pid
 
@@ -542,9 +437,10 @@ class FleetServer:
                         spawn_timeout_s: float = 10.0) -> None:
         """Restart every worker, one at a time, losing no in-flight calls.
 
-        Per slot: take it out of new-connection rotation, SIGTERM it (the
-        worker publishes ``draining``, finishes every accepted call under
-        its drain bound, then exits), fork the replacement, and wait for
+        Per slot: SIGTERM the worker (it publishes ``draining``, closes
+        its listener, which takes it out of the kernel's accept rotation,
+        finishes every accepted call under its drain bound, then exits),
+        fork the replacement, and wait for
         the replacement to publish ``ready`` before moving on — so N-1
         workers carry traffic at every instant.
         """
@@ -555,7 +451,7 @@ class FleetServer:
                 proc = slot.proc
                 if proc is None or not proc.is_alive():
                     continue
-                slot.restarting = True   # acceptor + supervisor hands off
+                slot.restarting = True   # supervisor hands off
             try:
                 os.kill(proc.pid, signal.SIGTERM)
                 proc.join(timeout=drain_s + 5.0)
@@ -596,30 +492,14 @@ class FleetServer:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=2.0)
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        if self._placeholder is not None:
-            try:
-                self._placeholder.close()
-            except OSError:
-                pass
-        with self._lock:
-            for slot in self._slots:
-                if slot.parent_sock is not None:
-                    try:
-                        slot.parent_sock.close()
-                    except OSError:
-                        pass
-                    slot.parent_sock = None
+        try:
+            self._placeholder.close()
+        except OSError:
+            pass
         if self._control is not None:
             self._control.close()
         if self._supervisor is not None:
             self._supervisor.join(timeout=2.0)
-        if self._acceptor is not None:
-            self._acceptor.join(timeout=2.0)
         self._stats.close()
 
     def __enter__(self) -> "FleetServer":

@@ -11,8 +11,8 @@ module renders them in the Prometheus *text exposition format*
 library, so any scraper — Prometheus itself, ``curl``, or the loadgen
 report — reads one endpoint:
 
-* every ``HttpServer`` (threaded and reactor alike) serves
-  ``GET /metrics`` from the shared ``_ServerCore`` request path, next to
+* every ``HttpServer`` serves ``GET /metrics`` from the
+  ``_ServerCore`` request path, next to
   ``/healthz`` and equally exempt from admission control: a scrape must
   succeed *especially* while the server sheds;
 * a :class:`~repro.serving.fleet.FleetServer` aggregates its workers'
@@ -189,13 +189,10 @@ def server_families(server) -> List[Metric]:
     :class:`~repro.serving.coupling.LoadQualityCoupling`, and the reactor
     gauges the reactor server's ``connection_stats()``.
     """
-    concurrency = ("reactor" if hasattr(server, "connection_stats")
-                   else "threaded")
     families = [
         _gauge("repro_server_info",
                "Constant 1; labels carry the server's static identity.",
-               1, {"concurrency": concurrency,
-                   "fleet_index": str(getattr(server, "fleet_index", 0)),
+               1, {"fleet_index": str(getattr(server, "fleet_index", 0)),
                    "fleet_workers":
                        str(getattr(server, "fleet_workers", 1))}),
         _gauge("repro_server_ready",

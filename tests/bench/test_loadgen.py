@@ -74,7 +74,7 @@ class TestConfig:
             cfg.validate()
 
     def test_largemsg_requires_stream_capable_server(self):
-        cfg = LoadgenConfig(mix={"largemsg": 1.0}, server="threaded")
+        cfg = LoadgenConfig(mix={"largemsg": 1.0}, server="fleet")
         with pytest.raises(ValueError, match="stream routes"):
             cfg.validate()
 

@@ -70,7 +70,7 @@ def test_smoke_scaleout_measures_a_real_fleet(report):
     scale = report["scaleout"]
     assert scale["workers"] >= 1
     assert scale["cores"] >= 1
-    assert scale["mode"] in ("reuseport", "handoff")
+    assert scale["mode"] == "reuseport"
     assert scale["single_worker_rpc_ops_s"] > 0.0
     assert scale["fleet_rpc_ops_s"] > 0.0
     assert scale["scaling_efficiency"] > 0.0

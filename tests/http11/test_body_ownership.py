@@ -1,6 +1,6 @@
 """Bulk bodies: gather writes, direct body reads, the ownership rule and
 the bound on a declared ``Content-Length`` — for the one parser every
-reader goes through (both servers, the blocking and pipelined clients).
+reader goes through (the server, the blocking and pipelined clients).
 
 See the ``repro.http11.messages`` module docstring for the rule these
 tests hold the parser to.
@@ -131,10 +131,8 @@ class TestDeclaredLength:
                                         b"abc"]))
         assert parser.mid_message
 
-    @pytest.mark.parametrize("concurrency", ["threaded", "reactor"])
-    def test_server_peak_for_a_request_declaring_200_mb(self, concurrency):
-        with HttpServer(lambda request: Response(),
-                        concurrency=concurrency) as server:
+    def test_server_peak_for_a_request_declaring_200_mb(self):
+        with HttpServer(lambda request: Response()) as server:
             with socket.create_connection(server.address) as raw:
                 tracemalloc.start()
                 try:
@@ -188,8 +186,8 @@ def _image_registry():
     return registry, image
 
 
-@pytest.fixture(params=["threaded", "reactor"])
-def frame_server(request):
+@pytest.fixture
+def frame_server():
     """Every request answers with the next 0.92 MB PBIO frame, whose
     pixels are all equal to its sequence number."""
     registry, image = _image_registry()
@@ -205,7 +203,7 @@ def frame_server(request):
                 "seq": seq, "pixels": np.full(FULL_BODY, seq, np.uint8)})
         return Response(body=body)
 
-    with HttpServer(handler, concurrency=request.param) as server:
+    with HttpServer(handler) as server:
         yield server
 
 
@@ -234,7 +232,7 @@ class TestOwnership:
         def handler(request):
             return Response(status=500, body=body)
 
-        with HttpServer(handler, concurrency="threaded") as server:
+        with HttpServer(handler) as server:
             with HttpConnection(server.address) as conn:
                 response = conn.stream("/x", [b"a", b"b"])
                 assert response.status == 500
@@ -257,8 +255,7 @@ class TestOwnership:
         assert [decoder.unpack_stream(r.body)[1]["pixels"][-1]
                 for r in rest + later] == [2, 3, 4, 5, 6, 7, 8]
 
-    @pytest.mark.parametrize("concurrency", ["threaded", "reactor"])
-    def test_large_post_reaches_the_handler_as_bytes(self, concurrency):
+    def test_large_post_reaches_the_handler_as_bytes(self):
         payload = np.arange(1_500_000, dtype=np.uint32).astype(
             np.uint8).tobytes()
         seen = []
@@ -267,7 +264,7 @@ class TestOwnership:
             seen.append(request.body)
             return Response(body=b"ok")
 
-        with HttpServer(handler, concurrency=concurrency) as server:
+        with HttpServer(handler) as server:
             with HttpConnection(server.address) as conn:
                 assert conn.post("/", payload, "application/x").body == b"ok"
         assert type(seen[0]) is bytes

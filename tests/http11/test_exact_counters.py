@@ -1,4 +1,4 @@
-"""Server counters are exact, on both servers.
+"""Server counters are exact.
 
 ``perf/`` divides by these counts (``serving.admitted``,
 ``http11.requests_per_call``), so a request counted twice, late or not at
@@ -9,8 +9,6 @@ every earlier reply arrived, already counts all of them.
 """
 
 import socket
-
-import pytest
 
 from repro.http11 import (Headers, HttpConnection, HttpServer,
                           PipelinedHttpConnection, Request, Response)
@@ -38,11 +36,9 @@ def _raw_exchange(address, wire):
     return reply
 
 
-@pytest.mark.parametrize("concurrency", ["reactor", "threaded"])
-def test_every_counter_counts_each_request_once(concurrency):
+def test_every_counter_counts_each_request_once():
     admission = AdmissionController()
-    with HttpServer(handler, admission=admission,
-                    concurrency=concurrency) as server:
+    with HttpServer(handler, admission=admission) as server:
         with HttpConnection(server.address, timeout=10.0) as conn:
             for i in range(SERIAL):
                 reply = conn.post("/", b"%d" % i, "text/plain")

@@ -7,7 +7,8 @@ fed in pieces split at arbitrary offsets, or read through ``read_from``
 over a socket-like source.  Malformed input must end in a typed
 ``HttpError`` for every split, never in a hang, and a committed corpus of
 ambiguous framings (the request-smuggling class) must be refused with
-``HttpParseError`` by both parsers at every split.
+``HttpParseError`` by both parsers at every split, as must a trailer the
+head's checks would refuse.
 
 ``REPRO_SOAK=1`` (the CI ``reactor-soak`` job) runs ten times the
 examples.
@@ -204,3 +205,32 @@ def test_bare_cr_lf_or_nul_in_a_head_is_refused_at_every_split(kind, case):
             _fed(kind, list(pieces))
         with pytest.raises(HttpParseError):
             _parser(kind).read_message(_Open(list(pieces)))
+
+
+#: Trailer sections (RFC 9112 §7.1.2) that must get the head's checks —
+#: no stray CR, LF or NUL, no folding, no whitespace before a colon — and
+#: may not carry framing or routing fields (RFC 9110 §6.5.1).  Each ends
+#: a chunked body of ``abc``; merged, ``content-length`` would give the
+#: message a second, contradictory length.
+TRAILER_CORPUS = {
+    "lf-in-value": b"X: a\nY: b\r\n",
+    "cr-in-value": b"X: a\rb\r\n",
+    "nul-in-value": b"X: a\0b\r\n",
+    "space-before-colon": b"X : a\r\n",
+    "tab-before-colon": b"X\t: a\r\n",
+    "folded": b"X: a\r\n Y: b\r\n",
+    "content-length": b"Content-Length: 5\r\n",
+    "transfer-encoding": b"Transfer-Encoding: chunked\r\n",
+    "host": b"Host: elsewhere\r\n",
+}
+
+
+@pytest.mark.parametrize("kind", ["request", "response"])
+@pytest.mark.parametrize("case", sorted(TRAILER_CORPUS))
+def test_bad_trailers_are_refused_at_every_split(kind, case):
+    wire = (_STARTS[kind] + b"Transfer-Encoding: chunked\r\n\r\n"
+            b"3\r\nabc\r\n0\r\n" + TRAILER_CORPUS[case] + b"\r\n")
+    for pieces in _every_split(wire):
+        assert _read(kind, list(pieces)) == ([], HttpParseError)
+        with pytest.raises(HttpParseError):
+            _fed(kind, list(pieces))

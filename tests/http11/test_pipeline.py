@@ -1,5 +1,4 @@
-"""HTTP/1.1 pipelining: server-side ordering, the pipelined client, and
-the concurrency-mode factory — run against both server cores."""
+"""HTTP/1.1 pipelining: server-side ordering and the pipelined client."""
 
 import socket
 import threading
@@ -8,60 +7,16 @@ import time
 import pytest
 
 from repro.http11 import (HttpServer, PipelinedHttpConnection, PipelineError,
-                          ReactorHttpServer, Request, Response,
-                          ThreadedHttpServer, default_concurrency,
-                          CONCURRENCY_ENV)
+                          Request, Response)
 
 
 def echo_handler(request):
     return Response(body=b"echo:" + request.body)
 
 
-@pytest.fixture(params=["threaded", "reactor"])
-def mode(request):
-    return request.param
-
-
-class TestFactory:
-    def test_factory_builds_the_requested_core(self):
-        with HttpServer(echo_handler, concurrency="threaded") as server:
-            assert isinstance(server, ThreadedHttpServer)
-        with HttpServer(echo_handler, concurrency="reactor") as server:
-            assert isinstance(server, ReactorHttpServer)
-
-    def test_invalid_mode_is_rejected(self):
-        with pytest.raises(ValueError, match="concurrency"):
-            HttpServer(echo_handler, concurrency="fibers")
-
-    def test_env_sets_the_default(self, monkeypatch):
-        monkeypatch.setenv(CONCURRENCY_ENV, "threaded")
-        assert default_concurrency() == "threaded"
-        monkeypatch.setenv(CONCURRENCY_ENV, "reactor")
-        assert default_concurrency() == "reactor"
-        monkeypatch.setenv(CONCURRENCY_ENV, "  Reactor ")
-        assert default_concurrency() == "reactor"   # normalized
-        monkeypatch.setenv(CONCURRENCY_ENV, "")
-        assert default_concurrency() == "reactor"   # unset-equivalent
-
-    def test_unrecognized_env_value_raises_naming_choices(self,
-                                                          monkeypatch):
-        # A typo'd env var must fail loudly, not silently serve on the
-        # default core: name the bad value and the valid choices.
-        monkeypatch.setenv(CONCURRENCY_ENV, "bogus")
-        with pytest.raises(ValueError) as excinfo:
-            default_concurrency()
-        message = str(excinfo.value)
-        assert "bogus" in message
-        assert "reactor" in message and "threaded" in message
-        assert CONCURRENCY_ENV in message
-        monkeypatch.setenv(CONCURRENCY_ENV, "bogus")
-        with pytest.raises(ValueError):
-            HttpServer(echo_handler)     # the factory path raises too
-
-
 class TestServerSidePipelining:
-    def test_raw_pipelined_burst_answers_in_order(self, mode):
-        with HttpServer(echo_handler, concurrency=mode) as server:
+    def test_raw_pipelined_burst_answers_in_order(self):
+        with HttpServer(echo_handler) as server:
             burst = b"".join(
                 b"POST / HTTP/1.1\r\nContent-Length: 2\r\n\r\n%02d" % i
                 for i in range(10))
@@ -78,7 +33,7 @@ class TestServerSidePipelining:
             assert bodies == [b"%02d" % i for i in range(10)]
             assert server.requests_served == 10
 
-    def test_slow_first_request_does_not_reorder(self, mode):
+    def test_slow_first_request_does_not_reorder(self):
         # request 0 is slow, request 1 fast: responses must still arrive
         # 0 then 1 (pipelined responses are strictly ordered)
         def handler(request):
@@ -86,7 +41,7 @@ class TestServerSidePipelining:
                 time.sleep(0.2)
             return Response(body=b"done:" + request.body)
 
-        with HttpServer(handler, concurrency=mode) as server:
+        with HttpServer(handler) as server:
             burst = (b"POST / HTTP/1.1\r\nContent-Length: 4\r\n\r\nslow"
                      b"POST / HTTP/1.1\r\nContent-Length: 4\r\n\r\nfast")
             with socket.create_connection(server.address) as raw:
@@ -97,7 +52,7 @@ class TestServerSidePipelining:
                     data += raw.recv(65536)
             assert data.index(b"done:slow") < data.index(b"done:fast")
 
-    def test_connection_close_aborts_the_pipeline(self, mode):
+    def test_connection_close_aborts_the_pipeline(self):
         # requests queued after a Connection: close request are not
         # processed (RFC 9112); the connection closes after its response
         served_bodies = []
@@ -106,7 +61,7 @@ class TestServerSidePipelining:
             served_bodies.append(request.body)
             return Response(body=b"ok")
 
-        with HttpServer(handler, concurrency=mode) as server:
+        with HttpServer(handler) as server:
             burst = (b"POST /a HTTP/1.1\r\nContent-Length: 1\r\n"
                      b"Connection: close\r\n\r\nA"
                      b"POST /b HTTP/1.1\r\nContent-Length: 1\r\n\r\nB")
@@ -125,16 +80,16 @@ class TestServerSidePipelining:
 
 
 class TestPipelinedClient:
-    def test_depth_one_is_plain_serial(self, mode):
-        with HttpServer(echo_handler, concurrency=mode) as server:
+    def test_depth_one_is_plain_serial(self):
+        with HttpServer(echo_handler) as server:
             with PipelinedHttpConnection(server.address, depth=1) as pipe:
                 for i in range(5):
                     response = pipe.post("/", b"%d" % i, "text/plain")
                     assert response.body == b"echo:%d" % i
                 assert pipe.requests_sent == 5
 
-    def test_batch_results_in_request_order(self, mode):
-        with HttpServer(echo_handler, concurrency=mode) as server:
+    def test_batch_results_in_request_order(self):
+        with HttpServer(echo_handler) as server:
             with PipelinedHttpConnection(server.address, depth=8) as pipe:
                 requests = [Request(method="POST", target="/",
                                     body=b"%03d" % i) for i in range(64)]
@@ -142,8 +97,8 @@ class TestPipelinedClient:
                 assert [r.body for r in responses] == \
                     [b"echo:%03d" % i for i in range(64)]
 
-    def test_connection_persists_across_batches(self, mode):
-        with HttpServer(echo_handler, concurrency=mode) as server:
+    def test_connection_persists_across_batches(self):
+        with HttpServer(echo_handler) as server:
             with PipelinedHttpConnection(server.address, depth=4) as pipe:
                 for _ in range(3):
                     pipe.request_many([
@@ -167,7 +122,7 @@ class TestPipelinedClient:
                 return response
             return Response(body=b"ok")
 
-        with HttpServer(handler, concurrency="reactor") as server:
+        with HttpServer(handler) as server:
             with PipelinedHttpConnection(server.address, depth=8) as pipe:
                 requests = [Request(method="POST", target="/", body=b"x")
                             for _ in range(6)]
@@ -182,11 +137,11 @@ class TestPipelinedClient:
             PipelinedHttpConnection(("127.0.0.1", 1), depth=0)
 
 
-class TestHealthOnBothModes:
-    def test_healthz_json_shape(self, mode):
+class TestHealth:
+    def test_healthz_json_shape(self):
         import json
 
-        with HttpServer(echo_handler, concurrency=mode) as server:
+        with HttpServer(echo_handler) as server:
             with PipelinedHttpConnection(server.address) as pipe:
                 payload = json.loads(pipe.get("/healthz").body)
         assert payload["state"] == "ready"

@@ -5,8 +5,6 @@ event-driven core is supposed to bound."""
 import socket
 import time
 
-import pytest
-
 from repro.http11 import HttpServer, ReactorHttpServer, Response
 
 
@@ -19,8 +17,7 @@ class TestSlowloris:
         # Trickling one header byte per tick keeps the socket "active" by
         # last-byte accounting; the reactor times out from the last
         # *message boundary*, so the trickler is evicted mid-request.
-        with HttpServer(ok_handler, concurrency="reactor",
-                        idle_timeout_s=0.3) as server:
+        with HttpServer(ok_handler, idle_timeout_s=0.3) as server:
             with socket.create_connection(server.address) as raw:
                 raw.settimeout(5.0)
                 deadline = time.monotonic() + 5.0
@@ -42,8 +39,7 @@ class TestSlowloris:
             assert server.requests_served == 0
 
     def test_fast_clients_survive_the_same_timeout(self):
-        with HttpServer(ok_handler, concurrency="reactor",
-                        idle_timeout_s=0.3) as server:
+        with HttpServer(ok_handler, idle_timeout_s=0.3) as server:
             with socket.create_connection(server.address) as raw:
                 raw.settimeout(5.0)
                 for _ in range(3):
@@ -57,7 +53,7 @@ class TestPoisonedPipeline:
         def echo(request):
             return Response(body=b"echo:" + request.body)
 
-        with HttpServer(echo, concurrency="reactor") as server:
+        with HttpServer(echo) as server:
             burst = (b"POST / HTTP/1.1\r\nContent-Length: 1\r\n\r\nA"
                      b"POST / HTTP/1.1\r\nContent-Length: 1\r\n\r\nB"
                      b"GARBAGE NOT HTTP\r\n\r\n"
@@ -78,8 +74,7 @@ class TestPoisonedPipeline:
             assert server.requests_served == 2
 
     def test_oversized_mid_pipeline_answers_413_and_closes(self):
-        with HttpServer(ok_handler, concurrency="reactor",
-                        max_body_bytes=16) as server:
+        with HttpServer(ok_handler, max_body_bytes=16) as server:
             burst = (b"POST / HTTP/1.1\r\nContent-Length: 1\r\n\r\nA"
                      b"POST / HTTP/1.1\r\nContent-Length: 9999\r\n\r\n")
             with socket.create_connection(server.address) as raw:
@@ -164,7 +159,7 @@ class TestNeverReadingClient:
 
 class TestRejectOverCap:
     def test_over_cap_connects_get_503_not_a_hang(self):
-        with HttpServer(ok_handler, concurrency="reactor",
+        with HttpServer(ok_handler,
                         max_connections=1, retry_after_s=2.0) as server:
             with socket.create_connection(server.address) as first:
                 first.sendall(b"GET / HTTP/1.1\r\n\r\n")

@@ -11,11 +11,11 @@ import time
 
 import pytest
 
-from repro.http11 import (CONCURRENCY_ENV, Headers, HttpConnection,
-                          HttpServer, PipelinedHttpConnection,
-                          ReactorHttpServer, Request, Response,
-                          ThreadedHttpServer, default_concurrency)
+from repro.http11 import (Headers, HttpConnection, HttpServer,
+                          PipelinedHttpConnection, ReactorHttpServer,
+                          Request, Response)
 from repro.http11.reactor import _ARMED
+from repro.transport import serve_endpoint
 
 
 @pytest.mark.parametrize("workers", [1, 8])
@@ -175,9 +175,8 @@ def test_a_serial_request_takes_at_most_three_lock_sections():
 
 def test_reactor_requires_epoll(monkeypatch):
     monkeypatch.delattr(select, "epoll")
-    monkeypatch.delenv(CONCURRENCY_ENV, raising=False)
-    with pytest.raises(RuntimeError, match="epoll"):
-        ReactorHttpServer(lambda request: Response())
-    assert default_concurrency() == "threaded"
-    with HttpServer(lambda request: Response()) as server:
-        assert isinstance(server, ThreadedHttpServer)
+    for build in (ReactorHttpServer, HttpServer):
+        with pytest.raises(RuntimeError, match="epoll.*Linux"):
+            build(lambda request: Response())
+    with pytest.raises(RuntimeError, match="epoll.*Linux"):
+        serve_endpoint(lambda body, content_type, headers: None)

@@ -34,8 +34,7 @@ def _connection_budget(requested: int) -> int:
 class TestConnectionHold:
     def test_10k_idle_connections_with_o1_threads(self):
         target = _connection_budget(10_000)
-        with HttpServer(echo_handler, concurrency="reactor",
-                        backlog=1024) as server:
+        with HttpServer(echo_handler, backlog=1024) as server:
             threads_before = threading.active_count()
             held = []
             try:
@@ -63,8 +62,7 @@ class TestConnectionHold:
         # many pipelined clients bursting concurrently: every request is
         # answered, in order, and the counters add up exactly
         clients, per_client = 16, 200
-        with HttpServer(echo_handler, concurrency="reactor",
-                        backlog=256) as server:
+        with HttpServer(echo_handler, backlog=256) as server:
             failures = []
 
             def stampede(worker: int) -> None:

@@ -1,11 +1,5 @@
 """End-to-end chunked streaming: reactor stream routes + the full-duplex
-client.
-
-The reactor is the only server with incremental routes; the threaded
-server buffers chunked bodies whole and dispatches normally, which is
-also covered here so the two cores stay interchangeable for buffered
-callers.
-"""
+client."""
 
 import socket
 import threading
@@ -43,7 +37,7 @@ def upper_route(_request):
 
 class TestReactorStreamRoutes:
     def test_stream_roundtrip(self):
-        with HttpServer(ok_handler, concurrency="reactor",
+        with HttpServer(ok_handler,
                         stream_routes={"/up": upper_route}) as server:
             with HttpConnection(server.address) as conn:
                 resp = conn.stream("/up", [b"hello ", b"world"])
@@ -54,7 +48,7 @@ class TestReactorStreamRoutes:
             assert server.streamed_bytes_in == len(b"hello world")
 
     def test_connection_reusable_after_stream(self):
-        with HttpServer(ok_handler, concurrency="reactor",
+        with HttpServer(ok_handler,
                         stream_routes={"/up": upper_route}) as server:
             with HttpConnection(server.address) as conn:
                 assert conn.stream("/up", [b"a"]).read() == b"A[done]"
@@ -66,7 +60,7 @@ class TestReactorStreamRoutes:
     def test_non_stream_target_buffers_chunked_body(self):
         # a chunked request to a non-stream route is decoded, buffered
         # and dispatched to the ordinary handler
-        with HttpServer(ok_handler, concurrency="reactor",
+        with HttpServer(ok_handler,
                         stream_routes={"/up": upper_route}) as server:
             with HttpConnection(server.address) as conn:
                 resp = conn.stream("/buffered", [b"ab", b"cd"])
@@ -77,7 +71,7 @@ class TestReactorStreamRoutes:
         def broken_route(_request):
             raise RuntimeError("no stream for you")
 
-        with HttpServer(ok_handler, concurrency="reactor",
+        with HttpServer(ok_handler,
                         stream_routes={"/bad": broken_route}) as server:
             with HttpConnection(server.address) as conn:
                 resp = conn.stream("/bad", [b"x"])
@@ -94,7 +88,7 @@ class TestReactorStreamRoutes:
             def finish(self):
                 return None
 
-        with HttpServer(ok_handler, concurrency="reactor",
+        with HttpServer(ok_handler,
                         stream_routes={"/boom": lambda r: Exploding()}
                         ) as server:
             conn = HttpConnection(server.address)
@@ -107,7 +101,7 @@ class TestReactorStreamRoutes:
     def test_multi_megabyte_payload(self):
         chunk = b"z" * 65536
         total = 64                              # 4 MiB
-        with HttpServer(ok_handler, concurrency="reactor",
+        with HttpServer(ok_handler,
                         stream_routes={"/up": upper_route}) as server:
             with HttpConnection(server.address) as conn:
                 resp = conn.stream("/up", (chunk for _ in range(total)))
@@ -119,24 +113,11 @@ class TestReactorStreamRoutes:
             assert server.streamed_bytes_out >= total * len(chunk)
 
     def test_client_counts_streamed_bytes(self):
-        with HttpServer(ok_handler, concurrency="reactor",
+        with HttpServer(ok_handler,
                         stream_routes={"/up": upper_route}) as server:
             with HttpConnection(server.address) as conn:
                 conn.stream("/up", [b"12345"]).read()
                 assert conn.bytes_streamed == 5
-
-
-class TestThreadedChunked:
-    def test_threaded_server_buffers_chunked_requests(self):
-        # no stream_routes support, but chunked bodies still work —
-        # decoded whole, dispatched normally, non-chunked response back
-        with HttpServer(ok_handler, concurrency="threaded",
-                        stream_routes={"/up": upper_route}) as server:
-            with HttpConnection(server.address) as conn:
-                resp = conn.stream("/up", [b"ab", b"c"])
-                assert resp.status == 200
-                assert resp.read() == b"plain:abc"
-            assert server.chunked_requests == 1
 
 
 class TestStreamResponseFraming:
@@ -190,8 +171,7 @@ class TestPbioStreamOverHttp:
             for seq in range(n):
                 yield fmt, {"seq": seq, "data": data}
 
-        with HttpServer(ok_handler, concurrency="reactor",
-                        stream_routes={"/pbio":
+        with HttpServer(ok_handler, stream_routes={"/pbio":
                                        pbio_stream_route(registry)}
                         ) as server:
             with HttpConnection(server.address) as conn:
@@ -228,8 +208,7 @@ class TestPbioStreamOverHttp:
             return half, {"seq": value["seq"],
                           "data": value["data"][::2]}
 
-        with HttpServer(ok_handler, concurrency="reactor",
-                        stream_routes={"/q": pbio_stream_route(
+        with HttpServer(ok_handler, stream_routes={"/q": pbio_stream_route(
                             registry, transform=halve)}) as server:
             with HttpConnection(server.address) as conn:
                 session = PbioSession(registry)

@@ -1,9 +1,14 @@
 """FleetServer: prefork scale-out on one port, supervision, zero-loss
-rolling restarts, and cross-worker PBIO format consistency."""
+rolling restarts, and cross-worker PBIO format consistency.
+
+The kernel hashes each connection to one worker's ``SO_REUSEPORT``
+listener, so a test that needs a second worker opens fresh connections
+until one answers, within :data:`TRIES`."""
 
 import json
 import os
 import signal
+import socket
 import threading
 import time
 
@@ -70,6 +75,33 @@ def _fleet(factory, **kwargs):
     return fleet
 
 
+#: fresh connections a test opens to reach every worker of a 2-worker
+#: fleet (all of them hashing to one worker is vanishingly unlikely)
+TRIES = 64
+
+
+def _pids_answering(fleet):
+    """Fresh connections until every worker has answered one."""
+    pids, want = set(), set(fleet.worker_pids())
+    for _ in range(TRIES):
+        with HttpConnection(fleet.address) as conn:
+            pids.add(int(conn.post("/", b"x", "text/plain").body))
+        if pids >= want:
+            break
+    return pids
+
+
+def _channel_off_worker(fleet, pid):
+    """A fresh :class:`HttpChannel` whose connection a worker other than
+    ``pid`` accepted (its ``/healthz`` names the worker)."""
+    for _ in range(TRIES):
+        channel = HttpChannel(fleet.address)
+        if json.loads(channel.connection.get("/healthz").body)["pid"] != pid:
+            return channel
+        channel.close()
+    pytest.fail(f"{TRIES} fresh connections all reached worker {pid}")
+
+
 def _control_payload(fleet):
     with HttpConnection(fleet.control_address) as conn:
         response = conn.get("/healthz")
@@ -77,11 +109,11 @@ def _control_payload(fleet):
 
 
 class TestOnePort:
-    @pytest.mark.parametrize("mode", ["reuseport", "handoff"])
-    def test_workers_share_one_port_and_identify_themselves(self, mode):
-        with _fleet(pid_factory, mode=mode) as fleet:
+    def test_workers_share_one_port_and_identify_themselves(self):
+        with _fleet(pid_factory) as fleet:
+            want = set(fleet.worker_pids())
             pids = set()
-            for _ in range(8):
+            for _ in range(TRIES):
                 with HttpConnection(fleet.address) as conn:
                     body = conn.post("/", b"x", "text/plain").body
                     health = json.loads(conn.get("/healthz").body)
@@ -89,23 +121,21 @@ class TestOnePort:
                 # the worker's own /healthz now carries pid + fleet size
                 assert health["pid"] == int(body)
                 assert health["workers"] == 2
-            assert pids <= set(fleet.worker_pids())
-        # handoff round-robins, so 8 connections MUST hit both workers;
-        # reuseport hashing usually does but is not guaranteed
-        if mode == "handoff":
-            assert len(pids) == 2
+                if pids >= want:
+                    break
+            assert pids == want
 
-    def test_mode_auto_resolves_to_a_real_mode(self):
-        with _fleet(pid_factory, workers=1, mode="auto") as fleet:
-            assert fleet.mode in ("reuseport", "handoff")
+    def test_no_so_reuseport_refuses_before_forking(self, monkeypatch):
+        monkeypatch.delattr(socket, "SO_REUSEPORT")
 
-    def test_bad_mode_is_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            FleetServer(pid_factory, workers=1, mode="prefork")
+        def no_fork():
+            raise AssertionError("forked a worker")
+        monkeypatch.setattr(os, "fork", no_fork)
+        with pytest.raises(OSError, match="SO_REUSEPORT"):
+            FleetServer(pid_factory, workers=2, control_port=None)
 
     def test_control_healthz_reports_per_worker_and_aggregate(self):
-        with _fleet(pid_factory, mode="handoff",
-                    worker_config=admission_config) as fleet:
+        with _fleet(pid_factory, worker_config=admission_config) as fleet:
             for _ in range(6):
                 with HttpConnection(fleet.address) as conn:
                     assert conn.post("/", b"x", "text/plain").status == 200
@@ -117,7 +147,6 @@ class TestOnePort:
                 time.sleep(0.05)
             assert status == 200
             assert payload["state"] == "ready"
-            assert payload["mode"] == "handoff"
             assert payload["workers"] == 2
             assert payload["workers_live"] == 2
             assert payload["pid"] == os.getpid()
@@ -137,7 +166,7 @@ class TestSupervision:
         # heartbeat goes stale, and the respawn overwrites the slot — so
         # shrink the staleness window and stretch the respawn backoff to
         # make the degraded interval observable from the control port.
-        with _fleet(pid_factory, mode="handoff", stale_after_s=0.3,
+        with _fleet(pid_factory, stale_after_s=0.3,
                     respawn_backoff_s=0.8) as fleet:
             victim = fleet.kill_worker(0, signal.SIGKILL)
             # the fleet keeps serving through the outage
@@ -168,10 +197,7 @@ class TestSupervision:
             assert payload["supervisor"][0]["generation"] == 2
             assert fleet.respawns_total == 1
             # the replacement serves traffic on the same port
-            pids = set()
-            for _ in range(4):
-                with HttpConnection(fleet.address) as conn:
-                    pids.add(int(conn.post("/", b"x", "text/plain").body))
+            pids = _pids_answering(fleet)
             assert len(pids) == 2 and victim not in pids
 
     def test_respawn_backoff_gives_up_after_max(self, capfd):
@@ -198,8 +224,7 @@ class TestSupervision:
         """Acceptance: killing one worker mid-load must not lose accepted
         in-flight calls beyond that worker's — and with the client retry
         policy re-driving the failed suffix, even those complete."""
-        with _fleet(slow_echo_factory, mode="handoff",
-                    respawn_backoff_s=0.05) as fleet:
+        with _fleet(slow_echo_factory, respawn_backoff_s=0.05) as fleet:
             registry = FormatRegistry()
             registry.register(ECHO_FMT)
             policy = RetryPolicy(max_attempts=5, deadline_s=60.0,
@@ -243,8 +268,7 @@ class TestRollingRestart:
         """Satellite: drain/restart one worker of two while a call_many
         pipelined stream is in flight — zero failed slots, exact
         completed-call accounting."""
-        with _fleet(slow_echo_factory, mode="handoff",
-                    drain_s=5.0) as fleet:
+        with _fleet(slow_echo_factory, drain_s=5.0) as fleet:
             before = set(fleet.worker_pids())
             registry = FormatRegistry()
             registry.register(ECHO_FMT)
@@ -290,11 +314,11 @@ class TestCrossWorkerFormats:
         round-trip through another — deterministic registry construction
         plus the per-session announcement handshake are the sharing
         mechanism, with no cross-process registry state."""
-        with _fleet(echo_factory, mode="handoff") as fleet:
+        with _fleet(echo_factory) as fleet:
             registry = FormatRegistry()
             registry.register(ECHO_FMT)
             channel_a = HttpChannel(fleet.address)
-            channel_b = HttpChannel(fleet.address)
+            channel_b = None
             client = SoapBinClient(channel_a, registry)
             try:
                 # call 1 carries the format announcement to worker A
@@ -305,6 +329,7 @@ class TestCrossWorkerFormats:
                 # The session has already announced, so worker B receives
                 # a bare data message and must resolve the format id from
                 # its own (identically constructed) registry.
+                channel_b = _channel_off_worker(fleet, first["pid"])
                 client.channel = channel_b
                 second = client.call("Echo",
                                      {"seq": 2, "payload": [2.0, 3.0],
@@ -312,10 +337,10 @@ class TestCrossWorkerFormats:
                                      ECHO_FMT, ECHO_FMT)
             finally:
                 channel_a.close()
-                channel_b.close()
+                if channel_b is not None:
+                    channel_b.close()
             assert first["seq"] == 1 and first["payload"] == [1.0]
             assert second["seq"] == 2 and second["payload"] == [2.0, 3.0]
-            # handoff round-robin: two fresh connections, two workers —
             # the two calls really were served by different processes
             assert first["pid"] != second["pid"]
             assert {first["pid"], second["pid"]} == \

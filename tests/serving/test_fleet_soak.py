@@ -32,7 +32,7 @@ def echo_pid_factory(ctx):
 
 
 def test_stampede_survives_losing_a_worker():
-    with FleetServer(echo_pid_factory, workers=WORKERS, mode="auto",
+    with FleetServer(echo_pid_factory, workers=WORKERS,
                      publish_interval_s=0.02,
                      respawn_backoff_s=0.05) as fleet:
         assert fleet.wait_ready(30.0), "fleet never became ready"

@@ -1,5 +1,5 @@
 """``/metrics`` Prometheus exposition: golden-format checks, counter
-monotonicity, scrape-under-load for both concurrency models, and
+monotonicity, scrape-under-load, and
 fleet-aggregate consistency against the per-worker series."""
 
 import threading
@@ -208,7 +208,6 @@ class TestWireAndStreamingFamilies:
                 return None
 
         with HttpServer(lambda request: Response(body=b"ok"),
-                        concurrency="reactor",
                         stream_routes={"/s": lambda r: Echo()}) as server:
             with HttpConnection(server.address) as conn:
                 assert conn.stream("/s", [b"abcd"]).read() == b"abcd"
@@ -219,17 +218,15 @@ class TestWireAndStreamingFamilies:
 
 
 # ----------------------------------------------------------------------
-# counters under load, both concurrency models
+# counters under load
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("concurrency", ["reactor", "threaded"])
 class TestScrapeUnderLoad:
-    def test_counters_monotonic_and_match_load(self, concurrency):
+    def test_counters_monotonic_and_match_load(self):
         service = _echo_service()
         admission = AdmissionController(max_concurrency=4, queue_limit=16)
         coupling = LoadQualityCoupling(service.quality, admission)
-        server = serve_endpoint(service.endpoint, concurrency=concurrency,
-                                admission=admission,
+        server = serve_endpoint(service.endpoint, admission=admission,
                                 load_coupling=coupling,
                                 quality_stats=service.quality_stats)
         try:
@@ -267,8 +264,7 @@ class TestScrapeUnderLoad:
         assert series == sorted(series), "counter went backwards"
         assert after[key] - before[key] == sum(counts)
         assert after["repro_requests_served_total"] >= sum(counts)
-        if concurrency == "reactor":
-            assert "repro_reactor_worker_threads" in after
+        assert "repro_reactor_worker_threads" in after
         assert after["repro_load_samples_total"] > 0
 
 
@@ -359,7 +355,7 @@ class TestExtractMetrics:
     def test_worker_port_exposes_extract_families(self, tmp_path):
         from repro.apps.extract import ExtractService
         app = ExtractService(total=300, page_records=50)
-        server = serve_endpoint(app.endpoint, concurrency="threaded",
+        server = serve_endpoint(app.endpoint,
                                 quality_stats=app.quality_stats)
         try:
             report = _run_small_job(server.address,

@@ -8,25 +8,19 @@
   portal (§IV-C.4).
 """
 
-from .airline import (AirlineDataset, AirlineServer, CateringClient,
-                      airline_formats, event_encodings, event_stream)
-from .imaging import (DEFAULT_QUALITY_FILE as IMAGING_QUALITY_FILE,
-                      ExperimentPoint, ImageServer, ImagingClient,
-                      image_formats, image_to_value, resize_half_handler,
-                      run_imaging_experiment, value_to_image)
-from .mdbond import (DEFAULT_QUALITY_FILE as MDBOND_QUALITY_FILE, BondClient,
-                     BondServer, MdPoint, bond_formats, run_mdbond_experiment,
-                     take_batch_handler)
-from .remoteviz import (BondEventSource, DisplayClient, ServicePortal,
-                        viz_formats)
+from .._lazy import attach
 
-__all__ = [
-    "ImageServer", "ImagingClient", "image_formats", "image_to_value",
-    "value_to_image", "resize_half_handler", "run_imaging_experiment",
-    "ExperimentPoint", "IMAGING_QUALITY_FILE",
-    "BondServer", "BondClient", "bond_formats", "take_batch_handler",
-    "run_mdbond_experiment", "MdPoint", "MDBOND_QUALITY_FILE",
-    "AirlineDataset", "AirlineServer", "CateringClient", "airline_formats",
-    "event_encodings", "event_stream",
-    "ServicePortal", "DisplayClient", "BondEventSource", "viz_formats",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "airline": ["AirlineDataset", "AirlineServer", "CateringClient",
+                "airline_formats", "event_encodings", "event_stream"],
+    "imaging": ["ImageServer", "ImagingClient", "image_formats",
+                "image_to_value", "value_to_image", "resize_half_handler",
+                "run_imaging_experiment", "ExperimentPoint"],
+    "mdbond": ["BondServer", "BondClient", "bond_formats",
+               "take_batch_handler", "run_mdbond_experiment", "MdPoint"],
+    "remoteviz": ["ServicePortal", "DisplayClient", "BondEventSource",
+                  "viz_formats"],
+}, aliases={
+    "IMAGING_QUALITY_FILE": ("imaging", "DEFAULT_QUALITY_FILE"),
+    "MDBOND_QUALITY_FILE": ("mdbond", "DEFAULT_QUALITY_FILE"),
+})

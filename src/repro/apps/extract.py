@@ -44,9 +44,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core import SoapBinService
 from ..core.lru import LruTtlCache
+from ..http11.deadline import HEADER_DEADLINE_MS, header_value
 from ..http11.messages import etag_matches
 from ..pbio import Format, FormatRegistry
-from ..serving.deadline import HEADER_DEADLINE_MS, header_value
 
 #: Operation names (also the request format → operation mapping keys).
 DESCRIBE_OPERATION = "ExtractDescribe"

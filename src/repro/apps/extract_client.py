@@ -38,13 +38,13 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from ..channel import Channel
+from ..clock import Clock, WallClock
 from ..core import SoapBinClient
 from ..core.errors import BinProtocolError
-from ..netsim.clock import Clock, WallClock
 from ..pbio import FormatRegistry
 from ..reliability import (CircuitBreaker, RetryPolicy, ServiceUnavailable,
                            call_with_policy)
-from ..transport.base import Channel
 from .extract import (DESCRIBE_OPERATION, FETCH_OPERATION, Dataset,
                       extract_formats)
 

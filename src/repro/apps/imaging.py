@@ -18,9 +18,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..clock import Clock
 from ..core import (HandlerRegistry, SoapBinClient, SoapBinService)
 from ..media import apply_operation, scale_half, starfield
-from ..netsim.clock import Clock
 from ..pbio import Format, FormatRegistry
 from ..transport import Channel
 

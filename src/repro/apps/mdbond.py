@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..clock import Clock
 from ..core import HandlerRegistry, SoapBinClient, SoapBinService
 from ..media import MoleculeTrajectory
-from ..netsim.clock import Clock
 from ..pbio import Format, FormatRegistry
 from ..transport import Channel
 

@@ -10,14 +10,10 @@ transport/serving):
   (``python -m repro.cli loadgen``) and its JSON/HTML reports.
 """
 
-from . import datagen, figures
-from .tables import human_bytes, human_time, print_table, render_table
-from .timers import (LogHistogram, jitter_stats, mean, measure, percentile,
-                     stdev)
+from .._lazy import attach
 
-__all__ = [
-    "datagen", "figures",
-    "measure", "mean", "stdev", "percentile", "jitter_stats",
-    "LogHistogram",
-    "render_table", "print_table", "human_bytes", "human_time",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "tables": ["render_table", "print_table", "human_bytes", "human_time"],
+    "timers": ["measure", "mean", "stdev", "percentile", "jitter_stats",
+               "LogHistogram"],
+}, submodules=("datagen", "figures"))

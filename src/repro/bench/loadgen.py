@@ -784,7 +784,7 @@ def _generator_thread(cfg: LoadgenConfig, address, gen_index: int,
     weights = [cfg.mix[k] for k in kinds]
     policy = None
     if cfg.retry_attempts > 1:
-        from ..reliability import RetryPolicy
+        from ..reliability import RetryPolicy, call_with_policy
         policy = RetryPolicy(max_attempts=cfg.retry_attempts,
                              deadline_s=30.0,
                              backoff_initial_s=0.01,
@@ -878,7 +878,6 @@ def _generator_thread(cfg: LoadgenConfig, address, gen_index: int,
                     if policy is None:
                         result = attempt()
                     else:
-                        from ..reliability import call_with_policy
                         result, meta = call_with_policy(attempt, policy,
                                                         idempotent=True)
                         retries = meta.attempts - 1

@@ -280,8 +280,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
               c.xml_bytes / c.pbio_bytes] for c in costs],
             title="Representation sizes (arrays)")
     if "fig4" in names:
-        from .netsim import lan_100mbps
-        link = lan_100mbps(jitter_s=0.0)
+        link = figures.LINKS["100Mbps"]()
         rows = figures.fig4_rows("structs", repeat=1)
         print_table(
             ["workload", "Sun RPC (ms)", "SOAP-bin (ms)"],

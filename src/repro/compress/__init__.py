@@ -9,9 +9,9 @@ from-scratch LZW (dictionary), and a zlib/DEFLATE adapter::
     assert codec.decompress(blob) == b"data"
 """
 
-from . import lzss, lzw, zlib_codec
-from .api import DEFAULT_CODEC_NAME, Codec, codec_names, get_codec
-from .errors import CompressError
+from .._lazy import attach
 
-__all__ = ["Codec", "get_codec", "codec_names", "DEFAULT_CODEC_NAME",
-           "CompressError", "lzss", "lzw", "zlib_codec"]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "api": ["Codec", "get_codec", "codec_names", "DEFAULT_CODEC_NAME"],
+    "errors": ["CompressError"],
+}, submodules=("lzss", "lzw", "zlib_codec"))

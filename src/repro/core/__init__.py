@@ -31,54 +31,33 @@ Minimal SOAP-binQ setup::
     out = client.call("GetData", {"n": 4}, req, full)
 """
 
-from .attributes import (CPU_LOAD, MARSHALLING_COST, MEMORY, RESOLUTION, RTT,
-                         AttributeStore)
-from .binclient import SoapBinClient
-from .binservice import SoapBinService
-from .conversion import ConversionHandler
-from .dynamic import HandlerRepository, compile_quality_handler
-from .xmlq import (XmlQualityClient, build_attribute_headers,
-                   build_message_type_header, parse_attribute_headers,
-                   parse_message_type_header)
-from .monitor import (BandwidthMonitor, BreakerRttCoupling,
-                      ExchangeObservation, MarshallingCostMonitor,
-                      MonitorHub, NetworkTimeMonitor, ServerTimeMonitor,
-                      worst_interval_rtt)
-from .errors import (BinProtocolError, BinqError, QualityFileError,
-                     QualityHandlerError)
-from .lru import LruTtlCache
-from .manager import QualityManager
-from .modes import (HEADER_CLIENT_ID, HEADER_OPERATION, HEADER_RTT,
-                    HEADER_SERVER_TIME, HEADER_TIMESTAMP,
-                    HEADER_TIMESTAMP_ECHO, Mode, PBIO_CONTENT_TYPE)
-from .qcache import QualityCache, canonical_digest
-from .quality_file import (QualityPolicy, QualityRule, format_quality_file,
-                           parse_quality_file)
-from .quality_handlers import (HandlerRegistry, QualityHandler,
-                               downsample_arrays_handler, trivial_handler)
-from .rtt import DEFAULT_ALPHA, HysteresisSelector, RttEstimator
+from .._lazy import attach
 
-__all__ = [
-    "BinqError", "QualityFileError", "QualityHandlerError",
-    "BinProtocolError",
-    "Mode", "PBIO_CONTENT_TYPE", "HEADER_CLIENT_ID", "HEADER_TIMESTAMP",
-    "HEADER_TIMESTAMP_ECHO", "HEADER_RTT", "HEADER_SERVER_TIME",
-    "HEADER_OPERATION",
-    "AttributeStore", "RTT", "RESOLUTION", "CPU_LOAD", "MARSHALLING_COST",
-    "MEMORY",
-    "RttEstimator", "HysteresisSelector", "DEFAULT_ALPHA",
-    "QualityRule", "QualityPolicy", "parse_quality_file",
-    "format_quality_file",
-    "QualityHandler", "HandlerRegistry", "trivial_handler",
-    "downsample_arrays_handler",
-    "QualityManager", "ConversionHandler",
-    "LruTtlCache", "QualityCache", "canonical_digest",
-    "SoapBinClient", "SoapBinService",
-    "compile_quality_handler", "HandlerRepository",
-    "ExchangeObservation", "MonitorHub", "NetworkTimeMonitor",
-    "ServerTimeMonitor", "BandwidthMonitor", "MarshallingCostMonitor",
-    "BreakerRttCoupling", "worst_interval_rtt",
-    "XmlQualityClient", "build_attribute_headers",
-    "parse_attribute_headers", "build_message_type_header",
-    "parse_message_type_header",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "attributes": ["AttributeStore", "RTT", "RESOLUTION", "CPU_LOAD",
+                   "MARSHALLING_COST", "MEMORY"],
+    "binclient": ["SoapBinClient"],
+    "binservice": ["SoapBinService"],
+    "conversion": ["ConversionHandler"],
+    "dynamic": ["compile_quality_handler", "HandlerRepository"],
+    "xmlq": ["XmlQualityClient", "build_attribute_headers",
+             "parse_attribute_headers", "build_message_type_header",
+             "parse_message_type_header"],
+    "monitor": ["ExchangeObservation", "MonitorHub", "NetworkTimeMonitor",
+                "ServerTimeMonitor", "BandwidthMonitor",
+                "MarshallingCostMonitor", "BreakerRttCoupling",
+                "worst_interval_rtt"],
+    "errors": ["BinqError", "QualityFileError", "QualityHandlerError",
+               "BinProtocolError"],
+    "lru": ["LruTtlCache"],
+    "manager": ["QualityManager"],
+    "modes": ["Mode", "PBIO_CONTENT_TYPE", "HEADER_CLIENT_ID",
+              "HEADER_TIMESTAMP", "HEADER_TIMESTAMP_ECHO", "HEADER_RTT",
+              "HEADER_SERVER_TIME", "HEADER_OPERATION"],
+    "qcache": ["QualityCache", "canonical_digest"],
+    "quality_file": ["QualityRule", "QualityPolicy", "parse_quality_file",
+                     "format_quality_file"],
+    "quality_handlers": ["QualityHandler", "HandlerRegistry",
+                         "trivial_handler", "downsample_arrays_handler"],
+    "rtt": ["RttEstimator", "HysteresisSelector", "DEFAULT_ALPHA"],
+})

@@ -25,9 +25,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import time
 
-from ..netsim.clock import Clock, WallClock
+from ..channel import Channel
+from ..clock import Clock, WallClock
 from ..pbio import Format, FormatRegistry, LITTLE, PbioSession
-from ..transport import Channel
 from .attributes import AttributeStore
 from .conversion import ConversionHandler
 from .errors import BinProtocolError

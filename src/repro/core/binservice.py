@@ -25,12 +25,13 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, Optional, Set, Tuple, Union
 
+from ..channel import ChannelReply
+from ..http11.deadline import header_value
 from ..pbio import (Format, FormatRegistry, PbioSession,
                     UnknownFormatError, WIRE_MODES)
-from ..serving.deadline import header_value
 from ..soap.errors import SoapFault
-from ..soap.service import Operation, SoapService
-from ..transport import ChannelReply
+from ..soap.service import XML_CONTENT_TYPE, Operation, SoapService
+from .attributes import AttributeStore
 from .errors import BinProtocolError
 from .lru import LruTtlCache
 from .manager import QualityManager
@@ -38,7 +39,9 @@ from .modes import (HEADER_CLIENT_ID, HEADER_OPERATION, HEADER_RTT,
                     HEADER_SERVER_TIME, HEADER_TIMESTAMP,
                     HEADER_TIMESTAMP_ECHO, PBIO_CONTENT_TYPE)
 from .qcache import QualityCache, canonical_digest
-from .quality_handlers import HandlerRegistry
+from .quality_handlers import HandlerRegistry, trivial_handler
+from .sandbox import HandlerSandbox
+from .xmlq import encode_quality_response, parse_attribute_headers
 
 
 class SoapBinService:
@@ -69,7 +72,7 @@ class SoapBinService:
         #: Doubles as the session-idle and cache-TTL time source.
         self._prep_time_fn = prep_time_fn or time.perf_counter
         #: quality handlers run under this boundary (see
-        #: repro.serving.sandbox): a raising/stalling handler falls back to
+        #: repro.core.sandbox): a raising/stalling handler falls back to
         #: the trivial projection instead of failing the request.
         self.sandbox = sandbox if sandbox is not None \
             else self._default_sandbox()
@@ -102,7 +105,6 @@ class SoapBinService:
 
     @staticmethod
     def _default_sandbox():
-        from ..serving.sandbox import HandlerSandbox
         return HandlerSandbox()
 
     def _make_quality_cache(self) -> Optional[QualityCache]:
@@ -191,8 +193,6 @@ class SoapBinService:
 
     def _xml_quality_request(self, body: bytes,
                              headers: Dict[str, str]) -> ChannelReply:
-        from ..soap.service import XML_CONTENT_TYPE
-        from .xmlq import encode_quality_response, parse_attribute_headers
         try:
             params, op, envelope = self.xml_service.decode_request(body)
             for name, value in parse_attribute_headers(envelope).items():
@@ -350,8 +350,6 @@ class SoapBinService:
         if self.quality is not None:
             return self.quality.restore(wire_value, wire_format,
                                         op.input_format)
-        from .quality_handlers import trivial_handler
-        from .attributes import AttributeStore
         return trivial_handler(wire_value, wire_format, op.input_format,
                                self.registry, AttributeStore())
 

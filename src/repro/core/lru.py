@@ -20,7 +20,7 @@ plus a byte budget, so it lives here once:
   XML-plan caches honor on :meth:`~repro.pbio.FormatRegistry.redefine`.
 
 All methods are thread-safe; ``time_fn`` is injectable so TTL behaviour
-is testable under a :class:`~repro.netsim.clock.VirtualClock`.
+is testable under a :class:`~repro.clock.VirtualClock`.
 """
 
 from __future__ import annotations

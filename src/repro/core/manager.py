@@ -37,13 +37,13 @@ from .quality_handlers import HandlerRegistry, trivial_handler
 from .rtt import HysteresisSelector, RttEstimator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..serving.sandbox import HandlerSandbox
+    from .sandbox import HandlerSandbox
 
 
 class QualityManager:
     """Runtime quality management for one endpoint.
 
-    ``sandbox`` (a :class:`~repro.serving.sandbox.HandlerSandbox`) puts a
+    ``sandbox`` (a :class:`~repro.core.sandbox.HandlerSandbox`) puts a
     timeout + exception boundary around *named* quality handlers: when one
     raises, stalls or is quarantined, :meth:`outgoing` falls back to the
     trivial projection handler — and to the full-fidelity application

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from enum import Enum
 
+from ..http11.deadline import HEADER_SEND_TIMESTAMP
+
 
 class Mode(Enum):
     """Where XML conversions happen in an exchange."""
@@ -45,7 +47,7 @@ PBIO_CONTENT_TYPE = "application/x-pbio"
 #: Request header carrying a stable per-client id (PBIO session affinity).
 HEADER_CLIENT_ID = "X-PBIO-Client"
 #: Request header: client's send timestamp (echoed back for RTT).
-HEADER_TIMESTAMP = "X-BinQ-Timestamp"
+HEADER_TIMESTAMP = HEADER_SEND_TIMESTAMP
 #: Request header: the client's current RTT estimate, informing the server's
 #: quality policy ("the server is informed of the new value during the next
 #: request", §IV-C.h).

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
-from ..pbio import Array, Format, FormatRegistry, compile_converter
+from ..pbio import (Array, Format, FormatRegistry, compile_converter,
+                    zero_value)
 from .attributes import AttributeStore
 from .errors import QualityHandlerError
 
@@ -60,7 +61,6 @@ def downsample_arrays_handler(value: Dict[str, Any], src: Format, dst: Format,
     for dst_field in dst.fields:
         name = dst_field.name
         if not src.has_field(name):
-            from ..pbio.convert import zero_value
             out[name] = zero_value(dst_field.ftype, registry)
             continue
         src_type = src.field(name).ftype

@@ -23,15 +23,16 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from ..netsim.clock import Clock, WallClock
+from ..channel import Channel
+from ..clock import Clock, WallClock
 from ..pbio import Format, FormatRegistry
 from ..soap.client import SoapClient
 from ..soap.encoding import decode_fields
 from ..soap.envelope import (ParsedEnvelope, envelope_bytes_from_xml,
                              parse_envelope)
 from ..soap.service import XML_CONTENT_TYPE
-from ..transport import Channel
 from ..xmlcore import BINQ_NS, Element, tostring
+from .attributes import AttributeStore
 from .quality_handlers import trivial_handler
 from .rtt import RttEstimator
 
@@ -130,7 +131,6 @@ class XmlQualityClient:
             wire_format = self.registry.by_name(wire_name)
         value = decode_fields(response_el, wire_format, self.registry)
         if wire_format.fingerprint != output_format.fingerprint:
-            from .attributes import AttributeStore
             value = trivial_handler(value, wire_format, output_format,
                                     self.registry, AttributeStore())
         return value

@@ -5,14 +5,11 @@ typed channels, synchronous fan-out, and derived channels whose filter code
 is compiled at runtime from source shipped by clients.
 """
 
-from .channel import (ChannelDirectory, EventChannel, Sink, Subscription)
-from .errors import ChannelClosed, EchoError, FilterError
-from .filters import (EventFilter, compile_filter, identity_filter,
-                      select_fields_filter)
+from .._lazy import attach
 
-__all__ = [
-    "EchoError", "ChannelClosed", "FilterError",
-    "EventChannel", "ChannelDirectory", "Subscription", "Sink",
-    "EventFilter", "compile_filter", "identity_filter",
-    "select_fields_filter",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "channel": ["EventChannel", "ChannelDirectory", "Subscription", "Sink"],
+    "errors": ["EchoError", "ChannelClosed", "FilterError"],
+    "filters": ["EventFilter", "compile_filter", "identity_filter",
+                "select_fields_filter"],
+})

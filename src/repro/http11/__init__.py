@@ -14,22 +14,17 @@ persistent-connection and pipelined clients::
 ``HttpServer(...)`` builds a :class:`ReactorHttpServer`.
 """
 
-from .client import (HttpConnection, HttpConnectionPool, default_pool,
-                     parse_address)
-from .errors import (HttpConnectionClosed, HttpError, HttpParseError,
-                     HttpTooLarge)
-from .messages import (MAX_BODY_BYTES, MAX_HEADER_BYTES, Headers, Request,
-                       RequestParser, Response, ResponseParser, etag_matches)
-from .pipeline import PipelinedHttpConnection, PipelineError
-from .reactor import HttpServer, ReactorHttpServer
-from .server import set_reuse_port
+from .._lazy import attach
 
-__all__ = [
-    "HttpError", "HttpParseError", "HttpConnectionClosed", "HttpTooLarge",
-    "Headers", "Request", "Response", "RequestParser", "ResponseParser",
-    "etag_matches",
-    "MAX_HEADER_BYTES", "MAX_BODY_BYTES",
-    "HttpServer", "ReactorHttpServer", "set_reuse_port",
-    "HttpConnection", "HttpConnectionPool", "default_pool", "parse_address",
-    "PipelinedHttpConnection", "PipelineError",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "client": ["HttpConnection", "HttpConnectionPool", "default_pool",
+               "parse_address"],
+    "errors": ["HttpError", "HttpParseError", "HttpConnectionClosed",
+               "HttpTooLarge"],
+    "messages": ["Headers", "Request", "Response", "RequestParser",
+                 "ResponseParser", "etag_matches", "MAX_HEADER_BYTES",
+                 "MAX_BODY_BYTES"],
+    "pipeline": ["PipelinedHttpConnection", "PipelineError"],
+    "reactor": ["HttpServer", "ReactorHttpServer"],
+    "server": ["set_reuse_port"],
+})

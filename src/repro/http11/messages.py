@@ -156,7 +156,7 @@ class Headers:
 class HeaderFields(dict):
     """A request's headers as endpoints get them: wire-case name -> value.
     ``folded`` (lower-cased name -> value) makes a lookup in any letter
-    case O(1) (:func:`repro.serving.deadline.header_value`)."""
+    case O(1) (:func:`repro.http11.deadline.header_value`)."""
 
     __slots__ = ("folded",)
 

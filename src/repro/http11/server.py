@@ -26,7 +26,7 @@ Overload protection (see ``docs/overload.md`` and
 * ``GET /healthz`` answers readiness with a JSON load snapshot without
   touching the application handler;
 * ``GET /metrics`` answers the same counters in Prometheus text
-  exposition format (see :mod:`repro.serving.metrics` and
+  exposition format (see :mod:`repro.http11.metrics` and
   ``docs/observability.md``) — also ahead of admission, so scrapes keep
   working while the server sheds;
 * ``close(drain_s=...)`` drains gracefully: stop accepting, mark
@@ -44,9 +44,10 @@ import threading
 import time
 from typing import Callable, Dict, Optional, TYPE_CHECKING, Tuple
 
-from ..serving.deadline import HEADER_DEADLINE_MS, deadline_from_headers
+from .deadline import HEADER_DEADLINE_MS, deadline_from_headers
 from .messages import (MAX_BODY_BYTES, MAX_HEADER_BYTES, Request,
                        Response, etag_matches)
+from .metrics import CONTENT_TYPE, render_server_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..serving.admission import AdmissionController
@@ -260,7 +261,6 @@ class _ServerCore:
         degrades to an empty exposition with an ``X-Metrics-Error``
         header rather than failing the probe.
         """
-        from ..serving.metrics import CONTENT_TYPE, render_server_metrics
         error = None
         try:
             body = render_server_metrics(self)

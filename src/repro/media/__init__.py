@@ -1,15 +1,11 @@
 """Media substrate: PPM images, image operations, SVG, synthetic data."""
 
-from .ops import (OPERATIONS, apply_operation, crop, edge_detect, grayscale,
-                  identity, invert, scale_half, scale_nearest)
-from .ppm import PpmError, decode, encode_p3, encode_p6, image_bytes
-from .svg import SvgDocument, molecule_to_svg
-from .synth import MoleculeTrajectory, starfield
+from .._lazy import attach
 
-__all__ = [
-    "PpmError", "encode_p6", "encode_p3", "decode", "image_bytes",
-    "OPERATIONS", "apply_operation", "grayscale", "scale_nearest",
-    "scale_half", "edge_detect", "crop", "invert", "identity",
-    "SvgDocument", "molecule_to_svg",
-    "MoleculeTrajectory", "starfield",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "ops": ["OPERATIONS", "apply_operation", "grayscale", "scale_nearest",
+            "scale_half", "edge_detect", "crop", "invert", "identity"],
+    "ppm": ["PpmError", "encode_p6", "encode_p3", "decode", "image_bytes"],
+    "svg": ["SvgDocument", "molecule_to_svg"],
+    "synth": ["MoleculeTrajectory", "starfield"],
+})

@@ -7,17 +7,13 @@ are fast and repeatable while preserving the shapes that matter (who wins,
 where the crossovers are, how adaptation reduces jitter).
 """
 
-from .clock import Clock, VirtualClock, WallClock
-from .crosstraffic import CrossTrafficSchedule, Phase
-from .link import LinkModel, adsl, lan_100mbps
-from .scenario import (Scenario, imaging_cross_traffic, imaging_scenario,
-                       mdbond_cross_traffic, mdbond_scenario,
-                       microbenchmark_links)
+from .._lazy import attach
 
-__all__ = [
-    "Clock", "WallClock", "VirtualClock",
-    "Phase", "CrossTrafficSchedule",
-    "LinkModel", "lan_100mbps", "adsl",
-    "Scenario", "microbenchmark_links", "imaging_cross_traffic",
-    "mdbond_cross_traffic", "imaging_scenario", "mdbond_scenario",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "clock": ["Clock", "WallClock", "VirtualClock"],
+    "crosstraffic": ["Phase", "CrossTrafficSchedule"],
+    "link": ["LinkModel", "lan_100mbps", "adsl"],
+    "scenario": ["Scenario", "microbenchmark_links", "imaging_cross_traffic",
+                 "mdbond_cross_traffic", "imaging_scenario",
+                 "mdbond_scenario"],
+})

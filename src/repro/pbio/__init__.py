@@ -23,44 +23,27 @@ Typical use::
     fmt, value = result
 """
 
-from .compiler import BIG, LITTLE, CodecCompiler, flatten_fixed_format
-from .convert import compile_converter, project, zero_value
-from .interp import (decode_uvarint, encode_uvarint, interp_decode,
-                     interp_decode_compact, interp_encode,
-                     interp_encode_compact, unzigzag, zigzag)
-from .errors import (ConversionError, DecodeError, EncodeError, FormatError,
-                     PbioError, UnknownFormatError)
-from .fmt import Field, Format
-from .registry import FormatRegistry, default_registry
-from .server import FormatClient, FormatServer, InMemoryFormatServer
-from .stream import (FRAME_HEADER_SIZE, PbioStreamHandler,
-                     RecordStreamReader, RecordStreamWriter, encode_frame,
-                     iter_frames, pbio_stream_route)
-from .types import (CHAR, FLOAT32, FLOAT64, INT8, INT16, INT32, INT64,
-                    STRING, UINT8, UINT16, UINT32, UINT64, Array, FieldType,
-                    Primitive, StructRef, parse_type, schema_type)
-from .wire import (FLAG_COMPACT, HEADER_SIZE, KIND_DATA, KIND_FORMAT,
-                   Message, PbioSession, SessionStats, WIRE_MODES,
-                   encode_message, parse_message)
+from .._lazy import attach
 
-__all__ = [
-    "PbioError", "FormatError", "UnknownFormatError", "EncodeError",
-    "DecodeError", "ConversionError",
-    "Primitive", "Array", "StructRef", "FieldType", "parse_type",
-    "schema_type",
-    "INT8", "INT16", "INT32", "INT64", "UINT8", "UINT16", "UINT32", "UINT64",
-    "FLOAT32", "FLOAT64", "CHAR", "STRING",
-    "Field", "Format",
-    "FormatRegistry", "default_registry",
-    "CodecCompiler", "LITTLE", "BIG", "flatten_fixed_format",
-    "interp_encode", "interp_decode",
-    "interp_encode_compact", "interp_decode_compact",
-    "encode_uvarint", "decode_uvarint", "zigzag", "unzigzag",
-    "compile_converter", "project", "zero_value",
-    "InMemoryFormatServer", "FormatServer", "FormatClient",
-    "PbioSession", "SessionStats", "Message", "encode_message",
-    "parse_message", "KIND_DATA", "KIND_FORMAT", "HEADER_SIZE",
-    "FLAG_COMPACT", "WIRE_MODES",
-    "RecordStreamReader", "RecordStreamWriter", "PbioStreamHandler",
-    "pbio_stream_route", "iter_frames", "encode_frame", "FRAME_HEADER_SIZE",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "compiler": ["CodecCompiler", "LITTLE", "BIG", "flatten_fixed_format"],
+    "convert": ["compile_converter", "project", "zero_value"],
+    "interp": ["interp_encode", "interp_decode", "interp_encode_compact",
+               "interp_decode_compact", "encode_uvarint", "decode_uvarint",
+               "zigzag", "unzigzag"],
+    "errors": ["PbioError", "FormatError", "UnknownFormatError",
+               "EncodeError", "DecodeError", "ConversionError"],
+    "fmt": ["Field", "Format"],
+    "registry": ["FormatRegistry", "default_registry"],
+    "server": ["InMemoryFormatServer", "FormatServer", "FormatClient"],
+    "stream": ["RecordStreamReader", "RecordStreamWriter",
+               "PbioStreamHandler", "pbio_stream_route", "iter_frames",
+               "encode_frame", "FRAME_HEADER_SIZE"],
+    "types": ["Primitive", "Array", "StructRef", "FieldType", "parse_type",
+              "schema_type", "INT8", "INT16", "INT32", "INT64", "UINT8",
+              "UINT16", "UINT32", "UINT64", "FLOAT32", "FLOAT64", "CHAR",
+              "STRING"],
+    "wire": ["PbioSession", "SessionStats", "Message", "encode_message",
+             "parse_message", "KIND_DATA", "KIND_FORMAT", "HEADER_SIZE",
+             "FLAG_COMPACT", "WIRE_MODES"],
+})

@@ -13,8 +13,21 @@ import threading
 import weakref
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from .errors import FormatError, UnknownFormatError
+from .errors import FormatError, PbioError, UnknownFormatError
 from .fmt import Format
+
+#: Builds a registry's shared XML-plan cache.  ``pbio`` sits below the
+#: SOAP layer, so it does not import the planner: :mod:`repro.soap.xlate`
+#: installs :class:`~repro.soap.xlate.XlatePlanner` here when it loads
+#: (every ``repro.soap`` import loads it).
+_xlate_planner: Optional[Callable[["FormatRegistry"], Any]] = None
+
+
+def install_xlate_planner(factory: Callable[["FormatRegistry"], Any]
+                          ) -> None:
+    """Set the factory behind :attr:`FormatRegistry.xlate`."""
+    global _xlate_planner
+    _xlate_planner = factory
 
 
 class FormatRegistry:
@@ -71,12 +84,16 @@ class FormatRegistry:
         Holds the compiled XML emitters/parsers of
         :mod:`repro.soap.xlate` — the streaming XML<->native fast path —
         beside the binary codec plans of :attr:`compiler`.  Both cache
-        families are invalidated together by :meth:`redefine`.
+        families are invalidated together by :meth:`redefine`.  The
+        planner comes from :func:`install_xlate_planner`, which importing
+        ``repro.soap`` calls.
         """
         with self._lock:
             if self._shared_xlate is None:
-                from ..soap.xlate import XlatePlanner
-                self._shared_xlate = XlatePlanner(self)
+                if _xlate_planner is None:
+                    raise PbioError("no XML planner installed: import "
+                                    "repro.soap before FormatRegistry.xlate")
+                self._shared_xlate = _xlate_planner(self)
             return self._shared_xlate
 
     def _attach_compiler(self, compiler: Any) -> None:

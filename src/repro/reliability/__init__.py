@@ -22,26 +22,18 @@ an open breaker is fed into the quality manager as worst-interval RTT, so
 the existing quality handlers shed payload during outages and recover after.
 """
 
-from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker, StateListener
-from .channel import ReliableChannel
-from .errors import (CallTimeout, CircuitOpen, ConnectFailed,
-                     DeadlineExceeded, ReliabilityError, ResetMidStream,
-                     ServiceUnavailable, StalledRead, TransportFailure,
-                     TruncatedReply, classify_failure, mark_bytes_written)
-from .faults import (FaultInjectingChannel, FaultInjector, FaultKind,
-                     FaultSchedule, FaultWindow)
-from .policy import (CallMeta, JitterFn, RetryEngine, RetryPolicy,
-                     call_with_policy, reply_unavailable)
+from .._lazy import attach
 
-__all__ = [
-    "ReliabilityError", "ConnectFailed", "CallTimeout", "StalledRead",
-    "ResetMidStream", "TruncatedReply", "TransportFailure",
-    "ServiceUnavailable", "CircuitOpen", "DeadlineExceeded",
-    "classify_failure", "mark_bytes_written",
-    "RetryPolicy", "RetryEngine", "CallMeta", "JitterFn",
-    "call_with_policy",
-    "CircuitBreaker", "StateListener", "CLOSED", "OPEN", "HALF_OPEN",
-    "FaultKind", "FaultWindow", "FaultSchedule", "FaultInjector",
-    "FaultInjectingChannel",
-    "ReliableChannel", "reply_unavailable",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "breaker": ["CircuitBreaker", "StateListener", "CLOSED", "OPEN",
+                "HALF_OPEN"],
+    "channel": ["ReliableChannel"],
+    "errors": ["ReliabilityError", "ConnectFailed", "CallTimeout",
+               "StalledRead", "ResetMidStream", "TruncatedReply",
+               "TransportFailure", "ServiceUnavailable", "CircuitOpen",
+               "DeadlineExceeded", "classify_failure", "mark_bytes_written"],
+    "faults": ["FaultKind", "FaultWindow", "FaultSchedule", "FaultInjector",
+               "FaultInjectingChannel"],
+    "policy": ["RetryPolicy", "RetryEngine", "CallMeta", "JitterFn",
+               "call_with_policy", "reply_unavailable"],
+})

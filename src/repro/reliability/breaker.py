@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..netsim.clock import Clock, WallClock
+from ..clock import Clock, WallClock
 
 CLOSED = "closed"
 OPEN = "open"

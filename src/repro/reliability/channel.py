@@ -1,7 +1,7 @@
 """ReliableChannel: retries, deadlines and breaking for any transport.
 
 This is the reliability layer's main wiring point: wrap any
-:class:`~repro.transport.base.Channel` and every ``call`` runs under a
+:class:`~repro.channel.Channel` and every ``call`` runs under a
 :class:`~repro.reliability.policy.RetryPolicy`, optionally guarded by a
 :class:`~repro.reliability.breaker.CircuitBreaker` whose state can be
 coupled into the quality manager (see
@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..netsim.clock import Clock
-from ..transport.base import (BatchHeaders, BatchResult, Channel,
-                              ChannelReply, batch_headers)
+from ..channel import (BatchHeaders, BatchResult, Channel, ChannelReply,
+                       batch_headers)
+from ..clock import Clock
 from .breaker import CircuitBreaker
 from .errors import ReliabilityError
 from .policy import CallMeta, RetryEngine, RetryPolicy, one_by_one
@@ -74,7 +74,7 @@ class ReliableChannel(Channel):
 
     def call_many(self, bodies: Sequence[bytes], content_type: str,
                   headers: BatchHeaders = None) -> List[BatchResult]:
-        """Batch surface: one :class:`~repro.transport.base.BatchResult`
+        """Batch surface: one :class:`~repro.channel.BatchResult`
         per body, in order.
 
         Each retry round goes to the inner channel's own ``call_many``

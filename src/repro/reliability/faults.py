@@ -11,7 +11,7 @@ both, deterministically:
 * a :class:`FaultInjector` evaluates the schedule per call and keeps
   per-kind counters;
 * a :class:`FaultInjectingChannel` wraps **any**
-  :class:`~repro.transport.base.Channel` — a
+  :class:`~repro.channel.Channel` — a
   :class:`~repro.transport.sim.SimChannel` over a
   :class:`~repro.netsim.link.LinkModel` for virtual-clock soak tests, or a
   real-socket :class:`~repro.transport.sockets.HttpChannel` /
@@ -36,9 +36,10 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from ..netsim.clock import Clock, VirtualClock
-from ..transport.base import (BatchHeaders, BatchResult, Channel,
-                              ChannelReply, batch_headers)
+from ..channel import (BatchHeaders, BatchResult, Channel, ChannelReply,
+                       batch_headers)
+from ..clock import Clock, VirtualClock
+from ..http11.errors import HttpConnectionClosed
 from .errors import mark_bytes_written
 from .policy import one_by_one
 
@@ -244,7 +245,7 @@ class FaultInjectingChannel(Channel):
                   headers: BatchHeaders = None) -> List[BatchResult]:
         """Batch counterpart of :meth:`call`: each slot consults the
         schedule independently, faulted slots become per-slot
-        :class:`~repro.transport.base.BatchResult` failures (an
+        :class:`~repro.channel.BatchResult` failures (an
         injected 503 stays a *reply*, everything else an *error*), and
         the surviving slots ride ``inner.call_many`` as one sub-batch —
         merged back in input order so the caller's suffix-retry logic
@@ -290,7 +291,6 @@ class FaultInjectingChannel(Channel):
             raise mark_bytes_written(
                 TimeoutError("injected: read timed out"), True)
         if kind is FaultKind.TRUNCATED_REPLY:
-            from ..http11.errors import HttpConnectionClosed
             self.clock.sleep(self.mid_stream_cost_s)
             raise mark_bytes_written(
                 HttpConnectionClosed("injected: response truncated"), True)

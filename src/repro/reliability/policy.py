@@ -27,7 +27,7 @@ allocates nothing but the call's :class:`CallMeta`.
 
 For channel calls the engine also does the two jobs every policed channel
 needs: it stamps each attempt with ``X-Deadline-Ms`` (the budget remaining
-at send time, see :mod:`repro.serving.deadline`) and turns a 503 reply
+at send time, see :mod:`repro.http11.deadline`) and turns a 503 reply
 into :class:`~repro.reliability.errors.ServiceUnavailable`, whose
 ``Retry-After`` floors the backoff.  :class:`ReliableChannel
 <repro.reliability.channel.ReliableChannel>` and the socket channels' own
@@ -40,9 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..netsim.clock import Clock, WallClock
-from ..serving.deadline import with_deadline_header
-from ..transport.base import BatchResult, ChannelReply
+from ..channel import BatchResult, ChannelReply
+from ..clock import Clock, WallClock
+from ..http11.deadline import with_deadline_header
 from .errors import (CircuitOpen, DeadlineExceeded, ReliabilityError,
                      ServiceUnavailable, classify_failure)
 
@@ -53,7 +53,7 @@ JitterFn = Callable[[int], float]
 SendFn = Callable[[Any, str, Optional[Dict[str, str]]], ChannelReply]
 
 #: One round of a batch: ``(bodies, content_type, headers_list) -> results``,
-#: one :class:`~repro.transport.base.BatchResult` per body, in order.
+#: one :class:`~repro.channel.BatchResult` per body, in order.
 SendManyFn = Callable[[Sequence[Any], str, Sequence[Optional[Dict[str, str]]]],
                       List[BatchResult]]
 
@@ -208,7 +208,7 @@ class RetryEngine:
     and local rejections so the quality manager can degrade payloads.
 
     The typed error a call ultimately raises (or, in a batch, carries in
-    its :class:`~repro.transport.base.BatchResult`) has ``attempts`` and
+    its :class:`~repro.channel.BatchResult`) has ``attempts`` and
     the call's full :class:`CallMeta` on its ``meta`` attribute.
     """
 
@@ -284,7 +284,7 @@ class RetryEngine:
                   ) -> List[BatchResult]:
         """A batch: every round goes out through one ``send_many`` call,
         so the transport keeps its wire concurrency; one
-        :class:`~repro.transport.base.BatchResult` per body, in order."""
+        :class:`~repro.channel.BatchResult` per body, in order."""
         metas = [CallMeta(0, self.policy.deadline_s) for _ in bodies]
         batch = _Batch(send_many, bodies, content_type, headers_list, True,
                        self.clock.now(), metas)

@@ -25,7 +25,7 @@ Who gets shed is the ``shed_policy``:
   client anyway), falling back to the oldest undated waiter.
 
 Deadlines (absolute, on the controller's clock — see
-:mod:`repro.serving.deadline`) are honored everywhere: an expired request
+:mod:`repro.http11.deadline`) are honored everywhere: an expired request
 is refused at the door, and queued work is aborted the moment its deadline
 passes, so the server never burns a worker on a reply nobody will read.
 
@@ -35,7 +35,7 @@ depth, per-worker utilization over a sliding window, and a p95 of recent
 service times, all exposed via :meth:`snapshot`.
 
 Everything is clock-injectable: with a
-:class:`~repro.netsim.clock.VirtualClock` the non-blocking path (deadline
+:class:`~repro.clock.VirtualClock` the non-blocking path (deadline
 checks, utilization, metrics) is fully deterministic; blocking waits use a
 condition variable and are exercised by the real-thread stampede tests.
 """
@@ -47,7 +47,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..netsim.clock import Clock, WallClock
+from ..clock import Clock, WallClock
 
 #: Shed reasons, also surfaced in the ``X-Shed-Reason`` response header.
 SHED_DEADLINE_EXPIRED = "deadline_expired"
@@ -142,7 +142,7 @@ class AdmissionController:
         """Ask for a worker permit; possibly wait; possibly get shed.
 
         ``deadline`` is absolute on the controller's clock (see
-        :func:`~repro.serving.deadline.deadline_from_headers`).  With
+        :func:`~repro.http11.deadline.deadline_from_headers`).  With
         ``block=False`` a saturated pool sheds instead of queueing — the
         right mode for single-threaded (simulated) servers where nobody
         else could ever release a permit while we wait.

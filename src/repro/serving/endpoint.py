@@ -12,7 +12,7 @@ overload acceptance scenario deterministic.
 Per request:
 
 1. parse ``X-Deadline-Ms`` into an absolute local deadline
-   (:mod:`repro.serving.deadline`);
+   (:mod:`repro.http11.deadline`);
 2. ask the :class:`~repro.serving.admission.AdmissionController` for a
    permit — an expired or shed request is answered ``503`` with
    ``Retry-After`` (so PR 3 retry policies back off honestly) and
@@ -32,9 +32,9 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional, TYPE_CHECKING
 
-from ..transport.base import ChannelReply, Endpoint
+from ..channel import ChannelReply, Endpoint
+from ..http11.deadline import HEADER_SHED_REASON, deadline_from_headers
 from .admission import AdmissionController
-from .deadline import HEADER_SHED_REASON, deadline_from_headers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .coupling import LoadQualityCoupling

@@ -44,13 +44,12 @@ import time
 from typing import Callable, List, Optional
 
 from ..http11.messages import Request, Response
+from ..http11.reactor import ReactorHttpServer
+from ..http11.server import set_reuse_port
+from .metrics import CONTENT_TYPE, render_fleet_metrics
 from .shm_stats import (DEFAULT_STALE_AFTER_S, STATE_DRAINING, STATE_READY,
                         STATE_STOPPED, FleetStats, publish_server_stats)
 
-# NOTE: the server classes are imported lazily inside the functions that
-# need them — ``repro.http11.server`` itself imports from this package
-# (the deadline header contract), so a module-level import here would be
-# circular.
 
 __all__ = ["FleetServer", "WorkerContext"]
 
@@ -92,7 +91,6 @@ class _WorkerConfig:
 
 def _worker_main(cfg: _WorkerConfig) -> None:
     """Body of one fleet worker process."""
-    from ..http11.reactor import ReactorHttpServer
     for sock in cfg.close_in_child:
         try:
             sock.close()
@@ -196,8 +194,6 @@ class FleetServer:
                  publish_interval_s: float = 0.05,
                  stale_after_s: float = DEFAULT_STALE_AFTER_S,
                  drain_s: float = 5.0) -> None:
-        from ..http11.reactor import ReactorHttpServer
-        from ..http11.server import set_reuse_port
         self.workers = workers if workers is not None \
             else (os.cpu_count() or 1)
         if self.workers < 1:
@@ -402,7 +398,6 @@ class FleetServer:
         single scrape is internally consistent.  Like the workers' own
         ``/metrics``, it never 500s.
         """
-        from .metrics import CONTENT_TYPE, render_fleet_metrics
         error = None
         try:
             body = render_fleet_metrics(self)

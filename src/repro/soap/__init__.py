@@ -19,20 +19,16 @@ compressed-XML mode (the paper's third comparison point)::
     assert client.call("Add", {"a": 2, "b": 3}, req, res) == {"sum": 5}
 """
 
-from .client import SoapClient
-from .encoding import (decode_fields, decode_fields_pull, decode_value,
-                       encode_fields, encode_value)
-from .envelope import (ParsedEnvelope, build_envelope, build_fault,
-                       envelope_to_bytes, fault_envelope, parse_envelope)
-from .errors import (SoapDecodingError, SoapEncodingError, SoapError,
-                     SoapFault)
-from .service import XML_CONTENT_TYPE, Operation, SoapService
+from .._lazy import attach
+from . import xlate  # noqa: F401 - installs FormatRegistry.xlate's planner
 
-__all__ = [
-    "SoapError", "SoapFault", "SoapEncodingError", "SoapDecodingError",
-    "build_envelope", "envelope_to_bytes", "parse_envelope",
-    "ParsedEnvelope", "build_fault", "fault_envelope",
-    "encode_value", "encode_fields", "decode_value", "decode_fields",
-    "decode_fields_pull",
-    "Operation", "SoapService", "SoapClient", "XML_CONTENT_TYPE",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "client": ["SoapClient"],
+    "encoding": ["encode_value", "encode_fields", "decode_value",
+                 "decode_fields", "decode_fields_pull"],
+    "envelope": ["build_envelope", "envelope_to_bytes", "parse_envelope",
+                 "ParsedEnvelope", "build_fault", "fault_envelope"],
+    "errors": ["SoapError", "SoapFault", "SoapEncodingError",
+               "SoapDecodingError"],
+    "service": ["Operation", "SoapService", "XML_CONTENT_TYPE"],
+})

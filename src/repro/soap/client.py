@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from ..channel import Channel
 from ..compress import get_codec
 from ..pbio import Format, FormatRegistry
-from ..transport import Channel
 from ..xmlcore import Element, tostring
 from ..xmlcore.errors import XmlParseError
 from .encoding import decode_fields

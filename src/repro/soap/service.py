@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
+from ..channel import ChannelReply
 from ..compress import get_codec
 from ..pbio import Format, FormatRegistry
-from ..transport import ChannelReply
 from ..xmlcore.errors import XmlParseError
 from .encoding import decode_fields
 from .envelope import (envelope_bytes_from_xml, fault_envelope,

@@ -31,7 +31,9 @@ codec.
 Plans are cached per format fingerprint in an :class:`XlatePlanner`.  One
 planner is shared per registry (see :attr:`FormatRegistry.xlate`) and its
 cache is invalidated by :meth:`FormatRegistry.redefine`, exactly like the
-codec caches.
+codec caches.  Loading this module installs :class:`XlatePlanner` as that
+shared planner (:func:`repro.pbio.registry.install_xlate_planner`); the
+``repro.soap`` package imports it first, so any SOAP import does.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ except ImportError:  # pragma: no cover - numpy is a hard dep in practice
     _np = None
 
 from ..pbio import Array, FieldType, Format, Primitive, StructRef
+from ..pbio.registry import install_xlate_planner
 from ..xmlcore import XmlPullParser
 from ..xmlcore import tokenizer as tk
 from ..xmlcore.errors import XmlParseError, XmlWriteError
@@ -58,8 +61,8 @@ __all__ = ["XlatePlanner", "compile_emitter", "compile_parser"]
 _WS = " \t\r\n"
 
 #: Exact start tag of the emitter's grammar: no attributes, no prefix.
-_SIMPLE_TAG_RX = re.compile(r"<([A-Za-z_:À-￿]"
-                            r"[-A-Za-z0-9._:À-￿]*)>")
+_SIMPLE_TAG_RX = re.compile(
+    "<(" + tk.NAME_START_CLASS + tk.NAME_CHAR_CLASS + "*)>")
 
 EmitFn = Callable[..., str]
 ParseFn = Callable[[str], Dict[str, Any]]
@@ -520,3 +523,6 @@ class XlatePlanner:
         """Drop every cached plan (a registry format was redefined)."""
         self._emitters.clear()
         self._parsers.clear()
+
+
+install_xlate_planner(XlatePlanner)

@@ -19,21 +19,15 @@ programs/versions/procedures::
             assert client.call(1, b"1234") == b"1234"
 """
 
-from .client import RpcClient
-from .errors import RpcDenied, RpcError, RpcProtocolError, XdrError
-from .rpc import (ACCEPT_STAT_NAMES, GARBAGE_ARGS, PROC_UNAVAIL,
-                  PROG_UNAVAIL, SUCCESS, SYSTEM_ERR, CallHeader, decode_call,
-                  decode_reply, encode_call, encode_reply, read_record,
-                  write_record)
-from .server import RpcProgram, RpcServer
-from .xdr import XdrDecoder, XdrEncoder
+from .._lazy import attach
 
-__all__ = [
-    "RpcError", "XdrError", "RpcProtocolError", "RpcDenied",
-    "XdrEncoder", "XdrDecoder",
-    "CallHeader", "encode_call", "decode_call", "encode_reply",
-    "decode_reply", "read_record", "write_record",
-    "SUCCESS", "PROG_UNAVAIL", "PROC_UNAVAIL", "GARBAGE_ARGS", "SYSTEM_ERR",
-    "ACCEPT_STAT_NAMES",
-    "RpcProgram", "RpcServer", "RpcClient",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "client": ["RpcClient"],
+    "errors": ["RpcError", "XdrError", "RpcProtocolError", "RpcDenied"],
+    "rpc": ["CallHeader", "encode_call", "decode_call", "encode_reply",
+            "decode_reply", "read_record", "write_record", "SUCCESS",
+            "PROG_UNAVAIL", "PROC_UNAVAIL", "GARBAGE_ARGS", "SYSTEM_ERR",
+            "ACCEPT_STAT_NAMES"],
+    "server": ["RpcProgram", "RpcServer"],
+    "xdr": ["XdrEncoder", "XdrDecoder"],
+})

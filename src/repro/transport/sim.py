@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from ..netsim.clock import VirtualClock
+from ..channel import Channel, ChannelReply, Endpoint
+from ..clock import VirtualClock
 from ..netsim.link import LinkModel
-from .base import Channel, ChannelReply, Endpoint
 
 #: Model of server-side processing time, given request and response sizes.
 ServerTimeModel = Callable[[int, int], float]

@@ -19,15 +19,15 @@ import threading
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
+from ..channel import (BatchHeaders, BatchResult, Channel, ChannelReply,
+                       Endpoint, batch_headers)
+from ..clock import Clock
 from ..http11 import (Headers, HttpConnection, HttpConnectionPool,
                       HttpError, HttpServer, PipelinedHttpConnection,
                       PipelineError, Request, Response, default_pool)
-from ..netsim.clock import Clock
 from ..reliability.breaker import CircuitBreaker
 from ..reliability.errors import ReliabilityError
 from ..reliability.policy import CallMeta, RetryEngine, RetryPolicy
-from .base import (BatchHeaders, BatchResult, Channel, ChannelReply,
-                   Endpoint, batch_headers)
 
 
 def _to_reply(response: Response) -> ChannelReply:

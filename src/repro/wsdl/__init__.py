@@ -11,17 +11,14 @@ optional quality file) in, stubs out::
     skeleton_cls = stubs["Skeleton"]            # subclass + implement
 """
 
-from .compiler import (CompiledInterface, CompiledOperation, WsdlCompiler)
-from .emit import emit_wsdl
-from .errors import CompileError, SchemaError, WsdlError
-from .model import WsdlDocument, WsdlMessage, WsdlOperation, WsdlPortType
-from .parser import parse_wsdl
-from .schema import parse_complex_type, parse_schema_types, resolve_type_name
+from .._lazy import attach
 
-__all__ = [
-    "WsdlError", "SchemaError", "CompileError",
-    "WsdlMessage", "WsdlOperation", "WsdlPortType", "WsdlDocument",
-    "parse_wsdl", "emit_wsdl",
-    "parse_schema_types", "parse_complex_type", "resolve_type_name",
-    "WsdlCompiler", "CompiledInterface", "CompiledOperation",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "compiler": ["WsdlCompiler", "CompiledInterface", "CompiledOperation"],
+    "emit": ["emit_wsdl"],
+    "errors": ["WsdlError", "SchemaError", "CompileError"],
+    "model": ["WsdlMessage", "WsdlOperation", "WsdlPortType", "WsdlDocument"],
+    "parser": ["parse_wsdl"],
+    "schema": ["parse_schema_types", "parse_complex_type",
+               "resolve_type_name"],
+})

@@ -9,24 +9,17 @@ Public surface::
     from repro.xmlcore import Element, parse, tostring, XmlPullParser
 """
 
-from .errors import XmlError, XmlNamespaceError, XmlParseError, XmlWriteError
-from .names import (BINQ_NS, SOAP_ENC_NS, SOAP_ENV_NS, SVG_NS, WSDL_NS,
-                    WSDL_SOAP_NS, XSD_NS, XSI_NS, NamespaceScope, local_name,
-                    split_qname)
-from .pull import PullEvent, XmlPullParser
-from .tokenizer import (CDATA, COMMENT, DOCTYPE, END, PI, START, TEXT, Token,
-                        Tokenizer, tokenize)
-from .tree import Element, fromstring, parse
-from .writer import canonical, escape_attr, escape_text, tostring
+from .._lazy import attach
 
-__all__ = [
-    "XmlError", "XmlParseError", "XmlWriteError", "XmlNamespaceError",
-    "Element", "parse", "fromstring", "tostring", "canonical",
-    "escape_text", "escape_attr",
-    "Token", "Tokenizer", "tokenize",
-    "START", "END", "TEXT", "COMMENT", "PI", "CDATA", "DOCTYPE",
-    "PullEvent", "XmlPullParser",
-    "NamespaceScope", "split_qname", "local_name",
-    "SOAP_ENV_NS", "SOAP_ENC_NS", "WSDL_NS", "WSDL_SOAP_NS", "XSD_NS",
-    "XSI_NS", "BINQ_NS", "SVG_NS",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "errors": ["XmlError", "XmlParseError", "XmlWriteError",
+               "XmlNamespaceError"],
+    "names": ["NamespaceScope", "split_qname", "local_name", "SOAP_ENV_NS",
+              "SOAP_ENC_NS", "WSDL_NS", "WSDL_SOAP_NS", "XSD_NS", "XSI_NS",
+              "BINQ_NS", "SVG_NS"],
+    "pull": ["PullEvent", "XmlPullParser"],
+    "tokenizer": ["Token", "Tokenizer", "tokenize", "START", "END", "TEXT",
+                  "COMMENT", "PI", "CDATA", "DOCTYPE"],
+    "tree": ["Element", "parse", "fromstring"],
+    "writer": ["tostring", "canonical", "escape_text", "escape_attr"],
+})

@@ -47,12 +47,22 @@ _NAMED_ENTITIES = {
     "quot": '"',
 }
 
-# XML 1.0 Name production, restricted to the commonly used ASCII +
-# letter/digit set plus the full unicode letter ranges via \w.
-_NAME_START = re.compile(r"[A-Za-z_:À-￿]")
-_NAME_CHAR = re.compile(r"[-A-Za-z0-9._:À-￿]")
+# XML 1.0 Name production, restricted to ASCII letters, digits and
+# ``-._:`` plus every code point from U+00C0 through U+FFFF.  Each class
+# is written as one negated class: the range form ``[A-Za-z_:\xc0-\uffff]``
+# matches the same characters, but ``re`` walks all 65k code points of the
+# range to compile it (8-16 ms per pattern, in every process; this form
+# compiles in about 0.5 ms).
+#: A name's first character.
+NAME_START_CLASS = (r"[^\x00-\x39\x3b-\x40\x5b-\x5e\x60\x7b-\xbf"
+                    r"\U00010000-\U0010ffff]")
+#: Any later character of a name.
+NAME_CHAR_CLASS = (r"[^\x00-\x2c\x2f\x3b-\x40\x5b-\x5e\x60\x7b-\xbf"
+                   r"\U00010000-\U0010ffff]")
+_NAME_START = re.compile(NAME_START_CLASS)
+_NAME_CHAR = re.compile(NAME_CHAR_CLASS)
 # Whole-name matcher: one C-level scan instead of per-character stepping.
-_NAME_RX = re.compile(r"[A-Za-z_:À-￿][-A-Za-z0-9._:À-￿]*")
+_NAME_RX = re.compile(NAME_START_CLASS + NAME_CHAR_CLASS + "*")
 
 _WHITESPACE = " \t\r\n"
 _WS_RX = re.compile(r"[ \t\r\n]*")

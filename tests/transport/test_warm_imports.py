@@ -5,20 +5,27 @@ machinery's locking on every call it sits on — microseconds per call on
 the paths the paper measures.  This test hooks ``builtins.__import__``
 for 50 warm calls against an in-process server (so its threads are hooked
 too) and fails when any ``repro`` module executes an import statement.
+It also fails when a warm call loads a module at all: a lazy package
+facade resolving a name for the first time would do that through its
+``__getattr__``, and a server must have loaded what it answers with
+before its first request.
 
 Covered: the pooled and the pipelined socket channel with their own
 ``retry_policy=``, pipelined ``call`` and ``call_many``, a
-:class:`~repro.reliability.channel.ReliableChannel` over each, and a
+:class:`~repro.reliability.channel.ReliableChannel` over each, a
 quality-managed service whose replies arrive degraded (so the client
-restores the missing fields on every call).
+restores the missing fields on every call), one whose replies go through
+the ``downsample`` array handler, and the XML quality path
+(:class:`~repro.core.xmlq.XmlQualityClient` against the same service).
 """
 
 import builtins
+import sys
 import threading
 
 import pytest
 
-from repro.core import SoapBinClient, SoapBinService
+from repro.core import SoapBinClient, SoapBinService, XmlQualityClient
 from repro.http11 import HttpConnectionPool
 from repro.pbio import Format, FormatRegistry
 from repro.reliability import ReliableChannel, RetryPolicy
@@ -36,13 +43,26 @@ history 1
 1e-12 inf   - EchoSmall
 """
 
+#: The same switch, to a reply whose array the ``downsample`` handler
+#: strides down to one item; the handler zero-fills ``spare``, which the
+#: full reply lacks.
+DOWNSAMPLING_QUALITY = """
+attribute rtt
+history 1
+0.0   1e-12 - EchoResponse
+1e-12 inf   - EchoCoarse
+handler EchoCoarse downsample
+"""
+
 
 class ImportSpy:
-    """``builtins.__import__`` replacement recording ``repro`` importers."""
+    """``builtins.__import__`` replacement recording ``repro`` importers,
+    plus the modules loaded while it is installed (``loaded``)."""
 
     def __init__(self) -> None:
         self.real = builtins.__import__
         self.seen = []
+        self.loaded = set()
         self.lock = threading.Lock()
 
     def __call__(self, name, globals=None, locals=None, fromlist=(),
@@ -55,11 +75,13 @@ class ImportSpy:
         return self.real(name, globals, locals, fromlist, level)
 
     def __enter__(self):
+        self.before = set(sys.modules)
         builtins.__import__ = self
         return self
 
     def __exit__(self, *exc):
         builtins.__import__ = self.real
+        self.loaded = set(sys.modules) - self.before
 
 
 @pytest.fixture()
@@ -71,20 +93,36 @@ def registry():
                                   {"data": "float64[]", "tag": "string",
                                    "count": "int32"}))
     reg.register(Format.from_dict("EchoSmall", {"count": "int32"}))
+    reg.register(Format.from_dict("EchoCoarse",
+                                  {"data": "float64[1]", "count": "int32",
+                                   "spare": "int32"}))
     return reg
 
 
-@pytest.fixture(params=["full", "degraded"])
+QUALITY = {"full": None, "degraded": DEGRADING_QUALITY,
+           "downsampled": DOWNSAMPLING_QUALITY}
+
+#: What a warm call returns from each server.
+EXPECTED = {
+    "full": {"data": [1.0, 2.0], "tag": "warm", "count": 2},
+    "degraded": {"data": [], "tag": "", "count": 2},
+    "downsampled": {"data": [1.0], "tag": "", "count": 2},
+}
+
+
+@pytest.fixture(params=sorted(QUALITY))
 def server(request, registry):
-    quality = DEGRADING_QUALITY if request.param == "degraded" else None
-    service = SoapBinService(registry, quality_text=quality)
+    # Without the response cache every warm reply runs the downsample
+    # handler instead of replaying the first call's transformed value.
+    service = SoapBinService(registry, quality_text=QUALITY[request.param],
+                             response_cache=request.param != "downsampled")
     service.add_operation(
         "Echo", registry.by_name("EchoRequest"),
         registry.by_name("EchoResponse"),
         lambda p: {"data": p["data"], "tag": p["tag"],
                    "count": len(p["data"])})
     with serve_endpoint(service.endpoint) as srv:
-        srv.degraded = quality is not None
+        srv.expected = EXPECTED[request.param]
         yield srv
 
 
@@ -137,11 +175,32 @@ def test_no_import_on_a_warm_call(server, registry, make_channel, batched):
     finally:
         channel.close()
         pool.close()
-    degraded = {"data": [], "tag": "", "count": 2}
-    full = {"data": [1.0, 2.0], "tag": "warm", "count": 2}
-    expected = degraded if server.degraded else full
     for replies in outcomes:
         for reply in replies:
             assert {k: (list(v) if k == "data" else v)
-                    for k, v in reply.items()} == expected
+                    for k, v in reply.items()} == server.expected
     assert spy.seen == []
+    assert spy.loaded == set()
+
+
+def test_no_import_on_a_warm_xml_quality_call(server, registry):
+    pool = HttpConnectionPool()
+    channel = PooledHttpChannel(server.address, pool=pool)
+    client = XmlQualityClient(channel, registry)
+    fmt_in = registry.by_name("EchoRequest")
+    fmt_out = registry.by_name("EchoResponse")
+    params = {"data": [1.0, 2.0], "tag": "warm"}
+    try:
+        for _ in range(3):           # RTT report, caches
+            client.call("Echo", params, fmt_in, fmt_out)
+        with ImportSpy() as spy:
+            replies = [client.call("Echo", params, fmt_in, fmt_out)
+                       for _ in range(WARM_CALLS)]
+    finally:
+        channel.close()
+        pool.close()
+    for reply in replies:
+        assert {k: (list(v) if k == "data" else v)
+                for k, v in reply.items()} == server.expected
+    assert spy.seen == []
+    assert spy.loaded == set()

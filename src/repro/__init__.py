@@ -9,7 +9,7 @@ A from-scratch Python reproduction of Seshasayee, Schwan & Widener,
 ``repro.channel``       the request/reply channel contract
 ``repro.xmlcore``       hand-written XML tokenizer / tree / pull parser
 ``repro.pbio``          PBIO binary formats, format server, generated codecs
-``repro.compress``      Lempel-Ziv codecs (LZSS, LZW, zlib)
+``repro.compress``      Lempel-Ziv codecs (LZSS, zlib)
 ``repro.http11``        minimal HTTP/1.1 client + epoll reactor server
 ``repro.netsim``        deterministic links, cross-traffic, virtual clocks
 ``repro.transport``     channel abstraction (sockets / simulated / direct)

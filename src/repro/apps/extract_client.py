@@ -3,8 +3,8 @@ checkpoints, exactly-once page accounting.
 
 A :class:`JobRunner` drives a whole extraction against
 :class:`~repro.apps.extract.ExtractService` through any channel — in
-production a :class:`~repro.transport.sockets.PipelinedHttpChannel`
-(optionally wrapped in a
+production an :class:`~repro.transport.sockets.HttpChannel`, whose
+``call_many`` pipelines the page fetches (optionally wrapped in a
 :class:`~repro.reliability.faults.FaultInjectingChannel` for soak tests).
 Its obligations, in order of importance:
 

@@ -602,7 +602,7 @@ class _ClientSet:
     def __init__(self, cfg: LoadgenConfig, address,
                  ident: str = "0-0") -> None:
         from ..core import SoapBinClient, XmlQualityClient
-        from ..transport import HttpChannel, PipelinedHttpChannel
+        from ..transport import HttpChannel
         self._channels: List[Any] = []
         self.binary = self.xml = self.pipelined = self.extract = None
         self.largemsg = None
@@ -646,7 +646,7 @@ class _ClientSet:
             self._channels.append(channel)
             self.xml = XmlQualityClient(channel, self._client_registry())
         if cfg.mix.get("pipelined", 0) > 0:
-            channel = PipelinedHttpChannel(address, depth=cfg.depth)
+            channel = HttpChannel(address, depth=cfg.depth)
             self._channels.append(channel)
             self.pipelined = SoapBinClient(channel,
                                            self._client_registry(),

@@ -62,9 +62,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core import SoapBinClient, SoapBinService
 from ..pbio import Format, FormatRegistry, interp_decode, interp_encode
-from ..transport import PooledHttpChannel, serve_endpoint
+from ..transport import HttpChannel, serve_endpoint
 from ..http11 import (HttpConnection, HttpConnectionPool, HttpServer,
-                      PipelinedHttpConnection, Request, Response)
+                      Request, Response)
 from .datagen import (int_array_value, nested_struct_value,
                       register_array_format, register_nested_formats)
 from .timers import percentile
@@ -407,8 +407,8 @@ def _bench_rpc(calls: int, payload_elements: int) -> Dict[str, Any]:
     policy = RetryPolicy(max_attempts=3, deadline_s=30.0,
                          backoff_initial_s=0.05)
     try:
-        channel = PooledHttpChannel(server.address, pool=pool,
-                                    retry_policy=policy)
+        channel = HttpChannel(server.address, pool=pool,
+                              retry_policy=policy)
         client = SoapBinClient(channel, registry)
         for _ in range(min(10, calls)):  # warmup: announcement + pool fill
             client.call("Echo", value, ECHO_FORMAT, ECHO_FORMAT)
@@ -486,7 +486,7 @@ def _bench_idle_hold(requested: int, active_calls: int) -> Dict[str, Any]:
             time.sleep(0.02)
         threads_during = threading.active_count()
         rss_during = _rss_kb()
-        channel = PooledHttpChannel(server.address, pool=pool)
+        channel = HttpChannel(server.address, pool=pool)
         client = SoapBinClient(channel, registry)
         for _ in range(min(10, active_calls)):
             client.call("Echo", value, ECHO_FORMAT, ECHO_FORMAT)
@@ -512,12 +512,12 @@ def _bench_idle_hold(requested: int, active_calls: int) -> Dict[str, Any]:
 
 
 def _bench_pipelined(requests_per_depth: int) -> Dict[str, Any]:
-    """Raw HTTP echo throughput: the serial keep-alive client
-    (``HttpConnection``, what ``HttpChannel`` drives — the path a
-    ``call_many`` adopter migrates *from*) versus one pipelined
-    connection at depth 1/8/32.  Speedups are quoted against the serial
-    client; the depth-1 figure sits alongside so the non-blocking
-    transport's own serial cost stays visible."""
+    """Raw HTTP echo throughput: serial ``HttpConnection.request`` calls
+    (what ``HttpChannel.call`` drives — the path a ``call_many`` adopter
+    migrates *from*) versus ``request_many`` batches at depth 1/8/32, one
+    connection each.  Speedups are quoted against the serial calls; the
+    depth-1 batch figure sits alongside so the batch loop's own serial
+    cost stays visible."""
     body = b"x" * 256
 
     def handler(request):
@@ -532,13 +532,12 @@ def _bench_pipelined(requests_per_depth: int) -> Dict[str, Any]:
                 for _ in range(requests_per_depth)]
     with HttpServer(handler) as server:
         serial = HttpConnection(server.address)
-        pipes = {depth: PipelinedHttpConnection(server.address, depth=depth)
-                 for depth in depths}
+        pipes = {depth: HttpConnection(server.address) for depth in depths}
         try:
             for _ in range(64):  # warmup
                 serial.post("/", body, "application/octet-stream")
             for depth in depths:
-                pipes[depth].request_many(requests[:64])
+                pipes[depth].request_many(requests[:64], depth)
             # interleaved passes, median per config: scheduler noise on a
             # shared box lands on every config instead of whichever one
             # happened to run during the bad slice
@@ -550,7 +549,8 @@ def _bench_pipelined(requests_per_depth: int) -> Dict[str, Any]:
                 samples["serial"].append(requests_per_depth / elapsed)
                 for depth in depths:
                     start = time.perf_counter()
-                    responses = pipes[depth].request_many(requests)
+                    responses = pipes[depth].request_many(requests,
+                                                          depth)
                     elapsed = time.perf_counter() - start
                     assert len(responses) == requests_per_depth
                     samples[depth].append(requests_per_depth / elapsed)
@@ -600,7 +600,7 @@ def _scaleout_rpc_client(address, duration_s, ready_q, start_evt, out_q):
     registry = FormatRegistry()
     registry.register(ECHO_FORMAT)
     pool = HttpConnectionPool()
-    channel = PooledHttpChannel(address, pool=pool)
+    channel = HttpChannel(address, pool=pool)
     client = SoapBinClient(channel, registry)
     value = {"seq": 0, "payload": [float(i) for i in range(256)]}
     try:
@@ -624,14 +624,14 @@ def _scaleout_pipe_client(address, duration_s, ready_q, start_evt, out_q):
     body = b"x" * 256
     requests = [Request(method="POST", target="/", body=body)
                 for _ in range(64)]
-    with PipelinedHttpConnection(address, depth=8) as pipe:
-        pipe.request_many(requests[:16])     # warmup
+    with HttpConnection(address) as pipe:
+        pipe.request_many(requests[:16], 8)  # warmup
         ready_q.put(os.getpid())
         start_evt.wait()
         count = 0
         deadline = time.perf_counter() + duration_s
         while time.perf_counter() < deadline:
-            responses = pipe.request_many(requests)
+            responses = pipe.request_many(requests, 8)
             count += len(responses)
         out_q.put(count)
 
@@ -806,7 +806,7 @@ def _cache_rpc_pass(payload_elements: int, calls: int,
     pool = HttpConnectionPool()
     value = {"n": payload_elements}
     try:
-        channel = PooledHttpChannel(server.address, pool=pool)
+        channel = HttpChannel(server.address, pool=pool)
         client = SoapBinClient(channel, registry)
         for _ in range(min(10, calls)):
             client.call("GetData", value, CACHE_REQUEST_FORMAT,

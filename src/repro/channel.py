@@ -4,7 +4,7 @@ The SOAP / SOAP-bin client stacks are written against :class:`Channel` — a
 synchronous request/reply pipe with HTTP-ish metadata (content type + flat
 headers).  Three implementations exist:
 
-* :class:`~repro.transport.sockets.HttpChannel` — a real HTTP connection;
+* :class:`~repro.transport.sockets.HttpChannel` — real HTTP connections;
 * :class:`~repro.transport.sim.SimChannel` — an in-process call whose
   timing is charged to a :class:`~repro.netsim.link.LinkModel` on a virtual
   clock (used by every figure-reproduction benchmark);

@@ -469,7 +469,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     import json
 
     from .apps.extract_client import CheckpointError, JobError, JobRunner
-    from .transport import PipelinedHttpChannel
+    from .transport import HttpChannel
 
     host, _, port_text = args.target.rpartition(":")
     try:
@@ -478,7 +478,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         print(f"error: --target must be HOST:PORT, got {args.target!r}",
               file=sys.stderr)
         return 2
-    channel = PipelinedHttpChannel(address, depth=args.depth)
+    channel = HttpChannel(address, depth=args.depth)
     try:
         runner = JobRunner(channel, args.checkpoint, job_id=args.job_id,
                            page_records=args.page_records)

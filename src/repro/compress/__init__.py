@@ -1,7 +1,7 @@
 """Lempel-Ziv compression substrate (compressed-XML SOAP baseline).
 
-Three codecs behind one interface: a from-scratch LZSS (sliding window), a
-from-scratch LZW (dictionary), and a zlib/DEFLATE adapter::
+Two codecs behind one interface: a from-scratch LZSS (sliding window) and
+a zlib/DEFLATE adapter::
 
     from repro.compress import get_codec
     codec = get_codec("lzss")
@@ -14,4 +14,4 @@ from .._lazy import attach
 __getattr__, __dir__, __all__ = attach(__name__, {
     "api": ["Codec", "get_codec", "codec_names", "DEFAULT_CODEC_NAME"],
     "errors": ["CompressError"],
-}, submodules=("lzss", "lzw", "zlib_codec"))
+}, submodules=("lzss", "zlib_codec"))

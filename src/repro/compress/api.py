@@ -1,11 +1,11 @@
-"""Uniform codec interface over the three Lempel-Ziv implementations."""
+"""Uniform codec interface over the Lempel-Ziv implementations."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict
 
-from . import lzss, lzw, zlib_codec
+from . import lzss, zlib_codec
 from .errors import CompressError
 
 
@@ -27,7 +27,6 @@ class Codec:
 
 _CODECS: Dict[str, Codec] = {
     "lzss": Codec("lzss", lzss.compress, lzss.decompress),
-    "lzw": Codec("lzw", lzw.compress, lzw.decompress),
     "zlib": Codec("zlib", zlib_codec.compress, zlib_codec.decompress),
 }
 
@@ -36,7 +35,7 @@ DEFAULT_CODEC_NAME = "zlib"
 
 
 def get_codec(name: str = DEFAULT_CODEC_NAME) -> Codec:
-    """Look up a codec by name (``lzss``, ``lzw`` or ``zlib``).
+    """Look up a codec by name (``lzss`` or ``zlib``).
 
     >>> get_codec("lzss").name
     'lzss'

@@ -115,8 +115,8 @@ class SoapBinClient:
                   return_exceptions: bool = False) -> List[Any]:
         """High-performance mode for a whole batch: many calls in flight.
 
-        When the channel has a ``call_many`` batch surface (a
-        :class:`~repro.transport.sockets.PipelinedHttpChannel`, or a
+        When the channel has a ``call_many`` batch surface (an
+        :class:`~repro.transport.sockets.HttpChannel`, or a
         :class:`~repro.reliability.channel.ReliableChannel`), the batch is
         dispatched through it; otherwise the calls run sequentially.
         Results come back in input order.  Per-sub-call reliability

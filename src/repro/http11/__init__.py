@@ -3,7 +3,8 @@
 Request/response model with case-insensitive headers, one server — an
 epoll reactor (``workers + 1`` threads share one epoll set and the thread
 woken for a connection serves it from read to write; Linux only) — plus
-persistent-connection and pipelined clients::
+one persistent-connection client whose ``request`` is a pipeline of depth
+one and whose ``request_many`` keeps up to ``depth`` requests in flight::
 
     from repro.http11 import HttpServer, HttpConnection, Response
 
@@ -17,14 +18,13 @@ persistent-connection and pipelined clients::
 from .._lazy import attach
 
 __getattr__, __dir__, __all__ = attach(__name__, {
-    "client": ["HttpConnection", "HttpConnectionPool", "default_pool",
+    "client": ["HttpConnection", "HttpConnectionPool", "PipelineError",
                "parse_address"],
     "errors": ["HttpError", "HttpParseError", "HttpConnectionClosed",
                "HttpTooLarge"],
     "messages": ["Headers", "Request", "Response", "RequestParser",
                  "ResponseParser", "etag_matches", "MAX_HEADER_BYTES",
                  "MAX_BODY_BYTES"],
-    "pipeline": ["PipelinedHttpConnection", "PipelineError"],
     "reactor": ["HttpServer", "ReactorHttpServer"],
     "server": ["set_reuse_port"],
 })

@@ -3,30 +3,60 @@
 :class:`HttpConnection` is one keep-alive connection; the paper's
 persistent-session format cache assumes exactly this — repeated SOAP-bin
 calls to the same host must not pay TCP setup (or a fresh PBIO format
-announcement) per request.  :class:`HttpConnectionPool` extends that to
-many hosts and many concurrent callers: per-host idle lists with max-idle
+announcement) per request.  One request is a pipeline with a window of
+one: :meth:`HttpConnection.request` and the pipelined
+:meth:`HttpConnection.request_many` run through the same exchange loop,
+which owns the stale-socket rule, the socket timeout and the error a
+failed exchange raises.  :class:`HttpConnectionPool` extends that to many
+hosts and many concurrent callers: per-host idle lists with max-idle
 eviction and a retry-once policy for sockets that went stale while pooled.
 """
 
 from __future__ import annotations
 
+import select
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Tuple, Union
+from collections import deque
+from itertools import islice
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import HttpConnectionClosed, HttpError, HttpParseError
 from .messages import (Headers, LAST_CHUNK, Request, Response, ResponseParser,
-                       encode_chunk, send_gather, wire_buffers)
+                       consume_views, encode_chunk, wire_buffers)
+
+#: buffers per ``sendmsg``, well under the kernel's ``IOV_MAX``
+_SENDMSG_BATCH = 64
+_POLLIN, _POLLOUT = select.POLLIN, select.POLLOUT
+
+
+class PipelineError(HttpError):
+    """A pipelined batch failed part-way through.
+
+    ``responses`` holds the completed prefix (strictly in request order),
+    ``failed_index`` is the index of the first request that received no
+    response, and ``bytes_written`` tells retry machinery whether any of
+    this batch reached the wire (False means a resend is provably safe).
+    The exception that broke the batch is ``__cause__``.
+    """
+
+    def __init__(self, message: str, responses: List[Response],
+                 failed_index: int, bytes_written: bool = True) -> None:
+        super().__init__(message)
+        self.responses = responses
+        self.failed_index = failed_index
+        self.bytes_written = bytes_written
 
 
 class HttpConnection:
-    """One keep-alive connection to an HTTP server.
+    """One keep-alive connection to an HTTP server, serial or pipelined.
 
     Reconnects transparently if the server closed the connection between
     requests (idle keep-alive timeout), but never retries a request that
     failed mid-flight — retry policy belongs to callers who know their
-    idempotency.
+    idempotency.  ``timeout`` bounds the connect and every wait for the
+    socket: a stalled exchange raises ``TimeoutError``.
     """
 
     def __init__(self, address: Union[Tuple[str, int], str],
@@ -35,6 +65,7 @@ class HttpConnection:
             address = parse_address(address)
         self.address = address
         self.timeout = timeout
+        self._host = f"{address[0]}:{address[1]}"
         self._sock: Optional[socket.socket] = None
         self._parser: Optional[ResponseParser] = None
         self.requests_sent = 0
@@ -52,50 +83,45 @@ class HttpConnection:
         if self._sock is None:
             self._connect()
 
+    def settimeout(self, timeout: float) -> None:
+        """Make ``timeout`` the connection's from the next wait on."""
+        if timeout != self.timeout:
+            self.timeout = timeout
+            if self._sock is not None:
+                self._sock.settimeout(timeout)
+
     def request(self, request: Request) -> Response:
-        """Send ``request`` and read the response.
+        """Send ``request`` and read the response: a pipeline of depth 1.
 
-        Sets ``Host`` and ``Content-Length`` automatically.
-
-        A stale keep-alive socket is reconnected and the request resent
-        *only* when no request bytes had been written yet — resending after
-        a partial write could double-execute a non-idempotent operation.
-        Every propagated exception is annotated with a ``bytes_written``
-        attribute so pool- and policy-level retries can make the same
-        distinction.
+        Sets ``Host`` and ``Content-Length`` automatically.  Failures
+        propagate as the exception that broke the exchange, annotated with
+        ``bytes_written`` (see :meth:`_exchange`).
         """
-        request.headers.set("Host", f"{self.address[0]}:{self.address[1]}")
-        buffers = wire_buffers(request)
-        attempts = 0
-        while True:
-            sent = 0
+        responses: List[Response] = []
+        self._exchange((request,), 1, responses)
+        return responses[0]
+
+    def request_many(self, requests: Sequence[Request],
+                     depth: int) -> List[Response]:
+        """Pipeline ``requests``, at most ``depth`` unanswered at a time;
+        the responses come back in request order (RFC 9112 §9.3.2).
+
+        A batch is all-or-prefix: a failure raises :class:`PipelineError`
+        with the answered prefix, the first unanswered index and the
+        cause, so a caller can re-drive just the unanswered suffix.
+        """
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        responses: List[Response] = []
+        if requests:
             try:
-                self._ensure_connected()
-            except OSError as exc:
-                self.close()
-                exc.bytes_written = False
-                raise
-            try:
-                for written in send_gather(self._sock, *buffers):
-                    sent += written
-                response = self._parser.read_message(self._sock)
-                break
-            except (HttpConnectionClosed, OSError) as exc:
-                self.close()
-                attempts += 1
-                if sent == 0 and attempts <= 1:
-                    # Nothing reached the wire: a stale keep-alive socket.
-                    # Reconnecting and resending is provably safe.
-                    continue
-                exc.bytes_written = sent > 0
-                raise
-            except HttpError:
-                self.close()            # framing is lost: never reuse it
-                raise
-        self.requests_sent += 1
-        if (response.headers.get("Connection") or "").lower() == "close":
-            self.close()
-        return response
+                self._exchange(requests, depth, responses)
+            except (HttpError, OSError) as exc:
+                raise PipelineError(
+                    f"pipelined batch failed after {len(responses)}/"
+                    f"{len(requests)} responses: {exc}", responses,
+                    len(responses), exc.bytes_written) from exc
+        return responses
 
     def post(self, target: str, body: bytes, content_type: str,
              headers: Optional[Headers] = None) -> Response:
@@ -107,6 +133,119 @@ class HttpConnection:
 
     def get(self, target: str) -> Response:
         return self.request(Request(method="GET", target=target))
+
+    # ------------------------------------------------------------------
+    def _exchange(self, batch: Sequence[Request], depth: int,
+                  responses: List[Response]) -> None:
+        """Drive ``batch`` through :meth:`_pump`, appending to
+        ``responses``.
+
+        A stale keep-alive socket is reconnected and the batch resent
+        *only* when nothing was sent and nothing received — resending
+        after a partial write could double-execute a non-idempotent
+        operation.  Every propagated exception carries ``bytes_written``
+        so pool- and policy-level retries can make the same distinction.
+        """
+        for attempt in (0, 1):
+            if self._sock is None:
+                try:
+                    self._connect()
+                except OSError as exc:
+                    exc.bytes_written = False
+                    raise
+            try:
+                self._pump(batch, depth, responses)
+            except (HttpError, OSError) as exc:
+                self.close()            # framing is lost: never reuse it
+                if (attempt or exc.bytes_written or responses
+                        or not isinstance(exc, (HttpConnectionClosed,
+                                                OSError))):
+                    raise
+                continue
+            self.requests_sent += len(batch)
+            return
+
+    def _pump(self, batch: Sequence[Request], depth: int,
+              responses: List[Response]) -> None:
+        """The exchange loop: write requests while fewer than ``depth``
+        are unanswered, read responses through the parser.
+
+        A write blocks (up to the timeout) unless a request already on the
+        wire is still unanswered: before that, the server reads the bytes
+        before it answers, so waiting for buffer space cannot deadlock.
+        Behind an unanswered request the server may be blocked writing to
+        us, so the loop polls both directions and moves whichever is
+        ready.  A depth-1 exchange is therefore one gather ``sendmsg`` and
+        blocking reads.  Exceptions leave annotated with
+        ``bytes_written``.
+        """
+        sock, parser, host = self._sock, self._parser, self._host
+        total = len(batch)
+        queued: deque = deque()     # serialized bytes not yet written
+        ends: List[int] = []        # per serialized request: its last byte
+        serialized = on_wire = end = written = 0
+        closing = False
+        poller = None
+        try:
+            while len(responses) < total:
+                answered = len(responses)
+                while serialized < total and serialized < answered + depth:
+                    request = batch[serialized]
+                    if request.headers.get("Host") != host:
+                        request.headers.set("Host", host)
+                    buffers = wire_buffers(request)
+                    queued += buffers
+                    end += sum(map(len, buffers))
+                    ends.append(end)
+                    serialized += 1
+                if queued:
+                    events = _POLLOUT
+                    if on_wire > answered:
+                        if poller is None:
+                            poller = select.poll()
+                            poller.register(sock, _POLLIN | _POLLOUT)
+                        ready = poller.poll(self.timeout * 1000.0)
+                        if not ready:
+                            raise socket.timeout(
+                                f"pipeline stalled for {self.timeout:.1f}s "
+                                f"({answered}/{total} responses received)")
+                        events = ready[0][1]
+                    if events & _POLLOUT:
+                        sent = sock.sendmsg(
+                            queued if len(queued) <= _SENDMSG_BATCH
+                            else list(islice(queued, _SENDMSG_BATCH)))
+                        written += sent
+                        if written == end:  # the usual case: all of it
+                            queued.clear()
+                            on_wire = serialized
+                        else:
+                            consume_views(queued, sent)
+                            while ends[on_wire] <= written:
+                                on_wire += 1
+                    if not events & ~_POLLOUT:
+                        continue        # nothing to read yet
+                if not parser.read_from(sock):
+                    raise HttpConnectionClosed(
+                        "connection closed mid-reply" if parser.mid_message
+                        else f"connection closed after {answered}/{total} "
+                             "responses")
+                while True:
+                    response = parser.next_response()
+                    if response is None:
+                        break
+                    responses.append(response)
+                    if (response.headers.get("Connection")
+                            or "").lower() == "close":
+                        closing = True
+                        if len(responses) < total:
+                            raise HttpConnectionClosed(
+                                "server closed the connection after "
+                                f"{len(responses)}/{total} responses")
+        except (HttpError, OSError) as exc:
+            exc.bytes_written = written > 0
+            raise
+        if closing:
+            self.close()
 
     def stream(self, target: str, chunks,
                content_type: str = "application/octet-stream",
@@ -475,19 +614,6 @@ class HttpConnectionPool:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-
-_default_pool: Optional[HttpConnectionPool] = None
-_default_pool_lock = threading.Lock()
-
-
-def default_pool() -> HttpConnectionPool:
-    """The process-wide shared pool (created on first use)."""
-    global _default_pool
-    with _default_pool_lock:
-        if _default_pool is None or _default_pool._closed:
-            _default_pool = HttpConnectionPool()
-        return _default_pool
 
 
 def parse_address(url: str) -> Tuple[str, int]:

@@ -78,9 +78,9 @@ class ReliableChannel(Channel):
         per body, in order.
 
         Each retry round goes to the inner channel's own ``call_many``
-        when it has one — so a
-        :class:`~repro.transport.sockets.PipelinedHttpChannel` inside keeps
-        its requests in flight together — and only the sub-calls whose
+        when it has one — so an
+        :class:`~repro.transport.sockets.HttpChannel` inside keeps its
+        requests in flight together — and only the sub-calls whose
         attempt failed are re-sent.  Without one, a round's sub-calls go
         out one after another.
         """

@@ -14,11 +14,11 @@ both, deterministically:
   :class:`~repro.channel.Channel` — a
   :class:`~repro.transport.sim.SimChannel` over a
   :class:`~repro.netsim.link.LinkModel` for virtual-clock soak tests, or a
-  real-socket :class:`~repro.transport.sockets.HttpChannel` /
-  :class:`~repro.transport.sockets.PooledHttpChannel` — and raises the same
-  *low-level* exception the real transport would (``ConnectionRefusedError``,
-  ``ConnectionResetError``, ``TimeoutError``, a truncated-frame close, an
-  HTTP 503 reply), annotated with the wire state via
+  real-socket :class:`~repro.transport.sockets.HttpChannel` — and raises
+  the same *low-level* exception the real transport would
+  (``ConnectionRefusedError``, ``ConnectionResetError``, ``TimeoutError``,
+  a truncated-frame close, an HTTP 503 reply), annotated with the wire
+  state via
   :func:`~repro.reliability.errors.mark_bytes_written`.  The reliability
   layer above must then classify and survive them exactly as it would in
   production; nothing in the injector is reliability-aware.

@@ -1,6 +1,6 @@
-"""Real-socket transport: Channel over HTTP/1.1.
+"""Real-socket transport: the one Channel over HTTP/1.1.
 
-Every socket channel optionally runs its calls under a
+:class:`HttpChannel` runs its calls under an optional
 :class:`~repro.reliability.policy.RetryPolicy` (plus an optional
 :class:`~repro.reliability.breaker.CircuitBreaker`): pass ``retry_policy=``
 and transient transport faults — stale sockets, refused connects, 503
@@ -10,7 +10,7 @@ within the policy's deadline budget, and surfaced as typed
 ``OSError``.  The knobs are bound into one
 :class:`~repro.reliability.policy.RetryEngine` at construction — the same
 engine :class:`~repro.reliability.channel.ReliableChannel` uses.  Without a
-policy the channels behave exactly as before.
+policy a failed call raises the exception that broke the exchange.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from ..channel import (BatchHeaders, BatchResult, Channel, ChannelReply,
                        Endpoint, batch_headers)
 from ..clock import Clock
 from ..http11 import (Headers, HttpConnection, HttpConnectionPool,
-                      HttpError, HttpServer, PipelinedHttpConnection,
-                      PipelineError, Request, Response, default_pool)
+                      HttpServer, PipelineError, Request, Response,
+                      parse_address)
 from ..reliability.breaker import CircuitBreaker
 from ..reliability.errors import ReliabilityError
 from ..reliability.policy import CallMeta, RetryEngine, RetryPolicy
@@ -39,25 +39,59 @@ def _to_reply(response: Response) -> ChannelReply:
     )
 
 
-def _to_headers(headers: Optional[Dict[str, str]]) -> Headers:
-    extra = Headers()
-    for name, value in (headers or {}).items():
-        extra.set(name, value)
-    return extra
+class HttpChannel(Channel):
+    """A channel speaking HTTP POST over keep-alive connections.
 
+    :meth:`call` takes a connection from an :class:`HttpConnectionPool` —
+    ``pool=``, shared with other channels and threads, or one private to
+    the channel that :meth:`close` closes — so TCP setup is paid once per
+    pooled socket.  :meth:`call_many` pipelines a batch over the
+    channel's own connections: contiguous chunks, one per connection
+    (``connections``), each with up to ``depth`` requests in flight.
+    With a ``retry_policy`` each retry round re-drives *only the
+    sub-calls that failed* — the answered prefix of a broken pipeline is
+    never re-sent — through the same
+    :class:`~repro.reliability.policy.RetryEngine` rounds every policed
+    call uses.  503 replies are retryable shedding under a policy and
+    ordinary replies without one.
 
-class _SocketChannel(Channel):
-    """What the socket channels share: the optional retry engine, bound
-    once from the ``retry_policy=`` / ``breaker=`` / ``clock=`` /
-    ``idempotent=`` knobs, and the policed :meth:`call` over each
-    channel's own single-attempt ``_call_once``."""
+    ``timeout`` (or the policy's ``call_timeout_s``, when it has one) is
+    every attempt's socket timeout, whichever pool the connection came
+    from.
+    """
 
-    def _bind_policy(self, retry_policy: Optional[RetryPolicy],
-                     breaker: Optional[CircuitBreaker],
-                     clock: Optional[Clock], idempotent: bool) -> None:
+    def __init__(self, address: Union[Tuple[str, int], str],
+                 target: str = "/", *,
+                 pool: Optional[HttpConnectionPool] = None,
+                 depth: int = 8, connections: int = 1,
+                 timeout: float = 30.0,
+                 retry_policy: Optional[RetryPolicy] = None,
+                 breaker: Optional[CircuitBreaker] = None,
+                 clock: Optional[Clock] = None,
+                 idempotent: bool = True) -> None:
+        if connections < 1:
+            raise ValueError("connections must be >= 1")
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        if isinstance(address, str):
+            address = parse_address(address)
+        self.address = address
+        self.target = target
+        self.depth = depth
+        self.connections = connections
+        if getattr(retry_policy, "call_timeout_s", None) is not None:
+            timeout = retry_policy.call_timeout_s
+        self.timeout = timeout
+        self._own_pool = pool is None
+        self.pool = pool if pool is not None else HttpConnectionPool(
+            timeout=timeout)
         self.engine = (RetryEngine(retry_policy, clock, idempotent, breaker)
                        if retry_policy is not None else None)
         self.last_call: Optional[CallMeta] = None
+        #: per-sub-call metadata of the most recent call_many batch
+        self.last_calls: List[Optional[CallMeta]] = []
+        #: the batch connections, never shared with call()
+        self._pipes: List[HttpConnection] = []
 
     def call(self, body: bytes, content_type: str,
              headers: Optional[Dict[str, str]] = None) -> ChannelReply:
@@ -73,119 +107,17 @@ class _SocketChannel(Channel):
 
     def _call_once(self, body: bytes, content_type: str,
                    headers: Optional[Dict[str, str]]) -> ChannelReply:
-        raise NotImplementedError
-
-
-def _timeout(timeout: float, retry_policy: Optional[RetryPolicy]) -> float:
-    """A policy's per-attempt timeout, when it has one, is the socket's."""
-    if retry_policy is not None and retry_policy.call_timeout_s is not None:
-        return retry_policy.call_timeout_s
-    return timeout
-
-
-class HttpChannel(_SocketChannel):
-    """A channel speaking HTTP POST over a persistent connection."""
-
-    def __init__(self, address: Union[Tuple[str, int], str],
-                 target: str = "/", timeout: float = 30.0,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 clock: Optional[Clock] = None,
-                 idempotent: bool = True) -> None:
-        self.connection = HttpConnection(
-            address, timeout=_timeout(timeout, retry_policy))
-        self.target = target
-        self._bind_policy(retry_policy, breaker, clock, idempotent)
-
-    def _call_once(self, body: bytes, content_type: str,
-                   headers: Optional[Dict[str, str]]) -> ChannelReply:
-        return _to_reply(self.connection.post(
-            self.target, body, content_type, headers=_to_headers(headers)))
-
-    def close(self) -> None:
-        self.connection.close()
-
-
-class PooledHttpChannel(_SocketChannel):
-    """A channel drawing keep-alive connections from a shared pool.
-
-    Where :class:`HttpChannel` pins one socket per channel object, this
-    variant checks a connection out of an :class:`HttpConnectionPool` per
-    call — the right shape when many short-lived channels (or many threads)
-    target the same host: TCP setup is paid once per pooled socket, not
-    once per channel.
-    """
-
-    def __init__(self, address: Union[Tuple[str, int], str],
-                 target: str = "/",
-                 pool: Optional[HttpConnectionPool] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 clock: Optional[Clock] = None,
-                 idempotent: bool = True) -> None:
-        self.address = address
-        self.target = target
-        self.pool = pool if pool is not None else default_pool()
-        self._bind_policy(retry_policy, breaker, clock, idempotent)
-
-    def _call_once(self, body: bytes, content_type: str,
-                   headers: Optional[Dict[str, str]]) -> ChannelReply:
-        return _to_reply(self.pool.post(
-            self.address, self.target, body, content_type,
-            headers=_to_headers(headers)))
-
-    def close(self) -> None:
-        # Connections belong to the pool; closing the channel is a no-op.
-        pass
-
-
-class PipelinedHttpChannel(_SocketChannel):
-    """A channel that keeps up to ``depth`` requests in flight per
-    connection and spreads batches across ``connections`` sockets.
-
-    :meth:`call` behaves exactly like :class:`HttpChannel.call` (one
-    request, policed when a ``retry_policy`` is configured).
-    :meth:`call_many` is the concurrency layer: the batch is split into
-    contiguous chunks, one per connection, each chunk driven through an
-    HTTP/1.1 pipeline at the configured depth.  With a ``retry_policy``
-    each retry round re-drives *only the sub-calls that failed* — the
-    answered prefix of a broken pipeline is never re-sent — through the
-    same :class:`~repro.reliability.policy.RetryEngine` rounds every
-    policed call uses: typed failure classification, exponential backoff
-    honoring ``Retry-After``, the end-to-end deadline budget stamped per
-    attempt as ``X-Deadline-Ms``, and per-sub-call
-    :class:`~repro.reliability.policy.CallMeta`.  503 replies are treated
-    as retryable shedding (like every policed channel); without a policy
-    they are returned as ordinary replies.
-    """
-
-    def __init__(self, address: Union[Tuple[str, int], str],
-                 target: str = "/", depth: int = 8, connections: int = 1,
-                 timeout: float = 30.0,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 clock: Optional[Clock] = None,
-                 idempotent: bool = True) -> None:
-        if connections < 1:
-            raise ValueError("connections must be >= 1")
-        self.address = address
-        self.target = target
-        self.depth = depth
-        self.connections = connections
-        self.timeout = _timeout(timeout, retry_policy)
-        self._bind_policy(retry_policy, breaker, clock, idempotent)
-        #: per-sub-call metadata of the most recent call_many batch
-        self.last_calls: List[Optional[CallMeta]] = []
-        #: dedicated connection for single calls (never shared with the
-        #: batch workers, so call() stays safe alongside call_many())
-        self._call_conn = PipelinedHttpConnection(address, depth=1,
-                                                  timeout=self.timeout)
-        self._pipes: List[PipelinedHttpConnection] = []
-
-    def _call_once(self, body: bytes, content_type: str,
-                   headers: Optional[Dict[str, str]]) -> ChannelReply:
-        return _to_reply(self._call_conn.request(
-            self._build_request(body, content_type, headers)))
+        pool = self.pool
+        conn = pool.acquire(self.address)
+        try:
+            conn.settimeout(self.timeout)
+            response = conn.request(
+                self._build_request(body, content_type, headers))
+        except BaseException:
+            pool.discard(conn)
+            raise
+        pool.release(conn)
+        return _to_reply(response)
 
     # ------------------------------------------------------------------
     # batch surface
@@ -217,8 +149,8 @@ class PipelinedHttpChannel(_SocketChannel):
         total = len(bodies)
         fanout = min(self.connections, total)
         while len(self._pipes) < fanout:
-            self._pipes.append(PipelinedHttpConnection(
-                self.address, depth=self.depth, timeout=self.timeout))
+            self._pipes.append(HttpConnection(self.address,
+                                              timeout=self.timeout))
         per_chunk = -(-total // fanout)  # ceil division
         spans = [(pipe, lo, min(lo + per_chunk, total))
                  for pipe, lo in zip(self._pipes, range(0, total, per_chunk))]
@@ -246,17 +178,15 @@ class PipelinedHttpChannel(_SocketChannel):
             raise errors[0]
         return results
 
-    def _drive(self, pipe: PipelinedHttpConnection, lo: int, hi: int,
+    def _drive(self, pipe: HttpConnection, lo: int, hi: int,
                requests: List[Request], results: List[BatchResult]) -> None:
         """Pipeline ``requests[lo:hi]`` on ``pipe``; the answered prefix of
-        a broken pipeline keeps its replies, the rest share its error."""
+        a broken pipeline keeps its replies, the rest share its cause."""
         error: Optional[BaseException] = None
         try:
-            responses = pipe.request_many(requests[lo:hi])
+            responses = pipe.request_many(requests[lo:hi], self.depth)
         except PipelineError as exc:
-            responses, error = exc.responses, exc
-        except (HttpError, OSError) as exc:
-            responses, error = [], exc
+            responses, error = exc.responses, exc.__cause__
         for index, response in enumerate(responses, lo):
             results[index] = BatchResult(reply=_to_reply(response))
         for index in range(lo + len(responses), hi):
@@ -264,16 +194,23 @@ class PipelinedHttpChannel(_SocketChannel):
 
     def _build_request(self, body: bytes, content_type: str,
                        headers: Optional[Dict[str, str]]) -> Request:
-        request = Request(method="POST", target=self.target,
-                          headers=_to_headers(headers), body=body)
+        request = Request(method="POST", target=self.target, body=body)
+        for name, value in (headers or {}).items():
+            request.headers.set(name, value)
         request.headers.set("Content-Type", content_type)
         return request
 
     def close(self) -> None:
-        self._call_conn.close()
         for pipe in self._pipes:
             pipe.close()
         self._pipes = []
+        if self._own_pool:
+            self.pool.close()
+
+
+#: The names the channel had when pooling and pipelining were separate
+#: classes; both are :class:`HttpChannel`.
+PooledHttpChannel = PipelinedHttpChannel = HttpChannel
 
 
 def endpoint_http_handler(endpoint: Endpoint) -> Callable[[Request], Response]:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compress import (CompressError, codec_names, get_codec, lzss, lzw,
+from repro.compress import (CompressError, codec_names, get_codec, lzss,
                             zlib_codec)
 
 ALL = [get_codec(n) for n in codec_names()]
@@ -17,7 +17,7 @@ def xml_like(n_items: int) -> bytes:
 
 class TestApi:
     def test_names(self):
-        assert codec_names() == ["lzss", "lzw", "zlib"]
+        assert codec_names() == ["lzss", "zlib"]
 
     def test_unknown_codec(self):
         with pytest.raises(CompressError):
@@ -110,31 +110,6 @@ class TestLzssSpecifics:
         assert lzss.decompress(lzss.compress(data)) == data
 
 
-class TestLzwSpecifics:
-    def test_header(self):
-        assert lzw.compress(b"abc")[:4] == lzw.MAGIC
-
-    def test_bad_magic(self):
-        with pytest.raises(CompressError):
-            lzw.decompress(b"ZZZZ\x00\x00\x00\x00")
-
-    def test_truncated(self):
-        blob = lzw.compress(xml_like(50))
-        with pytest.raises(CompressError):
-            lzw.decompress(blob[:10])
-
-    def test_kwkwk_pattern(self):
-        # classic LZW corner case: cScSc where the decoder sees a code it
-        # has not defined yet
-        data = b"ababababababab"
-        assert lzw.decompress(lzw.compress(data)) == data
-
-    def test_dictionary_reset_on_large_input(self):
-        # enough distinct phrases to overflow MAX_BITS and force a reset
-        data = bytes((i * 7 + (i >> 8)) % 256 for i in range(300000))
-        assert lzw.decompress(lzw.compress(data)) == data
-
-
 class TestZlibSpecifics:
     def test_corrupt_stream(self):
         with pytest.raises(CompressError):
@@ -152,11 +127,6 @@ class TestProperties:
     @given(st.binary(max_size=2000))
     def test_lzss_roundtrip(self, data):
         assert lzss.decompress(lzss.compress(data)) == data
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.binary(max_size=2000))
-    def test_lzw_roundtrip(self, data):
-        assert lzw.decompress(lzw.compress(data)) == data
 
     @settings(max_examples=30, deadline=None)
     @given(st.text(max_size=400))

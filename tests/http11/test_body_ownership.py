@@ -15,8 +15,8 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.http11 import (Headers, HttpConnection, HttpParseError,
-                          HttpServer, PipelinedHttpConnection, Request,
-                          RequestParser, Response, ResponseParser)
+                          HttpServer, Request, RequestParser, Response,
+                          ResponseParser)
 from repro.http11.messages import send_gather
 from repro.pbio import Format, FormatRegistry, PbioSession
 from tests.http11.scripted import Pieces
@@ -244,12 +244,12 @@ class TestOwnership:
         registry, _ = _image_registry()
         decoder = PbioSession(registry)
         get = [Request(method="GET", target="/") for _ in range(4)]
-        with PipelinedHttpConnection(frame_server.address, depth=4) as conn:
-            first, *rest = conn.request_many(get)
+        with HttpConnection(frame_server.address) as conn:
+            first, *rest = conn.request_many(get, 4)
             pixels = decoder.unpack_stream(first.body)[1]["pixels"]
             assert np.shares_memory(pixels, np.frombuffer(first.body,
                                                           np.uint8))
-            later = conn.request_many(get)
+            later = conn.request_many(get, 4)
         assert all(type(r.body) is bytes for r in [first, *rest, *later])
         assert pixels.min() == pixels.max() == 1
         assert [decoder.unpack_stream(r.body)[1]["pixels"][-1]
@@ -311,8 +311,7 @@ class TestClientAllocation:
 
         server = threading.Thread(target=serve)
         server.start()
-        with listener, PipelinedHttpConnection(
-                listener.getsockname()) as client:
+        with listener, HttpConnection(listener.getsockname()) as client:
             client._ensure_connected()
             tracemalloc.start()
             try:

@@ -10,8 +10,8 @@ every earlier reply arrived, already counts all of them.
 
 import socket
 
-from repro.http11 import (Headers, HttpConnection, HttpServer,
-                          PipelinedHttpConnection, Request, Response)
+from repro.http11 import (Headers, HttpConnection, HttpServer, Request,
+                          Response)
 from repro.serving import AdmissionController, parse_exposition
 
 SERIAL = 5
@@ -47,11 +47,10 @@ def test_every_counter_counts_each_request_once():
                 method="GET", target="/cached",
                 headers=Headers([("If-None-Match", '"v7"')])))
             assert conditional.status == 304
-        with PipelinedHttpConnection(server.address, depth=BURST,
-                                     timeout=10.0) as pipe:
+        with HttpConnection(server.address, timeout=10.0) as pipe:
             replies = pipe.request_many([
                 Request(method="POST", target="/", body=b"p%d" % i)
-                for i in range(BURST)])
+                for i in range(BURST)], BURST)
             assert [r.body for r in replies] == [
                 b"echo:p%d" % i for i in range(BURST)]
         chunked = _raw_exchange(server.address, (

@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from repro.http11 import (HttpServer, PipelinedHttpConnection, PipelineError,
-                          Request, Response)
+from repro.http11 import (HttpConnection, HttpConnectionClosed, HttpServer,
+                          PipelineError, Request, Response)
 
 
 def echo_handler(request):
@@ -82,28 +82,32 @@ class TestServerSidePipelining:
 class TestPipelinedClient:
     def test_depth_one_is_plain_serial(self):
         with HttpServer(echo_handler) as server:
-            with PipelinedHttpConnection(server.address, depth=1) as pipe:
+            with HttpConnection(server.address) as conn:
                 for i in range(5):
-                    response = pipe.post("/", b"%d" % i, "text/plain")
+                    requests = [Request(method="POST", target="/",
+                                        body=b"%d" % i)]
+                    response, = conn.request_many(requests, 1)
                     assert response.body == b"echo:%d" % i
-                assert pipe.requests_sent == 5
+                assert conn.requests_sent == 5
 
     def test_batch_results_in_request_order(self):
         with HttpServer(echo_handler) as server:
-            with PipelinedHttpConnection(server.address, depth=8) as pipe:
+            with HttpConnection(server.address) as conn:
                 requests = [Request(method="POST", target="/",
                                     body=b"%03d" % i) for i in range(64)]
-                responses = pipe.request_many(requests)
+                responses = conn.request_many(requests, 8)
                 assert [r.body for r in responses] == \
                     [b"echo:%03d" % i for i in range(64)]
 
     def test_connection_persists_across_batches(self):
         with HttpServer(echo_handler) as server:
-            with PipelinedHttpConnection(server.address, depth=4) as pipe:
+            with HttpConnection(server.address) as conn:
                 for _ in range(3):
-                    pipe.request_many([
+                    conn.request_many([
                         Request(method="POST", target="/", body=b"x")
-                        for _ in range(4)])
+                        for _ in range(4)], 4)
+                    assert conn.post("/", b"y", "text/plain").body == \
+                        b"echo:y"
             time.sleep(0.05)
             assert server.connections_accepted == 1
 
@@ -123,18 +127,37 @@ class TestPipelinedClient:
             return Response(body=b"ok")
 
         with HttpServer(handler) as server:
-            with PipelinedHttpConnection(server.address, depth=8) as pipe:
+            with HttpConnection(server.address) as conn:
                 requests = [Request(method="POST", target="/", body=b"x")
                             for _ in range(6)]
                 with pytest.raises(PipelineError) as excinfo:
-                    pipe.request_many(requests)
+                    conn.request_many(requests, 8)
                 error = excinfo.value
                 assert len(error.responses) == 2
                 assert error.failed_index == 2
+                assert error.bytes_written
+                assert isinstance(error.__cause__, HttpConnectionClosed)
 
     def test_depth_must_be_positive(self):
         with pytest.raises(ValueError):
-            PipelinedHttpConnection(("127.0.0.1", 1), depth=0)
+            HttpConnection(("127.0.0.1", 1)).request_many([Request()], 0)
+
+    def test_deep_batch_of_large_bodies_does_not_deadlock(self):
+        # 8 x 4 MiB in flight is far more than both kernel buffers hold:
+        # a client that blocks in send while the server blocks writing
+        # its replies stalls until the timeout instead of finishing
+        bodies = [bytes([i]) * (4 << 20) for i in range(8)]
+        with HttpServer(lambda request: Response(body=request.body)) \
+                as server:
+            with HttpConnection(server.address, timeout=5.0) as conn:
+                started = time.monotonic()
+                responses = conn.request_many(
+                    [Request(method="POST", target="/", body=body)
+                     for body in bodies], 8)
+                elapsed = time.monotonic() - started
+        assert [r.body == body for r, body in zip(responses, bodies)] == \
+            [True] * 8
+        assert elapsed < 4.0
 
 
 class TestHealth:
@@ -142,8 +165,8 @@ class TestHealth:
         import json
 
         with HttpServer(echo_handler) as server:
-            with PipelinedHttpConnection(server.address) as pipe:
-                payload = json.loads(pipe.get("/healthz").body)
+            with HttpConnection(server.address) as conn:
+                payload = json.loads(conn.get("/healthz").body)
         assert payload["state"] == "ready"
         assert set(payload) >= {"connections_active", "requests_served",
                                 "requests_shed", "active", "queued",

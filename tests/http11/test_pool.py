@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.http11 import (Headers, HttpConnectionPool, HttpError, HttpServer,
-                          Request, Response, default_pool)
+                          Request, Response)
 
 
 def echo_handler(request: Request) -> Response:
@@ -175,14 +175,6 @@ class TestLifecycle:
         pool.release(conn)
         assert pool.idle_count() == 0
         assert conn._sock is None  # closed, not pooled
-
-    def test_default_pool_is_shared_and_replaced_after_close(self):
-        pool = default_pool()
-        assert default_pool() is pool
-        pool.close()
-        fresh = default_pool()
-        assert fresh is not pool
-        fresh.close()
 
 
 class TestPerHostCap:

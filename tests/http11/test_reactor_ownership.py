@@ -12,8 +12,7 @@ import time
 import pytest
 
 from repro.http11 import (Headers, HttpConnection, HttpServer,
-                          PipelinedHttpConnection, ReactorHttpServer,
-                          Request, Response)
+                          ReactorHttpServer, Request, Response)
 from repro.http11.reactor import _ARMED
 from repro.transport import serve_endpoint
 
@@ -47,8 +46,7 @@ def test_one_owner_per_connection(workers):
 
     def client(conn_id: int) -> None:
         try:
-            with PipelinedHttpConnection(server.address, depth=depth,
-                                         timeout=10.0) as conn:
+            with HttpConnection(server.address, timeout=10.0) as conn:
                 for burst in range(bursts):
                     requests = []
                     for seq in range(depth):
@@ -57,7 +55,8 @@ def test_one_owner_per_connection(workers):
                         requests.append(Request(
                             method="POST", target="/", headers=headers,
                             body=b"%d:%d:%d" % (conn_id, burst, seq)))
-                    bodies = [r.body for r in conn.request_many(requests)]
+                    bodies = [r.body for r in conn.request_many(requests,
+                                                                 depth)]
                     if bodies != [r.body for r in requests]:
                         failures.append((conn_id, bodies))
         except Exception as exc:  # noqa: BLE001 - surfaced below
@@ -100,10 +99,10 @@ def test_saturated_pool_does_not_mask_health():
     later = {}
 
     def fourth() -> None:
-        with PipelinedHttpConnection(server.address, timeout=10.0) as conn:
+        with HttpConnection(server.address, timeout=10.0) as conn:
             later["bodies"] = [r.body for r in conn.request_many(
                 [Request(method="POST", target="/x", body=b"%d" % i)
-                 for i in range(3)])]
+                 for i in range(3)], 8)]
 
     with ReactorHttpServer(handler, workers=2) as server:
         parkers = [threading.Thread(target=park, args=(name,))
@@ -161,9 +160,12 @@ def test_a_serial_request_takes_at_most_three_lock_sections():
     with ReactorHttpServer(lambda request: Response(body=b"ok")) as server:
         with HttpConnection(server.address, timeout=10.0) as conn:
             assert conn.get("/").body == b"ok"
-            # the first turn re-arms after its reply left: wait for it
+            # the first turn re-arms after its reply left, and the thread
+            # that accepted the connection re-arms the listener in a
+            # section of its own, perhaps after that reply: wait for both
             deadline = time.monotonic() + 5.0
-            while not all(c.state is _ARMED for c in server._conns):
+            while not (server._listener.state is _ARMED and all(
+                    c.state is _ARMED for c in server._conns)):
                 assert time.monotonic() < deadline
                 time.sleep(0.001)
             counting = server._lock = _CountingLock(server._lock)

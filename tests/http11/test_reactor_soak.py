@@ -12,8 +12,7 @@ import threading
 
 import pytest
 
-from repro.http11 import (HttpServer, PipelinedHttpConnection, Request,
-                          Response)
+from repro.http11 import HttpConnection, HttpServer, Request, Response
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("REPRO_SOAK") != "1",
@@ -51,7 +50,7 @@ class TestConnectionHold:
                 # ...with no thread growth: the reactor owns them all
                 assert threading.active_count() <= threads_before + 2
                 # the server still answers new work promptly
-                with PipelinedHttpConnection(server.address) as probe:
+                with HttpConnection(server.address) as probe:
                     assert probe.post("/", b"hi", "text/plain").body \
                         == b"echo:hi"
             finally:
@@ -67,12 +66,11 @@ class TestConnectionHold:
 
             def stampede(worker: int) -> None:
                 try:
-                    with PipelinedHttpConnection(server.address,
-                                                 depth=32) as pipe:
+                    with HttpConnection(server.address) as pipe:
                         requests = [Request(method="POST", target="/",
                                             body=b"%d:%d" % (worker, i))
                                     for i in range(per_client)]
-                        responses = pipe.request_many(requests)
+                        responses = pipe.request_many(requests, 32)
                         for i, response in enumerate(responses):
                             expected = b"echo:%d:%d" % (worker, i)
                             if response.body != expected:

@@ -9,11 +9,15 @@ Every scripted fault must surface through the stack as exactly one typed
 """
 
 import os
+import socket
+import threading
+import time
+from contextlib import contextmanager
 
 import pytest
 
 from repro.core import SoapBinClient, SoapBinService
-from repro.http11 import HttpConnection
+from repro.http11 import HttpConnection, HttpConnectionPool
 from repro.netsim import VirtualClock
 from repro.pbio import Format, FormatRegistry
 from repro.reliability import (CallTimeout, ConnectFailed, FaultInjector,
@@ -23,7 +27,65 @@ from repro.reliability import (CallTimeout, ConnectFailed, FaultInjector,
                                ServiceUnavailable, StalledRead,
                                TruncatedReply)
 from repro.soap import SoapClient, SoapService
-from repro.transport import DirectChannel, HttpChannel, serve_endpoint
+from repro.transport import (DirectChannel, HttpChannel,
+                             PipelinedHttpChannel, PooledHttpChannel,
+                             serve_endpoint)
+
+#: every name the socket channel goes by, each built with a per-attempt
+#: timeout; the pooled one draws on a caller's pool
+CHANNELS = {
+    "HttpChannel": lambda address, pool, policy: HttpChannel(
+        address, retry_policy=policy),
+    "PooledHttpChannel": lambda address, pool, policy: PooledHttpChannel(
+        address, pool=pool, retry_policy=policy),
+    "PipelinedHttpChannel": lambda address, pool, policy:
+        PipelinedHttpChannel(address, depth=8, retry_policy=policy),
+}
+
+
+def _call(channel, batched):
+    """One call, or a batch of three; the typed error of the call or of
+    every batch slot."""
+    if not batched:
+        with pytest.raises(ReliabilityError) as info:
+            channel.call(b"x", "text/plain", {})
+        return [info.value]
+    results = channel.call_many([b"a", b"b", b"c"], "text/plain")
+    assert all(result.reply is None for result in results)
+    return [result.error for result in results]
+
+
+@contextmanager
+def _raw_server(reply: bytes):
+    """A listener that reads each request, writes ``reply`` (perhaps
+    nothing) and then only drains: an empty reply is a stall, a partial
+    one a peer that closes mid-reply (its write side shut, so the client
+    sees a FIN, not a reset)."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    conns = []
+
+    def serve():
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            conns.append(conn)
+            conn.recv(65536)
+            if reply:
+                conn.sendall(reply)
+                conn.shutdown(socket.SHUT_WR)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        listener.shutdown(socket.SHUT_RDWR)
+        listener.close()
+        thread.join(5.0)
+        for conn in conns:
+            conn.close()
 
 
 class TestScheduleMatching:
@@ -356,27 +418,59 @@ class TestRealSockets:
             channel.call(b"x", "text/plain", {})
         assert info.value.attempts == 2
 
-    def test_call_timeout_is_typed(self, bin_setup):
+    @pytest.mark.parametrize("name,batched", [
+        ("HttpChannel", False), ("PooledHttpChannel", False),
+        ("PipelinedHttpChannel", False), ("HttpChannel", True),
+    ], ids=["HttpChannel", "PooledHttpChannel", "PipelinedHttpChannel",
+            "call_many"])
+    def test_call_timeout_is_typed(self, bin_setup, name, batched):
         registry, svc = bin_setup
+        # the handler answers 2 s late, or as soon as the test is done,
+        # so no handler outlives its server into the next test
+        done = threading.Event()
 
         def slow_endpoint(body, content_type, headers):
-            import time
-            time.sleep(0.5)
+            done.wait(2.0)
             return svc.endpoint(body, content_type, headers)
 
         server = serve_endpoint(slow_endpoint)
+        pool = HttpConnectionPool()
         try:
-            channel = HttpChannel(
-                server.address,
-                retry_policy=RetryPolicy(max_attempts=1,
-                                         call_timeout_s=0.1))
+            channel = CHANNELS[name](server.address, pool, RetryPolicy(
+                max_attempts=1, call_timeout_s=0.1))
             try:
-                with pytest.raises((StalledRead, CallTimeout)):
-                    channel.call(b"x", "text/plain", {})
+                started = time.monotonic()
+                errors = _call(channel, batched)
+                assert time.monotonic() - started < 1.0
+                assert all(isinstance(error, (StalledRead, CallTimeout))
+                           for error in errors)
             finally:
                 channel.close()
         finally:
+            done.set()
+            pool.close()
             server.close()
+
+    @pytest.mark.parametrize("batched", [False, True],
+                             ids=["call", "call_many"])
+    @pytest.mark.parametrize("name", sorted(CHANNELS))
+    @pytest.mark.parametrize("reply,typed", [
+        (b"", StalledRead),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\npartial",
+         TruncatedReply),
+    ], ids=["stall", "close_mid_reply"])
+    def test_one_fault_one_type(self, reply, typed, name, batched):
+        pool = HttpConnectionPool()
+        with _raw_server(reply) as address:
+            channel = CHANNELS[name](address, pool, RetryPolicy(
+                max_attempts=1, call_timeout_s=0.2))
+            try:
+                errors = _call(channel, batched)
+            finally:
+                channel.close()
+                pool.close()
+        assert [type(error) for error in errors] == \
+            [typed] * len(errors)
 
 
 class TestScheduleSerialization:

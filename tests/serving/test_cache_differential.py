@@ -26,8 +26,8 @@ from repro.core import (HEADER_CLIENT_ID, HEADER_OPERATION, HEADER_RTT,
                         canonical_digest)
 from repro.media import apply_operation, scale_half, starfield
 from repro.core.quality_handlers import HandlerRegistry
-from repro.http11 import (Headers, HttpConnection, PipelinedHttpConnection,
-                          Request, Response, HttpServer)
+from repro.http11 import (Headers, HttpConnection, Request, Response,
+                          HttpServer)
 from repro.pbio import Format, FormatRegistry, PbioSession
 from repro.serving import FleetServer
 from repro.serving.sandbox import HandlerSandbox
@@ -681,16 +681,16 @@ class TestHttpValidators:
             unconditional = Request(
                 method="POST", target="/", body=steady_blob,
                 headers=_pbio_headers(scenario))
-            pipe = PipelinedHttpConnection(server.address, depth=8)
+            pipe = HttpConnection(server.address)
             try:
                 batch = [conditional] * 8
-                responses = pipe.request_many(batch)
+                responses = pipe.request_many(batch, 8)
                 assert [r.status for r in responses] == [304] * 8
                 assert all(r.body == b"" for r in responses)
                 # mixed batch: ordering and framing survive interleaving
                 mixed = pipe.request_many(
                     [unconditional, conditional, unconditional,
-                     conditional, conditional])
+                     conditional, conditional], 8)
                 assert [r.status for r in mixed] == [200, 304, 200, 304, 304]
                 assert mixed[0].body == full_body
                 assert mixed[2].body == full_body

@@ -96,7 +96,8 @@ def _channel_off_worker(fleet, pid):
     ``pid`` accepted (its ``/healthz`` names the worker)."""
     for _ in range(TRIES):
         channel = HttpChannel(fleet.address)
-        if json.loads(channel.connection.get("/healthz").body)["pid"] != pid:
+        healthz = channel.pool.get(channel.address, "/healthz")
+        if json.loads(healthz.body)["pid"] != pid:
             return channel
         channel.close()
     pytest.fail(f"{TRIES} fresh connections all reached worker {pid}")

@@ -225,7 +225,7 @@ def test_soap_import_installs_the_xml_planner():
 def test_compress_facade_builds_the_whole_codec_table():
     assert loaded_by(
         "from repro.compress import codec_names\n"
-        "assert codec_names() == ['lzss', 'lzw', 'zlib'], codec_names()\n")
+        "assert codec_names() == ['lzss', 'zlib'], codec_names()\n")
 
 
 def test_every_facade_name_resolves():

@@ -45,6 +45,10 @@ WIRE_COMPACT_ENCODE_MAX_SLOWDOWN = 3.0
 #: compact encode and decode of the depth-8 nested struct may each be at
 #: most this many times slower than native, timed in the same run
 WIRE_COMPACT_STRUCT_MAX_SLOWDOWN = 6.0
+#: compact decode of the small-int-heavy shape may be at most this many
+#: times slower than native's zero-copy view, timed in the same run: the
+#: bit-packing kernels measure ~10x, a per-element decode ~460x
+WIRE_COMPACT_INT_DECODE_MAX_SLOWDOWN = 40.0
 #: streaming a large payload may grow RSS by at most 25% of the payload
 STREAM_RSS_MAX_RATIO = 0.25
 
@@ -177,29 +181,35 @@ def gate_wire_baseline(baseline: Dict[str, Any]) -> None:
 
 
 def gate_wire_fresh(fresh: Dict[str, Any]) -> None:
-    """The small-struct codec, judged as a same-run ratio.
+    """The compact codec, judged as same-run ratios.
 
-    ``wire.shapes.nested_struct_d8`` times native and compact encode and
-    decode of the 69-byte depth-8 struct back to back, so the host's speed
-    cancels out of ``native / compact`` and the gate can demand it of any
-    fresh run: each direction must run at no less than
-    1/:data:`WIRE_COMPACT_STRUCT_MAX_SLOWDOWN` of native ops/s.  This is
-    the struct ``wire=auto`` sends compact on every small call, so a
-    compact plan that falls back to per-field calls shows here first.
+    ``wire.shapes`` times native and compact encode and decode of each
+    shape back to back, so the host's speed cancels out of
+    ``native / compact`` and the gate can demand it of any fresh run:
+
+    * ``nested_struct_d8``, the 69-byte depth-8 struct ``wire=auto``
+      sends compact on every small call: each direction at no less than
+      1/:data:`WIRE_COMPACT_STRUCT_MAX_SLOWDOWN` of native ops/s, so a
+      compact plan that falls back to per-field calls shows here first;
+    * ``small_int_heavy``, two 5000-element int arrays: decode at no less
+      than 1/:data:`WIRE_COMPACT_INT_DECODE_MAX_SLOWDOWN` of native, so a
+      bit-packed kernel that falls back to per-element work fails.
     """
-    shape = require_section(fresh, "wire",
-                            "BENCH_fresh.json")["shapes"]["nested_struct_d8"]
-    for direction in ("encode", "decode"):
+    shapes = require_section(fresh, "wire", "BENCH_fresh.json")["shapes"]
+    for name, direction, bound in (
+            ("nested_struct_d8", "encode", WIRE_COMPACT_STRUCT_MAX_SLOWDOWN),
+            ("nested_struct_d8", "decode", WIRE_COMPACT_STRUCT_MAX_SLOWDOWN),
+            ("small_int_heavy", "decode",
+             WIRE_COMPACT_INT_DECODE_MAX_SLOWDOWN)):
+        shape = shapes[name]
         slowdown = (shape[f"native_{direction}_ops_s"]
                     / shape[f"compact_{direction}_ops_s"])
-        print(f"wire fresh: nested_struct_d8 compact {direction} "
-              f"{slowdown:.2f}x slower than native (max "
-              f"{WIRE_COMPACT_STRUCT_MAX_SLOWDOWN}x)")
-        if slowdown > WIRE_COMPACT_STRUCT_MAX_SLOWDOWN:
+        print(f"wire fresh: {name} compact {direction} "
+              f"{slowdown:.2f}x slower than native (max {bound}x)")
+        if slowdown > bound:
             raise GateFailure(
-                f"compact {direction} of nested_struct_d8 is "
-                f"{slowdown:.2f}x slower than native "
-                f"(> {WIRE_COMPACT_STRUCT_MAX_SLOWDOWN}x)")
+                f"compact {direction} of {name} is {slowdown:.2f}x slower "
+                f"than native (> {bound}x)")
 
 
 def run_bench_gates(baseline: Dict[str, Any],

@@ -26,6 +26,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, List
 
+from . import errors
 from .errors import CompressError
 
 MAGIC = b"LZS1"
@@ -121,12 +122,16 @@ def decompress(blob: bytes) -> bytes:
 
     Raises :class:`~repro.compress.errors.CompressError` on truncated or
     corrupt input, including back-references that point before the start of
-    the output.
+    the output, and on a declared length over
+    :data:`~repro.compress.errors.MAX_OUTPUT_BYTES` before decoding any.
     """
     blob = bytes(blob)
     if len(blob) < 8 or blob[:4] != MAGIC:
         raise CompressError("bad LZSS header")
     (orig_len,) = struct.unpack_from("<I", blob, 4)
+    if orig_len > errors.MAX_OUTPUT_BYTES:
+        raise CompressError(f"LZSS stream declares {orig_len} bytes, over "
+                            f"{errors.MAX_OUTPUT_BYTES}")
     out = bytearray()
     pos = 8
     n = len(blob)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import zlib
 
+from . import errors
 from .errors import CompressError
 
 #: zlib level 6 is the library default and a sane speed/size middle ground.
@@ -27,8 +28,21 @@ def compress(data: bytes, level: int = DEFAULT_LEVEL) -> bytes:
 
 
 def decompress(blob: bytes) -> bytes:
-    """Decompress DEFLATE data, normalizing zlib errors."""
+    """Decompress DEFLATE data, normalizing zlib errors.
+
+    Inflates at most :data:`~repro.compress.errors.MAX_OUTPUT_BYTES`: a
+    stream that would produce more is refused once that much is out, so
+    a small bomb never costs more memory than a plain body could.
+    """
+    limit = errors.MAX_OUTPUT_BYTES
+    inflater = zlib.decompressobj()
     try:
-        return zlib.decompress(bytes(blob))
+        out = inflater.decompress(blob, limit + 1)
     except zlib.error as exc:
         raise CompressError(f"corrupt zlib stream: {exc}")
+    if len(out) > limit:
+        raise CompressError(f"zlib stream inflates past {limit} bytes")
+    if not inflater.eof:
+        raise CompressError("corrupt zlib stream: incomplete or truncated "
+                            "stream")
+    return out

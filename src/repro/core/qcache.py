@@ -54,7 +54,7 @@ import struct
 import threading
 from typing import Any, Dict, NamedTuple, Optional, Union
 
-from ..pbio import Format, FormatRegistry
+from ..pbio import COMPACT_REVISION, Format, FormatRegistry
 from .lru import LruTtlCache
 
 try:  # numpy is optional for the core; the digest just walks slower without
@@ -248,6 +248,8 @@ class QualityCache:
             value_digest: Optional[str] = None) -> str:
         """The content-addressed cache key, quoted as a strong ETag.
 
+        The compact revision is folded in next to the codec epoch, so
+        compact bytes of one revision never answer for another's.
         ``value_digest`` is ``canonical_digest(value)`` when the caller
         already holds it (a result memo does); the key is the same either
         way, so it addresses content whoever derived it.
@@ -258,7 +260,7 @@ class QualityCache:
         h.update(app_format.fingerprint.encode("ascii"))
         h.update(b":")
         h.update(wire_format.fingerprint.encode("ascii"))
-        h.update(b":%d:" % self.registry.codec_epoch)
+        h.update(b":%d:%d:" % (self.registry.codec_epoch, COMPACT_REVISION))
         h.update(variant.encode("utf-8", "surrogatepass"))
         h.update(b":")
         h.update(value_digest.encode("ascii"))

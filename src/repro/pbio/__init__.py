@@ -45,5 +45,5 @@ __getattr__, __dir__, __all__ = attach(__name__, {
               "STRING"],
     "wire": ["PbioSession", "SessionStats", "Message", "encode_message",
              "parse_message", "KIND_DATA", "KIND_FORMAT", "HEADER_SIZE",
-             "FLAG_COMPACT", "WIRE_MODES"],
+             "FLAG_COMPACT", "COMPACT_REVISION", "WIRE_MODES"],
 })

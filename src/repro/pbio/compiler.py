@@ -63,9 +63,10 @@ except ImportError:  # pragma: no cover - numpy is a hard dep in practice
 
 from .errors import DecodeError, EncodeError, FormatError
 from .fmt import Format
-from .interp import (_BYTE_KINDS, _INT_RANGES, decode_uvarint, encode_uvarint,
-                     interp_decode, interp_decode_compact, interp_encode,
-                     interp_encode_compact)
+from .interp import (_BYTE_KINDS, _INT_RANGES, MAX_PACKED_WIDTH, MODE_PACKED,
+                     MODE_VARINT, PACKED_MIN_COUNT, decode_uvarint,
+                     encode_uvarint, interp_decode, interp_decode_compact,
+                     interp_encode, interp_encode_compact, unzigzag, zigzag)
 from .registry import FormatRegistry
 from .types import Array, FieldType, Primitive, StructRef
 
@@ -80,11 +81,13 @@ _NP_CHARS = {
 
 #: element count from which primitive arrays decode to an ndarray (and
 #: the compact int codec runs its NumPy kernels) instead of a list: below
-#: it NumPy's fixed per-call cost exceeds the per-element loop
+#: it NumPy's fixed per-call cost exceeds the per-element loop.  Never
+#: below the wire's ``PACKED_MIN_COUNT``: the kernels read a mode byte
 _NP_MIN_COUNT = 64
 #: elements per block of the compact int-array kernels, bounding every
-#: temporary they allocate whatever the array's length
-_COMPACT_BLOCK = 1 << 16
+#: temporary they allocate whatever the array's length (a multiple of 8:
+#: a bit-packed block ends on a whole group)
+_COMPACT_BLOCK = 1 << 13
 
 EncodeFn = Callable[[Dict[str, Any]], bytes]
 EncodePartsFn = Callable[[Dict[str, Any]], List[bytes]]
@@ -211,19 +214,21 @@ def _index(value: Any, kind: str) -> int:
 
 
 def _pack_compact_int_array_scalar(values: Any, kind: str) -> bytes:
-    """Encode an array of one integer kind, one element at a time: varints,
-    or native bytes for a one-byte kind.
+    """Encode an array of one integer kind, one element at a time: native
+    bytes for a one-byte kind; for a wider kind, from
+    :data:`PACKED_MIN_COUNT` elements a mode byte and the elements
+    bit-packed against their minimum (or varints, when the span needs more
+    than :data:`MAX_PACKED_WIDTH` bits), below it varints alone.
 
     The path for arrays under :data:`_NP_MIN_COUNT` elements, and the one
     that names the error when the bulk path refuses its input.
     """
     lo, hi = _INT_RANGES[kind]
     signed = kind[0] == "i"
-    one_byte = kind in _BYTE_KINDS
     if _np is not None and isinstance(values, _np.ndarray):
         values = values.tolist()
-    out = bytearray()
-    append = out.append
+    ints: List[int] = []
+    append = ints.append
     for value in values:
         try:
             n = value.__index__()
@@ -233,27 +238,117 @@ def _pack_compact_int_array_scalar(values: Any, kind: str) -> bytes:
                 f"{type(value).__name__}")
         if not lo <= n <= hi:
             raise EncodeError(f"{n} out of range for {kind}")
-        if one_byte:
-            append(n & 0xFF)
-            continue
+        append(n)
+    if kind in _BYTE_KINDS:
+        return bytes(n & 0xFF for n in ints)
+    out = bytearray()
+    if len(ints) >= PACKED_MIN_COUNT:
+        least = min(ints)
+        width = (max(ints) - least).bit_length()
+        if width <= MAX_PACKED_WIDTH:
+            return _pack_packed_scalar(ints, least, max(width, 1), signed)
+        out.append(MODE_VARINT)
+    for n in ints:
         if signed:
             n = (n << 1) ^ (n >> 63)
         while n > 0x7F:
-            append((n & 0x7F) | 0x80)
+            out.append((n & 0x7F) | 0x80)
             n >>= 7
-        append(n)
+        out.append(n)
     return bytes(out)
+
+
+def _pack_packed_scalar(ints: List[int], least: int, width: int,
+                        signed: bool) -> bytes:
+    """Mode byte, minimum, width byte and ``n - least`` in ``width`` bits
+    each, little-endian in bit order, one element at a time."""
+    out = bytearray((MODE_PACKED,))
+    out += encode_uvarint(zigzag(least) if signed else least)
+    out.append(width)
+    acc = nbits = 0
+    for n in ints:
+        acc |= (n - least) << nbits
+        nbits += width
+        if nbits >= 8:          # width <= 8: at most one whole byte
+            out.append(acc & 0xFF)
+            acc >>= 8
+            nbits -= 8
+    if nbits:
+        out.append(acc)
+    return bytes(out)
+
+
+def _read_int_array_head(buf: Any, off: int, kind: str,
+                         count: int) -> Tuple[int, int, int, int]:
+    """``(mode, minimum, width, offset of the elements)`` of an array of
+    ``count >= PACKED_MIN_COUNT`` elements of ``kind`` at ``off``.
+
+    Every check on the header is made here, before anything is sized by
+    ``count``: the mode, then (varints) at least one byte per element
+    left, or (packed) the minimum in the kind's range, the width in
+    ``1..MAX_PACKED_WIDTH`` and ``count·width`` bits left."""
+    end = len(buf)
+    if off >= end:
+        raise DecodeError("truncated int array header")
+    mode = buf[off]
+    off += 1
+    if mode == MODE_VARINT:
+        if count > end - off:
+            raise DecodeError("truncated varint")
+        return mode, 0, 0, off
+    if mode != MODE_PACKED:
+        raise DecodeError(f"unknown int array mode {mode}")
+    least, off = decode_uvarint(buf, off)
+    if kind[0] == "i":
+        least = unzigzag(least)
+    lo, hi = _INT_RANGES[kind]
+    if not lo <= least <= hi:
+        raise DecodeError(f"{least} out of range for {kind}")
+    if off >= end:
+        raise DecodeError("truncated int array header")
+    width = buf[off]
+    off += 1
+    if not 1 <= width <= MAX_PACKED_WIDTH:
+        raise DecodeError(
+            f"int array width {width} outside 1..{MAX_PACKED_WIDTH}")
+    if count * width > 8 * (end - off):
+        raise DecodeError("truncated packed int array")
+    return mode, least, width, off
 
 
 def _unpack_compact_int_array_scalar(buf: Any, off: int, kind: str,
                                      count: int) -> Tuple[List[int], int]:
-    """Varint-decode ``count`` integers of one kind, one byte at a time
-    (small arrays, and naming the error in a malformed buffer)."""
+    """Decode ``count`` compact integers of one kind (not a one-byte
+    kind), one byte at a time (small arrays, and naming the error in a
+    malformed buffer)."""
     lo, hi = _INT_RANGES[kind]
     signed = kind[0] == "i"
     values: List[int] = []
     append = values.append
     end = len(buf)
+    if count < PACKED_MIN_COUNT:
+        if count > end - off:
+            # every varint is at least one byte
+            raise DecodeError("truncated varint")
+    else:
+        mode, least, width, off = _read_int_array_head(buf, off, kind, count)
+        if mode == MODE_PACKED:
+            mask = (1 << width) - 1
+            acc = nbits = 0
+            for _ in range(count):
+                if nbits < width:       # the head checked these bytes exist
+                    acc |= buf[off] << nbits
+                    off += 1
+                    nbits += 8
+                n = least + (acc & mask)
+                if n > hi:
+                    raise DecodeError(f"{n} out of range for {kind}")
+                append(n)
+                acc >>= width
+                nbits -= width
+            if acc:
+                raise DecodeError("nonzero padding bits in packed int array")
+            return values, off
     for _ in range(count):
         result = 0
         shift = 0
@@ -303,26 +398,29 @@ _INT_KINDS: Dict[str, _IntKind] = (
     {kind: _int_kind(kind) for kind in _INT_RANGES} if _np is not None else {})
 
 
-def _as_int_ndarray(values: Any, kind: str, info: _IntKind) -> Any:
-    """``values`` as a 1-D ndarray of the kind's dtype, validated exactly
-    as the scalar loop would — or ``None`` when that loop must run
-    instead (to name the bad element, or because the input is not a flat
-    integer array)."""
+def _as_int_ndarray(values: Any, kind: str,
+                    info: _IntKind) -> Optional[Tuple[Any, int, int]]:
+    """``(values as a 1-D integer ndarray, its minimum, its maximum)``,
+    validated exactly as the scalar loop would — or ``None`` when that
+    loop must run instead (to name the bad element, or because the input
+    is not a flat integer array)."""
     if isinstance(values, _np.ndarray):
         if values.ndim != 1 or values.dtype.kind not in "iub":
             return None
-        if values.dtype != info.dtype and values.dtype.kind != "b":
-            lo, hi = _INT_RANGES[kind]
-            if int(values.min()) < lo or int(values.max()) > hi:
-                return None
-        return values
-    try:
-        # one batch pack checks every element's type and range — the
-        # same check the native plan makes
-        raw = _array_struct(LITTLE, len(values), info.char).pack(*values)
-    except struct.error:
+        arr = values
+    else:
+        try:
+            # one batch pack checks every element's type and range — the
+            # same check the native plan makes
+            raw = _array_struct(LITTLE, len(values), info.char).pack(*values)
+        except struct.error:
+            return None
+        arr = _np.frombuffer(raw, dtype=info.dtype)
+    least, top = int(arr.min()), int(arr.max())
+    lo, hi = _INT_RANGES[kind]
+    if least < lo or top > hi:
         return None
-    return _np.frombuffer(raw, dtype=info.dtype)
+    return arr, least, top
 
 
 def _pack_compact_int_block(block: Any, info: _IntKind) -> bytes:
@@ -351,28 +449,67 @@ def _pack_compact_int_block(block: Any, info: _IntKind) -> bytes:
     return planes.ravel().compress(keep.ravel()).tobytes()
 
 
+@lru_cache(maxsize=MAX_PACKED_WIDTH)
+def _group_shifts(width: int) -> Any:
+    """``0, width, …, 7·width`` repeated for one block: where each value
+    of a group of 8 sits in the group's ``width`` bytes."""
+    shifts = _np.tile(_np.arange(0, 8 * width, width, dtype=_np.uint64),
+                      _COMPACT_BLOCK // 8)
+    shifts.flags.writeable = False
+    return shifts
+
+
+def _pack_packed_block(block: Any, least: int, width: int) -> bytes:
+    """Bit-pack ``block - least`` (each below ``2**width``): a group of 8
+    values becomes one ``uint64``, the sum of value ``k`` times
+    ``2**(k·width)`` (their bits never overlap), whose low ``width`` bytes
+    are the wire."""
+    count = len(block)
+    groups = -(-count // 8)
+    values = _np.zeros((groups, 8), dtype=_np.uint8)
+    _np.subtract(block, block.dtype.type(least),
+                 out=values.reshape(-1)[:count], casting="unsafe")
+    weights = _np.left_shift(_np.uint64(1), _group_shifts(width)[:8])
+    packed = _np.einsum("ij,j->i", values, weights)
+    wire = packed.astype("<u8", copy=False).view(_np.uint8)
+    return wire.reshape(groups, 8)[:, :width].tobytes()[
+        :(count * width + 7) // 8]
+
+
 def _pack_compact_int_array(values: Any, kind: str) -> bytes:
     """Bulk-encode an array of one integer kind in the compact form.
 
     Byte-identical to :func:`_pack_compact_int_array_scalar`; from
-    :data:`_NP_MIN_COUNT` elements up the work is done by NumPy: varints in
-    blocks of :data:`_COMPACT_BLOCK` elements, in the narrowest unsigned
-    dtype that holds the zigzagged kind, so temporaries stay O(block); a
-    one-byte kind, validated the same way, as the native bulk copy.
+    :data:`_NP_MIN_COUNT` elements up the work is done by NumPy in blocks
+    of :data:`_COMPACT_BLOCK` elements, so temporaries stay O(block): the
+    elements bit-packed against the array's minimum, or varints (in the
+    narrowest unsigned dtype that holds the zigzagged kind) when the span
+    is wider than :data:`MAX_PACKED_WIDTH` bits; a one-byte kind,
+    validated the same way, as the native bulk copy.
     """
     n = len(values)
     if n < _NP_MIN_COUNT or _np is None:
         return _pack_compact_int_array_scalar(values, kind)
     info = _INT_KINDS[kind]
-    arr = _as_int_ndarray(values, kind, info)
-    if arr is None:
+    checked = _as_int_ndarray(values, kind, info)
+    if checked is None:
         return _pack_compact_int_array_scalar(values, kind)
+    arr, least, top = checked
     if kind in _BYTE_KINDS:
         return _pack_prim_array(arr, info.char, LITTLE)
-    return b"".join(
-        _pack_compact_int_block(
-            arr[i:i + _COMPACT_BLOCK].astype(info.dtype, copy=False), info)
-        for i in range(0, n, _COMPACT_BLOCK))
+    blocks = (arr[i:i + _COMPACT_BLOCK].astype(info.dtype, copy=False)
+              for i in range(0, n, _COMPACT_BLOCK))
+    width = (top - least).bit_length()
+    if width > MAX_PACKED_WIDTH:
+        return b"".join([bytes((MODE_VARINT,)),
+                         *(_pack_compact_int_block(b, info) for b in blocks)])
+    width = max(width, 1)
+    head = (bytes((MODE_PACKED,))
+            + encode_uvarint(zigzag(least) if info.dtype.kind == "i"
+                             else least)
+            + bytes((width,)))
+    return b"".join([head, *(_pack_packed_block(b, least, width)
+                             for b in blocks)])
 
 
 def _unpack_compact_int_block(buf: Any, off: int, info: _IntKind,
@@ -421,31 +558,63 @@ def _unpack_compact_int_block(buf: Any, off: int, info: _IntKind,
     return off + used
 
 
+def _unpack_packed_block(buf: Any, off: int, least: int, width: int,
+                         room: int, out: Any) -> Optional[int]:
+    """Unpack ``len(out)`` values of ``width`` bits at ``off`` into ``out``
+    (of the kind's unsigned dtype, ``least`` added modulo its width) and
+    return the new offset — or ``None`` when a value is above ``room``
+    (the kind's maximum less ``least``) or the padding bits of a last,
+    partial group are not zero, for the scalar loop to name."""
+    count = len(out)
+    groups = -(-count // 8)
+    size = (count * width + 7) // 8
+    padded = _np.zeros(groups * width + 8, dtype=_np.uint8)
+    padded[:size] = _np.frombuffer(buf, dtype=_np.uint8, count=size,
+                                   offset=off)
+    # each group read as the 8 bytes from its first: the bytes past its
+    # ``width`` belong to the next group and fall above every mask below
+    packed = _np.ndarray((groups,), dtype="<u8", buffer=padded,
+                         strides=(width,))
+    tail = count % 8
+    if tail and int(packed[-1]) >> (tail * width):
+        return None
+    values = _np.repeat(packed, 8)
+    values >>= _group_shifts(width)[:groups * 8]
+    values &= (1 << width) - 1
+    values = values[:count]
+    if room < (1 << width) - 1 and int(values.max()) > room:
+        return None
+    _np.add(values, _np.uint64(least % (1 << 8 * out.itemsize)), out=out,
+            casting="unsafe")
+    return off + size
+
+
 def _unpack_compact_int_array(buf: Any, off: int, kind: str,
                               count: int) -> Tuple[Any, int]:
     """Bulk-decode ``count`` compact integers of one kind.
 
     Returns the container the native plan returns for that count (a list
     under :data:`_NP_MIN_COUNT` elements, an ndarray of the kind's dtype
-    from there up), decoding well-formed varints in NumPy blocks; anything
-    else is handed to the scalar loop, which raises the typed error.  A
-    one-byte kind has no varints to scan: it *is* the native bulk decode,
-    a zero-copy view over ``buf``.
+    from there up).  The header is checked by
+    :func:`_read_int_array_head`; well-formed elements are decoded in
+    NumPy blocks, anything else is handed to the scalar loop, which
+    raises the typed error.  A one-byte kind has no varints to scan: it
+    *is* the native bulk decode, a zero-copy view over ``buf``.
     """
     if kind in _BYTE_KINDS:
         return _unpack_prim_array(buf, off, _BYTE_KINDS[kind], count, LITTLE)
-    if count > len(buf) - off:
-        # every varint is at least one byte: refuse a hostile count
-        # before anything is sized by it
-        raise DecodeError("truncated varint")
     if count < _NP_MIN_COUNT or _np is None:
         return _unpack_compact_int_array_scalar(buf, off, kind, count)
+    mode, least, width, pos = _read_int_array_head(buf, off, kind, count)
     info = _INT_KINDS[kind]
+    room = _INT_RANGES[kind][1] - least
     out = _np.empty(count, dtype=info.udtype)
-    pos: Optional[int] = off
     for i in range(0, count, _COMPACT_BLOCK):
-        pos = _unpack_compact_int_block(buf, pos, info,
-                                        out[i:i + _COMPACT_BLOCK])
+        block = out[i:i + _COMPACT_BLOCK]
+        if mode == MODE_PACKED:
+            pos = _unpack_packed_block(buf, pos, least, width, room, block)
+        else:
+            pos = _unpack_compact_int_block(buf, pos, info, block)
         if pos is None:
             values, end = _unpack_compact_int_array_scalar(buf, off, kind,
                                                            count)

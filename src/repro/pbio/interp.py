@@ -14,7 +14,7 @@ speed.  Anything clever belongs in the compiler.
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import DecodeError, EncodeError, FormatError
 from .fmt import Format
@@ -161,6 +161,11 @@ def _unpack(ctx: str, spec: str, buf: Any, offset: int) -> Tuple[Any, int]:
 # * string            -> varint byte length + UTF-8 bytes,
 # * variable arrays   -> varint element count + elements,
 # * fixed arrays      -> elements only (the count lives in the format),
+# * arrays of 2-, 4- or 8-byte ints of PACKED_MIN_COUNT elements or more
+#                     -> a mode byte, then the varints (MODE_VARINT) or the
+#                        minimum, a width byte and every ``value - minimum``
+#                        in ``width`` bits, 8 values to ``width`` bytes
+#                        (MODE_PACKED),
 # * nested structs    -> fields inline.
 #
 # The encoding is endianness-independent, so compact codec plans are
@@ -182,6 +187,17 @@ _INT_RANGES = {
 
 #: one-byte kind -> struct char: written as the native byte, never a varint
 _BYTE_KINDS = {"int8": "b", "uint8": "B"}
+
+#: element count from which an array of a 2-, 4- or 8-byte integer kind
+#: starts with a mode byte (a wire constant: the compiler's NumPy
+#: threshold ``_NP_MIN_COUNT`` happens to be the same 64)
+PACKED_MIN_COUNT = 64
+#: the mode byte: varints, or bit-packed against the array's minimum
+MODE_VARINT = 0
+MODE_PACKED = 1
+#: widest packed element in bits; an array whose span needs more is sent
+#: as varints
+MAX_PACKED_WIDTH = 8
 
 _FLOAT_STRUCTS = {"float32": struct.Struct("<f"),
                   "float64": struct.Struct("<d")}
@@ -267,6 +283,10 @@ def _encode_compact_value(out: list, fname: str, value: Any,
                     f"got {len(value)}")
         else:
             out.append(encode_uvarint(len(value)))
+        kind = _packed_kind(ftype.element)
+        if kind is not None and len(value) >= PACKED_MIN_COUNT:
+            out.append(_encode_int_array(fname, value, kind))
+            return
         for item in value:
             _encode_compact_value(out, fname, item, ftype.element, registry)
         return
@@ -277,20 +297,58 @@ def _encode_compact_value(out: list, fname: str, value: Any,
     raise FormatError(f"cannot encode type {ftype!r}")
 
 
+def _packed_kind(ftype: FieldType) -> Optional[str]:
+    """The kind of an array element whose arrays take the mode byte: an
+    integer kind of 2, 4 or 8 bytes (``None`` for anything else)."""
+    if isinstance(ftype, Primitive) and ftype.kind in _INT_RANGES \
+            and ftype.kind not in _BYTE_KINDS:
+        return ftype.kind
+    return None
+
+
+def _compact_int(fname: str, value: Any, kind: str) -> int:
+    """``value`` as an int of ``kind``, or the encode error naming it."""
+    try:
+        n = value.__index__()
+    except (AttributeError, TypeError):
+        raise EncodeError(
+            f"field {fname!r}: required an integer, got "
+            f"{type(value).__name__}")
+    lo, hi = _INT_RANGES[kind]
+    if not lo <= n <= hi:
+        raise EncodeError(f"field {fname!r}: {n} out of range for {kind}")
+    return n
+
+
+def _encode_int_array(fname: str, values: Any, kind: str) -> bytes:
+    """The mode byte and the elements of an array of ``kind`` with at least
+    :data:`PACKED_MIN_COUNT` elements: bit-packed when the span fits
+    :data:`MAX_PACKED_WIDTH` bits, varints otherwise."""
+    ints = [_compact_int(fname, value, kind) for value in values]
+    signed = kind[0] == "i"
+    least = min(ints)
+    width = (max(ints) - least).bit_length()
+    if width > MAX_PACKED_WIDTH:
+        return bytes((MODE_VARINT,)) + b"".join(
+            encode_uvarint(zigzag(n) if signed else n) for n in ints)
+    width = max(width, 1)       # width 0 is never valid on the wire
+    body = bytearray()
+    for start in range(0, len(ints), 8):
+        group = 0
+        for k, n in enumerate(ints[start:start + 8]):
+            group |= (n - least) << (k * width)
+        body += group.to_bytes(width, "little")
+    del body[(len(ints) * width + 7) // 8:]
+    return (bytes((MODE_PACKED,))
+            + encode_uvarint(zigzag(least) if signed else least)
+            + bytes((width,)) + bytes(body))
+
+
 def _encode_compact_primitive(fname: str, value: Any,
                               ftype: Primitive) -> bytes:
     kind = ftype.kind
-    rng = _INT_RANGES.get(kind)
-    if rng is not None:
-        try:
-            n = value.__index__()
-        except (AttributeError, TypeError):
-            raise EncodeError(
-                f"field {fname!r}: required an integer, got "
-                f"{type(value).__name__}")
-        if not rng[0] <= n <= rng[1]:
-            raise EncodeError(
-                f"field {fname!r}: {n} out of range for {kind}")
+    if kind in _INT_RANGES:
+        n = _compact_int(fname, value, kind)
         if kind in _BYTE_KINDS:
             return bytes((n & 0xFF,))
         if kind[0] == "i":
@@ -329,6 +387,9 @@ def _decode_compact_value(ctx: str, buf: Any, offset: int,
             count = ftype.length
         else:
             count, offset = decode_uvarint(buf, offset)
+        kind = _packed_kind(ftype.element)
+        if kind is not None and count >= PACKED_MIN_COUNT:
+            return _decode_int_array(ctx, buf, offset, kind, count)
         items = []
         for _ in range(count):
             item, offset = _decode_compact_value(ctx, buf, offset,
@@ -339,6 +400,49 @@ def _decode_compact_value(ctx: str, buf: Any, offset: int,
         sub = _registry_lookup(registry, ftype.format_name)
         return interp_decode_compact(sub, buf, offset, registry)
     raise FormatError(f"cannot decode type {ftype!r}")
+
+
+def _decode_int_array(ctx: str, buf: Any, offset: int, kind: str,
+                      count: int) -> Tuple[List[int], int]:
+    """Decode the mode byte and ``count`` elements of ``kind``."""
+    element = Primitive(kind)
+    if offset >= len(buf):
+        raise DecodeError("truncated int array header")
+    mode = buf[offset]
+    offset += 1
+    items: List[int] = []
+    if mode == MODE_VARINT:
+        for _ in range(count):
+            item, offset = _decode_compact_primitive(ctx, buf, offset, element)
+            items.append(item)
+        return items, offset
+    if mode != MODE_PACKED:
+        raise DecodeError(f"unknown int array mode {mode}")
+    least, offset = _decode_compact_primitive(ctx, buf, offset, element)
+    if offset >= len(buf):
+        raise DecodeError("truncated int array header")
+    width = buf[offset]
+    offset += 1
+    if not 1 <= width <= MAX_PACKED_WIDTH:
+        raise DecodeError(
+            f"int array width {width} outside 1..{MAX_PACKED_WIDTH}")
+    end = offset + (count * width + 7) // 8
+    if end > len(buf):
+        raise DecodeError("truncated packed int array")
+    body = bytes(buf[offset:end]) + bytes(width)    # pads the last group
+    mask = (1 << width) - 1
+    for start in range(0, count, 8):
+        at = start // 8 * width
+        group = int.from_bytes(body[at:at + width], "little")
+        items.extend(least + (group >> (k * width) & mask)
+                     for k in range(min(8, count - start)))
+    hi = _INT_RANGES[kind][1]
+    for n in items:
+        if n > hi:
+            raise DecodeError(f"format {ctx!r}: {n} out of range for {kind}")
+    if int.from_bytes(body, "little") >> (count * width):
+        raise DecodeError("nonzero padding bits in packed int array")
+    return items, end
 
 
 def _decode_compact_primitive(ctx: str, buf: Any, offset: int,

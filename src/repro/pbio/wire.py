@@ -40,11 +40,20 @@ _HEADER = struct.Struct("<2sBBI")  # magic, flags, kind, format id
 HEADER_SIZE = _HEADER.size
 
 FLAG_LITTLE_ENDIAN = 0x01
-#: Dual-purpose negotiation flag (docs/wire-compact.md).  On a DATA
-#: message it marks the payload as compact-encoded (varint/zigzag).  On a
-#: FORMAT announcement it advertises that the *sender* can decode compact
-#: payloads — the capability half of the per-link handshake.
-FLAG_COMPACT = 0x02
+#: Bits 1-3 of the flags byte hold a *compact revision* (docs/wire-compact.md,
+#: "Revisions").  On a DATA message a nonzero revision marks the payload
+#: compact-encoded under that revision's rules; on a FORMAT announcement it
+#: advertises that the *sender* decodes that revision — the capability
+#: half of the per-link handshake.  0 means native only.
+_REVISION_SHIFT = 1
+_REVISION_MASK = 0x0E
+#: The compact rules this tree writes and reads; 2 added the int-array
+#: mode byte.  Revision 1 was a bare ``0x02`` bit, and that bit is all a
+#: revision-1 tree tests, so every later revision keeps it clear (is
+#: even): such a tree reads our adverts as native-only.
+COMPACT_REVISION = 2
+#: The flag bits of a compact message of :data:`COMPACT_REVISION`.
+FLAG_COMPACT = COMPACT_REVISION << _REVISION_SHIFT
 
 KIND_DATA = 0
 KIND_FORMAT = 1
@@ -71,8 +80,9 @@ class Message:
     endian: str
     format_id: int
     payload: Buffer
-    #: DATA: payload is compact-encoded.  FORMAT: sender decodes compact.
-    compact: bool = False
+    #: DATA: the compact revision the payload is encoded in (0: native).
+    #: FORMAT: the compact revision the sender decodes (0: none).
+    revision: int = 0
 
     @property
     def is_data(self) -> bool:
@@ -121,7 +131,7 @@ def parse_message(blob: Buffer) -> Message:
     view = blob if isinstance(blob, memoryview) else memoryview(blob)
     return Message(kind=kind, endian=endian, format_id=format_id,
                    payload=view[HEADER_SIZE:],
-                   compact=bool(flags & FLAG_COMPACT))
+                   revision=(flags & _REVISION_MASK) >> _REVISION_SHIFT)
 
 
 @dataclass
@@ -179,12 +189,14 @@ class PbioSession:
         Compact-encoding policy for *sent* data (one of
         :data:`WIRE_MODES`).  ``"auto"`` (default) advertises the compact
         capability on announcements and switches to compact payloads once
-        the peer has advertised too; ``"native"`` never advertises or
-        sends compact; ``"compact"`` forces compact unconditionally.
-        Decoding is universal — every session accepts compact data
-        regardless of its own policy, so a compact speaker facing a
-        native-only listener still interoperates (and an ``"auto"``
-        speaker facing one simply stays native).
+        the peer has advertised :data:`COMPACT_REVISION` too;
+        ``"native"`` never advertises or sends compact; ``"compact"``
+        forces compact unless the peer has advertised another revision.
+        Decoding is universal — every session accepts compact data of
+        :data:`COMPACT_REVISION` regardless of its own policy, so a
+        compact speaker facing a native-only listener of this tree still
+        interoperates (and an ``"auto"`` speaker facing one simply stays
+        native).
     """
 
     def __init__(self, registry: FormatRegistry,
@@ -204,7 +216,8 @@ class PbioSession:
         if wire not in WIRE_MODES:
             raise ValueError(f"wire must be one of {WIRE_MODES}, got {wire!r}")
         self.wire = wire
-        self._peer_compact_capable = False
+        # the compact revision the peer has shown it decodes (0: none yet)
+        self._peer_revision = 0
         self.stats = SessionStats()
         self._announced: Set[int] = set()
         self._remote: Dict[int, Format] = {}
@@ -226,18 +239,21 @@ class PbioSession:
 
     @property
     def peer_compact_capable(self) -> bool:
-        """True once the peer has proved it decodes compact payloads."""
-        return self._peer_compact_capable
+        """True once the peer has proved it decodes compact payloads of
+        :data:`COMPACT_REVISION`."""
+        return self._peer_revision == COMPACT_REVISION
 
     def mark_peer_compact_capable(self) -> None:
         """Record out-of-band knowledge that the peer decodes compact —
         e.g. a paired receive session on the same link saw the peer's
         capability advert (the record-stream reply path)."""
-        self._peer_compact_capable = True
+        self._peer_revision = COMPACT_REVISION
 
     def _use_compact(self) -> bool:
-        return self.wire == "compact" or (
-            self.wire == "auto" and self._peer_compact_capable)
+        if self.wire == "compact":
+            return self._peer_revision in (0, COMPACT_REVISION)
+        return self.wire == "auto" and \
+            self._peer_revision == COMPACT_REVISION
 
     def wire_rep(self) -> str:
         """The representation the *next* data message will use —
@@ -376,17 +392,23 @@ class PbioSession:
                 self.registry.redefine(fmt)
             self._remote[msg.format_id] = fmt
             self.stats.announcements_received += 1
-            if msg.compact:
-                self._peer_compact_capable = True
+            if msg.revision:
+                self._peer_revision = msg.revision
             return None
         if msg.kind != KIND_DATA:
             raise DecodeError(f"unknown message kind {msg.kind}")
         fmt = self._resolve(msg.format_id)
-        if msg.compact:
+        if msg.revision:
             # Universal decode: compact data is accepted regardless of this
             # session's own wire policy.  A peer that *sends* compact can
-            # obviously decode it, so this also learns the capability.
-            self._peer_compact_capable = True
+            # obviously decode it, so this also learns the capability —
+            # and a peer on another revision is answered in native.
+            self._peer_revision = msg.revision
+            if msg.revision != COMPACT_REVISION:
+                raise DecodeError(
+                    f"format {fmt.name!r}: compact revision "
+                    f"{msg.revision} payload (this side reads revision "
+                    f"{COMPACT_REVISION})")
             self.stats.compact_received += 1
             decode = self.compiler.compact_decoder(fmt)
         else:

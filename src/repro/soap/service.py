@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from ..channel import ChannelReply
-from ..compress import get_codec
+from ..compress import CompressError, get_codec
 from ..pbio import Format, FormatRegistry
 from ..xmlcore.errors import XmlParseError
 from .encoding import decode_fields
@@ -91,7 +91,8 @@ class SoapService:
             response_xml = self.handle_xml(payload, headers)
         except SoapFault as fault:
             return self._fault_reply(fault, compressed)
-        except (SoapDecodingError, SoapEncodingError) as exc:
+        except (SoapDecodingError, SoapEncodingError, CompressError) as exc:
+            # (a corrupt body, or one inflating past MAX_OUTPUT_BYTES)
             return self._fault_reply(SoapFault("Client", str(exc)),
                                      compressed)
         except Exception as exc:  # noqa: BLE001 - dispatch boundary

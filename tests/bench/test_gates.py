@@ -35,6 +35,8 @@ BASELINE = {
                 "compact_encode_ops_s": 5000.0,
                 "compact_encode_speedup_vs_scalar": 9.0,
                 "compact_decode_speedup_vs_scalar": 20.0,
+                "native_decode_ops_s": 240000.0,
+                "compact_decode_ops_s": 16000.0,
             },
             "nested_struct_d8": {
                 "native_encode_ops_s": 240000.0,
@@ -213,6 +215,21 @@ class TestWireFreshGate:
         fresh = {k: v for k, v in BASELINE.items() if k != "wire"}
         with pytest.raises(GateFailure, match="BENCH_fresh.json lacks"):
             gates.gate_wire_fresh(fresh)
+
+    @pytest.mark.parametrize("slowdown,passes", [
+        (15.0, True), (gates.WIRE_COMPACT_INT_DECODE_MAX_SLOWDOWN, True),
+        (gates.WIRE_COMPACT_INT_DECODE_MAX_SLOWDOWN + 0.1, False),
+        (500.0, False)])
+    def test_small_int_decode_ratio(self, slowdown, passes):
+        fresh = copy.deepcopy(BASELINE)
+        shape = fresh["wire"]["shapes"]["small_int_heavy"]
+        shape["compact_decode_ops_s"] = shape["native_decode_ops_s"] / slowdown
+        if passes:
+            gates.gate_wire_fresh(fresh)
+        else:
+            with pytest.raises(GateFailure,
+                               match="compact decode of small_int_heavy"):
+                gates.gate_wire_fresh(fresh)
 
 
 class TestLoadgenGate:

@@ -1,10 +1,15 @@
 """Round-trip, corruption and behaviour tests for the LZ codecs."""
 
+import struct
+import tracemalloc
+import zlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compress import (CompressError, codec_names, get_codec, lzss,
-                            zlib_codec)
+from repro.compress import (CompressError, codec_names, errors, get_codec,
+                            lzss, zlib_codec)
+from repro.http11 import MAX_BODY_BYTES
 
 ALL = [get_codec(n) for n in codec_names()]
 
@@ -134,3 +139,62 @@ class TestProperties:
         data = text.encode("utf-8")
         for codec in ALL:
             assert codec.decompress(codec.compress(data)) == data
+
+
+def zlib_bomb(inflated: int) -> bytes:
+    """A DEFLATE stream of ``inflated`` zero bytes (~1/1000 its size),
+    built a MiB at a time."""
+    deflater = zlib.compressobj(9)
+    chunk = bytes(1 << 20)
+    return b"".join([*(deflater.compress(chunk)
+                       for _ in range(inflated >> 20)), deflater.flush()])
+
+
+def test_output_bound_is_the_http_body_bound():
+    assert errors.MAX_OUTPUT_BYTES == MAX_BODY_BYTES
+
+
+class TestOutputBound:
+    """Decompression stops at ``MAX_OUTPUT_BYTES``, here lowered to
+    1 MiB so the bombs stay small."""
+
+    LIMIT = 1 << 20
+
+    @pytest.fixture(autouse=True)
+    def small_limit(self, monkeypatch):
+        monkeypatch.setattr(errors, "MAX_OUTPUT_BYTES", self.LIMIT)
+
+    def test_zlib_bomb_fails_typed_in_bounded_memory(self):
+        bomb = zlib_bomb(64 << 20)
+        assert len(bomb) < 100_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(CompressError, match="inflates past"):
+                zlib_codec.decompress(bomb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * self.LIMIT
+
+    def test_zlib_at_the_limit_still_inflates(self):
+        data = bytes(self.LIMIT)
+        assert zlib_codec.decompress(memoryview(zlib_codec.compress(data))) \
+            == data
+        with pytest.raises(CompressError, match="inflates past"):
+            zlib_codec.decompress(zlib_codec.compress(data + b"x"))
+
+    def test_zlib_truncated_stream(self):
+        blob = zlib_codec.compress(xml_like(100))
+        for cut in (0, 1, len(blob) // 2, len(blob) - 1):
+            with pytest.raises(CompressError, match="truncated"):
+                zlib_codec.decompress(blob[:cut])
+
+    def test_lzss_declared_length_over_the_limit(self):
+        blob = (lzss.MAGIC + struct.pack("<I", self.LIMIT + 1)
+                + b"\xff" + b"a" * 8)
+        with pytest.raises(CompressError, match="declares"):
+            lzss.decompress(blob)
+        # at the limit the stream is decoded (and here runs out of tokens)
+        with pytest.raises(CompressError, match="truncated"):
+            lzss.decompress(lzss.MAGIC + struct.pack("<I", self.LIMIT)
+                            + blob[8:])

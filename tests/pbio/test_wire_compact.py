@@ -12,23 +12,41 @@ Three layers under test:
 * the failure surface — tampered, truncated and overlong varints must
   die with typed :class:`DecodeError`, never a struct.error or a wrong
   value.
+
+Int arrays of 64 or more elements carry a mode byte and are bit-packed
+against their minimum when the span fits 8 bits; the compiled kernels,
+the scalar loop and the oracle must write and read the same bytes, and
+the compact revision on the header flags keeps other trees' compact
+bytes from being misread.
+
+``REPRO_SOAK=1`` (the CI ``wire-soak`` job) runs ten times the Hypothesis
+examples.
 """
 
 import functools
+import os
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.pbio import (DecodeError, EncodeError, Format, FormatRegistry,
+from repro.core import QualityCache
+from repro.core import qcache as qcache_module
+from repro.pbio import (COMPACT_REVISION, KIND_DATA, KIND_FORMAT,
+                        DecodeError, EncodeError, Format, FormatRegistry,
                         PbioSession, decode_uvarint, encode_uvarint,
                         interp_decode_compact, interp_encode_compact,
-                        unzigzag, zigzag)
+                        parse_message, unzigzag, zigzag)
 from repro.pbio import compiler as compiler_module
-from repro.pbio.compiler import (_pack_compact_int_array_scalar,
+from repro.pbio.compiler import (_COMPACT_BLOCK,
+                                 _pack_compact_int_array_scalar,
                                  _unpack_compact_int_array_scalar)
 from repro.pbio.types import Array, Primitive, StructRef
+from repro.pbio.wire import _HEADER, FLAG_LITTLE_ENDIAN, MAGIC
+
+SOAK = 10 if os.environ.get("REPRO_SOAK") == "1" else 1
 
 
 def make_fmt(name="sample", spec=None):
@@ -411,7 +429,7 @@ def int_arrays(draw):
 
 
 class TestVectorisedIntArrays:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150 * SOAK, deadline=None)
     @given(int_arrays())
     def test_differential_against_oracle(self, case):
         kind, values = case
@@ -481,10 +499,10 @@ class TestVectorisedIntArrays:
         assert list(compact["v"]) == list(native["v"]) == value["v"]
 
     def test_hostile_count_fails_before_allocating(self):
-        """A 5-byte count claiming 2**32 elements over 3 bytes of data
+        """A 5-byte count claiming 2**32 varints over 2 bytes of data
         dies as a truncation, with nothing sized by the count."""
         _, _, _, decode = array_codec("int32")
-        blob = encode_uvarint(1 << 32) + b"\x01\x02\x03"
+        blob = encode_uvarint(1 << 32) + b"\x00\x02\x03"
         assert len(blob) == 8
         tracemalloc.start()
         try:
@@ -501,7 +519,8 @@ class TestVectorisedIntArrays:
         handles them itself or hands them back."""
         registry, fmt, _, decode = array_codec("uint16")
         for padded in (b"\x85\x00", b"\x85\x80\x00"):
-            blob = encode_uvarint(100) + b"\x07" * 50 + padded + b"\x07" * 49
+            blob = (encode_uvarint(100) + b"\x00" + b"\x07" * 50 + padded
+                    + b"\x07" * 49)
             decoded, end = decode(blob, 0)
             oracle, oracle_end = interp_decode_compact(fmt, blob, 0,
                                                        registry)
@@ -523,7 +542,7 @@ _U8 = st.integers(0, 255)
 
 
 class TestOneByteKinds:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150 * SOAK, deadline=None)
     @given(a=_I8, b=_U8, n=st.integers(-2**31, 2**31 - 1),
            c=st.one_of(st.lists(_I8, max_size=70),
                        st.lists(_I8, min_size=64, max_size=200)),
@@ -642,11 +661,9 @@ def raised_by(fn, *args):
     return type(info.value), str(info.value)
 
 
-class TestVectorisedErrorTaxonomy:
-    """Malformed input reaches the scalar loop, so every class and
-    message of the strict taxonomy is what it was — and what the
-    interpreted oracle raises (which adds a ``format``/``field`` prefix
-    to range and type errors)."""
+class ErrorTaxonomy:
+    """Checks that the compiled plan, the scalar loop and the oracle raise
+    the same error (the oracle may add a ``format``/``field`` prefix)."""
 
     def assert_same_decode_error(self, kind, blob, count, fragment):
         registry, fmt, _, decode = array_codec(kind)
@@ -667,6 +684,13 @@ class TestVectorisedErrorTaxonomy:
         assert vec[0] is oracle[0] is EncodeError
         assert fragment in vec[1] and fragment in oracle[1]
 
+
+class TestVectorisedErrorTaxonomy(ErrorTaxonomy):
+    """Malformed input reaches the scalar loop, so every class and
+    message of the strict taxonomy is what it was — and what the
+    interpreted oracle raises (which adds a ``format``/``field`` prefix
+    to range and type errors)."""
+
     @pytest.mark.parametrize("kind", ["int8", "uint8", "uint16", "int32",
                                       "int64"])
     def test_truncation_at_every_offset(self, kind):
@@ -675,11 +699,17 @@ class TestVectorisedErrorTaxonomy:
         # (one-byte kinds: enough elements to decode through NumPy)
         values = boundary_values(kind) * (8 if one_byte else 2)
         blob = encode({"v": values})
+        # the mode byte of a (varint-coded) array of 64 or more
+        mode_at = (len(encode_uvarint(len(values)))
+                   if len(values) >= 64 and not one_byte else None)
         for cut in range(len(blob)):
             vec = raised_by(decode, blob[:cut], 0)
             oracle = raised_by(interp_decode_compact, fmt, blob[:cut], 0,
                                registry)
-            if one_byte and cut >= len(encode_uvarint(len(values))):
+            if cut == mode_at:
+                assert vec == oracle == (DecodeError,
+                                         "truncated int array header")
+            elif one_byte and cut >= len(encode_uvarint(len(values))):
                 # raw bytes have no varint to cut: the bulk path refuses
                 # a short body whole, the oracle at the missing element
                 assert vec == (DecodeError, "truncated primitive array")
@@ -701,13 +731,15 @@ class TestVectorisedErrorTaxonomy:
         assert peak < 1 << 20
 
     def test_eleven_byte_varint(self):
-        blob = (encode_uvarint(100) + b"\x05" * 70 + b"\x80" * 10 + b"\x01"
+        blob = (encode_uvarint(100) + b"\x00" + b"\x05" * 70 + b"\x80" * 10
+                + b"\x01"
                 + b"\x05" * 29)
         self.assert_same_decode_error("uint64", blob, 100,
                                       "varint longer than 10 bytes")
 
     def test_tenth_byte_beyond_64_bits(self):
-        blob = (encode_uvarint(100) + b"\x05" * 70 + b"\xff" * 9 + b"\x02"
+        blob = (encode_uvarint(100) + b"\x00" + b"\x05" * 70 + b"\xff" * 9
+                + b"\x02"
                 + b"\x05" * 29)
         self.assert_same_decode_error("uint64", blob, 100,
                                       "varint exceeds 64 bits")
@@ -719,15 +751,15 @@ class TestVectorisedErrorTaxonomy:
         items = [b"\x05"] * 100
         items[at] = encode_uvarint(70000)
         self.assert_same_decode_error(
-            "uint16", encode_uvarint(100) + b"".join(items), 100,
+            "uint16", encode_uvarint(100) + b"\x00" + b"".join(items), 100,
             "70000 out of range for uint16")
 
     def test_out_of_range_in_a_later_block(self):
-        n = 65536 + 100
+        n = compiler_module._COMPACT_BLOCK + 100
         items = [b"\x05"] * n
-        items[65600] = encode_uvarint(zigzag(1 << 31))
+        items[n - 36] = encode_uvarint(zigzag(1 << 31))
         self.assert_same_decode_error(
-            "int32", encode_uvarint(n) + b"".join(items), n,
+            "int32", encode_uvarint(n) + b"\x00" + b"".join(items), n,
             f"{1 << 31} out of range for int32")
 
     def test_first_bad_element_is_the_one_named(self):
@@ -735,7 +767,7 @@ class TestVectorisedErrorTaxonomy:
         items[40] = encode_uvarint(70000)
         items[60] = encode_uvarint(99999)
         self.assert_same_decode_error(
-            "uint16", encode_uvarint(100) + b"".join(items), 100,
+            "uint16", encode_uvarint(100) + b"\x00" + b"".join(items), 100,
             "70000 out of range for uint16")
 
     def test_300_in_uint8_array_on_encode(self):
@@ -914,7 +946,7 @@ MIXED = Format.from_dict("Mixed", {
 
 
 class TestInlinedPlan:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60 * SOAK, deadline=None)
     @given(nested_cases())
     def test_differential_against_oracle(self, case):
         registry, fmt, value = case
@@ -1020,3 +1052,307 @@ class TestInlinedPlan:
         assert compiler.compact_decoder(parent)(blob, 0) == (value, len(blob))
         # a plan already handed out keeps the layout it was compiled for
         assert old(value) == b"\x05\x0e"
+
+
+# ----------------------------------------------------------------------
+# bit-packed int arrays: the mode byte, its bounds, the compact revision
+# ----------------------------------------------------------------------
+
+WIDE_KINDS = [kind for kind in INT_KINDS if kind not in ("int8", "uint8")]
+#: both sides of the mode byte, and of the kernels' block edges
+EDGE_COUNTS = [0, 1, 63, 64, 65, _COMPACT_BLOCK - 1, _COMPACT_BLOCK,
+               _COMPACT_BLOCK + 1, 2 * _COMPACT_BLOCK + 7]
+
+
+@st.composite
+def packed_arrays(draw):
+    """An array of a 2-, 4- or 8-byte kind whose span needs ``0..9``
+    bits, from anywhere in the kind's range (negative minima and both
+    ends of ``int64``/``uint64`` included), sometimes with one outlier,
+    as a list or an ndarray."""
+    kind = draw(st.sampled_from(WIDE_KINDS))
+    lo, hi = _INT_BOUNDS[kind]
+    span = (1 << draw(st.integers(0, 9))) - 1
+    least = draw(st.one_of(
+        st.sampled_from([lo, hi - span, max(lo, -1000), max(lo, -1)]),
+        st.integers(lo, hi - span)))
+    count = draw(st.one_of(st.sampled_from(EDGE_COUNTS),
+                           st.integers(0, 300)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    values = [least + rng.randint(0, span) for _ in range(count)]
+    if count >= 2:              # the span is the one drawn
+        values[0], values[-1] = least, least + span
+        rng.shuffle(values)
+    if count and draw(st.booleans()):
+        values[rng.randrange(count)] = draw(st.integers(lo, hi))
+    as_type = draw(st.sampled_from(["list", "ndarray", "wide"]))
+    if as_type == "ndarray":
+        values = np.array(values, dtype=kind)
+    elif as_type == "wide":
+        values = np.array(values, dtype=np.uint64 if lo == 0 else np.int64)
+    return kind, values
+
+
+def assert_three_agree(kind, values):
+    """Compiled kernels, scalar loop and oracle write the same bytes for
+    ``values`` and read them back to it; the mode and width are the
+    rule's."""
+    registry, fmt, encode, decode = array_codec(kind)
+    count = len(values)
+    body_at = len(encode_uvarint(count))
+    blob = encode({"v": values})
+    assert blob == interp_encode_compact(fmt, {"v": values}, registry)
+    assert blob[body_at:] == _pack_compact_int_array_scalar(values, kind)
+    decoded, end = decode(blob, 0)
+    scalar, scalar_end = _unpack_compact_int_array_scalar(blob, body_at,
+                                                          kind, count)
+    oracle, oracle_end = interp_decode_compact(fmt, blob, 0, registry)
+    assert end == scalar_end == oracle_end == len(blob)
+    sent = [int(x) for x in values]
+    assert [int(x) for x in decoded["v"]] == scalar == oracle["v"] == sent
+    if count < 64:
+        return
+    assert isinstance(decoded["v"], np.ndarray)
+    assert decoded["v"].dtype == np.dtype(kind).newbyteorder("<")
+    assert decoded["v"].flags.writeable
+    width = (max(sent) - min(sent)).bit_length()
+    if width > 8:
+        assert blob[body_at] == 0
+        return
+    least = zigzag(min(sent)) if kind[0] == "i" else min(sent)
+    head = b"\x01" + encode_uvarint(least) + bytes((max(width, 1),))
+    assert blob[body_at:body_at + len(head)] == head
+    assert len(blob) == body_at + len(head) + (count * max(width, 1) + 7) // 8
+
+
+class TestBitPackedIntArrays:
+    @settings(max_examples=150 * SOAK, deadline=None)
+    @given(packed_arrays())
+    def test_kernels_scalar_and_oracle_agree(self, case):
+        kind, values = case
+        assert_three_agree(kind, values)
+
+    @pytest.mark.parametrize("count", EDGE_COUNTS)
+    @pytest.mark.parametrize("kind", WIDE_KINDS)
+    def test_edge_counts(self, kind, count):
+        lo, hi = _INT_BOUNDS[kind]
+        for least in {lo, max(lo, -100), hi - 200}:
+            values = [least + (i * 37) % 201 for i in range(count)]
+            assert_three_agree(kind, values)
+            assert_three_agree(kind, np.array(values, dtype=kind))
+
+    @pytest.mark.parametrize("kind", WIDE_KINDS)
+    def test_all_equal_is_width_one(self, kind):
+        _, _, encode, _ = array_codec(kind)
+        lo = _INT_BOUNDS[kind][0]
+        blob = encode({"v": [lo] * 100})
+        least = zigzag(lo) if kind[0] == "i" else lo
+        assert blob == (encode_uvarint(100) + b"\x01" + encode_uvarint(least)
+                        + b"\x01" + bytes(13))
+        assert_three_agree(kind, [lo] * 100)
+
+    def test_int_list_call_shape(self):
+        """``perf/``'s ``int_list_call``: ``int32[5000]`` below 100 goes
+        at 7 bits, 4,378 bytes against 5,000 to 10,000 as varints."""
+        values = [random.Random(7).randrange(100) for _ in range(5000)]
+        values[:2] = [0, 99]
+        _, _, encode, _ = array_codec("int32")
+        blob = encode({"v": values})
+        assert len(blob) == 2 + 1 + 1 + 1 + 4375
+        assert_three_agree("int32", values)
+
+    def test_wellformed_packed_arrays_never_reach_the_scalar_loop(
+            self, monkeypatch):
+        def scalar_loop_reached(*args):
+            raise AssertionError("scalar loop reached")
+
+        monkeypatch.setattr(compiler_module,
+                            "_pack_compact_int_array_scalar",
+                            scalar_loop_reached)
+        monkeypatch.setattr(compiler_module,
+                            "_unpack_compact_int_array_scalar",
+                            scalar_loop_reached)
+        for kind in WIDE_KINDS:
+            hi = _INT_BOUNDS[kind][1]
+            _, _, encode, decode = array_codec(kind)
+            for values in ([i % 256 for i in range(1000)],
+                           [hi - i % 256 for i in range(1001)]):
+                blob = encode({"v": values})
+                assert blob[2] == 1
+                assert list(decode(blob, 0)[0]["v"]) == values
+
+    @pytest.mark.parametrize("kind", ["int16", "uint32", "int64"])
+    def test_truncation_at_every_offset(self, kind):
+        registry, fmt, encode, decode = array_codec(kind)
+        lo = _INT_BOUNDS[kind][0]
+        least = max(lo, -40000)
+        values = [least + (i * 37) % 101 for i in range(100)]
+        blob = encode({"v": values})
+        least_len = len(encode_uvarint(zigzag(least) if lo else least))
+        expected = (["truncated varint"]                   # count
+                    + ["truncated int array header"]       # mode
+                    + ["truncated varint"] * least_len     # minimum
+                    + ["truncated int array header"]       # width
+                    + ["truncated packed int array"] * 88)  # 100 x 7 bits
+        assert len(expected) == len(blob)
+        for cut, message in enumerate(expected):
+            assert raised_by(decode, blob[:cut], 0) == (DecodeError, message)
+            assert raised_by(interp_decode_compact, fmt, blob[:cut], 0,
+                             registry) == (DecodeError, message)
+
+    def test_amplification_is_64_bytes_per_byte(self):
+        """The most a packed array can inflate: ``int64`` at width 1, 8
+        elements of 8 bytes per input byte — and exactly the bytes the
+        count needs are enough."""
+        _, _, _, decode = array_codec("int64")
+        body = bytes(range(256)) * 4
+        array = b"\x01\x00\x01" + body
+        decoded, end = decode(encode_uvarint(8 * len(body)) + array, 0)
+        assert end == 2 + len(array)
+        assert decoded["v"].nbytes == 64 * len(body)
+        with pytest.raises(DecodeError, match="^truncated packed int array$"):
+            decode(encode_uvarint(8 * len(body) + 1) + array, 0)
+
+
+HUGE = 1 << 40
+
+
+class TestBitPackedErrorTaxonomy(ErrorTaxonomy):
+    """Hostile headers fail typed before anything is sized by the count;
+    hostile elements reach the scalar loop, which names them as the
+    oracle does."""
+
+    def assert_fails_unallocated(self, kind, head, fragment):
+        """``head`` after a count of 2**40: refused, tracemalloc peak
+        under 64 KiB."""
+        _, _, _, decode = array_codec(kind)
+        blob = encode_uvarint(HUGE) + head
+        tracemalloc.start()
+        try:
+            with pytest.raises(DecodeError, match=fragment):
+                decode(blob, 0)
+            with pytest.raises(DecodeError, match=fragment):
+                _unpack_compact_int_array_scalar(blob, 6, kind, HUGE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
+    @pytest.mark.parametrize("mode", [2, 3, 0x80, 0xFF])
+    def test_unknown_mode(self, mode):
+        self.assert_same_decode_error(
+            "int32", encode_uvarint(100) + bytes((mode,)) + bytes(200), 100,
+            f"unknown int array mode {mode}")
+        self.assert_fails_unallocated("int32", bytes((mode,)) + bytes(64),
+                                      "unknown int array mode")
+
+    @pytest.mark.parametrize("width", [0, 9, 64, 0xFF])
+    def test_width_outside_1_to_8(self, width):
+        self.assert_same_decode_error(
+            "uint16", encode_uvarint(100) + b"\x01\x00" + bytes((width,))
+            + bytes(200), 100, f"int array width {width} outside 1..8")
+        self.assert_fails_unallocated(
+            "int64", b"\x01\x00" + bytes((width,)) + bytes(64),
+            "outside 1..8")
+
+    def test_hostile_count_against_the_packed_body(self):
+        self.assert_fails_unallocated("int64", b"\x01\x00\x01" + bytes(64),
+                                      "^truncated packed int array$")
+        self.assert_fails_unallocated("int64", b"\x00" + bytes(64),
+                                      "^truncated varint$")
+
+    def test_minimum_outside_the_kind(self):
+        self.assert_same_decode_error(
+            "int16", encode_uvarint(100) + b"\x01"
+            + encode_uvarint(zigzag(40000)) + b"\x01" + bytes(13), 100,
+            "40000 out of range for int16")
+        self.assert_same_decode_error(
+            "uint64", encode_uvarint(100) + b"\x01" + b"\xff" * 10
+            + b"\x01" + bytes(13), 100, "varint longer than 10 bytes")
+
+    @pytest.mark.parametrize("at", [0, 63, 99])
+    def test_value_above_the_kind(self, at):
+        # minimum 32764, width 3: 0..3 are in range, 4..7 are not
+        body = [1] * 100
+        body[at] = 5
+        if at < 99:
+            body[99] = 6        # a later bad element is not the one named
+        packed = sum(v << (3 * i) for i, v in enumerate(body))
+        self.assert_same_decode_error(
+            "int16", encode_uvarint(100) + b"\x01"
+            + encode_uvarint(zigzag(32764)) + b"\x03"
+            + packed.to_bytes(38, "little"), 100,
+            "32769 out of range for int16")
+
+    def test_nonzero_padding_bits(self):
+        # 65 values of 1 bit: 9 bytes, of which the last carries 7
+        # padding bits
+        for last in (b"\x02", b"\x80"):
+            self.assert_same_decode_error(
+                "uint32", encode_uvarint(65) + b"\x01\x00\x01" + bytes(8)
+                + last, 65, "nonzero padding bits in packed int array")
+
+
+def rev1_message(kind, fid, payload):
+    """A message as a revision-1 tree frames it: ``0x02`` on the flags."""
+    return _HEADER.pack(MAGIC, FLAG_LITTLE_ENDIAN | 0x02, kind, fid) + payload
+
+
+class TestCompactRevision:
+    def setup_method(self):
+        self.reg = FormatRegistry()
+        self.fmt = make_fmt("ints", {"seq": "int32", "ids": "int32[]"})
+        self.fid = self.reg.register(self.fmt)
+        self.value = {"seq": 3, "ids": list(range(100))}
+
+    def flags(self, blob):
+        return blob[2]
+
+    def test_our_adverts_are_native_to_revision_1(self):
+        """A revision-1 tree tests bit ``0x02`` alone: our announcements
+        and compact data leave it clear."""
+        assert COMPACT_REVISION % 2 == 0
+        tx = PbioSession(self.reg, wire="compact")
+        announcement, data = tx.pack(self.fmt, self.value)
+        for blob in (announcement, data):
+            assert not self.flags(blob) & 0x02
+            assert parse_message(blob).revision == COMPACT_REVISION
+
+    @pytest.mark.parametrize("wire", ["auto", "compact"])
+    def test_revision_1_advert_gets_native(self, wire):
+        session = PbioSession(self.reg, wire=wire)
+        session.unpack(rev1_message(KIND_FORMAT, self.fid,
+                                    self.fmt.to_wire()))
+        assert not session.peer_compact_capable
+        assert session.wire_rep() == "native"
+        for blob in session.pack(self.fmt, self.value):
+            assert parse_message(blob).revision == 0 or \
+                parse_message(blob).kind == KIND_FORMAT
+        assert session.stats.compact_sent == 0
+
+    def test_revision_1_data_is_refused_then_answered_native(self):
+        session = PbioSession(self.reg, wire="auto")
+        payload = self.reg.compiler.compact_encoder(self.fmt)(
+            {"seq": 3, "ids": [1, 2]})
+        with pytest.raises(DecodeError, match="compact revision 1"):
+            session.unpack(rev1_message(KIND_DATA, self.fid, payload))
+        assert session.wire_rep() == "native"
+
+    def test_a_fresh_session_decodes_this_revision(self):
+        """Decoding needs no announcement of the revision: the data
+        message's flags carry it."""
+        tx = PbioSession(self.reg, wire="compact")
+        tx.pack_bytes(self.fmt, self.value)
+        data = tx.pack_bytes(self.fmt, self.value)
+        fmt, value = PbioSession(self.reg).unpack_stream(data)
+        assert fmt is self.fmt and list(value["ids"]) == self.value["ids"]
+
+    def test_cache_keys_never_alias_across_revisions(self, monkeypatch):
+        cache = QualityCache(self.reg)
+        key = cache.key(self.fmt, self.fmt, self.value, "pbio:compact")
+        assert key == cache.key(self.fmt, self.fmt, self.value,
+                                "pbio:compact")
+        monkeypatch.setattr(qcache_module, "COMPACT_REVISION",
+                            COMPACT_REVISION + 2)
+        assert cache.key(self.fmt, self.fmt, self.value,
+                         "pbio:compact") != key

@@ -120,6 +120,16 @@ class TestCompressed:
             client.call("Fail", {"data": [], "label": ""},
                         formats["req"], formats["res"])
 
+    def test_inflation_bomb_is_a_client_fault(self, service, monkeypatch):
+        from repro.compress import errors, get_codec
+        from tests.compress.test_codecs import zlib_bomb
+        monkeypatch.setattr(errors, "MAX_OUTPUT_BYTES", 1 << 20)
+        reply = service.endpoint(zlib_bomb(8 << 20), "text/xml",
+                                 {"Content-Encoding": "deflate"})
+        assert reply.status == 500
+        fault = get_codec("zlib").decompress(reply.body)
+        assert b"Client" in fault and b"inflates past" in fault
+
     def test_compression_shrinks_large_messages(self, service, registry,
                                                 formats):
         client = SoapClient(DirectChannel(service.endpoint), registry)

@@ -41,7 +41,7 @@ from .modes import (HEADER_CLIENT_ID, HEADER_OPERATION, HEADER_RTT,
 from .qcache import QualityCache, canonical_digest
 from .quality_handlers import HandlerRegistry, trivial_handler
 from .sandbox import HandlerSandbox
-from .xmlq import encode_quality_response, parse_attribute_headers
+from .xmlq import attributes_from_entries, encode_quality_response
 
 
 class SoapBinService:
@@ -194,8 +194,8 @@ class SoapBinService:
     def _xml_quality_request(self, body: bytes,
                              headers: Dict[str, str]) -> ChannelReply:
         try:
-            params, op, envelope = self.xml_service.decode_request(body)
-            for name, value in parse_attribute_headers(envelope).items():
+            params, op, entries = self.xml_service.read_request(body)
+            for name, value in attributes_from_entries(entries).items():
                 self.quality.attributes.update_attribute(name, value)
             result, digest = self._invoke(op, params, headers)
             # The XML body depends on the response element name, so the

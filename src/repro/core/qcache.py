@@ -52,6 +52,7 @@ from __future__ import annotations
 import hashlib
 import struct
 import threading
+from operator import countOf
 from typing import Any, Dict, NamedTuple, Optional, Union
 
 from ..pbio import COMPACT_REVISION, Format, FormatRegistry
@@ -68,6 +69,26 @@ __all__ = ["QualityCache", "canonical_digest", "estimated_weight"]
 _ARRAY_FAST_PATH_LEN = 64
 
 _F64 = struct.Struct("<d")
+
+#: ``A<dtype>`` of the array NumPy builds from a list of Python ints that
+#: fit its default int (``np.asarray`` infers that dtype for them), when
+#: that int is 8 bytes; such lists are packed by ``struct`` instead.
+_INT_LIST_TAG = (b"A" + _np.dtype(int).str.encode("ascii")
+                 if _np is not None and _np.dtype(int).itemsize == 8
+                 else None)
+
+
+def _int_list_bytes(value: Any) -> Optional[bytes]:
+    """``np.asarray(value).tobytes()`` for a sequence of exact ``int``s
+    that fit 64 bits — the same bytes for about half the time — else
+    ``None``.  Bools, NumPy scalars and int subclasses are left to NumPy,
+    whose inferred dtype depends on them."""
+    if countOf(map(type, value), int) != len(value):
+        return None
+    try:
+        return struct.pack("=%dq" % len(value), *value)
+    except struct.error:
+        return None
 
 
 def _update_digest(h, value: Any) -> None:
@@ -92,6 +113,11 @@ def _update_digest(h, value: Any) -> None:
             return
     if isinstance(value, (list, tuple)):
         if _np is not None and len(value) >= _ARRAY_FAST_PATH_LEN:
+            packed = _int_list_bytes(value) if _INT_LIST_TAG else None
+            if packed is not None:
+                h.update(b"%s(%d,);" % (_INT_LIST_TAG, len(value)))
+                h.update(packed)
+                return
             try:
                 arr = _np.asarray(value)
             except Exception:  # noqa: BLE001 - ragged input: walk instead

@@ -459,6 +459,15 @@ def _group_shifts(width: int) -> Any:
     return shifts
 
 
+@lru_cache(maxsize=MAX_PACKED_WIDTH)
+def _group_weights(width: int) -> Any:
+    """``2**(k·width)`` for ``k`` in ``0..7``: the weight of value ``k`` of
+    a group of 8 in its packed ``uint64``."""
+    weights = _np.left_shift(_np.uint64(1), _group_shifts(width)[:8])
+    weights.flags.writeable = False
+    return weights
+
+
 def _pack_packed_block(block: Any, least: int, width: int) -> bytes:
     """Bit-pack ``block - least`` (each below ``2**width``): a group of 8
     values becomes one ``uint64``, the sum of value ``k`` times
@@ -469,8 +478,7 @@ def _pack_packed_block(block: Any, least: int, width: int) -> bytes:
     values = _np.zeros((groups, 8), dtype=_np.uint8)
     _np.subtract(block, block.dtype.type(least),
                  out=values.reshape(-1)[:count], casting="unsafe")
-    weights = _np.left_shift(_np.uint64(1), _group_shifts(width)[:8])
-    packed = _np.einsum("ij,j->i", values, weights)
+    packed = _np.einsum("ij,j->i", values, _group_weights(width))
     wire = packed.astype("<u8", copy=False).view(_np.uint8)
     return wire.reshape(groups, 8)[:, :width].tobytes()[
         :(count * width + 7) // 8]

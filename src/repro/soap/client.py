@@ -8,13 +8,11 @@ from ..channel import Channel
 from ..compress import get_codec
 from ..pbio import Format, FormatRegistry
 from ..xmlcore import Element, tostring
-from ..xmlcore.errors import XmlParseError
 from .encoding import decode_fields
 from .envelope import (envelope_bytes_from_xml, parse_envelope,
-                       split_fast_envelope)
+                       read_fast_envelope)
 from .errors import SoapDecodingError
 from .service import XML_CONTENT_TYPE
-from .xlate import _SIMPLE_TAG_RX
 
 
 class SoapClient:
@@ -90,28 +88,16 @@ class SoapClient:
                              output_format: Format) -> Optional[Dict[str, Any]]:
         """Decode via the compiled XML plan, or ``None`` for the tree path.
 
-        Only a headerless envelope in this stack's exact framing whose body
-        opens with the expected ``<{operation}Response>`` element qualifies;
-        Faults (local name ``Fault``), name mismatches and malformed or
-        mistyped fragments all return ``None`` so the tree path raises its
-        exact faults/errors.
+        Only an envelope in this stack's exact framing whose body is one
+        ``<{operation}Response>`` element qualifies; Faults (local name
+        ``Fault``), name mismatches and malformed or mistyped fragments
+        all return ``None`` so the tree path raises its exact
+        faults/errors.
         """
-        try:
-            text = body.decode("utf-8")
-        except UnicodeDecodeError:
+        env = read_fast_envelope(body)
+        if env is None or env.body_name != f"{operation}Response":
             return None
-        fragment = split_fast_envelope(text)
-        if fragment is None:
-            return None
-        match = _SIMPLE_TAG_RX.match(fragment)
-        if match is None:
-            return None
-        if match.group(1).rsplit(":", 1)[-1] != f"{operation}Response":
-            return None
-        try:
-            return self.registry.xlate.parser(output_format)(fragment)
-        except (XmlParseError, SoapDecodingError):
-            return None
+        return self.registry.xlate.body_parser(output_format)(env.body_xml)
 
 
 def _reply_compressed(headers: Dict[str, str]) -> bool:

@@ -8,10 +8,13 @@ Fault encoding — and nothing about parameter marshalling (that lives in
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..xmlcore import Element, SOAP_ENV_NS, parse, tostring
+from ..xmlcore import Element, SOAP_ENV_NS, XmlPullParser, parse, tostring
+from ..xmlcore.errors import XmlParseError
+from ..xmlcore.tokenizer import START
 from .errors import SoapDecodingError, SoapFault
+from .xlate import _SIMPLE_TAG_RX
 
 #: Prefix used for the SOAP envelope namespace in produced documents.
 ENV_PREFIX = "SOAP-ENV"
@@ -28,9 +31,15 @@ HEADER_CLOSE = f'</{ENV_PREFIX}:Header>'
 BODY_OPEN = f'<{ENV_PREFIX}:Body>'
 BODY_CLOSE = f'</{ENV_PREFIX}:Body>'
 
-#: Exact head/tail of a headerless fast-path envelope document.
-FAST_PREFIX = XML_DECL + ENVELOPE_OPEN + BODY_OPEN
+#: Exact head/tail of a fast-path envelope document; a Header block, if
+#: any, sits between ``ENVELOPE_PREFIX`` and ``BODY_OPEN``.
+ENVELOPE_PREFIX = XML_DECL + ENVELOPE_OPEN
+FAST_PREFIX = ENVELOPE_PREFIX + BODY_OPEN
 FAST_SUFFIX = BODY_CLOSE + ENVELOPE_CLOSE
+
+#: One Header entry as the quality layer reads it: its local name and its
+#: attributes.
+HeaderEntry = Tuple[str, Dict[str, str]]
 
 
 def envelope_bytes_from_xml(body_xml: str, header_xml: str = "") -> bytes:
@@ -50,17 +59,64 @@ def envelope_bytes_from_xml(body_xml: str, header_xml: str = "") -> bytes:
             ).encode("utf-8")
 
 
-def split_fast_envelope(text: str) -> Optional[str]:
-    """Return the Body's inner XML if ``text`` is a headerless envelope in
-    this stack's exact serialized framing, else ``None``.
+class FastEnvelope(NamedTuple):
+    """An envelope as :func:`read_fast_envelope` reads it."""
 
-    ``None`` means "use the tree path" — foreign prefixes, Header entries,
-    extra whitespace and anything else outside the fast grammar all land
-    there, so the fast deframe never changes observable behaviour.
+    #: ``(local name, attributes)`` of each Header entry
+    entries: List[HeaderEntry]
+    #: local name of the Body's first element
+    body_name: str
+    #: the Body's inner XML, for a compiled Body plan
+    body_xml: str
+
+
+def read_fast_envelope(payload: bytes) -> Optional[FastEnvelope]:
+    """Read an envelope in this stack's exact serialized framing without
+    building a tree, or return ``None`` for the tree path.
+
+    The Header, if any, runs from the exact prefix to the first
+    ``</SOAP-ENV:Header>``, and its entries are read with the pull parser.
+    The pull parser and the tree share one tokenizer, so a fragment it
+    reads holds the entries the tree finds; one it refuses (say, a
+    comment cut short at a ``</SOAP-ENV:Header>`` inside it) goes to the
+    tree path, as do foreign prefixes, extra whitespace and a Body that
+    does not open with a plain start tag.  Entry content is read past, as
+    the tree path ignores it too.  So the fast deframe never changes
+    observable behaviour; the Body itself is checked by the caller's
+    Body plan.
     """
-    if text.startswith(FAST_PREFIX) and text.endswith(FAST_SUFFIX):
-        return text[len(FAST_PREFIX):-len(FAST_SUFFIX)]
-    return None
+    try:
+        text = payload.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if not (text.startswith(ENVELOPE_PREFIX) and text.endswith(FAST_SUFFIX)):
+        return None
+    pos = len(ENVELOPE_PREFIX)
+    header_xml = ""
+    if text.startswith(HEADER_OPEN, pos):
+        start = pos + len(HEADER_OPEN)
+        pos = text.find(HEADER_CLOSE, start)
+        if pos < 0:
+            return None
+        header_xml = text[start:pos]
+        pos += len(HEADER_CLOSE)
+    if not text.startswith(BODY_OPEN, pos):
+        return None
+    body_xml = text[pos + len(BODY_OPEN):-len(FAST_SUFFIX)]
+    match = _SIMPLE_TAG_RX.match(body_xml)
+    if match is None:
+        return None
+    entries: List[HeaderEntry] = []
+    if header_xml:
+        try:
+            pp = XmlPullParser(header_xml)
+            while not pp.at_eof():
+                ev = pp.next()
+                if ev.kind == START and ev.depth == 1:
+                    entries.append((ev.name.rsplit(":", 1)[-1], ev.attrs))
+        except XmlParseError:
+            return None
+    return FastEnvelope(entries, match.group(1).rsplit(":", 1)[-1], body_xml)
 
 
 def build_envelope(body_children: List[Element],
@@ -106,6 +162,11 @@ class ParsedEnvelope:
         if self.header is None:
             return []
         return self.header.elements()
+
+    @property
+    def header_pairs(self) -> List[HeaderEntry]:
+        """The header entries in :attr:`FastEnvelope.entries`' form."""
+        return [(el.local_name, el.attrib) for el in self.header_entries]
 
     def first_body_element(self) -> Element:
         entries = self.body_entries

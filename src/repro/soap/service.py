@@ -14,17 +14,15 @@ Errors travel as SOAP 1.1 Faults with status 500.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..channel import ChannelReply
 from ..compress import CompressError, get_codec
 from ..pbio import Format, FormatRegistry
-from ..xmlcore.errors import XmlParseError
 from .encoding import decode_fields
-from .envelope import (envelope_bytes_from_xml, fault_envelope,
-                       parse_envelope, split_fast_envelope)
+from .envelope import (HeaderEntry, envelope_bytes_from_xml, fault_envelope,
+                       parse_envelope, read_fast_envelope)
 from .errors import SoapDecodingError, SoapEncodingError, SoapFault
-from .xlate import _SIMPLE_TAG_RX
 
 XML_CONTENT_TYPE = "text/xml; charset=utf-8"
 
@@ -123,50 +121,52 @@ class SoapService:
         Split out from :meth:`endpoint` so the SOAP-bin service can reuse it
         for interoperability-mode requests.
         """
-        fast = self._decode_request_fast(payload)
-        if fast is not None:
-            params, op = fast
-        else:
-            params, op, _ = self.decode_request(payload)
+        params, op, _ = self.read_request(payload)
         result = self.invoke(op, params, headers or {})
         return self.encode_response(op, result)
+
+    def read_request(self, payload: bytes
+                     ) -> Tuple[Dict[str, Any], Operation, List[HeaderEntry]]:
+        """Decode a request: ``(params, operation, header entries)``.
+
+        The compiled XML plans decode it when :meth:`_decode_request_fast`
+        can, and the tree path (:meth:`decode_request`) otherwise; the
+        header entries are ``(local name, attributes)`` pairs either way.
+        """
+        fast = self._decode_request_fast(payload)
+        if fast is not None:
+            return fast
+        params, op, envelope = self.decode_request(payload)
+        return params, op, envelope.header_pairs
 
     def _decode_request_fast(self, payload: bytes):
         """Decode via the compiled XML plans, or ``None`` for the tree path.
 
-        Applies only to headerless envelopes in this stack's exact
-        serialized framing with a known operation element.  *Every* error
+        Applies only to envelopes in this stack's exact serialized framing
+        whose Header entries (if any) the pull parser reads and whose Body
+        is one element naming a known operation.  *Every* error
         condition — malformed fragment, unknown operation, field type
         mismatch — returns ``None`` so the tree path re-raises with its
         exact message and document positions; the fast path never produces
         an error the tree path wouldn't.
         """
-        try:
-            text = payload.decode("utf-8")
-        except UnicodeDecodeError:
+        env = read_fast_envelope(payload)
+        if env is None:
             return None
-        fragment = split_fast_envelope(text)
-        if fragment is None:
-            return None
-        match = _SIMPLE_TAG_RX.match(fragment)
-        if match is None:
-            return None
-        op = self.operations.get(match.group(1).rsplit(":", 1)[-1])
+        op = self.operations.get(env.body_name)
         if op is None:
             return None
-        try:
-            params = self.registry.xlate.parser(op.input_format)(fragment)
-        except (XmlParseError, SoapDecodingError):
+        params = self.registry.xlate.body_parser(op.input_format)(
+            env.body_xml)
+        if params is None:
             return None
-        return params, op
+        return params, op, env.entries
 
     def decode_request(self, payload: bytes):
         """Parse + decode a request; returns (params, operation, envelope).
 
-        The tree-building general path: used for envelopes with Header
-        entries (the quality layer consumes the returned envelope's
-        headers) and as the error-reporting oracle for
-        :meth:`_decode_request_fast`.
+        The tree-building general path, and the error-reporting oracle
+        for :meth:`_decode_request_fast`.
         """
         envelope = parse_envelope(payload)
         request_el = envelope.first_body_element()

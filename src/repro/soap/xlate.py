@@ -7,15 +7,19 @@ values and SOAP-encoded XML text with **no intermediate Element tree and no
 per-item objects**:
 
 * the **emitter** renders a native value straight into one output string.
-  Primitive arrays become a single ``str.join`` over a C-level ``map`` of
-  preformatted item runs (``<item>1</item><item>2</item>...``), strings are
-  escaped with one :meth:`str.translate` call, and tag strings are
-  precomputed once per plan;
+  An integer array is formatted by cached ``%d`` templates over chunks of
+  16 items (``<item>1</item><item>2</item>...``), a float array by one
+  ``str.join`` over two C-level maps, strings are escaped with one
+  :meth:`str.translate` call, and tag strings are precomputed once per
+  plan;
 * the **parser** scans the document text directly with ``str.find`` /
   ``str.split`` — a homogeneous primitive array is recognized as one run
-  and bulk-converted with ``map(int, ...)`` / ``map(float, ...)`` — and
-  builds native dicts/lists without constructing a single
-  :class:`~repro.xmlcore.tree.Element` or pull event.
+  and bulk-converted with ``map(int, ...)`` / ``map(float, ...)``, its
+  grammar checks run only when that conversion fails — and builds native
+  dicts/lists without constructing a single
+  :class:`~repro.xmlcore.tree.Element` or pull event.  A SOAP Body plan
+  (:func:`compile_body_parser`) runs the same parsers over an envelope's
+  Body and leaves anything else to the tree path.
 
 The fast parser accepts exactly the grammar the emitter produces (plus
 entity references and surrounding whitespace).  Anything else — prefixed
@@ -39,6 +43,8 @@ shared planner (:func:`repro.pbio.registry.install_xlate_planner`); the
 from __future__ import annotations
 
 import re
+from functools import lru_cache
+from itertools import islice
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 try:
@@ -56,7 +62,8 @@ from .encoding import (ITEM_TAG, _parse_primitive, _primitive_text,
                        decode_fields_pull)
 from .errors import SoapDecodingError, SoapEncodingError
 
-__all__ = ["XlatePlanner", "compile_emitter", "compile_parser"]
+__all__ = ["XlatePlanner", "compile_body_parser", "compile_emitter",
+           "compile_parser"]
 
 _WS = " \t\r\n"
 
@@ -66,6 +73,7 @@ _SIMPLE_TAG_RX = re.compile(
 
 EmitFn = Callable[..., str]
 ParseFn = Callable[[str], Dict[str, Any]]
+BodyFn = Callable[[str], Optional[Dict[str, Any]]]
 
 
 class _Fallback(Exception):
@@ -130,6 +138,46 @@ def _type_emitter(tag: str, ftype: FieldType,
     raise SoapEncodingError(f"cannot encode type {ftype!r}")
 
 
+#: Items per ``%d`` template of an integer run.  A chunk's argument tuple
+#: and its text (an int32 item is at most 24 characters with its tags)
+#: stay within CPython's 512-byte small-object allocator.  Larger chunks
+#: are a little faster, but their temporaries go to the C allocator,
+#: whose per-thread arenas kept ~0.7 MB more peak RSS in a reactor server
+#: at 256 items; one template per run cached a string per distinct length.
+_RUN_CHUNK = 16
+
+_ITEM_SEP = f"</{ITEM_TAG}><{ITEM_TAG}>"
+
+
+@lru_cache(maxsize=_RUN_CHUNK)
+def _int_template(count: int) -> str:
+    """``%d</item><item>%d...`` with ``count`` conversions."""
+    return _ITEM_SEP.join(["%d"] * count)
+
+
+def _int_run(v: Any, n: int) -> str:
+    """The ``n`` items of integer run ``v`` joined by ``</item><item>``.
+
+    ``%d`` formats what ``str(int(x))`` does for ints, bools, floats and
+    anything with ``__int__``/``__index__``, in one C-level pass per chunk
+    (``zip`` cuts the chunks).  It refuses strings and bytes that
+    ``int()`` accepts, and a run it refuses is rendered by the per-item
+    path, so the text and the errors stay those of the tree path.
+    """
+    try:
+        if n <= _RUN_CHUNK:
+            return _int_template(n) % tuple(v)
+        items = iter(v)
+        stop = n - n % _RUN_CHUNK
+        chunks = list(map(_int_template(_RUN_CHUNK).__mod__,
+                          zip(*[islice(items, stop)] * _RUN_CHUNK)))
+        if stop < n:
+            chunks.append(_int_template(n - stop) % tuple(items))
+        return _ITEM_SEP.join(chunks)
+    except (TypeError, ValueError, OverflowError):
+        return _ITEM_SEP.join(map(str, map(int, v)))
+
+
 def _array_emitter(tag: str, ftype: Array, planner: "XlatePlanner",
                    open_: str, close: str,
                    empty: str) -> Callable[[List[str], Any], None]:
@@ -146,26 +194,28 @@ def _array_emitter(tag: str, ftype: Array, planner: "XlatePlanner",
         return n
 
     if isinstance(el, Primitive) and el.kind not in ("string", "char"):
-        # Numeric run: one tolist + two C-level maps + one join.  The text
+        # Numeric run: one tolist + one C-level pass + one join.  The text
         # of every item matches the tree path exactly (str(int(v)) for
         # integer kinds, repr(float(v)) for float kinds).
         if el.kind.startswith("float"):
-            def run(v: Any) -> str:
+            def run(v: Any, n: int) -> str:
                 return sep.join(map(repr, map(float, v)))
         else:
-            def run(v: Any) -> str:
-                return sep.join(map(str, map(int, v)))
+            run = _int_run
 
         def emit(parts: List[str], v: Any) -> None:
-            if check(v) == 0:
+            n = check(v)
+            if n == 0:
                 parts.append(empty)
                 return
-            if _np is not None and isinstance(v, _np.ndarray):
-                v = v.tolist()
+            items = v.tolist() if _np is not None and isinstance(
+                v, _np.ndarray) else v
             try:
-                body = run(v)
+                body = run(items, n)
             except (TypeError, ValueError):
-                # Re-derive the exact per-item tree-path error message.
+                # Re-derive the exact per-item tree-path error message
+                # (from the caller's items: a NumPy scalar's repr differs
+                # from its tolist() value's).
                 for item in v:
                     _primitive_text(item, el)
                 raise  # pragma: no cover - retry cannot succeed
@@ -320,6 +370,32 @@ def _prim_parser(tag: str, ftype: Primitive
     return parse
 
 
+#: Characters a numeric run is made of: its item tags, digits, signs,
+#: exponents, ``nan``/``inf``/``infinity`` and whitespace.
+_RUN_CHARS = frozenset("</item>0123456789+-._eEnaftyNAFTY \t\r\n")
+
+
+def _tag_finder(tag: str) -> Callable[[str, int], int]:
+    """``find(text, start)``: ``text.find(tag, start)``, faster past a run.
+
+    ``str.find`` of a whole end tag crawls through a run's many ``<`` and
+    ``>``; one character is one ``memchr``.  So the finder first looks for
+    the first character of ``tag`` that runs are not made of, and takes
+    that hit if the whole tag is there; otherwise (or for a tag made only
+    of run characters) it searches for the whole tag.
+    """
+    back = next((i for i, ch in enumerate(tag) if ch not in _RUN_CHARS), -1)
+    probe = tag[back]
+
+    def find(text: str, start: int) -> int:
+        if back >= 0:
+            hit = text.find(probe, start + back)
+            if hit >= 0 and text.startswith(tag, hit - back):
+                return hit - back
+        return text.find(tag, start)
+    return find
+
+
 def _array_parser(tag: str, ftype: Array, planner: "XlatePlanner"
                   ) -> Callable[[str, int], Tuple[Any, int]]:
     el = ftype.element
@@ -344,6 +420,8 @@ def _array_parser(tag: str, ftype: Array, planner: "XlatePlanner"
             bulk_conv = int
 
     if bulk_conv is not None:
+        find_close = _tag_finder(close)
+
         def parse(text: str, pos: int) -> Tuple[Any, int]:
             pos = _skip_ws(text, pos)
             if text.startswith(empty, pos):
@@ -351,33 +429,42 @@ def _array_parser(tag: str, ftype: Array, planner: "XlatePlanner"
             if not text.startswith(open_, pos):
                 raise _Fallback
             body_start = pos + len(open_)
-            endpos = text.find(close, body_start)
+            endpos = find_close(text, body_start)
             if endpos < 0:
                 raise _Fallback
-            region = text[body_start:endpos]
-            if not region:
+            if endpos == body_start:
                 return check([]), endpos + len(close)
-            if not (region.startswith(item_open)
-                    and region.endswith(item_close)):
+            if not (text.startswith(item_open, body_start)
+                    and text.endswith(item_close, body_start, endpos)):
                 raise _Fallback
-            pieces = region[len(item_open):-len(item_close)].split(sep)
-            # Exactly one '<' per item tag: anything extra (CDATA, nested
-            # markup, comments, stray text with tags) leaves the grammar.
-            if region.count("<") != 2 * len(pieces):
-                raise _Fallback
-            if "&" in region:
-                pieces = [_resolve_entities(p) if "&" in p else p
-                          for p in pieces]
+            pieces = text[body_start + len(item_open):
+                          endpos - len(item_close)].split(sep)
             if bulk_conv is str:
-                return check(pieces), endpos + len(close)
-            try:
-                items = list(map(bulk_conv, pieces))
-            except (ValueError, OverflowError):
-                # Re-derive the exact tree-path error for the bad item.
+                items = checked_pieces(pieces)
+            else:
+                try:
+                    items = list(map(bulk_conv, pieces))
+                except ValueError:
+                    # No number holds '<' or '&', so a run that converts
+                    # is on the grammar; only a failed one is scanned.
+                    items = list(map(bulk_conv, checked_pieces(pieces)))
+            return check(items), endpos + len(close)
+
+        def checked_pieces(pieces: List[str]) -> List[str]:
+            """The item texts of a run on the grammar, entities resolved.
+
+            A piece holding a '<' (CDATA, nested markup, comments, stray
+            tags) leaves the grammar.  A conversion that still fails
+            re-derives the exact tree-path error for the bad item.
+            """
+            if any("<" in p for p in pieces):
+                raise _Fallback
+            pieces = [_resolve_entities(p) if "&" in p else p
+                      for p in pieces]
+            if bulk_conv is not str:
                 for p in pieces:
                     _parse_primitive(p, el, ITEM_TAG)
-                raise  # pragma: no cover - retry cannot succeed
-            return check(items), endpos + len(close)
+            return pieces
         return parse
 
     item_parse = _type_parser(ITEM_TAG, el, planner)
@@ -434,6 +521,28 @@ def _field_parsers(fmt: Format, planner: "XlatePlanner"
             for field in fmt.fields]
 
 
+def _element_parser(fmt: Format, planner: "XlatePlanner"
+                    ) -> Callable[[str, int], Tuple[Dict[str, Any], int]]:
+    """Compile ``element(text, pos) -> (value, pos)`` for one element
+    carrying ``fmt``'s fields; its own name is not checked."""
+    fps = _field_parsers(fmt, planner)
+
+    def element(text: str, pos: int) -> Tuple[Dict[str, Any], int]:
+        m = _SIMPLE_TAG_RX.match(text, pos)
+        if m is None:
+            raise _Fallback
+        pos = m.end()
+        value: Dict[str, Any] = {}
+        for fname, fp in fps:
+            value[fname], pos = fp(text, pos)
+        pos = _skip_ws(text, pos)
+        close = f"</{m.group(1)}>"
+        if not text.startswith(close, pos):
+            raise _Fallback
+        return value, pos + len(close)
+    return element
+
+
 def compile_parser(fmt: Format, planner: "XlatePlanner") -> ParseFn:
     """Compile the from-XML plan for ``fmt``.
 
@@ -444,11 +553,11 @@ def compile_parser(fmt: Format, planner: "XlatePlanner") -> ParseFn:
     re-parsed on the pull path, so values and errors are identical to the
     pre-plan streaming behaviour.
     """
-    fps = _field_parsers(fmt, planner)
+    element = _element_parser(fmt, planner)
     registry = planner.registry
 
     def fast(text: str) -> Dict[str, Any]:
-        pos = 1 if text.startswith("﻿") else 0
+        pos = 1 if text.startswith("\ufeff") else 0
         pos = _skip_ws(text, pos)
         # The XML declaration and PIs are invisible to the pull path.
         while text.startswith("<?", pos):
@@ -456,17 +565,7 @@ def compile_parser(fmt: Format, planner: "XlatePlanner") -> ParseFn:
             if end < 0:
                 raise _Fallback
             pos = _skip_ws(text, end + 2)
-        m = _SIMPLE_TAG_RX.match(text, pos)
-        if m is None:
-            raise _Fallback
-        pos = m.end()
-        value: Dict[str, Any] = {}
-        for fname, fp in fps:
-            value[fname], pos = fp(text, pos)
-        pos = _skip_ws(text, pos)
-        if not text.startswith(f"</{m.group(1)}>", pos):
-            raise _Fallback
-        return value
+        return element(text, pos)[0]
 
     def from_xml(text: str) -> Dict[str, Any]:
         try:
@@ -479,6 +578,28 @@ def compile_parser(fmt: Format, planner: "XlatePlanner") -> ParseFn:
             return value
 
     return from_xml
+
+
+def compile_body_parser(fmt: Format, planner: "XlatePlanner") -> BodyFn:
+    """Compile the SOAP Body plan for ``fmt``.
+
+    ``parse_body(fragment)`` decodes the inner XML of a Body whose only
+    entry is one element carrying ``fmt``'s fields (its name is not
+    checked) with nothing after it.  It returns ``None`` for a fragment
+    off the fast grammar or one that does not decode: the caller's tree
+    path then produces the value or the exact error, so there is no pull
+    re-parse in between.
+    """
+    element = _element_parser(fmt, planner)
+
+    def parse_body(fragment: str) -> Optional[Dict[str, Any]]:
+        try:
+            value, end = element(fragment, 0)
+        except (_Fallback, SoapDecodingError):
+            return None
+        return value if end == len(fragment) else None
+
+    return parse_body
 
 
 # ----------------------------------------------------------------------
@@ -499,6 +620,7 @@ class XlatePlanner:
         self.registry = registry
         self._emitters: Dict[str, EmitFn] = {}
         self._parsers: Dict[str, ParseFn] = {}
+        self._bodies: Dict[str, BodyFn] = {}
         attach = getattr(registry, "_attach_compiler", None)
         if attach is not None:
             attach(self)
@@ -519,10 +641,19 @@ class XlatePlanner:
             self._parsers[fmt.fingerprint] = fn
         return fn
 
+    def body_parser(self, fmt: Format) -> BodyFn:
+        """The compiled SOAP Body plan for ``fmt`` (compiling if needed)."""
+        fn = self._bodies.get(fmt.fingerprint)
+        if fn is None:
+            fn = compile_body_parser(fmt, self)
+            self._bodies[fmt.fingerprint] = fn
+        return fn
+
     def invalidate(self) -> None:
         """Drop every cached plan (a registry format was redefined)."""
         self._emitters.clear()
         self._parsers.clear()
+        self._bodies.clear()
 
 
 install_xlate_planner(XlatePlanner)

@@ -87,6 +87,31 @@ class TestCanonicalDigest:
         arr = np.asarray(values)
         assert canonical_digest(values) == canonical_digest(arr)
 
+    @pytest.mark.parametrize("values", [
+        list(range(-50, 50)),
+        [2**63 - 1, -2**63] * 40,
+        tuple(range(80)),
+        [2**63] * 70,                    # past int64: NumPy decides
+        [True] * 70,                     # all bools: a bool array
+        [True] + [5] * 70,
+        [np.int32(1)] + [5] * 70,
+        [np.uint64(1)] + [-5] * 70,
+        [1.5] + [5] * 70,
+        ["a"] * 70,
+    ], ids=lambda v: f"{type(v[0]).__name__}x{len(v)}")
+    def test_int_list_packing_matches_numpy(self, values, monkeypatch):
+        # exact-int lists are packed by struct, not np.asarray; every
+        # list must digest as the NumPy path digests it
+        from repro.core import qcache
+        packed = canonical_digest(values)
+        monkeypatch.setattr(qcache, "_int_list_bytes", lambda value: None)
+        assert packed == canonical_digest(values)
+
+    def test_int_list_equals_int_ndarray(self):
+        values = [(-1) ** i * i * 7919 for i in range(100)]
+        assert canonical_digest(values) == \
+            canonical_digest(np.asarray(values, dtype=int))
+
     def test_numpy_dtype_is_significant(self):
         a32 = np.arange(100, dtype=np.float32)
         a64 = np.arange(100, dtype=np.float64)

@@ -5,11 +5,19 @@ identical to the paths it replaced: byte-identical XML out (vs the tree
 writer), equal native values in (vs the pull decoder), and the *same*
 exception classes with comparable messages on bad input — never a silent
 fallthrough.  Every application format in :mod:`repro.apps` is exercised.
+
+The numeric-run and header-envelope differentials are Hypothesis tests;
+``REPRO_SOAK=1`` (the CI ``wire-soak`` job) runs ten times their examples.
 """
 
+import enum
+import os
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import apps
 from repro.pbio import Array, Format, FormatRegistry, Primitive, StructRef
@@ -412,7 +420,8 @@ class TestRpcFramingParity:
         payload = client.build_request("Add", {"a": -3, "b": 7}, fmt_in)
         fast = svc._decode_request_fast(payload)
         assert fast is not None
-        params, op = fast
+        params, op, entries = fast
+        assert entries == []
         env = parse_envelope(payload)
         assert params == tree_decode(env.first_body_element(), fmt_in,
                                      app_registry)
@@ -436,3 +445,392 @@ class TestNumpyArrays:
         fast = app_registry.xlate.emitter(fmt)(value)
         assert fast == tree_to_xml(value, fmt, app_registry)
         assert app_registry.xlate.parser(fmt)(fast) == {"v": [0.5, -1.25]}
+
+
+SOAK = 10 if os.environ.get("REPRO_SOAK") == "1" else 1
+
+
+def outcome(fn):
+    """``("ok", repr(result))`` or ``(exception class, message)``; repr
+    makes NaN results compare equal."""
+    try:
+        return "ok", repr(fn())
+    except Exception as exc:  # noqa: BLE001 - the outcome is the subject
+        return type(exc), str(exc)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = -7
+
+
+#: Run lengths on and around chunk boundaries (of 16 items, and of 256).
+RUN_LENGTHS = [0, 1, 15, 16, 17, 31, 33, 255, 256, 257, 1000]
+
+#: Items an integer run may carry: what the tree path renders, and what
+#: it refuses.
+RUN_ITEMS = st.one_of(
+    st.integers(-2**31, 2**31 - 1),
+    st.integers(-2**80, 2**80),                      # past 2**64
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),  # truncation, NaN, inf
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.floats(-1e9, 1e9, width=32).map(np.float32),
+    st.sampled_from([np.float64("nan"), np.float64("inf")]),
+    st.integers(-99999, 99999).map(str),             # digit strings
+    st.sampled_from([" 12 ", "+5", "007", "1_0", b"7", "1.5", "x", None,
+                     1.5j, [1]]),
+    st.sampled_from(list(_Level)),
+)
+
+
+@st.composite
+def numeric_runs(draw):
+    """A run of a drawn length: seeded int32 values with a few drawn items
+    spliced in, as a list, a tuple or a NumPy array."""
+    length = draw(st.sampled_from(RUN_LENGTHS))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    items = [rng.randrange(-2**31, 2**31) for _ in range(length)]
+    if length:
+        for pos, item in draw(st.lists(
+                st.tuples(st.integers(0, length - 1), RUN_ITEMS),
+                max_size=4)):
+            items[pos] = item
+    shape = draw(st.sampled_from(["list", "tuple", "int64", "float64",
+                                  "object"]))
+    if shape == "list":
+        return items
+    if shape == "tuple":
+        return tuple(items)
+    try:
+        return np.array(items, dtype=shape)
+    except (TypeError, ValueError, OverflowError):
+        return items
+
+
+NUMERIC_KINDS = ["int32", "int64", "uint8", "float64"]
+
+
+@pytest.fixture(scope="module")
+def run_registry():
+    reg = FormatRegistry()
+    for kind in NUMERIC_KINDS:
+        reg.register(Format.from_dict(f"run_{kind}", {"v": f"{kind}[]"}))
+    return reg
+
+
+class TestNumericRunDifferential:
+    """The numeric-run emitter and parser against the tree/pull oracles."""
+
+    @settings(max_examples=150 * SOAK, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(NUMERIC_KINDS), run=numeric_runs())
+    def test_emitter_matches_tree(self, run_registry, kind, run):
+        fmt = run_registry.by_name(f"run_{kind}")
+        value = {"v": run}
+        assert outcome(lambda: run_registry.xlate.emitter(fmt)(value)) == \
+            outcome(lambda: tree_to_xml(value, fmt, run_registry))
+
+    @pytest.mark.parametrize("length", RUN_LENGTHS)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "x", None])
+    def test_bad_item_at_every_chunk_position(self, run_registry, length,
+                                              bad):
+        fmt = run_registry.by_name("run_int32")
+        for pos in {0, length // 2, length - 1} if length else ():
+            run = list(range(length))
+            run[pos] = bad
+            assert outcome(lambda: run_registry.xlate.emitter(fmt)(
+                {"v": run})) == outcome(lambda: tree_to_xml(
+                    {"v": run}, fmt, run_registry))
+
+    ITEM_TEXTS = ["0", "-7", "+5", "007", "1_0", "\u0663", "\u0967\u0968",
+                  " 42 ", "\n9\t", "", "1.5", "nan", "-inf", "1e3",
+                  "99999999999999999999999", "abc", "&#52;2", "&amp;",
+                  "&lt;", "&bogus;", "<![CDATA[7]]>", "<![CDATA[ 8 ]]>",
+                  "1<!-- c -->2", "<!-- c -->3", "<", "1<2", "<b>5</b>",
+                  "<item>", "1 2"]
+
+    @settings(max_examples=150 * SOAK, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(NUMERIC_KINDS),
+           texts=st.lists(st.one_of(st.sampled_from(ITEM_TEXTS),
+                                    st.integers().map(str)), max_size=24),
+           gaps=st.lists(st.sampled_from(["", "", "", " ", "\n  ",
+                                          "<!-- g -->", "x"]),
+                         min_size=25, max_size=25))
+    def test_parser_matches_pull(self, run_registry, kind, texts, gaps):
+        fmt = run_registry.by_name(f"run_{kind}")
+        body = "".join(f"{gap}<item>{text}</item>"
+                       for gap, text in zip(gaps, texts))
+        xml = f"<run><v>{body}{gaps[-1]}</v></run>"
+        assert outcome(lambda: run_registry.xlate.parser(fmt)(xml)) == \
+            outcome(lambda: pull_from_xml(xml, fmt, run_registry))
+
+    @settings(max_examples=300 * SOAK, deadline=None)
+    @given(tag=st.sampled_from(["</values>", "</v>", "</item>", "</time>",
+                                "</vav>"]),
+           parts=st.lists(st.sampled_from(
+               ["<", "/", ">", "v", "a", "item", "7", "</values>", "</v",
+                "v>", "</item>", "</time>", "</vav>", "</va"]), max_size=30),
+           start=st.integers(0, 40))
+    def test_end_tag_finder_is_str_find(self, tag, parts, start):
+        from repro.soap.xlate import _tag_finder
+        text = "".join(parts)
+        assert _tag_finder(tag)(text, start) == text.find(tag, start)
+
+    @pytest.mark.parametrize("length", RUN_LENGTHS)
+    def test_roundtrip_lengths(self, run_registry, length):
+        fmt = run_registry.by_name("run_int64")
+        rng = random.Random(length)
+        value = {"v": [rng.randrange(-2**63, 2**63) for _ in range(length)]}
+        xml = run_registry.xlate.emitter(fmt)(value)
+        assert xml == tree_to_xml(value, fmt, run_registry)
+        assert run_registry.xlate.parser(fmt)(xml) == value
+
+
+class TestEmitMemory:
+    def test_int_run_peak_is_about_twice_the_output(self, run_registry):
+        """Emitting a long int run allocates about the output twice (the
+        chunks, then the joined text) and keeps nothing: a template as
+        long as the run, cached per length, would show as retained
+        memory, and per-item strings as a higher peak."""
+        fmt = run_registry.by_name("run_int32")
+        emit = run_registry.xlate.emitter(fmt)
+        rng = random.Random(7)
+        value = {"v": [rng.randrange(-2**31, 2**31) for _ in range(100_000)]}
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            size = len(emit(value))
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 2.25 * size
+        assert current - before <= 0.01 * size
+
+
+# ----------------------------------------------------------------------
+# header-bearing quality envelopes: pull-read Header, planned Body
+# ----------------------------------------------------------------------
+
+QUALITY_TEXT = """
+    attribute rtt
+    history 1
+    0.0 0.5 - QRes
+    0.5 inf - QSmall
+"""
+
+
+def quality_service():
+    from repro.core import SoapBinService
+    registry = FormatRegistry()
+    req = Format.from_dict("QReq", {"n": "int32", "ids": "int32[]"})
+    full = Format.from_dict("QRes", {"data": "float64[]", "tag": "string"})
+    small = Format.from_dict("QSmall", {"tag": "string"})
+    for fmt in (req, full, small):
+        registry.register(fmt)
+    service = SoapBinService(registry, quality_text=QUALITY_TEXT)
+    service.add_operation(
+        "Q", req, full,
+        lambda p: {"data": [0.5] * p["n"], "tag": f"t{sum(p['ids'])}"})
+    return service, registry, req, full, small
+
+
+def tree_only(service):
+    """``service`` with its XML fast path switched off: the oracle."""
+    service.xml_service._decode_request_fast = lambda payload: None
+    return service
+
+
+#: Text spliced in just before ``</SOAP-ENV:Header>``: what the fast
+#: Header reader must leave to the tree path, or read as the tree does.
+HEADER_SPLICES = ["", "", "", "<!-- c -->", "<![CDATA[x]]>", "<?pi x?>",
+                  "<a>", "</a>", "stray", "&amp;", "<b/>", "  \n",
+                  '<q:x xmlns:q="urn:q"><binq:attribute name="rtt" '
+                  'value="9"/></q:x>', "<binq:attribute name='rtt' "
+                  "value='0.9'/>"]
+
+ATTR_NAMES = st.sampled_from(["rtt", "cpu_load", "a&b", 'q"t', "<x>", ""])
+ATTR_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["NaN?", "0.5", "", " 2 ", "1e400", "0x1p-2", "nan"]))
+
+
+@st.composite
+def header_children(draw, message_types=False):
+    from repro.xmlcore import BINQ_NS
+    entries = []
+    for name, value in draw(st.lists(st.tuples(ATTR_NAMES, ATTR_VALUES),
+                                     max_size=4)):
+        prefix = draw(st.sampled_from(["binq:", "b:", ""]))
+        attrib = {"name": name, "value": value}
+        if prefix:
+            attrib[f"xmlns:{prefix[:-1]}"] = BINQ_NS
+        if draw(st.booleans()):
+            del attrib[draw(st.sampled_from(["name", "value"]))]
+        entries.append(Element(f"{prefix}attribute", attrib))
+    if message_types:
+        for name in draw(st.lists(st.sampled_from(
+                ["QRes", "QSmall", "Unknown", "", None]), max_size=2)):
+            attrib = {"xmlns:binq": BINQ_NS}
+            if name is not None:
+                attrib["name"] = name
+            entries.append(Element("binq:message-type", attrib))
+    if draw(st.booleans()):
+        hint = Element("q:hint", {"xmlns:q": "urn:q", "v": "1"})
+        hint.subelement("binq:attribute", {"name": "rtt", "value": "7"})
+        hint.children.append("text & more")
+        entries.insert(draw(st.integers(0, len(entries))), hint)
+    return entries
+
+
+def splice_header(payload, splice):
+    from repro.soap.envelope import HEADER_CLOSE
+    if not splice:
+        return payload
+    text = payload.decode("utf-8")
+    at = text.find(HEADER_CLOSE)
+    if at < 0:
+        return payload
+    return (text[:at] + splice + text[at:]).encode("utf-8")
+
+
+class TestHeaderEnvelopeParity:
+    """Quality requests and replies with Header entries: the fast path
+    (pull-read Header, planned Body) against the tree path."""
+
+    @settings(max_examples=100 * SOAK, deadline=None)
+    @given(entries=header_children(message_types=True),
+           ids=st.lists(st.integers(-2**31, 2**31 - 1), max_size=40),
+           n=st.integers(0, 5),
+           body=st.sampled_from(["ok", "ok", "unknown-op", "bad-int",
+                                 "two-entries"]),
+           splice=st.sampled_from(HEADER_SPLICES))
+    def test_request_matches_tree(self, entries, ids, n, body, splice):
+        from repro.core.xmlq import (attributes_from_entries,
+                                     message_type_from_entries,
+                                     parse_attribute_headers,
+                                     parse_message_type_header)
+        from repro.soap.envelope import build_envelope, envelope_to_bytes
+        fast_svc, registry, req, _, _ = quality_service()
+        tree_svc = tree_only(quality_service()[0])
+        wrapper = Element("Nope" if body == "unknown-op" else "Q")
+        encode_fields(wrapper, {"n": n, "ids": ids}, req, registry)
+        if body == "bad-int":
+            wrapper.find("n").children[:] = ["12a"]
+        children = [wrapper]
+        if body == "two-entries":
+            children.append(Element("Extra"))
+        payload = splice_header(
+            envelope_to_bytes(build_envelope(children, entries)), splice)
+
+        def fast():
+            params, op, found = fast_svc.xml_service.read_request(payload)
+            return (params, op.name, attributes_from_entries(found),
+                    message_type_from_entries(found))
+
+        def tree():
+            params, op, env = fast_svc.xml_service.decode_request(payload)
+            return (params, op.name, parse_attribute_headers(env),
+                    parse_message_type_header(env))
+
+        assert outcome(fast) == outcome(tree)
+        if splice == "" and body == "ok":
+            assert fast_svc.xml_service._decode_request_fast(payload)
+        # The whole quality exchange, attributes applied: same reply.
+        a = fast_svc.endpoint(payload, "text/xml", {})
+        b = tree_svc.endpoint(payload, "text/xml", {})
+        assert (a.status, a.body, a.headers) == (b.status, b.body, b.headers)
+
+    @settings(max_examples=100 * SOAK, deadline=None)
+    @given(entries=header_children(message_types=True),
+           body=st.sampled_from(["full", "small", "fault", "full+fault",
+                                 "bad", "empty"]),
+           splice=st.sampled_from(HEADER_SPLICES))
+    def test_reply_matches_tree(self, entries, body, splice):
+        from repro.core import XmlQualityClient
+        from repro.soap.envelope import (build_envelope, build_fault,
+                                         envelope_to_bytes)
+        from repro.soap.errors import SoapFault
+        from repro.transport import DirectChannel
+        _, registry, _, full, small = quality_service()
+        client = XmlQualityClient(DirectChannel(None), registry)
+        oracle = XmlQualityClient(DirectChannel(None), registry)
+        oracle._read_reply_fast = lambda body, fmt: None
+        children = []
+        if body in ("full", "full+fault"):
+            wrapper = Element("QResponse")
+            encode_fields(wrapper, {"data": [1.5, -2.0], "tag": "t&t"}, full,
+                          registry)
+            children.append(wrapper)
+        elif body == "small":
+            wrapper = Element("QResponse")
+            encode_fields(wrapper, {"tag": "s"}, small, registry)
+            children.append(wrapper)
+        elif body == "bad":
+            wrapper = Element("QResponse")
+            wrapper.subelement("data").subelement("item", text="x")
+            wrapper.subelement("tag", text="t")
+            children.append(wrapper)
+        if body in ("fault", "full+fault"):
+            children.append(build_fault(SoapFault("Server", "boom")))
+        reply = splice_header(
+            envelope_to_bytes(build_envelope(children, entries)), splice)
+        assert outcome(lambda: client.read_reply(reply, full)) == \
+            outcome(lambda: oracle.read_reply(reply, full))
+        if splice == "" and body == "full" and not any(
+                e.get("name") == "QSmall" for e in entries
+                if e.local_name == "message-type"):
+            assert client._read_reply_fast(reply, full) is not None
+
+
+    def test_fault_shaped_like_the_reply_is_still_a_fault(self):
+        # a Fault whose children happen to match the reply format's
+        # fields must raise, not decode
+        from repro.core import XmlQualityClient
+        from repro.soap.envelope import fault_envelope
+        from repro.soap.errors import SoapFault
+        from repro.transport import DirectChannel
+        registry = FormatRegistry()
+        shaped = Format.from_dict("Shaped", {"faultcode": "string",
+                                             "faultstring": "string"})
+        registry.register(shaped)
+        client = XmlQualityClient(DirectChannel(None), registry)
+        with pytest.raises(SoapFault) as err:
+            client.read_reply(fault_envelope(SoapFault("Server", "boom")),
+                              shaped)
+        assert err.value.faultstring == "boom"
+
+
+class TestQualityXmlOffTheTree:
+    def test_header_bearing_exchange_never_builds_a_tree(self, monkeypatch):
+        """Well-formed quality requests and replies, full and degraded,
+        never reach ``parse_envelope`` or ``decode_fields``."""
+        import repro.core.xmlq as xmlq
+        import repro.soap.client as soap_client
+        import repro.soap.service as soap_service
+        from repro.core import XmlQualityClient
+        from repro.transport import DirectChannel
+
+        def spy(*args, **kwargs):
+            raise AssertionError("tree codec reached")
+
+        for module in (xmlq, soap_client, soap_service):
+            monkeypatch.setattr(module, "parse_envelope", spy)
+            monkeypatch.setattr(module, "decode_fields", spy)
+        service, registry, req, full, _ = quality_service()
+        client = XmlQualityClient(DirectChannel(service.endpoint), registry)
+        out = client.call("Q", {"n": 2, "ids": [1, 2, 3]}, req, full)
+        assert out == {"data": [0.5, 0.5], "tag": "t6"}
+        client.estimator.update(9.0)  # report a terrible RTT: QSmall
+        out = client.call("Q", {"n": 2, "ids": [4]}, req, full)
+        assert out == {"data": [], "tag": "t4"}
+        assert service.quality.attributes.get("rtt") > 0.5
+
+    def test_message_type_header_string_matches_tree(self):
+        from repro.core.xmlq import (build_message_type_header,
+                                     message_type_header_xml)
+        for name in ("ImageHalf", "a&b", 'q"<t>'):
+            assert message_type_header_xml(name) == \
+                tostring(build_message_type_header(name))

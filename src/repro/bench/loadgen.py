@@ -53,7 +53,7 @@ from .timers import LogHistogram
 
 SCHEMA_VERSION = 1
 
-KINDS = ("binary", "xml", "pipelined", "extract", "largemsg")
+KINDS = ("binary", "xml", "pipelined", "largemsg")
 SERVER_SHAPES = ("reactor", "fleet", "external")
 ARRIVALS = ("poisson", "uniform")
 MODES = ("closed", "open")
@@ -127,12 +127,10 @@ class LoadgenConfig:
     #: admission sizing for the in-process server
     admission_concurrency: int = 8
     admission_queue: int = 32
-    #: per-call retry budget (1 = never retry); >1 wraps the binary/xml/
-    #: extract kinds in call_with_policy so CallMeta retry counts land
-    #: in the report
+    #: per-call retry budget (1 = never retry); >1 wraps every kind but
+    #: pipelined in call_with_policy so CallMeta retry counts land in
+    #: the report
     retry_attempts: int = 1
-    #: dataset records served by the extract kind's server
-    extract_records: int = 20_000
     #: wire representation for both sides: auto (negotiate), native,
     #: or compact
     wire: str = "auto"
@@ -161,15 +159,10 @@ class LoadgenConfig:
             raise ValueError("mix needs at least one positive weight")
         for name in ("duration_s", "generators", "concurrency", "depth",
                      "batch", "value_pool", "payload_elements", "workers",
-                     "retry_attempts", "extract_records", "largemsg_bytes",
+                     "retry_attempts", "largemsg_bytes",
                      "largemsg_record_elements"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.mix.get("extract", 0) > 0 and any(
-                w > 0 for k, w in self.mix.items() if k != "extract"):
-            raise ValueError(
-                "the extract kind hosts a different service than the "
-                "echo kinds and cannot be mixed with them")
         if self.mix.get("largemsg", 0) > 0:
             if any(w > 0 for k, w in self.mix.items() if k != "largemsg"):
                 raise ValueError(
@@ -199,11 +192,6 @@ PROFILES: Dict[str, Dict[str, Any]] = {
     "saturate": {"mix": {"binary": 1.0}, "concurrency": 16,
                  "admission_concurrency": 2, "admission_queue": 4,
                  "payload_elements": 2048},
-    # the resumable-extraction workload: every thread runs a paginated
-    # ETL job against an ExtractService; retries are on so shed pages
-    # exercise the dedup window and CallMeta retry counts flow into the
-    # report
-    "extract": {"mix": {"extract": 1.0}, "retry_attempts": 3},
     # the constant-memory large-message path: every request streams a
     # multi-megabyte PBIO record stream through the reactor's chunked
     # stream route and reads the echo back frame by frame, so the
@@ -249,21 +237,6 @@ def _build_echo_service(wire: str = "auto"):
     return service
 
 
-def _build_app_service(cfg: LoadgenConfig):
-    """The service under test plus its ``quality_stats`` hook.
-
-    Echo by default; the extraction app when the mix drives the
-    ``extract`` kind (which is why ``validate`` keeps the two exclusive —
-    they speak different format sets).
-    """
-    if cfg.mix.get("extract", 0) > 0:
-        from ..apps.extract import ExtractService
-        app = ExtractService(total=cfg.extract_records, wire=cfg.wire)
-        return app.service, app.quality_stats
-    service = _build_echo_service(cfg.wire)
-    return service, service.quality_stats
-
-
 def _protection(cfg: LoadgenConfig, quality, fleet_view=None):
     from ..serving import AdmissionController, LoadQualityCoupling
     admission = AdmissionController(
@@ -299,12 +272,12 @@ class _ServerUnderTest:
 
             def factory(ctx):
                 # runs in the forked worker: fresh service per process
-                service, quality_stats = _build_app_service(cfg)
+                service = _build_echo_service(cfg.wire)
                 admission, coupling = _protection(
                     cfg, service.quality, fleet_view=ctx.fleet_view)
                 return (endpoint_http_handler(service.endpoint),
                         {"admission": admission, "load_coupling": coupling,
-                         "quality_stats": quality_stats})
+                         "quality_stats": service.quality_stats})
 
             self._fleet = FleetServer(factory, workers=cfg.workers,
                                       port=port)
@@ -315,7 +288,7 @@ class _ServerUnderTest:
             self.scrape_address = self._fleet.control_address
             return
         from ..transport import serve_endpoint
-        service, quality_stats = _build_app_service(cfg)
+        service = _build_echo_service(cfg.wire)
         admission, coupling = _protection(cfg, service.quality)
         server_kwargs: Dict[str, Any] = {}
         if cfg.mix.get("largemsg", 0) > 0:
@@ -326,7 +299,8 @@ class _ServerUnderTest:
         self._server = serve_endpoint(
             service.endpoint, port=port,
             admission=admission, load_coupling=coupling,
-            quality_stats=quality_stats, backlog=512, **server_kwargs)
+            quality_stats=service.quality_stats, backlog=512,
+            **server_kwargs)
         self.address = self._server.address
         self.scrape_address = self.address
 
@@ -599,12 +573,11 @@ class _Recorder:
 class _ClientSet:
     """One thread's clients, one per traffic kind actually in the mix."""
 
-    def __init__(self, cfg: LoadgenConfig, address,
-                 ident: str = "0-0") -> None:
+    def __init__(self, cfg: LoadgenConfig, address) -> None:
         from ..core import SoapBinClient, XmlQualityClient
         from ..transport import HttpChannel
         self._channels: List[Any] = []
-        self.binary = self.xml = self.pipelined = self.extract = None
+        self.binary = self.xml = self.pipelined = None
         self.largemsg = None
         if cfg.mix.get("largemsg", 0) > 0:
             from ..http11 import HttpConnection
@@ -620,18 +593,6 @@ class _ClientSet:
             self._lm_records = max(1, cfg.largemsg_bytes // record_bytes)
             self._lm_data = [float(i) % 97.0
                              for i in range(cfg.largemsg_record_elements)]
-        if cfg.mix.get("extract", 0) > 0:
-            from ..apps.extract import extract_formats
-            from ..apps.extract_client import client_registry
-            channel = HttpChannel(address)
-            self._channels.append(channel)
-            self.extract = SoapBinClient(channel, client_registry(),
-                                         wire=cfg.wire)
-            self._extract_formats = extract_formats()
-            self._extract_ident = ident
-            self._extract_lap = 0
-            self._extract_job = f"loadgen-{ident}-lap0"
-            self._extract_cursor = self._extract_cursor0 = None
         if cfg.mix.get("binary", 0) > 0:
             channel = HttpChannel(address)
             self._channels.append(channel)
@@ -671,45 +632,6 @@ class _ClientSet:
                                      ECHO_REQUEST, ECHO_REPLY)
         if self.largemsg is not None:
             self.largemsg_stream(records=1)
-        if self.extract is not None:
-            from ..apps.extract import DESCRIBE_OPERATION
-            fmts = self._extract_formats
-            described = self.extract.call(
-                DESCRIBE_OPERATION,
-                {"job_id": self._extract_job, "page_records": 0},
-                fmts["ExtractDescribeRequest"],
-                fmts["ExtractDescribeReply"])
-            self._extract_cursor0 = described["cursor"]
-            self._extract_cursor = described["cursor"]
-
-    def extract_fetch(self) -> Dict[str, Any]:
-        """One page of the thread's standing extraction job.
-
-        The cursor only advances on success, so a retried attempt
-        re-fetches the same page and exercises the server's dedup
-        window; at EOF the job wraps back to the first cursor so a
-        long run keeps offering load.
-        """
-        from ..apps.extract import FETCH_OPERATION, PAGE_FORMAT
-        fmts = self._extract_formats
-        page = self.extract.call(
-            FETCH_OPERATION,
-            {"job_id": self._extract_job, "cursor": self._extract_cursor,
-             "max_records": 0},
-            fmts["ExtractFetchRequest"], fmts[PAGE_FORMAT])
-        next_cursor = page["next_cursor"]
-        if next_cursor:
-            self._extract_cursor = next_cursor
-        else:
-            # EOF: wrap into a *fresh* job so laps recompute pages
-            # instead of replaying the whole previous lap out of the
-            # dedup window (retries within a lap still replay)
-            self._extract_lap += 1
-            self._extract_job = (f"loadgen-{self._extract_ident}"
-                                 f"-lap{self._extract_lap}")
-            self._extract_cursor = self._extract_cursor0
-        return page
-
     def largemsg_stream(self, records: Optional[int] = None) -> int:
         """One large-message request: push a PBIO record stream up the
         chunked route and drain the echoed stream frame by frame.
@@ -791,8 +713,7 @@ def _generator_thread(cfg: LoadgenConfig, address, gen_index: int,
                              backoff_max_s=0.25)
     clients = None
     try:
-        clients = _ClientSet(cfg, address,
-                             ident=f"{gen_index}-{thread_index}")
+        clients = _ClientSet(cfg, address)
         clients.warmup(values)
     except Exception as exc:  # noqa: BLE001 - reported to coordinator
         failures.append(f"generator {gen_index} thread {thread_index} "
@@ -861,10 +782,8 @@ def _generator_thread(cfg: LoadgenConfig, address, gen_index: int,
                     recorder.failed(kind, t_rel, shed=False, count=err)
                 consecutive_failures = 0 if ok else consecutive_failures + 1
             else:
-                if kind == "extract":
-                    attempt: Callable[[], Any] = clients.extract_fetch
-                elif kind == "largemsg":
-                    attempt = clients.largemsg_stream
+                if kind == "largemsg":
+                    attempt: Callable[[], Any] = clients.largemsg_stream
                 else:
                     value = values[rng.randrange(len(values))]
                     client = (clients.binary if kind == "binary"
@@ -1158,11 +1077,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                              "--server external)")
     parser.add_argument("--retry-attempts", type=int, default=None,
                         dest="retry_attempts",
-                        help="per-call attempts for binary/xml/extract "
-                             "kinds (1 = never retry)")
-    parser.add_argument("--extract-records", type=int, default=None,
-                        dest="extract_records",
-                        help="dataset records for the extract profile")
+                        help="per-call attempts for every kind but "
+                             "pipelined (1 = never retry)")
     parser.add_argument("--largemsg-bytes", type=int, default=None,
                         dest="largemsg_bytes",
                         help="payload bytes streamed per largemsg request")
@@ -1198,7 +1114,6 @@ def config_from_args(args: argparse.Namespace) -> LoadgenConfig:
         "server": args.server,
         "target": args.target,
         "retry_attempts": args.retry_attempts,
-        "extract_records": args.extract_records,
         "largemsg_bytes": args.largemsg_bytes,
         "wire": args.wire,
         "seed": args.seed,

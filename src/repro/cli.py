@@ -8,9 +8,6 @@ Mirrors the workflow of the original system's command-line WSDL compiler::
     python -m repro.cli figures table1 headline
     python -m repro.cli serve --port 8080
     python -m repro.cli loadgen --profile mixed --duration 10 --workers 2
-    python -m repro.cli extract-serve --port 8080 --records 100000
-    python -m repro.cli extract --target 127.0.0.1:8080 \\
-        --checkpoint job.ckpt
 
 ``compile`` writes the generated client + skeleton stub source to a real
 Python file (the paper's stub files); ``figures`` regenerates evaluation
@@ -125,50 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     from .bench.loadgen import add_arguments as _loadgen_arguments
     _loadgen_arguments(loadgen_cmd)
     loadgen_cmd.set_defaults(handler=cmd_loadgen)
-
-    xserve_cmd = sub.add_parser(
-        "extract-serve",
-        help="host the resumable dataset-extraction service "
-             "(see docs/extraction.md)")
-    xserve_cmd.add_argument("--port", type=int, default=0)
-    xserve_cmd.add_argument("--workers", type=int, default=1,
-                            help="worker processes; >1 runs a prefork "
-                                 "fleet (default: 1)")
-    xserve_cmd.add_argument("--control-port", type=int, default=0,
-                            help="fleet /healthz control port (0 = any)")
-    xserve_cmd.add_argument("--records", type=int, default=100_000,
-                            help="dataset records (default: %(default)s)")
-    xserve_cmd.add_argument("--seed", type=int, default=1234)
-    xserve_cmd.add_argument("--page-records", type=int, default=256,
-                            dest="page_records",
-                            help="default page size in records")
-    xserve_cmd.add_argument("--pages", type=int, default=0,
-                            help="exit after N pages served (0 = forever)")
-    xserve_cmd.add_argument("--wire", default="auto",
-                            choices=["auto", "native", "compact"],
-                            help="PBIO wire representation policy "
-                                 "(default: %(default)s)")
-    xserve_cmd.set_defaults(handler=cmd_extract_serve)
-
-    extract_cmd = sub.add_parser(
-        "extract",
-        help="run a checkpointed extraction job against an "
-             "extract-serve target")
-    extract_cmd.add_argument("--target", required=True,
-                             metavar="HOST:PORT",
-                             help="extract-serve address")
-    extract_cmd.add_argument("--checkpoint", required=True,
-                             help="checkpoint file (created on first run, "
-                                  "resumed from afterwards)")
-    extract_cmd.add_argument("--job-id", default="cli-extract",
-                             dest="job_id")
-    extract_cmd.add_argument("--page-records", type=int, default=256,
-                             dest="page_records")
-    extract_cmd.add_argument("--depth", type=int, default=8,
-                             help="pipeline depth for page fetches")
-    extract_cmd.add_argument("--out", default=None, metavar="JSON",
-                             help="write the job report as JSON")
-    extract_cmd.set_defaults(handler=cmd_extract)
 
     return parser
 
@@ -391,114 +344,6 @@ def cmd_serve_fleet(args: argparse.Namespace) -> int:
         fleet.close()
     print(f"served {served} requests across {fleet.workers} workers")
     return 0
-
-
-def cmd_extract_serve(args: argparse.Namespace) -> int:
-    import time
-
-    from .apps.extract import ExtractService
-    from .serving import AdmissionController, LoadQualityCoupling
-
-    def build_app():
-        return ExtractService(total=args.records, seed=args.seed,
-                              page_records=args.page_records,
-                              wire=args.wire)
-
-    if args.workers > 1:
-        from .serving import FleetServer
-        from .transport import endpoint_http_handler
-
-        def factory(ctx):
-            # forked worker: fresh service; stateless cursors mean any
-            # worker (including a post-crash respawn) serves any page
-            app = build_app()
-            admission = AdmissionController()
-            coupling = LoadQualityCoupling(app.service.quality, admission,
-                                           fleet_view=ctx.fleet_view)
-            return (endpoint_http_handler(app.endpoint),
-                    {"admission": admission, "load_coupling": coupling,
-                     "quality_stats": app.quality_stats})
-
-        fleet = FleetServer(factory, workers=args.workers, port=args.port,
-                            control_port=args.control_port)
-        served = 0
-        try:
-            if not fleet.wait_ready(20.0):
-                print("error: fleet workers never became ready",
-                      file=sys.stderr)
-                return 1
-            host, port = fleet.address
-            chost, cport = fleet.control_address
-            print(f"Extraction fleet: {fleet.workers} workers, "
-                  f"{args.records} records on http://{host}:{port}")
-            print(f"Fleet /healthz + /metrics on http://{chost}:{cport}")
-            while True:
-                served = fleet.aggregate().get("extract_pages_served", 0)
-                if args.pages and served >= args.pages:
-                    break
-                time.sleep(0.05)
-        except KeyboardInterrupt:  # pragma: no cover - interactive path
-            pass
-        finally:
-            fleet.close()
-        print(f"served {served} pages across {fleet.workers} workers")
-        return 0
-
-    from .transport import serve_endpoint
-    app = build_app()
-    admission = AdmissionController()
-    coupling = LoadQualityCoupling(app.service.quality, admission)
-    server = serve_endpoint(app.endpoint, port=args.port, admission=admission,
-                            load_coupling=coupling,
-                            quality_stats=app.quality_stats)
-    print(f"Extraction service ({args.records} records) on {server.url}")
-    try:
-        while True:
-            if args.pages and app.counters["pages_served"] >= args.pages:
-                break
-            time.sleep(0.05)
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
-    finally:
-        server.close()
-    print(f"served {app.counters['pages_served']} pages")
-    return 0
-
-
-def cmd_extract(args: argparse.Namespace) -> int:
-    import json
-
-    from .apps.extract_client import CheckpointError, JobError, JobRunner
-    from .transport import HttpChannel
-
-    host, _, port_text = args.target.rpartition(":")
-    try:
-        address = (host or "127.0.0.1", int(port_text))
-    except ValueError:
-        print(f"error: --target must be HOST:PORT, got {args.target!r}",
-              file=sys.stderr)
-        return 2
-    channel = HttpChannel(address, depth=args.depth)
-    try:
-        runner = JobRunner(channel, args.checkpoint, job_id=args.job_id,
-                           page_records=args.page_records)
-        report = runner.run()
-    except (JobError, CheckpointError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        channel.close()
-    resumed = " (resumed)" if report.resumed else ""
-    print(f"extracted {report.records}/{report.total} records in "
-          f"{report.pages} pages{resumed}: digest {report.digest}, "
-          f"{report.pages_degraded} degraded, {report.retries} retries, "
-          f"verified={report.verified}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-    return 0 if report.verified else 1
 
 
 def cmd_loadgen(args: argparse.Namespace) -> int:

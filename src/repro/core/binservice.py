@@ -259,14 +259,18 @@ class SoapBinService:
         params = self._restore_request(wire_value, wire_format, op)
         self._ingest_reported_rtt(headers)
         result, digest = self._invoke(op, params, headers)
+        if self.quality is None:
+            return result, op.output_format, None, False, False
         # The cache/ETag variant must reflect the representation this reply
         # will be *encoded* in, and the session may have just learned the
         # peer's compact capability from announcements in this very body —
         # so it is computed after unpack_stream, never before.
         variant = f"pbio:{session.wire_rep()}"
-        reply_format, reply_value, etag, not_modified = self._apply_quality(
-            result, op.output_format, header_value(headers, "If-None-Match"),
-            variant=variant, value_digest=digest)
+        reply_format, reply_value, etag, not_modified = (
+            self.quality.outgoing_keyed(
+                result, op.output_format,
+                if_none_match=header_value(headers, "If-None-Match"),
+                variant=variant, value_digest=digest))
         # a degraded reply's bytes ride on its quality entry and must never
         # make one: a value-less entry under its key would read as a hit
         memoised = digest is not None and reply_format is op.output_format
@@ -364,19 +368,6 @@ class SoapBinService:
         except ValueError:
             return
         self.quality.attributes.update_attribute("rtt", value)
-
-    def _apply_quality(
-            self, result: Dict[str, Any], output_format: Format,
-            if_none_match: Optional[str] = None,
-            variant: str = "pbio:native",
-            value_digest: Optional[str] = None,
-    ) -> Tuple[Format, Optional[Dict[str, Any]], Optional[str], bool]:
-        if self.quality is None:
-            return output_format, result, None, False
-        return self.quality.outgoing_keyed(result, output_format,
-                                           if_none_match=if_none_match,
-                                           variant=variant,
-                                           value_digest=value_digest)
 
     def _reply_headers(self, request_headers: Dict[str, str],
                        prep_started: float) -> Dict[str, str]:

@@ -411,31 +411,6 @@ def _quality_families(quality: Mapping[str, Any]) -> List[Metric]:
                    "live sessions.",
                    wire.get("compact_messages_received", 0)),
         ])
-    extract = quality.get("extract")
-    if extract:
-        families.extend([
-            counter("repro_extract_pages_served_total",
-                     "Extraction pages served (computed + replayed).",
-                     extract.get("pages_served", 0)),
-            counter("repro_extract_pages_degraded_total",
-                     "Extraction pages served at reduced size or "
-                     "projection while under load.",
-                     extract.get("pages_degraded", 0)),
-            counter("repro_extract_pages_replayed_total",
-                     "Retried pages re-served from the dedup window "
-                     "instead of recomputed.",
-                     extract.get("pages_replayed", 0)),
-            counter("repro_extract_records_served_total",
-                     "Records materialized into computed pages.",
-                     extract.get("records_served", 0)),
-            gauge("repro_extract_jobs_active",
-                   "Extraction jobs with recent activity.",
-                   extract.get("jobs_active", 0)),
-            gauge("repro_extract_watermark_lag_records",
-                   "Records still ahead of the watermark, summed over "
-                   "active jobs.",
-                   extract.get("watermark_lag_records", 0)),
-        ])
     return families
 
 

@@ -31,10 +31,8 @@ monitoring and deadline budgets observe injected faults just like real ones.
 from __future__ import annotations
 
 import enum
-import json
-import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from ..channel import (BatchHeaders, BatchResult, Channel, ChannelReply,
                        batch_headers)
@@ -89,81 +87,6 @@ class FaultSchedule:
               end_s: float) -> "FaultSchedule":
         """A single contiguous burst of one fault kind."""
         return cls([FaultWindow(kind, start_s=start_s, end_s=end_s)])
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "FaultSchedule":
-        """Build a schedule from its declarative form.
-
-        The document is ``{"windows": [window, ...]}`` where each window
-        is ``{"kind": "<FaultKind value>", "start_s": float|null,
-        "end_s": float|null, "calls": [int, ...]|null}``; only ``kind``
-        is required.  Unknown keys and unknown kinds are rejected so a
-        typo in a committed fixture fails loudly instead of silently
-        matching nothing.
-        """
-        if not isinstance(doc, dict):
-            raise ValueError("fault schedule document must be a dict")
-        unknown = set(doc) - {"windows"}
-        if unknown:
-            raise ValueError(
-                f"fault schedule: unknown keys {sorted(unknown)}")
-        windows_doc = doc.get("windows")
-        if not isinstance(windows_doc, list):
-            raise ValueError("fault schedule: 'windows' must be a list")
-        windows: List[FaultWindow] = []
-        for i, wdoc in enumerate(windows_doc):
-            if not isinstance(wdoc, dict):
-                raise ValueError(f"fault schedule: window {i} not a dict")
-            extra = set(wdoc) - {"kind", "start_s", "end_s", "calls"}
-            if extra:
-                raise ValueError(
-                    f"fault schedule: window {i} unknown keys "
-                    f"{sorted(extra)}")
-            try:
-                kind = FaultKind(wdoc["kind"])
-            except KeyError:
-                raise ValueError(
-                    f"fault schedule: window {i} missing 'kind'") from None
-            except ValueError:
-                valid = sorted(k.value for k in FaultKind)
-                raise ValueError(
-                    f"fault schedule: window {i} unknown kind "
-                    f"{wdoc['kind']!r} (valid: {valid})") from None
-            calls = wdoc.get("calls")
-            if calls is not None:
-                if (not isinstance(calls, list)
-                        or not all(isinstance(c, int) and not
-                                   isinstance(c, bool) for c in calls)):
-                    raise ValueError(
-                        f"fault schedule: window {i} 'calls' must be a "
-                        f"list of ints")
-            for bound in ("start_s", "end_s"):
-                value = wdoc.get(bound)
-                if value is not None and not isinstance(value,
-                                                        (int, float)):
-                    raise ValueError(
-                        f"fault schedule: window {i} {bound!r} must be "
-                        f"a number")
-            windows.append(FaultWindow(
-                kind,
-                start_s=wdoc.get("start_s"),
-                end_s=wdoc.get("end_s"),
-                calls=tuple(calls) if calls is not None else None))
-        return cls(windows)
-
-    @classmethod
-    def from_file(cls, path: Union[str, "os.PathLike[str]"]
-                  ) -> "FaultSchedule":
-        """Load a committed JSON fixture (see ``tests/fixtures/faults/``)."""
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The declarative form accepted by :meth:`from_dict`."""
-        return {"windows": [
-            {"kind": w.kind.value, "start_s": w.start_s, "end_s": w.end_s,
-             "calls": list(w.calls) if w.calls is not None else None}
-            for w in self.windows]}
 
     def fault_at(self, call_index: int, now: float) -> Optional[FaultKind]:
         for window in self.windows:

@@ -114,24 +114,6 @@ def fleet_families(fleet) -> List[Metric]:
         counter("repro_fleet_cache_invalidations_total",
                  "Response-cache invalidations across live workers.",
                  agg["cache_invalidations"]),
-        counter("repro_fleet_extract_pages_served_total",
-                 "Extraction pages served across live workers.",
-                 agg["extract_pages_served"]),
-        counter("repro_fleet_extract_pages_degraded_total",
-                 "Degraded extraction pages across live workers.",
-                 agg["extract_pages_degraded"]),
-        counter("repro_fleet_extract_pages_replayed_total",
-                 "Dedup-window page replays across live workers.",
-                 agg["extract_pages_replayed"]),
-        counter("repro_fleet_extract_records_served_total",
-                 "Extraction records materialized across live workers.",
-                 agg["extract_records_served"]),
-        gauge("repro_fleet_extract_jobs_active",
-               "Active extraction jobs across live workers.",
-               agg["extract_jobs_active"]),
-        gauge("repro_fleet_extract_watermark_lag_records",
-               "Extraction watermark lag summed across live workers.",
-               agg["extract_watermark_lag"]),
     ]
     per_worker: Dict[str, Metric] = {}
 
@@ -185,29 +167,6 @@ def fleet_families(fleet) -> List[Metric]:
         worker_metric("repro_fleet_worker_cache_misses_total", "counter",
                       "Response-cache misses on this worker."
                       ).sample(snap.cache_misses, labels)
-        worker_metric("repro_fleet_worker_extract_pages_served_total",
-                      "counter",
-                      "Extraction pages served by this worker."
-                      ).sample(snap.extract_pages_served, labels)
-        worker_metric("repro_fleet_worker_extract_pages_degraded_total",
-                      "counter",
-                      "Degraded extraction pages from this worker."
-                      ).sample(snap.extract_pages_degraded, labels)
-        worker_metric("repro_fleet_worker_extract_pages_replayed_total",
-                      "counter",
-                      "Dedup-window page replays on this worker."
-                      ).sample(snap.extract_pages_replayed, labels)
-        worker_metric("repro_fleet_worker_extract_records_served_total",
-                      "counter",
-                      "Extraction records materialized by this worker."
-                      ).sample(snap.extract_records_served, labels)
-        worker_metric("repro_fleet_worker_extract_jobs_active", "gauge",
-                      "Active extraction jobs on this worker."
-                      ).sample(snap.extract_jobs_active, labels)
-        worker_metric("repro_fleet_worker_extract_watermark_lag_records",
-                      "gauge",
-                      "Extraction watermark lag on this worker."
-                      ).sample(snap.extract_watermark_lag, labels)
     families.extend(per_worker.values())
     return families
 

@@ -2,9 +2,8 @@
 
 A :class:`FleetServer` parent creates one ``FleetStats`` segment sized
 for N workers; each forked worker attaches to it and publishes its own
-admission/shed/pool/cache/extract counters into a private 256-byte
-slot.  Readers —
-the parent's control-port ``/healthz`` and every worker's
+admission/shed/pool/cache counters into a private 192-byte slot.
+Readers — the parent's control-port ``/healthz`` and every worker's
 ``LoadQualityCoupling`` — aggregate the slots without locks.
 
 Layout
@@ -15,8 +14,8 @@ Layout
     offset 0    header (64 bytes)
                 magic, version, nworkers, slot size, parent pid,
                 creation timestamp (monotonic clock of the parent)
-    offset 64   slot 0   (256 bytes)
-    offset 320  slot 1
+    offset 64   slot 0   (192 bytes)
+    offset 256  slot 1
     ...
 
 Each slot is written only by its owning worker, so the classic
@@ -49,7 +48,7 @@ __all__ = [
 ]
 
 MAGIC = 0x464C5431            # "FLT1"
-VERSION = 3
+VERSION = 4
 
 STATE_EMPTY = 0               # slot never written (or explicitly cleared)
 STATE_READY = 1
@@ -74,12 +73,10 @@ _SEQ_SIZE = struct.calcsize(_SEQ_FMT)
 # conns_active, busy, queue_depth, max_concurrency, queue_limit,
 # utilization, p95_service_s, port, then the v2 response-cache block:
 # cache_hits, cache_misses, cache_evictions, cache_invalidations,
-# responses_304, then the v3 extraction block: extract_pages_served,
-# extract_pages_degraded, extract_pages_replayed, extract_records_served,
-# extract_jobs_active, extract_watermark_lag
-_PAYLOAD_FMT = "<QQQdQQQQQQQQddQ" + "QQQQQ" + "QQQQQQ"
+# responses_304
+_PAYLOAD_FMT = "<QQQdQQQQQQQQddQ" + "QQQQQ"
 _PAYLOAD_SIZE = struct.calcsize(_PAYLOAD_FMT)
-_SLOT_SIZE = 256
+_SLOT_SIZE = 192
 assert _SEQ_SIZE + _PAYLOAD_SIZE <= _SLOT_SIZE
 
 
@@ -108,12 +105,6 @@ class WorkerStats:
     cache_evictions: int = 0
     cache_invalidations: int = 0
     responses_304: int = 0
-    extract_pages_served: int = 0
-    extract_pages_degraded: int = 0
-    extract_pages_replayed: int = 0
-    extract_records_served: int = 0
-    extract_jobs_active: int = 0
-    extract_watermark_lag: int = 0
 
     @property
     def state_name(self) -> str:
@@ -150,12 +141,6 @@ class WorkerStats:
             "cache_evictions": self.cache_evictions,
             "cache_invalidations": self.cache_invalidations,
             "responses_304": self.responses_304,
-            "extract_pages_served": self.extract_pages_served,
-            "extract_pages_degraded": self.extract_pages_degraded,
-            "extract_pages_replayed": self.extract_pages_replayed,
-            "extract_records_served": self.extract_records_served,
-            "extract_jobs_active": self.extract_jobs_active,
-            "extract_watermark_lag": self.extract_watermark_lag,
         }
 
 
@@ -211,12 +196,6 @@ class WorkerStatsWriter:
                 cache_hits: int = 0, cache_misses: int = 0,
                 cache_evictions: int = 0, cache_invalidations: int = 0,
                 responses_304: int = 0,
-                extract_pages_served: int = 0,
-                extract_pages_degraded: int = 0,
-                extract_pages_replayed: int = 0,
-                extract_records_served: int = 0,
-                extract_jobs_active: int = 0,
-                extract_watermark_lag: int = 0,
                 heartbeat: Optional[float] = None) -> None:
         if heartbeat is None:
             heartbeat = time.monotonic()
@@ -231,10 +210,7 @@ class WorkerStatsWriter:
             busy, queue_depth, max_concurrency, queue_limit,
             utilization, p95_service_s, port,
             cache_hits, cache_misses, cache_evictions,
-            cache_invalidations, responses_304,
-            extract_pages_served, extract_pages_degraded,
-            extract_pages_replayed, extract_records_served,
-            extract_jobs_active, extract_watermark_lag)
+            cache_invalidations, responses_304)
         self._seq += 1                                     # even: write done
         struct.pack_into(_SEQ_FMT, buf, off, self._seq)
 
@@ -394,12 +370,6 @@ class FleetStats:
             "cache_evictions": 0,
             "cache_invalidations": 0,
             "responses_304": 0,
-            "extract_pages_served": 0,
-            "extract_pages_degraded": 0,
-            "extract_pages_replayed": 0,
-            "extract_records_served": 0,
-            "extract_jobs_active": 0,
-            "extract_watermark_lag": 0,
         }
         for s in live:
             agg["requests_served"] += s.requests_served
@@ -415,12 +385,6 @@ class FleetStats:
             agg["cache_evictions"] += s.cache_evictions
             agg["cache_invalidations"] += s.cache_invalidations
             agg["responses_304"] += s.responses_304
-            agg["extract_pages_served"] += s.extract_pages_served
-            agg["extract_pages_degraded"] += s.extract_pages_degraded
-            agg["extract_pages_replayed"] += s.extract_pages_replayed
-            agg["extract_records_served"] += s.extract_records_served
-            agg["extract_jobs_active"] += s.extract_jobs_active
-            agg["extract_watermark_lag"] += s.extract_watermark_lag
             weight = float(max(1, s.max_concurrency))
             util_num += s.utilization * weight
             util_den += weight
@@ -450,7 +414,6 @@ def publish_server_stats(writer: WorkerStatsWriter, server, *, pid: int,
     busy = queue_depth = max_concurrency = queue_limit = 0
     utilization = p95 = 0.0
     hits = misses = evictions = invalidations = 0
-    extract = {}
     quality_stats = getattr(server, "quality_stats", None)
     if quality_stats is not None:
         try:
@@ -458,7 +421,6 @@ def publish_server_stats(writer: WorkerStatsWriter, server, *, pid: int,
         except Exception:
             quality = {}
         cache = quality.get("cache") or {}
-        extract = quality.get("extract") or {}
         hits = cache.get("hits", 0)
         misses = cache.get("misses", 0)
         evictions = cache.get("evictions", 0) + cache.get("expirations", 0)
@@ -483,10 +445,4 @@ def publish_server_stats(writer: WorkerStatsWriter, server, *, pid: int,
         utilization=utilization, p95_service_s=p95, port=port,
         cache_hits=hits, cache_misses=misses, cache_evictions=evictions,
         cache_invalidations=invalidations,
-        responses_304=getattr(server, "responses_304", 0),
-        extract_pages_served=extract.get("pages_served", 0),
-        extract_pages_degraded=extract.get("pages_degraded", 0),
-        extract_pages_replayed=extract.get("pages_replayed", 0),
-        extract_records_served=extract.get("records_served", 0),
-        extract_jobs_active=extract.get("jobs_active", 0),
-        extract_watermark_lag=extract.get("watermark_lag_records", 0))
+        responses_304=getattr(server, "responses_304", 0))

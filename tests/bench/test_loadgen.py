@@ -178,39 +178,6 @@ class TestErrorBreakdownSchema:
 
 
 @pytest.fixture(scope="module")
-def extract_run(tmp_path_factory):
-    cfg = config_for_profile(
-        "extract", duration_s=2.0, generators=1, concurrency=2,
-        server="reactor", extract_records=5_000)
-    out = tmp_path_factory.mktemp("loadgen") / "EXTRACT_report"
-    return write_report(cfg, str(out))
-
-
-@pytest.mark.bench_smoke
-class TestExtractProfile:
-    def test_report_is_schema_valid_and_gated(self, extract_run):
-        from repro.bench.gates import gate_loadgen
-        assert validate_report(extract_run) == []
-        gate_loadgen(extract_run)      # raises GateFailure on a bad run
-
-    def test_extract_kind_flowed_with_retry_accounting(self, extract_run):
-        totals = extract_run["totals"]
-        by_kind = totals["by_kind"]
-        assert by_kind["extract"]["requests"] > 0
-        assert totals["errors"] == 0
-        # the breakdown fields are present even when nothing was shed
-        assert "retries" in totals
-        assert isinstance(totals["shed_by_reason"], dict)
-        assert "retries" in by_kind["extract"]
-
-    def test_server_saw_extract_pages(self, extract_run):
-        scrape = extract_run["server"].get("metrics_after", {})
-        # loadgen brackets the run with /metrics scrapes; the extract
-        # families must be visible on the server under test
-        assert scrape.get("repro_extract_pages_served_total", 0) > 0
-
-
-@pytest.fixture(scope="module")
 def largemsg_run(tmp_path_factory):
     cfg = config_for_profile(
         "largemsg", duration_s=1.5, generators=1, concurrency=2,

@@ -262,53 +262,7 @@ class TestUsageErrors:
         assert len(err.strip().splitlines()) == 1
 
     def test_missing_required_flag(self, capsys):
-        assert main(["extract", "--checkpoint", "/tmp/x"]) == 2
+        assert main(["validate"]) == 2
         err = capsys.readouterr().err
-        assert "--target" in err
+        assert "wsdl" in err
         assert "Traceback" not in err
-
-    def test_bad_target_address(self, tmp_path, capsys):
-        code = main(["extract", "--target", "not-an-address",
-                     "--checkpoint", str(tmp_path / "cp.json")])
-        assert code == 2
-        assert "Traceback" not in capsys.readouterr().err
-
-
-class TestExtractCommands:
-    def test_round_trip_serve_then_extract(self, tmp_path, capsys):
-        import json
-        import re
-        import time
-
-        result = {}
-
-        def run_server():
-            result["code"] = main([
-                "extract-serve", "--records", "2000", "--page-records",
-                "100", "--pages", "20"])
-
-        thread = threading.Thread(target=run_server, daemon=True)
-        thread.start()
-        deadline = time.time() + 10
-        target = None
-        while time.time() < deadline and target is None:
-            out = capsys.readouterr().out
-            match = re.search(r"http://([\d.]+:\d+)", out)
-            if match:
-                target = match.group(1)
-            else:
-                time.sleep(0.02)
-        assert target is not None, "extract-serve banner never appeared"
-
-        out_path = tmp_path / "report.json"
-        code = main(["extract", "--target", target,
-                     "--checkpoint", str(tmp_path / "cp.json"),
-                     "--job-id", "cli-test", "--page-records", "100",
-                     "--out", str(out_path)])
-        assert code == 0
-        report = json.loads(out_path.read_text())
-        assert report["verified"] is True
-        assert report["records"] == 2000
-        assert report["pages"] == 20
-        thread.join(timeout=10)
-        assert result.get("code") == 0

@@ -295,14 +295,25 @@ def value_for(ftype, registry, salt=0):
             for j, f in enumerate(sub.fields)}
 
 
+#: A paged bulk-result record: the corpus's only ``int64[]`` field, next
+#: to a ``float64[]`` and strings, so the compact check covers an 8-byte
+#: int array inside an app-shaped record.
+PAGED_FIELDS = {
+    "cursor": "string", "next_cursor": "string", "prefetch": "string",
+    "watermark": "int64", "count": "int32", "eof": "int32",
+    "degraded": "int32", "ids": "int64[]", "values": "float64[]",
+    "payload": "string",
+}
+
+
 def app_format_sets():
     from repro.apps.airline import airline_formats
-    from repro.apps.extract import extract_formats
     from repro.apps.imaging import image_formats
     from repro.apps.mdbond import bond_formats
     from repro.apps.remoteviz import viz_formats
-    return {"airline": airline_formats(), "extract": extract_formats(),
-            "imaging": image_formats(), "mdbond": bond_formats(),
+    paged = Format.from_dict("Page", PAGED_FIELDS)
+    return {"airline": airline_formats(), "imaging": image_formats(),
+            "mdbond": bond_formats(), "paged": {paged.name: paged},
             "remoteviz": viz_formats()}
 
 

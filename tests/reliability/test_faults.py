@@ -8,7 +8,6 @@ Every scripted fault must surface through the stack as exactly one typed
 :class:`~repro.core.binclient.SoapBinClient`.
 """
 
-import os
 import socket
 import threading
 import time
@@ -472,70 +471,3 @@ class TestRealSockets:
         assert [type(error) for error in errors] == \
             [typed] * len(errors)
 
-
-class TestScheduleSerialization:
-    """The declarative form: committed JSON fixtures must round-trip and
-    typos must fail loudly (a silently-empty schedule injects nothing and
-    the soak test proves the wrong thing)."""
-
-    FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures",
-                           "faults", "extract_soak.json")
-
-    def test_round_trip(self):
-        schedule = FaultSchedule([
-            FaultWindow(FaultKind.UNAVAILABLE_503, start_s=0.5, end_s=1.0),
-            FaultWindow(FaultKind.RESET_MID_STREAM, calls=[2, 5]),
-            FaultWindow(FaultKind.STALLED_READ),
-        ])
-        doc = schedule.to_dict()
-        rebuilt = FaultSchedule.from_dict(doc)
-        assert rebuilt.to_dict() == doc
-        assert rebuilt.fault_at(2, 0.0) is FaultKind.RESET_MID_STREAM
-        assert rebuilt.fault_at(0, 0.7) is FaultKind.UNAVAILABLE_503
-        assert rebuilt.fault_at(0, 2.0) is FaultKind.STALLED_READ
-
-    def test_unknown_kind_rejected_with_valid_list(self):
-        with pytest.raises(ValueError, match="unknown kind"):
-            FaultSchedule.from_dict(
-                {"windows": [{"kind": "nuclear_meltdown"}]})
-        with pytest.raises(ValueError, match="connect_refused"):
-            FaultSchedule.from_dict({"windows": [{"kind": "nope"}]})
-
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown keys"):
-            FaultSchedule.from_dict({"windows": [], "extra": 1})
-        with pytest.raises(ValueError, match="unknown keys"):
-            FaultSchedule.from_dict(
-                {"windows": [{"kind": "stalled_read", "starts": 1.0}]})
-
-    def test_malformed_fields_rejected(self):
-        with pytest.raises(ValueError, match="missing 'kind'"):
-            FaultSchedule.from_dict({"windows": [{"calls": [1]}]})
-        with pytest.raises(ValueError, match="'calls'"):
-            FaultSchedule.from_dict(
-                {"windows": [{"kind": "stalled_read", "calls": [1.5]}]})
-        with pytest.raises(ValueError, match="'calls'"):
-            FaultSchedule.from_dict(
-                {"windows": [{"kind": "stalled_read", "calls": [True]}]})
-        with pytest.raises(ValueError, match="start_s"):
-            FaultSchedule.from_dict(
-                {"windows": [{"kind": "stalled_read", "start_s": "soon"}]})
-        with pytest.raises(ValueError, match="must be a list"):
-            FaultSchedule.from_dict({"windows": {"kind": "stalled_read"}})
-        with pytest.raises(ValueError, match="must be a dict"):
-            FaultSchedule.from_dict(["stalled_read"])
-
-    def test_committed_fixture_loads(self):
-        schedule = FaultSchedule.from_file(self.FIXTURE)
-        assert len(schedule.windows) >= 4
-        kinds = {w.kind for w in schedule.windows}
-        # the soak fixture scripts every failure shape the paper's
-        # large-message analysis observed, not just one
-        assert FaultKind.RESET_MID_STREAM in kinds
-        assert FaultKind.UNAVAILABLE_503 in kinds
-        assert FaultKind.STALLED_READ in kinds
-        # every window is call-indexed so real-socket runs stay
-        # deterministic regardless of wall-clock timing
-        assert all(w.calls is not None for w in schedule.windows)
-        assert schedule.to_dict() == FaultSchedule.from_dict(
-            schedule.to_dict()).to_dict()

@@ -309,6 +309,69 @@ class TestRollingRestart:
             assert fleet.aggregate()["workers_live"] == 2
 
 
+class TestWholeFleetRestart:
+    def test_same_port_restart_under_a_calling_client(self):
+        """Close the whole fleet and start a new one on the same port
+        while a client keeps calling: under a retry policy every call
+        returns its own echoed value and none fails."""
+        fleet = _fleet(echo_factory)
+        replacement = None
+        registry = FormatRegistry()
+        registry.register(ECHO_FMT)
+        policy = RetryPolicy(max_attempts=50, deadline_s=60.0,
+                             backoff_initial_s=0.02, backoff_max_s=0.1)
+        channel = ReliableChannel(HttpChannel(fleet.address), policy=policy)
+        client = SoapBinClient(channel, registry)
+        stop = threading.Event()
+        results, attempts, errors = [], [], []
+
+        def drive():
+            seq = 0
+            while not stop.is_set():
+                try:
+                    results.append(client.call(
+                        "Echo", {"seq": seq, "payload": [float(seq)],
+                                 "pid": 0}, ECHO_FMT, ECHO_FMT))
+                except Exception as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
+                    return
+                attempts.append(channel.last_call.attempts)
+                seq += 1
+
+        def wait_for_calls(count):
+            deadline = time.monotonic() + 60.0
+            while (len(results) < count and not errors
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+
+        thread = threading.Thread(target=drive, daemon=True)
+        thread.start()
+        try:
+            wait_for_calls(20)
+            fleet.close()
+            replacement = _fleet(echo_factory, port=fleet.address[1])
+            new_pids = set(replacement.worker_pids())
+            restarted_at = len(results)
+            wait_for_calls(restarted_at + 20)
+        finally:
+            stop.set()
+            thread.join(timeout=60.0)
+            channel.close()
+            fleet.close()
+            if replacement is not None:
+                replacement.close()
+        assert not thread.is_alive(), "client never stopped"
+        assert errors == []
+        assert len(results) >= restarted_at + 20
+        for seq, reply in enumerate(results):
+            assert reply["seq"] == seq
+            assert reply["payload"] == [float(seq)]
+        # the outage really was crossed by retrying, and the calls after
+        # it were answered by the new fleet's workers
+        assert max(attempts) > 1
+        assert {r["pid"] for r in results[restarted_at:]} <= new_pids
+
+
 class TestCrossWorkerFormats:
     def test_format_announced_to_worker_a_round_trips_through_b(self):
         """Acceptance: PBIO formats announced through one worker must

@@ -328,78 +328,3 @@ class TestFleetMetrics:
         # the fleet aggregate
         assert "repro_requests_served_total" in parsed
         assert "repro_fleet_requests_served_total" not in parsed
-
-
-# ----------------------------------------------------------------------
-# extraction workload families
-# ----------------------------------------------------------------------
-
-def _extract_fleet_factory(ctx):
-    from repro.apps.extract import ExtractService
-    app = ExtractService(total=600, seed=9, page_records=50)
-    return (endpoint_http_handler(app.endpoint),
-            {"quality_stats": app.quality_stats})
-
-
-def _run_small_job(address, path, job_id="metrics-job"):
-    from repro.apps.extract_client import JobRunner
-    channel = HttpChannel(address)
-    try:
-        return JobRunner(channel, path, job_id=job_id,
-                         page_records=50).run()
-    finally:
-        channel.close()
-
-
-class TestExtractMetrics:
-    def test_worker_port_exposes_extract_families(self, tmp_path):
-        from repro.apps.extract import ExtractService
-        app = ExtractService(total=300, page_records=50)
-        server = serve_endpoint(app.endpoint,
-                                quality_stats=app.quality_stats)
-        try:
-            report = _run_small_job(server.address,
-                                    str(tmp_path / "cp.json"))
-            assert report.verified
-            parsed = parse_exposition(_scrape(server.address))
-        finally:
-            server.close()
-        assert parsed["repro_extract_pages_served_total"] >= 6.0
-        assert parsed["repro_extract_records_served_total"] == 300.0
-        assert "repro_extract_pages_degraded_total" in parsed
-        assert "repro_extract_pages_replayed_total" in parsed
-        assert "repro_extract_jobs_active" in parsed
-        assert "repro_extract_watermark_lag_records" in parsed
-
-    @pytest.mark.bench_smoke
-    def test_fleet_aggregate_matches_worker_sum_in_one_scrape(
-            self, tmp_path):
-        fleet = FleetServer(_extract_fleet_factory, workers=2)
-        try:
-            assert fleet.wait_ready(15.0)
-            report = _run_small_job(fleet.address,
-                                    str(tmp_path / "cp.json"))
-            assert report.verified and report.records == 600
-            # stats publish on a heartbeat: poll the control port until
-            # the aggregate reflects the whole job
-            for _ in range(100):
-                parsed = parse_exposition(_scrape(fleet.control_address))
-                if parsed.get("repro_fleet_extract_records_served_total",
-                              0.0) >= 600.0:
-                    break
-                threading.Event().wait(0.05)
-        finally:
-            fleet.close()
-
-        assert parsed["repro_fleet_extract_records_served_total"] >= 600.0
-        # the invariant: per-worker series and the aggregate come from
-        # ONE shm snapshot, so the sums agree exactly within a scrape
-        for family in ("extract_pages_served_total",
-                       "extract_pages_replayed_total",
-                       "extract_records_served_total"):
-            agg = parsed[f"repro_fleet_{family}"]
-            per_worker = [v for k, v in parsed.items()
-                          if k.startswith(
-                              f"repro_fleet_worker_{family}{{")]
-            assert len(per_worker) == 2
-            assert sum(per_worker) == agg

@@ -7,9 +7,9 @@ import time
 import pytest
 
 from repro.serving import FleetStats
-from repro.serving.shm_stats import (_HEADER_SIZE, _SEQ_FMT, _SLOT_SIZE,
-                                     STATE_DRAINING, STATE_READY,
-                                     STATE_STOPPED)
+from repro.serving.shm_stats import (_HEADER_FMT, _HEADER_SIZE, _SEQ_FMT,
+                                     _SLOT_SIZE, MAGIC, STATE_DRAINING,
+                                     STATE_READY, STATE_STOPPED, VERSION)
 
 
 @pytest.fixture()
@@ -62,6 +62,23 @@ class TestRoundTrip:
         from multiprocessing import shared_memory
         shm = shared_memory.SharedMemory(create=True, size=256)
         try:
+            with pytest.raises(ValueError, match="FleetStats"):
+                FleetStats.attach(shm.name)
+        finally:
+            shm.close()
+            shm.unlink()
+
+    @pytest.mark.parametrize("version,slot_size", [
+        (VERSION - 1, 256),          # the previous, larger layout
+        (VERSION, 256),              # current version, wrong slot size
+    ])
+    def test_attach_rejects_other_layouts(self, version, slot_size):
+        from multiprocessing import shared_memory
+        shm = shared_memory.SharedMemory(create=True,
+                                         size=_HEADER_SIZE + slot_size)
+        try:
+            struct.pack_into(_HEADER_FMT, shm.buf, 0, MAGIC, version, 1,
+                             slot_size, os.getpid(), time.monotonic())
             with pytest.raises(ValueError, match="FleetStats"):
                 FleetStats.attach(shm.name)
         finally:

@@ -18,11 +18,10 @@ callable ``(body, content_type, headers) -> ChannelReply``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 
-@dataclass
 class ChannelReply:
     """The reply half of a channel exchange.
 
@@ -30,10 +29,20 @@ class ChannelReply:
     replay of bytes first sent inside a larger reply); either way nothing
     writes to it."""
 
-    body: Union[bytes, memoryview]
-    content_type: str = "application/octet-stream"
-    headers: Dict[str, str] = field(default_factory=dict)
-    status: int = 200
+    __slots__ = ("body", "content_type", "headers", "status")
+
+    def __init__(self, body: Union[bytes, memoryview],
+                 content_type: str = "application/octet-stream",
+                 headers: Optional[Dict[str, str]] = None,
+                 status: int = 200) -> None:
+        self.body = body
+        self.content_type = content_type
+        self.headers: Dict[str, str] = {} if headers is None else headers
+        self.status = status
+
+    def __repr__(self) -> str:
+        return (f"ChannelReply({self.status}, {self.content_type!r}, "
+                f"{len(self.body)} B)")
 
     @property
     def ok(self) -> bool:

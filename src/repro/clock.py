@@ -26,10 +26,12 @@ class Clock:
 
 
 class WallClock(Clock):
-    """Real time, via :func:`time.perf_counter`."""
+    """Real time, via :func:`time.perf_counter`.
 
-    def now(self) -> float:
-        return time.perf_counter()
+    ``now`` *is* ``time.perf_counter``: reading the clock on a hot path
+    (admission, every retry attempt) costs no Python frame."""
+
+    now = staticmethod(time.perf_counter)
 
     def sleep(self, seconds: float) -> None:
         if seconds > 0:

@@ -183,7 +183,8 @@ class SoapBinService:
         alternative to zero-padding); compressed XML requests skip the
         quality path and go through plain dispatch.
         """
-        if content_type.split(";")[0].strip() == PBIO_CONTENT_TYPE:
+        if content_type == PBIO_CONTENT_TYPE \
+                or content_type.split(";")[0].strip() == PBIO_CONTENT_TYPE:
             return self._binary_request(body, headers)
         if self.quality is not None and header_value(
                 headers, "Content-Encoding") is None:
@@ -224,43 +225,57 @@ class SoapBinService:
     # ------------------------------------------------------------------
     def _binary_request(self, body: bytes,
                         headers: Dict[str, str]) -> ChannelReply:
+        """Decode, dispatch and — under a quality policy — select the
+        reply; the catch-all below turns any failure of those into a 500.
+        Without a policy there is no ETag and no cache."""
         prep_started = self._prep_time_fn()
-        session = self._session_for(headers.get(HEADER_CLIENT_ID, "anon"))
+        session = self._session_for(headers.get(HEADER_CLIENT_ID, "anon"),
+                                    prep_started)
         try:
-            (reply_value, reply_format, etag, not_modified,
-             memoised) = self._run_binary(body, headers, session)
+            wire_format, wire_value = session.unpack_stream(body)
+            op = self._operation_for(wire_format, headers)
+            params = self._restore_request(wire_value, wire_format, op)
+            if self.quality is None:
+                reply_value = self.xml_service.invoke(op, params, headers)
+                reply_format, etag = op.output_format, None
+                not_modified = memoised = False
+            else:
+                (reply_value, reply_format, etag, not_modified,
+                 memoised) = self._select_reply(op, params, headers,
+                                                session)
         except (BinProtocolError, UnknownFormatError, SoapFault) as exc:
-            return ChannelReply(body=str(exc).encode("utf-8"),
-                                content_type="text/plain", status=500)
+            return ChannelReply(str(exc).encode("utf-8"), "text/plain",
+                                status=500)
         except Exception as exc:  # noqa: BLE001 - dispatch boundary
-            return ChannelReply(body=f"internal error: {exc}".encode(),
-                                content_type="text/plain", status=500)
-        reply_headers = self._reply_headers(headers, prep_started)
+            return ChannelReply(f"internal error: {exc}".encode(),
+                                "text/plain", status=500)
+        # The RTT timestamp echo, and the preparation time so far: the
+        # encode below is not part of it.
+        reply_headers: Dict[str, str] = {}
+        timestamp = headers.get(HEADER_TIMESTAMP)
+        if timestamp is not None:
+            reply_headers[HEADER_TIMESTAMP_ECHO] = timestamp
+        prep = self._prep_time_fn() - prep_started
+        reply_headers[HEADER_SERVER_TIME] = f"{max(0.0, prep):.9f}"
         if not_modified:
             # Header-only fast path: the client's cached representation is
             # current, so the quality handler AND the encode are skipped.
             reply_headers["ETag"] = etag
-            return ChannelReply(body=b"", content_type=PBIO_CONTENT_TYPE,
-                                headers=reply_headers, status=304)
+            return ChannelReply(b"", PBIO_CONTENT_TYPE, reply_headers, 304)
         payload = self._pack_reply(session, reply_format, reply_value, etag,
                                    memoised)
         if etag is not None:
             reply_headers["ETag"] = etag
-        return ChannelReply(body=payload, content_type=PBIO_CONTENT_TYPE,
-                            headers=reply_headers)
+        return ChannelReply(payload, PBIO_CONTENT_TYPE, reply_headers)
 
-    def _run_binary(self, body: bytes, headers: Dict[str, str],
-                    session: PbioSession):
-        """Decode, dispatch and select quality; returns ``(reply_value,
-        reply_format, etag, not_modified, memoised)``, the last True when
-        the reply is a memoised result sent at full fidelity."""
-        wire_format, wire_value = session.unpack_stream(body)
-        op = self._operation_for(wire_format, headers)
-        params = self._restore_request(wire_value, wire_format, op)
+    def _select_reply(self, op: Operation, params: Dict[str, Any],
+                      headers: Dict[str, str], session: PbioSession):
+        """Ingest the reported RTT, run the operation and select the
+        reply's quality; returns ``(reply_value, reply_format, etag,
+        not_modified, memoised)``, the last True when the reply is a
+        memoised result sent at full fidelity."""
         self._ingest_reported_rtt(headers)
         result, digest = self._invoke(op, params, headers)
-        if self.quality is None:
-            return result, op.output_format, None, False, False
         # The cache/ETag variant must reflect the representation this reply
         # will be *encoded* in, and the session may have just learned the
         # peer's compact capability from announcements in this very body —
@@ -322,9 +337,10 @@ class SoapBinService:
         resident in the memo anyway, whereas a unique reply would be copied
         into the cache for no later hit.
         """
-        cache = self.quality.cache if self.quality is not None else None
-        if cache is None or etag is None:
+        # an ETag means a quality policy chose the reply
+        if etag is None or self.quality.cache is None:
             return session.pack_bytes(reply_format, reply_value)
+        cache = self.quality.cache
         if not session.has_announced(reply_format):
             reply, data = session.pack_split(reply_format, reply_value)
             cache.attach_payload(etag, data, create=memoised)
@@ -369,20 +385,15 @@ class SoapBinService:
             return
         self.quality.attributes.update_attribute("rtt", value)
 
-    def _reply_headers(self, request_headers: Dict[str, str],
-                       prep_started: float) -> Dict[str, str]:
-        reply: Dict[str, str] = {}
-        timestamp = request_headers.get(HEADER_TIMESTAMP)
-        if timestamp is not None:
-            reply[HEADER_TIMESTAMP_ECHO] = timestamp
-        prep = max(0.0, self._prep_time_fn() - prep_started)
-        reply[HEADER_SERVER_TIME] = f"{prep:.9f}"
-        return reply
+    def _session_for(self, client_id: str,
+                     now: Optional[float] = None) -> PbioSession:
+        """The client's session; ``now``, a ``prep_time_fn`` reading the
+        caller already took, spares the table another."""
+        return self._sessions.get_or_create(client_id, self._new_session,
+                                            now)
 
-    def _session_for(self, client_id: str) -> PbioSession:
-        return self._sessions.get_or_create(
-            client_id, lambda: PbioSession(self.registry, self.compiler,
-                                           wire=self.wire))
+    def _new_session(self) -> PbioSession:
+        return PbioSession(self.registry, self.compiler, wire=self.wire)
 
     @property
     def session_count(self) -> int:

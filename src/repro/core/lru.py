@@ -117,11 +117,14 @@ class LruTtlCache:
             self._evict_over_budget()
             return True
 
-    def get_or_create(self, key: Any, factory: Callable[[], Any]) -> Any:
+    def get_or_create(self, key: Any, factory: Callable[[], Any],
+                      now: Optional[float] = None) -> Any:
         """The session-table idiom: touch-and-return on a hit; on a miss,
-        sweep idle entries, create, insert, then enforce the capacity."""
+        sweep idle entries, create, insert, then enforce the capacity.
+        ``now``: a reading of ``time_fn`` the caller already took."""
         with self._lock:
-            now = self._time_fn()
+            if now is None:
+                now = self._time_fn()
             entry = self._entries.get(key)
             if entry is not None:
                 entry.last_used = now

@@ -24,7 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import HttpConnectionClosed, HttpError, HttpParseError
 from .messages import (Headers, LAST_CHUNK, Request, Response, ResponseParser,
-                       consume_views, encode_chunk, wire_buffers)
+                       connection_tokens, consume_views, encode_chunk,
+                       wire_buffers)
 
 #: buffers per ``sendmsg``, well under the kernel's ``IOV_MAX``
 _SENDMSG_BATCH = 64
@@ -234,8 +235,7 @@ class HttpConnection:
                     if response is None:
                         break
                     responses.append(response)
-                    if (response.headers.get("Connection")
-                            or "").lower() == "close":
+                    if "close" in connection_tokens(response.headers):
                         closing = True
                         if len(responses) < total:
                             raise HttpConnectionClosed(
@@ -391,7 +391,7 @@ class StreamResponse:
             return
         self._finished = True
         self._sender.join()
-        if (self.headers.get("Connection") or "").lower() == "close":
+        if "close" in connection_tokens(self.headers):
             self._conn.close()
         if self._sender_error and self.ok:
             # On an error response the server may legitimately have hung

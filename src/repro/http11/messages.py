@@ -20,6 +20,9 @@ refused even when it repeats the same value (no collapsing).  A field
 name followed by whitespace before its colon is refused for every field,
 and ``Content-Length`` together with ``Transfer-Encoding: chunked`` is
 refused as well; so is a CR or LF outside a CRLF, a NUL, or a folded line.
+A chunk-size line is hex digits only (no ``0x``, sign, ``_`` or leading
+whitespace), then optionally whitespace, ``;`` and extensions, at most
+1,024 bytes before its CRLF.
 
 **One parser.**  Every reader — both servers, the blocking and the
 pipelined client — reads HTTP through :class:`RequestParser` /
@@ -50,10 +53,11 @@ that actually arrive — at most twice what the peer has sent, past a
 from __future__ import annotations
 
 import io
+import re
 import socket
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Tuple)
 
 from .errors import HttpConnectionClosed, HttpParseError, HttpTooLarge
 
@@ -97,38 +101,44 @@ class Headers:
     """A case-insensitive, order-preserving header multimap.
 
     ``_items``: the ``(name, value)`` pairs in wire order and case;
-    ``_index``: lower-cased name -> first value, so lookups never scan.
+    :attr:`folded`: lower-cased name -> first value, so lookups never scan.
+    Hot paths read ``folded`` with a constant lower-case name instead of
+    calling :meth:`get`; nothing but this class writes to it.
     """
 
-    __slots__ = ("_items", "_index")
+    __slots__ = ("_items", "folded")
 
-    def __init__(self, items: Optional[Iterable[Tuple[str, str]]] = None
-                 ) -> None:
-        self._items: List[Tuple[str, str]] = []
-        self._index: Dict[str, str] = {}
-        for name, value in items or ():
-            self.add(name, value)
+    def __init__(self, items: Iterable[Tuple[str, str]] = (),
+                 folded: Optional[Dict[str, str]] = None) -> None:
+        """``items``: ``(name, value)`` pairs, every value a ``str``;
+        ``folded``: their index, when the caller has built it already."""
+        self._items: List[Tuple[str, str]] = list(items)
+        if folded is None:
+            folded = {}
+            for name, value in reversed(self._items):   # first value wins
+                folded[name.lower()] = value
+        self.folded: Dict[str, str] = folded
 
     def add(self, name: str, value: str) -> None:
         value = str(value)
         self._items.append((name, value))
-        self._index.setdefault(name.lower(), value)
+        self.folded.setdefault(name.lower(), value)
 
     def set(self, name: str, value: str) -> None:
         """Replace all values of ``name`` with one value."""
         lower = name.lower()
-        if lower in self._index:
+        if lower in self.folded:
             self._drop(lower)
         value = str(value)
         self._items.append((name, value))
-        self._index[lower] = value
+        self.folded[lower] = value
 
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
-        return self._index.get(name.lower(), default)
+        return self.folded.get(name.lower(), default)
 
     def get_all(self, name: str) -> List[str]:
         lower = name.lower()
-        if lower not in self._index:
+        if lower not in self.folded:
             return []
         return [v for n, v in self._items if n.lower() == lower]
 
@@ -136,12 +146,26 @@ class Headers:
         self._drop(name.lower())
 
     def _drop(self, lower: str) -> None:
-        if self._index.pop(lower, None) is not None:
+        if self.folded.pop(lower, None) is not None:
             self._items = [item for item in self._items
                            if item[0].lower() != lower]
 
     def __contains__(self, name: str) -> bool:
-        return name.lower() in self._index
+        return name.lower() in self.folded
+
+    def fields(self) -> "HeaderFields":
+        """The headers as one dict: wire-case name -> the value
+        :meth:`get` reads, so a name repeated in any letter case has its
+        first value under each spelling.  Its ``folded`` is this
+        multimap's own."""
+        folded = self.folded
+        fields = HeaderFields(self._items)
+        if len(folded) < len(self._items):  # a name repeats: first wins
+            names = list(fields)
+            fields.update(zip(names, map(folded.__getitem__,
+                                         map(str.lower, names))))
+        fields.folded = folded
+        return fields
 
     def __iter__(self) -> Iterator[Tuple[str, str]]:
         return iter(self._items.copy())
@@ -153,6 +177,16 @@ class Headers:
         return f"Headers({self._items!r})"
 
 
+def connection_tokens(headers: Headers) -> FrozenSet[str]:
+    """The lower-cased options of every ``Connection`` field: the field is
+    a comma-separated token list and may repeat (RFC 9110 §7.6.1)."""
+    if "connection" not in headers.folded:
+        return frozenset()
+    return frozenset(token.strip().lower()
+                     for value in headers.get_all("Connection")
+                     for token in value.split(","))
+
+
 class HeaderFields(dict):
     """A request's headers as endpoints get them: wire-case name -> value.
     ``folded`` (lower-cased name -> value) makes a lookup in any letter
@@ -161,38 +195,43 @@ class HeaderFields(dict):
     __slots__ = ("folded",)
 
 
-@dataclass
 class Request:
-    """An HTTP request."""
+    """An HTTP request.
 
-    method: str = "POST"
-    target: str = "/"
-    headers: Headers = field(default_factory=Headers)
-    body: bytes = b""
-    version: str = "HTTP/1.1"
-    #: True when the body is NOT in :attr:`body` but drains incrementally
-    #: through ``RequestParser.drain_body`` (reactor streaming routes).
-    streaming: bool = False
-    _fields: Optional[HeaderFields] = field(default=None, init=False,
-                                            repr=False, compare=False)
+    ``streaming`` is True when the body is NOT in :attr:`body` but drains
+    incrementally through ``RequestParser.drain_body`` (reactor streaming
+    routes)."""
+
+    __slots__ = ("method", "target", "headers", "body", "version",
+                 "streaming")
+
+    def __init__(self, method: str = "POST", target: str = "/",
+                 headers: Optional[Headers] = None, body: bytes = b"",
+                 version: str = "HTTP/1.1", streaming: bool = False) -> None:
+        self.method = method
+        self.target = target
+        self.headers = Headers() if headers is None else headers
+        self.body = body
+        self.version = version
+        self.streaming = streaming
+
+    def __repr__(self) -> str:
+        return (f"Request({self.method} {self.target} {self.version}, "
+                f"{len(self.headers)} headers, {len(self.body)} B)")
 
     @property
     def content_type(self) -> str:
-        return self.headers.get("Content-Type", "")
-
-    def fields(self) -> HeaderFields:
-        """The headers as one dict (a repeated name keeps its last value),
-        built once and shared by every caller: change no header after."""
-        if self._fields is None:
-            self._fields = HeaderFields(self.headers._items)
-            self._fields.folded = self.headers._index.copy()
-        return self._fields
+        return self.headers.folded.get("content-type", "")
 
     def wants_keep_alive(self) -> bool:
-        token = self.headers.get("Connection")
-        if self.version == "HTTP/1.0":
-            return token is not None and token.lower() == "keep-alive"
-        return token is None or token.lower() != "close"
+        """HTTP/1.1 keeps the connection unless a ``Connection`` option is
+        ``close``; HTTP/1.0 only with ``keep-alive`` and no ``close``."""
+        if "connection" not in self.headers.folded:
+            return self.version != "HTTP/1.0"
+        tokens = connection_tokens(self.headers)
+        if "close" in tokens:
+            return False
+        return self.version != "HTTP/1.0" or "keep-alive" in tokens
 
     def head_bytes(self) -> bytes:
         """Request line and header block; the body follows it on the wire."""
@@ -203,17 +242,27 @@ class Request:
         return self.head_bytes() + self.body
 
 
-@dataclass
 class Response:
-    """An HTTP response."""
+    """An HTTP response.
 
-    status: int = 200
-    headers: Headers = field(default_factory=Headers)
-    body: bytes = b""
-    version: str = "HTTP/1.1"
-    #: True when the body is NOT in :attr:`body` but drains incrementally
-    #: through ``ResponseParser.drain_body`` (``HttpConnection.stream``).
-    streaming: bool = False
+    ``streaming`` is True when the body is NOT in :attr:`body` but drains
+    incrementally through ``ResponseParser.drain_body``
+    (``HttpConnection.stream``)."""
+
+    __slots__ = ("status", "headers", "body", "version", "streaming")
+
+    def __init__(self, status: int = 200, headers: Optional[Headers] = None,
+                 body: bytes = b"", version: str = "HTTP/1.1",
+                 streaming: bool = False) -> None:
+        self.status = status
+        self.headers = Headers() if headers is None else headers
+        self.body = body
+        self.version = version
+        self.streaming = streaming
+
+    def __repr__(self) -> str:
+        return (f"Response({self.version} {self.status}, "
+                f"{len(self.headers)} headers, {len(self.body)} B)")
 
     @property
     def reason(self) -> str:
@@ -225,7 +274,7 @@ class Response:
 
     @property
     def content_type(self) -> str:
-        return self.headers.get("Content-Type", "")
+        return self.headers.folded.get("content-type", "")
 
     def head_bytes(self) -> bytes:
         """Status line and header block; the body follows it on the wire."""
@@ -238,9 +287,9 @@ class Response:
 
     @classmethod
     def text(cls, status: int, message: str) -> "Response":
-        resp = cls(status=status, body=message.encode("utf-8"))
-        resp.headers.set("Content-Type", "text/plain; charset=utf-8")
-        return resp
+        return cls(status, Headers([("Content-Type",
+                                     "text/plain; charset=utf-8")]),
+                   message.encode("utf-8"))
 
 
 def etag_matches(if_none_match: Optional[str], etag: Optional[str]) -> bool:
@@ -317,15 +366,16 @@ def _stray(text: str, crlfs: int) -> bool:
             or "\0" in text)
 
 
+#: A chunk-size line: hex digits only, then optional whitespace before a
+#: ``;`` that starts the extensions (RFC 9112 §7.1); no CR, LF or NUL.
+_CHUNK_SIZE_LINE = re.compile(rb"([0-9A-Fa-f]+)(?:[ \t]*;[^\r\n\0]*)?")
+
+
 def _parse_chunk_size(line: bytes) -> int:
-    token = line.split(b";", 1)[0].strip()
-    try:
-        size = int(token, 16)
-    except ValueError:
+    match = _CHUNK_SIZE_LINE.fullmatch(line)
+    if match is None:
         raise HttpParseError(f"bad chunk size line {line!r}")
-    if size < 0 or token.startswith((b"+", b"-")):
-        raise HttpParseError(f"bad chunk size line {line!r}")
-    return size
+    return int(match.group(1), 16)
 
 
 #: The status line of every ``(version, status)`` in ``REASONS``.
@@ -338,12 +388,13 @@ def _serialize_head(start_line: str, headers: Headers,
                     body_length: int) -> bytes:
     """The head in one join; ``Content-Length`` is added unless the
     headers frame the body themselves."""
-    lines = [start_line, *map(": ".join, headers._items)]
-    index = headers._index
-    if "content-length" not in index and "transfer-encoding" not in index:
-        lines.append(f"Content-Length: {body_length}")
-    lines.append("\r\n")
-    return "\r\n".join(lines).encode("latin-1")
+    folded = headers.folded
+    if "content-length" in folded or "transfer-encoding" in folded:
+        end = "\r\n\r\n"
+    else:
+        end = f"\r\nContent-Length: {body_length}\r\n\r\n"
+    return ("\r\n".join([start_line, *map(": ".join, headers._items)])
+            + end).encode("latin-1")
 
 
 #: A body shorter than this goes out copied behind its head as one buffer:
@@ -530,25 +581,25 @@ class _IncrementalParser:
             if self._streaming:
                 # The head is already out; body bytes leave via drain_body().
                 return None
-            buf = self._buf
-            if self._head is None:
-                end = buf.find(b"\r\n\r\n", max(self._pos, self._scan - 3))
+            buf, pos, head = self._buf, self._pos, self._head
+            if head is None:
+                end = buf.find(b"\r\n\r\n", max(pos, self._scan - 3))
                 if end < 0:
-                    if len(buf) > self._pos:
+                    if len(buf) > pos:
                         self._check_partial_head()
                     return None
-                if end - self._pos > self.max_header_bytes:
+                if end - pos > self.max_header_bytes:
                     raise HttpTooLarge(
                         f"header block exceeds limit of "
                         f"{self.max_header_bytes} bytes")
-                head = bytes(buf[self._pos:end])
-                self._pos = self._scan = end + 4
                 (start_line, headers, raw_length,
-                 transfer_encoding) = self._split_head(head)
+                 transfer_encoding) = self._split_head(
+                     buf[pos:end].decode("latin-1"))
+                pos = self._pos = self._scan = end + 4
                 parsed_start = self._parse_start_line(start_line)
                 self._body_length = self._content_length(raw_length,
                                                          transfer_encoding)
-                self._head = (parsed_start, headers)
+                head = self._head = (parsed_start, headers)
                 if self._chunked and self._should_stream(parsed_start,
                                                          headers):
                     self._head = None
@@ -556,27 +607,28 @@ class _IncrementalParser:
                     return self._build_streaming(parsed_start, headers)
             if self._chunked:
                 return self._next_chunked()
+            length = self._body_length
             if self._owned is not None:
-                if self._owned_filled < self._body_length:
+                if self._owned_filled < length:
                     return None
                 body = self._owned.getvalue()   # hands its buffer over
                 self._owned = None
-            elif len(buf) - self._pos < self._body_length:
+            elif len(buf) - pos < length:
                 self._compact()  # keep the wait-for-body footprint small
                 return None
             else:
-                end = self._pos + self._body_length
-                body = bytes(memoryview(buf)[self._pos:end])
-                self._pos = end
+                end = pos + length
+                body = bytes(memoryview(buf)[pos:end])
                 if end >= len(buf):
                     del buf[:]          # cheap reset: all bytes consumed
                     self._pos = self._scan = 0
-                elif end > 65536:
-                    self._compact()
-            parsed_start, headers = self._head
+                else:
+                    self._pos = end
+                    if end > 65536:
+                        self._compact()
             self._head = None
             self._body_length = 0
-            return self._build(parsed_start, headers, body)
+            return self._build(*head, body)
         except (HttpParseError, HttpTooLarge):
             self._failed = True
             raise
@@ -647,9 +699,11 @@ class _IncrementalParser:
             n = len(buf)
             if self._chunk_state == self._CHUNK_SIZE:
                 idx = buf.find(b"\r\n", self._pos)
+                # the line so far, not counting a CR that may begin its CRLF
+                if (idx if idx >= 0 else n - buf.endswith(b"\r")) \
+                        - self._pos > _MAX_CHUNK_LINE:
+                    raise HttpParseError("chunk size line too long")
                 if idx < 0:
-                    if n - self._pos > _MAX_CHUNK_LINE:
-                        raise HttpParseError("chunk size line too long")
                     return False
                 size = _parse_chunk_size(bytes(buf[self._pos:idx]))
                 self._pos = idx + 2
@@ -733,14 +787,14 @@ class _IncrementalParser:
 
     # -- helpers -------------------------------------------------------
     @staticmethod
-    def _split_head(head: bytes) -> Tuple[str, Headers, Optional[str],
-                                          Optional[str]]:
-        """Split a header block into its start line, :class:`Headers` and
-        the two framing headers (Content-Length, Transfer-Encoding).
+    def _split_head(text: str) -> Tuple[str, Headers, Optional[str],
+                                        Optional[str]]:
+        """Split a header block (``text``, decoded as latin-1) into its
+        start line, :class:`Headers` and the two framing headers
+        (Content-Length, Transfer-Encoding), in one pass over its lines.
         Refused: a CR or LF outside a CRLF or a NUL (RFC 9110 §5.5), a
-        folded line (RFC 9112 §5.2), whitespace before a colon, and a
-        repeated framing header."""
-        text = head.decode("latin-1")
+        folded line (RFC 9112 §5.2), a line without a colon, whitespace
+        before a colon, and a repeated framing header."""
         lines = text.split("\r\n")
         if _stray(text, len(lines) - 1):
             raise HttpParseError("bare CR, LF or NUL in the message head")
@@ -749,8 +803,8 @@ class _IncrementalParser:
             raise HttpParseError("obsolete line folding in the message head")
         # " :" may sit in a value: names are checked only if the head has any
         check_names = " :" in text or tabs and "\t:" in text
-        headers = Headers()
-        items, index = headers._items, headers._index
+        items: List[Tuple[str, str]] = []
+        folded: Dict[str, str] = {}
         for line in lines[1:]:
             name, sep, value = line.partition(":")
             if not sep or check_names and name.endswith((" ", "\t")):
@@ -758,12 +812,13 @@ class _IncrementalParser:
             value = value.strip()
             items.append((name, value))
             lower = name.lower()
-            if lower not in index:
-                index[lower] = value
+            if lower not in folded:
+                folded[lower] = value
             elif lower in ("content-length", "transfer-encoding"):
                 raise HttpParseError(f"repeated {name} header")
-        return (lines[0], headers, index.get("content-length"),
-                index.get("transfer-encoding"))
+        headers = Headers(items, folded)
+        return (lines[0], headers, folded.get("content-length"),
+                folded.get("transfer-encoding"))
 
     def _content_length(self, raw_length: Optional[str],
                         transfer_encoding: Optional[str]) -> int:
@@ -839,8 +894,7 @@ class RequestParser(_IncrementalParser):
     def _build(self, parsed_start: Tuple[str, str, str], headers: Headers,
                body: bytes) -> Request:
         method, target, version = parsed_start
-        return Request(method=method, target=target, headers=headers,
-                       body=body, version=version)
+        return Request(method, target, headers, body, version)
 
     #: the next complete request, or ``None`` (:meth:`next_message`)
     next_request = _IncrementalParser.next_message
@@ -878,8 +932,7 @@ class ResponseParser(_IncrementalParser):
     def _build(self, parsed_start: Tuple[str, int], headers: Headers,
                body: bytes) -> Response:
         version, status = parsed_start
-        return Response(status=status, headers=headers, body=body,
-                        version=version)
+        return Response(status, headers, body, version)
 
     #: the next complete response, or ``None`` (:meth:`next_message`)
     next_response = _IncrementalParser.next_message

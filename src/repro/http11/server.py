@@ -55,6 +55,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 Handler = Callable[[Request], Response]
 
+#: ``X-Deadline-Ms`` as :attr:`Headers.folded` keys it
+_DEADLINE_KEY = HEADER_DEADLINE_MS.lower()
+
 
 def set_reuse_port(sock: socket.socket) -> None:
     """Enable ``SO_REUSEPORT`` on ``sock`` (before bind), or raise.
@@ -154,7 +157,8 @@ class _ServerCore:
         ``304`` (RFC 9110 scopes it to GET/HEAD; the SOAP-bin service emits
         its conditional-POST 304s itself, see ``docs/caching.md``), with
         ``Content-Length: 0`` to keep keep-alive framing exact."""
-        if "Transfer-Encoding" in request.headers:
+        folded = request.headers.folded
+        if "transfer-encoding" in folded:
             with self._lock:
                 self.chunked_requests += 1
         target = request.target
@@ -167,11 +171,11 @@ class _ServerCore:
             decision = None
             if admission is not None:
                 deadline = None
-                if HEADER_DEADLINE_MS in request.headers:
+                if _DEADLINE_KEY in folded:
                     deadline = deadline_from_headers(
-                        request.fields(), admission.clock.now(),
+                        request.headers.fields(), admission.clock.now(),
                         assume_synced_clock=self.assume_synced_clock)
-                decision = admission.acquire(deadline=deadline)
+                decision = admission.acquire(deadline)
             if decision is None or decision.admitted:
                 try:
                     response = self.handler(request)
@@ -179,7 +183,7 @@ class _ServerCore:
                     response = Response.text(500, f"internal error: {exc}")
                 finally:
                     if decision is not None:
-                        admission.release(decision.ticket)
+                        admission.release(decision)     # its Ticket
             else:
                 with self._lock:
                     self.requests_shed += 1

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple, Union
 
 from .compiler import BIG, LITTLE, CodecCompiler
 from .errors import DecodeError, FormatError, UnknownFormatError
@@ -211,15 +211,20 @@ class PbioSession:
                 or CodecCompiler(registry)
         self.compiler = compiler
         self.endian = endian
+        self._flags = FLAG_LITTLE_ENDIAN if endian == LITTLE else 0
         self.format_fetcher = format_fetcher
         self.adopt_redefines = adopt_redefines
         if wire not in WIRE_MODES:
             raise ValueError(f"wire must be one of {WIRE_MODES}, got {wire!r}")
+        #: the send policy, fixed for the session's life
         self.wire = wire
-        # the compact revision the peer has shown it decodes (0: none yet)
-        self._peer_revision = 0
+        self._learn_revision(0)
         self.stats = SessionStats()
         self._announced: Set[int] = set()
+        #: fingerprint -> registry id of every format this session sent
+        #: since the last :meth:`invalidate`, so a send skips the
+        #: registry's lock
+        self._ids: Dict[str, int] = {}
         self._remote: Dict[int, Format] = {}
         # Join the redefine() invalidation contract (weakly, like the
         # codec/xlate caches): a redefined format keeps its wire id, so
@@ -236,6 +241,7 @@ class PbioSession:
         # The peer's decode capability is a property of the peer, not of
         # any format — redefinition does not forget it.
         self._announced.clear()
+        self._ids.clear()
 
     @property
     def peer_compact_capable(self) -> bool:
@@ -247,19 +253,23 @@ class PbioSession:
         """Record out-of-band knowledge that the peer decodes compact —
         e.g. a paired receive session on the same link saw the peer's
         capability advert (the record-stream reply path)."""
-        self._peer_revision = COMPACT_REVISION
+        self._learn_revision(COMPACT_REVISION)
 
-    def _use_compact(self) -> bool:
+    def _learn_revision(self, revision: int) -> None:
+        """Record the compact revision the peer decodes (0: none known),
+        and so whether data goes out compact (``_compact``)."""
+        self._peer_revision = revision
         if self.wire == "compact":
-            return self._peer_revision in (0, COMPACT_REVISION)
-        return self.wire == "auto" and \
-            self._peer_revision == COMPACT_REVISION
+            self._compact = revision in (0, COMPACT_REVISION)
+        else:
+            self._compact = (self.wire == "auto"
+                             and revision == COMPACT_REVISION)
 
     def wire_rep(self) -> str:
         """The representation the *next* data message will use —
         ``"compact"`` or ``"native"``.  Cache layers key response variants
         on this so compact and native payloads never alias."""
-        return "compact" if self._use_compact() else "native"
+        return "compact" if self._compact else "native"
 
     # ------------------------------------------------------------------
     # sending
@@ -270,23 +280,8 @@ class PbioSession:
         The first call for a format yields ``[announcement, data]``; later
         calls yield ``[data]`` only.
         """
-        if isinstance(fmt, str):
-            fmt = self.registry.by_name(fmt)
-        fid = self.registry.register(fmt)
-        blobs = []
-        if fid not in self._announced:
-            blobs.append(self._announce(fmt, fid))
-        compact = self._use_compact()
-        if compact:
-            parts = self.compiler.compact_encoder_parts(fmt)(value)
-            self.stats.compact_sent += 1
-        else:
-            parts = self.compiler.encoder_parts(fmt, self.endian)(value)
-        blobs.append(encode_message(KIND_DATA, fid, parts, self.endian,
-                                    compact=compact))
-        self.stats.messages_sent += 1
-        self.stats.bytes_sent += sum(len(b) for b in blobs)
-        return blobs
+        blob, data_at = self._pack_joined(fmt, value)
+        return [blob[:data_at], blob[data_at:]] if data_at else [blob]
 
     def pack_bytes(self, fmt: Union[Format, str],
                    value: Dict[str, Any]) -> bytes:
@@ -311,25 +306,26 @@ class PbioSession:
         """The joined message and the offset of its data message."""
         if isinstance(fmt, str):
             fmt = self.registry.by_name(fmt)
-        fid = self.registry.register(fmt)
-        parts: List[bytes] = []
+        fid = self._ids.get(fmt.fingerprint)
+        if fid is None:
+            fid = self._ids[fmt.fingerprint] = self.registry.register(fmt)
+        stats = self.stats
+        if self._compact:
+            parts = [_HEADER.pack(MAGIC, self._flags | FLAG_COMPACT,
+                                  KIND_DATA, fid),
+                     *self.compiler.compact_encoder_parts(fmt)(value)]
+            stats.compact_sent += 1
+        else:
+            parts = [_HEADER.pack(MAGIC, self._flags, KIND_DATA, fid),
+                     *self.compiler.encoder_parts(fmt, self.endian)(value)]
         data_at = 0
         if fid not in self._announced:
-            parts.append(self._announce(fmt, fid))
-            data_at = len(parts[0])
-        compact = self._use_compact()
-        flags = FLAG_LITTLE_ENDIAN if self.endian == LITTLE else 0
-        if compact:
-            flags |= FLAG_COMPACT
-        parts.append(_HEADER.pack(MAGIC, flags, KIND_DATA, fid))
-        if compact:
-            parts.extend(self.compiler.compact_encoder_parts(fmt)(value))
-            self.stats.compact_sent += 1
-        else:
-            parts.extend(self.compiler.encoder_parts(fmt, self.endian)(value))
+            announcement = self._announce(fmt, fid)
+            parts.insert(0, announcement)
+            data_at = len(announcement)
         blob = b"".join(parts)
-        self.stats.messages_sent += 1
-        self.stats.bytes_sent += len(blob)
+        stats.messages_sent += 1
+        stats.bytes_sent += len(blob)
         return blob, data_at
 
     def has_announced(self, fmt: Union[Format, str]) -> bool:
@@ -372,86 +368,105 @@ class PbioSession:
         Returns ``(format, value)`` for data messages and ``None`` for
         control messages (format announcements).
         """
-        msg = parse_message(blob)
-        self.stats.bytes_received += len(blob)
-        if msg.kind == KIND_FORMAT:
-            fmt = Format.from_wire(msg.payload)
-            try:
-                self.registry.register(fmt)
-            except FormatError:
-                # The peer announced a name this registry already binds to
-                # a different structure.  Only a session that explicitly
-                # trusts its peer — the client side of a live quality
-                # redefinition — may rebind shared registry state (which
-                # also flushes codec plans compiled for the old layout).
-                # Everywhere else the conflict fails this one message, so
-                # a single peer can never rebind server-owned names or
-                # thrash shared caches for every other connection.
-                if not self.adopt_redefines:
-                    raise
-                self.registry.redefine(fmt)
-            self._remote[msg.format_id] = fmt
-            self.stats.announcements_received += 1
-            if msg.revision:
-                self._peer_revision = msg.revision
+        view = blob if isinstance(blob, memoryview) else memoryview(blob)
+        if len(view) < HEADER_SIZE:
+            raise DecodeError(f"message shorter than header "
+                              f"({len(view)} < {HEADER_SIZE})")
+        magic, flags, kind, fid = _HEADER.unpack_from(view, 0)
+        if magic != MAGIC:
+            raise DecodeError(f"bad PBIO magic {magic!r}")
+        if kind == KIND_FORMAT:
+            self.stats.bytes_received += len(view)
+            self._adopt(fid, flags, Format.from_wire(view[HEADER_SIZE:]))
             return None
-        if msg.kind != KIND_DATA:
-            raise DecodeError(f"unknown message kind {msg.kind}")
-        fmt = self._resolve(msg.format_id)
-        if msg.revision:
+        return self._decode(view, flags, kind, fid)
+
+    def unpack_stream(self, blob: Buffer) -> Tuple[Format, Dict[str, Any]]:
+        """Consume a blob that may contain announcement(s) + one data message
+        back to back (the output of :meth:`pack_bytes`), reading each
+        message header once.
+
+        Announcements are self-describing (the metadata blob knows its
+        length through its own fields), so the stream is walked: FORMAT
+        messages are followed by more messages; the DATA message claims
+        the rest of the blob.
+        """
+        view = blob if isinstance(blob, memoryview) else memoryview(blob)
+        total = len(view)
+        offset = 0
+        while offset < total:
+            if total - offset < HEADER_SIZE:
+                raise DecodeError("trailing garbage after PBIO message")
+            magic, flags, kind, fid = _HEADER.unpack_from(view, offset)
+            if magic != MAGIC:
+                raise DecodeError(f"bad PBIO magic {magic!r}")
+            if kind != KIND_FORMAT:
+                return self._decode(view[offset:] if offset else view,
+                                    flags, kind, fid)
+            fmt, size = Format.from_wire_prefix(
+                view[offset + HEADER_SIZE:])
+            size += HEADER_SIZE
+            self.stats.bytes_received += size
+            self._adopt(fid, flags, fmt)
+            offset += size
+        raise DecodeError("stream contained no data message")
+
+    def _adopt(self, fid: int, flags: int, fmt: Format) -> None:
+        """Bind the peer's format id ``fid`` to an announced ``fmt``, and
+        learn the compact revision the announcement advertises."""
+        try:
+            self.registry.register(fmt)
+        except FormatError:
+            # The peer announced a name this registry already binds to
+            # a different structure.  Only a session that explicitly
+            # trusts its peer — the client side of a live quality
+            # redefinition — may rebind shared registry state (which
+            # also flushes codec plans compiled for the old layout).
+            # Everywhere else the conflict fails this one message, so
+            # a single peer can never rebind server-owned names or
+            # thrash shared caches for every other connection.
+            if not self.adopt_redefines:
+                raise
+            self.registry.redefine(fmt)
+        self._remote[fid] = fmt
+        self.stats.announcements_received += 1
+        revision = (flags & _REVISION_MASK) >> _REVISION_SHIFT
+        if revision:
+            self._learn_revision(revision)
+
+    def _decode(self, message: memoryview, flags: int, kind: int,
+                fid: int) -> Tuple[Format, Dict[str, Any]]:
+        """Decode the data message that is the whole of ``message``."""
+        if kind != KIND_DATA:
+            raise DecodeError(f"unknown message kind {kind}")
+        stats = self.stats
+        stats.bytes_received += len(message)
+        fmt = self._remote.get(fid) or self._resolve(fid)
+        if flags & _REVISION_MASK:
             # Universal decode: compact data is accepted regardless of this
             # session's own wire policy.  A peer that *sends* compact can
             # obviously decode it, so this also learns the capability —
             # and a peer on another revision is answered in native.
-            self._peer_revision = msg.revision
-            if msg.revision != COMPACT_REVISION:
+            revision = (flags & _REVISION_MASK) >> _REVISION_SHIFT
+            if revision != self._peer_revision:
+                self._learn_revision(revision)
+            if revision != COMPACT_REVISION:
                 raise DecodeError(
                     f"format {fmt.name!r}: compact revision "
-                    f"{msg.revision} payload (this side reads revision "
+                    f"{revision} payload (this side reads revision "
                     f"{COMPACT_REVISION})")
-            self.stats.compact_received += 1
+            stats.compact_received += 1
             decode = self.compiler.compact_decoder(fmt)
         else:
-            decode = self.compiler.decoder(fmt, msg.endian)
-        value, consumed = decode(msg.payload, 0)
-        if consumed != len(msg.payload):
+            decode = self.compiler.decoder(
+                fmt, LITTLE if flags & FLAG_LITTLE_ENDIAN else BIG)
+        value, consumed = decode(message, HEADER_SIZE)
+        if consumed != len(message):
             raise DecodeError(
-                f"format {fmt.name!r}: {len(msg.payload) - consumed} "
+                f"format {fmt.name!r}: {len(message) - consumed} "
                 f"trailing bytes in payload")
-        self.stats.messages_received += 1
+        stats.messages_received += 1
         return fmt, value
-
-    def unpack_stream(self, blob: Buffer) -> Tuple[Format, Dict[str, Any]]:
-        """Consume a blob that may contain announcement(s) + one data message
-        back to back (the output of :meth:`pack_bytes`)."""
-        offset = 0
-        result = None
-        view = blob if isinstance(blob, memoryview) else memoryview(blob)
-        total = len(view)
-        while offset < total:
-            if total - offset < HEADER_SIZE:
-                raise DecodeError("trailing garbage after PBIO message")
-            msg_len = self._message_length(view, offset)
-            result = self.unpack(view[offset:offset + msg_len])
-            offset += msg_len
-        if result is None:
-            raise DecodeError("stream contained no data message")
-        return result
-
-    def _message_length(self, view: memoryview, offset: int) -> int:
-        """Length of the message at ``offset``.
-
-        Announcements are self-describing (metadata blob knows its length
-        through its own fields), so for stream parsing we walk: FORMAT
-        messages are followed by more messages; the final DATA message claims
-        the rest of the blob.
-        """
-        _, _, kind, _ = _HEADER.unpack_from(view, offset)
-        if kind == KIND_DATA:
-            return len(view) - offset
-        # Format metadata blob: parse it to find its end.
-        _, fmt_len = Format.from_wire_prefix(view[offset + HEADER_SIZE:])
-        return HEADER_SIZE + fmt_len
 
     def _resolve(self, fid: int) -> Format:
         fmt = self._remote.get(fid)

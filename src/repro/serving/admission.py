@@ -45,7 +45,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple, Union
 
 from ..clock import Clock, WallClock
 
@@ -58,23 +58,37 @@ SHED_SATURATED = "saturated"
 _POLICIES = ("fifo", "lifo", "deadline")
 
 
-@dataclass
 class Ticket:
-    """An admitted request's permit; hand it back via ``release``."""
+    """An admitted request's permit, which is also the admission's
+    :class:`Decision` (``admitted`` is true and ``ticket`` is the permit
+    itself); hand it back via ``release``."""
 
-    started_at: float
-    deadline: Optional[float] = None
-    waited_s: float = 0.0
-
-
-@dataclass
-class Decision:
-    """The outcome of one admission attempt."""
-
-    admitted: bool
+    __slots__ = ("started_at", "deadline", "waited_s")
+    admitted = True
     reason: Optional[str] = None
+
+    def __init__(self, started_at: float, deadline: Optional[float] = None,
+                 waited_s: float = 0.0) -> None:
+        self.started_at = started_at
+        self.deadline = deadline
+        self.waited_s = waited_s
+
+    @property
+    def ticket(self) -> "Ticket":
+        return self
+
+
+class Decision:
+    """A refused admission attempt: ``reason`` says why.  An admitted
+    attempt's decision is its :class:`Ticket`."""
+
+    __slots__ = ("reason", "waited_s")
+    admitted = False
     ticket: Optional[Ticket] = None
-    waited_s: float = 0.0
+
+    def __init__(self, reason: str, waited_s: float = 0.0) -> None:
+        self.reason = reason
+        self.waited_s = waited_s
 
 
 class _Waiter:
@@ -130,7 +144,7 @@ class AdmissionController:
         self._cond = threading.Condition(self._lock)
         self._busy = 0
         self._waiters: List[_Waiter] = []
-        self._inflight: Dict[int, Ticket] = {}
+        self._inflight: Set[Ticket] = set()
         self._busy_intervals: Deque[Tuple[float, float]] = deque()
         self._service_times: Deque[float] = deque(maxlen=service_time_samples)
 
@@ -138,10 +152,13 @@ class AdmissionController:
     # admission
     # ------------------------------------------------------------------
     def acquire(self, deadline: Optional[float] = None,
-                block: bool = True) -> Decision:
+                block: bool = True) -> Union[Ticket, Decision]:
         """Ask for a worker permit; possibly wait; possibly get shed.
 
-        ``deadline`` is absolute on the controller's clock (see
+        Returns the :class:`Ticket` when admitted, else a refused
+        :class:`Decision`; either answers ``admitted``, ``reason``,
+        ``ticket`` and ``waited_s``.  ``deadline`` is absolute on the
+        controller's clock (see
         :func:`~repro.http11.deadline.deadline_from_headers`).  With
         ``block=False`` a saturated pool sheds instead of queueing — the
         right mode for single-threaded (simulated) servers where nobody
@@ -155,8 +172,8 @@ class AdmissionController:
                 self._busy += 1
                 self.metrics.admitted += 1
                 ticket = Ticket(now, deadline)
-                self._inflight[id(ticket)] = ticket
-                return Decision(True, None, ticket)
+                self._inflight.add(ticket)
+                return ticket
             if not block or self.queue_limit == 0:
                 return self._shed_decision(SHED_SATURATED if not block
                                            else SHED_QUEUE_FULL)
@@ -179,13 +196,13 @@ class AdmissionController:
                 self._cond.wait(timeout)
             waited = self.clock.now() - waiter.enqueued_at
             if waiter.state == "shed":
-                self._count_shed(waiter.reason or SHED_QUEUE_FULL)
-                return Decision(admitted=False, reason=waiter.reason,
-                                waited_s=waited)
+                reason = waiter.reason or SHED_QUEUE_FULL
+                self._count_shed(reason)
+                return Decision(reason, waited)
             ticket = Ticket(waiter.granted_at or self.clock.now(),
                             waiter.deadline, waited)
-            self._inflight[id(ticket)] = ticket
-            return Decision(admitted=True, ticket=ticket, waited_s=waited)
+            self._inflight.add(ticket)
+            return ticket
 
     def release(self, ticket: Ticket) -> None:
         """Return a permit; records service time and wakes the next waiter."""
@@ -193,7 +210,7 @@ class AdmissionController:
             now = self.clock.now()
             started = ticket.started_at
             self._busy -= 1
-            self._inflight.pop(id(ticket), None)
+            self._inflight.discard(ticket)
             self._service_times.append(max(0.0, now - started))
             intervals = self._busy_intervals
             intervals.append((started, now))
@@ -218,7 +235,7 @@ class AdmissionController:
     # ------------------------------------------------------------------
     def _shed_decision(self, reason: str) -> Decision:
         self._count_shed(reason)
-        return Decision(admitted=False, reason=reason)
+        return Decision(reason)
 
     def _count_shed(self, reason: str) -> None:
         self.metrics.shed[reason] = self.metrics.shed.get(reason, 0) + 1
@@ -283,7 +300,7 @@ class AdmissionController:
         busy = 0.0
         for start, end in self._busy_intervals:
             busy += max(0.0, min(end, now) - max(start, horizon))
-        for ticket in self._inflight.values():
+        for ticket in self._inflight:
             busy += max(0.0, now - max(ticket.started_at, horizon))
         denom = self.utilization_window_s * self.max_concurrency
         return busy / denom if denom > 0 else 0.0

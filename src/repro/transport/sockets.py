@@ -34,7 +34,7 @@ def _to_reply(response: Response) -> ChannelReply:
     return ChannelReply(
         body=response.body,
         content_type=response.content_type,
-        headers=dict(response.headers),
+        headers=response.headers.fields(),
         status=response.status,
     )
 
@@ -214,17 +214,20 @@ PooledHttpChannel = PipelinedHttpChannel = HttpChannel
 
 
 def endpoint_http_handler(endpoint: Endpoint) -> Callable[[Request], Response]:
-    """Adapt an endpoint into an :class:`~repro.http11.HttpServer` handler."""
+    """Adapt an endpoint into an :class:`~repro.http11.HttpServer` handler.
+
+    The reply's ``content_type`` is its one ``Content-Type``; the reply
+    headers name the other fields and are copied in one pass."""
 
     def handler(request: Request) -> Response:
         if request.method != "POST":
             return Response.text(405, "POST only")
         reply = endpoint(request.body, request.content_type,
-                         request.fields())
-        headers = Headers([("Content-Type", reply.content_type)])
-        for name, value in reply.headers.items():
-            headers.set(name, value)    # one dict operation per new name
-        return Response(reply.status, headers, reply.body)
+                         request.headers.fields())
+        return Response(reply.status,
+                        Headers([("Content-Type", reply.content_type),
+                                 *reply.headers.items()]),
+                        reply.body)
 
     return handler
 

@@ -1,5 +1,6 @@
 """Tests for the HTTP/1.1 message model, server and client."""
 
+import socket
 import threading
 
 import pytest
@@ -8,6 +9,7 @@ from repro.http11 import (Headers, HttpConnection, HttpParseError,
                           HttpServer, HttpTooLarge, Request, RequestParser,
                           Response, ResponseParser, etag_matches,
                           parse_address)
+from repro.http11.deadline import header_value
 from repro.http11.errors import HttpConnectionClosed
 from tests.http11.scripted import Pieces
 
@@ -200,6 +202,81 @@ class TestParsing:
         assert not req2.wants_keep_alive()
         req3 = parse_request(b"GET / HTTP/1.0\r\n\r\n")
         assert not req3.wants_keep_alive()
+
+
+class TestConnectionOptions:
+    """``Connection`` is a comma-separated option list and may repeat
+    (RFC 9110 §7.6.1): ``close`` anywhere in any of its fields closes."""
+
+    def test_close_among_other_options(self):
+        req = parse_request(b"GET / HTTP/1.1\r\n"
+                            b"Connection: keep-alive, close\r\n\r\n")
+        assert not req.wants_keep_alive()
+
+    def test_close_in_a_second_field(self):
+        req = parse_request(b"GET / HTTP/1.1\r\nConnection: keep-alive\r\n"
+                            b"connection: Close\r\n\r\n")
+        assert not req.wants_keep_alive()
+
+    def test_other_options_keep_the_connection(self):
+        req = parse_request(b"GET / HTTP/1.1\r\n"
+                            b"Connection: Upgrade, x-close\r\n\r\n")
+        assert req.wants_keep_alive()
+
+    def test_http10_keep_alive_in_a_list(self):
+        req = parse_request(b"GET / HTTP/1.0\r\n"
+                            b"Connection: Upgrade , Keep-Alive\r\n\r\n")
+        assert req.wants_keep_alive()
+        req = parse_request(b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n"
+                            b"Connection: close\r\n\r\n")
+        assert not req.wants_keep_alive()
+
+    def test_server_closes_on_close_in_a_list(self):
+        with HttpServer(lambda r: Response(body=b"x")) as server:
+            with socket.create_connection(server.address, timeout=10) as sock:
+                sock.sendall(b"GET / HTTP/1.1\r\nHost: t\r\n"
+                             b"Connection: keep-alive\r\n"
+                             b"Connection: close\r\n\r\n")
+                reply = b""
+                while chunk := sock.recv(4096):     # until the server closes
+                    reply += chunk
+        response = parse_response(reply)
+        assert response.body == b"x"
+        assert response.headers.get("Connection") == "close"
+
+    def test_client_closes_on_close_in_a_second_field(self):
+        def handler(request):
+            return Response(body=b"x", headers=Headers(
+                [("Connection", "keep-alive"), ("Connection", "close")]))
+
+        with HttpServer(handler) as server:
+            with HttpConnection(server.address) as conn:
+                assert conn.get("/").body == b"x"
+                assert conn._sock is None
+                assert conn.get("/").body == b"x"    # reconnects
+            assert server.connections_accepted == 2
+
+
+class TestRepeatedFields:
+    """A header name repeated in any letter case has one value: the
+    first, whichever way it is read."""
+
+    def test_fields_agree_with_headers(self):
+        req = parse_request(b"POST / HTTP/1.1\r\nX-BinQ-RTT: 0.25\r\n"
+                            b"X-BinQ-RTT: 0.75\r\nx-binq-rtt: 0.5\r\n"
+                            b"Content-Length: 0\r\n\r\n")
+        fields = req.headers.fields()
+        assert req.headers.get("X-BinQ-RTT") == "0.25"
+        assert fields.get("X-BinQ-RTT") == "0.25"
+        assert fields.get("x-binq-rtt") == "0.25"
+        assert header_value(fields, "X-BINQ-RTT") == "0.25"
+        assert list(fields) == ["X-BinQ-RTT", "x-binq-rtt", "Content-Length"]
+
+    def test_fields_without_repeats(self):
+        req = parse_request(b"POST / HTTP/1.1\r\nA: 1\r\nB: 2\r\n"
+                            b"Content-Length: 0\r\n\r\n")
+        assert dict(req.headers.fields()) == {"A": "1", "B": "2",
+                                              "Content-Length": "0"}
 
 
 class TestParseAddress:

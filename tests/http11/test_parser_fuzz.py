@@ -234,3 +234,60 @@ def test_bad_trailers_are_refused_at_every_split(kind, case):
         assert _read(kind, list(pieces)) == ([], HttpParseError)
         with pytest.raises(HttpParseError):
             _fed(kind, list(pieces))
+
+
+#: Chunk-size lines (RFC 9112 §7.1: ``1*HEXDIG``, whitespace only before a
+#: ``;`` that starts an extension) that ``int(x, 16)`` would read as a
+#: size; each heads a chunked body of ``abc`` then the last chunk.
+CHUNK_SIZE_CORPUS = {
+    "hex-prefix": b"0x3",
+    "underscore": b"0_3",
+    "leading-space": b" 3",
+    "leading-tab": b"\t3",
+    "trailing-space": b"3 ",
+    "plus-sign": b"+3",
+    "minus-sign": b"-3",
+    "empty": b"",
+    "not-hex": b"3g",
+    "non-ascii-digit": "\u00b3".encode("latin-1"),
+    "bare-lf-in-extension": b"3;a\nb",
+    "bare-cr-in-extension": b"3;a\rb",
+    "nul-in-extension": b"3;a\0b",
+    "too-long": b"3;" + b"x" * 1023,        # 1,025 bytes before the CRLF
+}
+
+#: The same framings written as RFC 9112 allows; each must parse to
+#: ``abc`` at every split.
+CHUNK_SIZE_ACCEPTED = {
+    "upper-hex": b"3",
+    "leading-zeros": b"0003",
+    "extension": b"3;name=value",
+    "whitespace-before-extension": b"3 \t;name",
+    "longest-line": b"3;" + b"x" * 1022,    # 1,024 bytes before the CRLF
+}
+
+
+def _chunked(kind, size_line):
+    return (_STARTS[kind] + b"Transfer-Encoding: chunked\r\n\r\n"
+            + size_line + b"\r\nabc\r\n0\r\n\r\n")
+
+
+@pytest.mark.parametrize("kind", ["request", "response"])
+@pytest.mark.parametrize("case", sorted(CHUNK_SIZE_CORPUS))
+def test_bad_chunk_size_lines_are_refused_at_every_split(kind, case):
+    wire = _chunked(kind, CHUNK_SIZE_CORPUS[case])
+    for pieces in _every_split(wire):
+        assert _read(kind, list(pieces)) == ([], HttpParseError)
+        with pytest.raises(HttpParseError):
+            _fed(kind, list(pieces))
+
+
+@pytest.mark.parametrize("kind", ["request", "response"])
+@pytest.mark.parametrize("case", sorted(CHUNK_SIZE_ACCEPTED))
+def test_good_chunk_size_lines_parse_at_every_split(kind, case):
+    wire = _chunked(kind, CHUNK_SIZE_ACCEPTED[case])
+    for pieces in _every_split(wire):
+        out, error = _read(kind, list(pieces))
+        assert error is HttpConnectionClosed
+        assert [body for _, _, body in out] == [b"abc"]
+        assert [body for _, _, body in _fed(kind, list(pieces))] == [b"abc"]

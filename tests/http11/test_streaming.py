@@ -158,6 +158,29 @@ class TestStreamResponseFraming:
         server.join()
 
 
+def test_stream_reply_with_close_in_a_connection_list_drops_the_socket():
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            request = b""
+            while not request.endswith(b"0\r\n\r\n"):
+                request += conn.recv(4096)
+            conn.sendall(b"HTTP/1.1 200 OK\r\nConnection: keep-alive, close"
+                         b"\r\nContent-Length: 2\r\n\r\nok")
+            while conn.recv(4096):      # until the client hangs up
+                pass
+
+    server = threading.Thread(target=serve)
+    server.start()
+    with listener, HttpConnection(listener.getsockname(),
+                                  timeout=10.0) as conn:
+        assert conn.stream("/up", [b"abc"]).read() == b"ok"
+        assert conn._sock is None
+    server.join()
+
+
 class TestPbioStreamOverHttp:
     def test_record_stream_echo(self):
         registry = FormatRegistry()

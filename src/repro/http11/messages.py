@@ -108,11 +108,11 @@ class Headers:
 
     __slots__ = ("_items", "folded")
 
-    def __init__(self, items: Iterable[Tuple[str, str]] = (),
+    def __init__(self, items: Optional[Iterable[Tuple[str, str]]] = None,
                  folded: Optional[Dict[str, str]] = None) -> None:
         """``items``: ``(name, value)`` pairs, every value a ``str``;
         ``folded``: their index, when the caller has built it already."""
-        self._items: List[Tuple[str, str]] = list(items)
+        self._items: List[Tuple[str, str]] = list(items or ())
         if folded is None:
             folded = {}
             for name, value in reversed(self._items):   # first value wins

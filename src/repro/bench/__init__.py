@@ -4,8 +4,9 @@ figure/table computations behind ``benchmarks/``.
 Heavier machinery lives in submodules imported on demand (they pull in
 transport/serving):
 
-* :mod:`~repro.bench.regress` — the BENCH_headline.json regression run;
-* :mod:`~repro.bench.gates` — the CI gate logic judging those reports;
+* :mod:`~repro.bench.regress` — the regression harness behind CI's
+  ``bench-smoke`` (what ``perf/`` does not measure);
+* :mod:`~repro.bench.gates` — the CI gate logic judging its reports;
 * :mod:`~repro.bench.loadgen` — the multi-process load generator
   (``python -m repro.cli loadgen``) and its JSON/HTML reports.
 """

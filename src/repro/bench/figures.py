@@ -54,9 +54,6 @@ class RepresentationCosts:
     compress_s: float
     decompress_s: float
 
-    def wire_time(self, link: LinkModel, nbytes: int) -> float:
-        return link.transfer_time(nbytes, 0.0)
-
 
 def representation_costs(label: str, value: Dict[str, Any], fmt: Format,
                          registry: FormatRegistry, repeat: int = 3,

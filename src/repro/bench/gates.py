@@ -1,15 +1,10 @@
-"""CI benchmark gates, extracted from inline ``python - <<EOF`` steps.
+"""CI benchmark gates: the judgment logic of two CI jobs.
 
-CI used to carry four copy-pasted heredoc gate scripts inside
-``ci.yml`` — unreviewable, untestable, and each with its own slightly
-different missing-section error.  This module is the single home for
-that judgment logic:
-
-* ``python -m repro.bench.gates BENCH_headline.json BENCH_fresh.json``
-  runs the regression gates (rpc p50 budget, pipelined throughput
-  floor, scaleout/cache/wire baseline sanity) with the exact thresholds
-  the inline steps enforced, plus the same-run small-struct codec ratio
-  of the fresh report;
+* ``python -m repro.bench.gates BENCH_fresh.json`` judges one fresh
+  :mod:`repro.bench.regress` report on its own.  Every gate reads a
+  ratio of two things timed in that same run, a count, or a byte bound
+  — never a time recorded on another machine — so the verdict holds on
+  any runner;
 * ``python -m repro.bench.gates --loadgen LOADGEN_report.json``
   validates a load-generator report (schema, zero transport errors,
   p99 bound) for the ``loadgen-smoke`` job.
@@ -27,10 +22,16 @@ import json
 import sys
 from typing import Any, Dict, List, Optional
 
-#: rpc p50 may grow at most 10% over the committed baseline
-RPC_P50_BUDGET_RATIO = 1.10
-#: pipelined depth-8 throughput may shrink at most 20% (floor = base/1.25)
-PIPELINED_FLOOR_DIVISOR = 1.25
+#: the SOAP-bin echo p50 may be at most this many times the Sun RPC
+#: null-call p50 (median of interleaved per-slice ratios, one pinned
+#: CPU).  44 smoke runs on a 2-vCPU Xeon VM (CPython 3.11) read
+#: 3.54-4.42; a busy-wait of one echo p50 (100 us) in the echo path read
+#: 6.77-7.81 over five runs, of 200 us 7.02-11.2
+RPC_MAX_OVER_SUNRPC_NULL = 5.5
+#: pipelined depth-8 must beat serial calls on one connection by this
+#: factor (both timed in one run); a pipeline fallen back to serial
+#: reads ~1
+PIPELINED_DEPTH8_MIN_SPEEDUP = 1.5
 #: default p99 ceiling for the loadgen smoke gate — deliberately
 #: generous: it catches pathologies (stalls, retry storms), not noise
 LOADGEN_P99_MAX_S = 5.0
@@ -49,7 +50,7 @@ WIRE_COMPACT_STRUCT_MAX_SLOWDOWN = 6.0
 #: times slower than native's zero-copy view, timed in the same run: the
 #: bit-packing kernels measure ~10x, a per-element decode ~460x
 WIRE_COMPACT_INT_DECODE_MAX_SLOWDOWN = 40.0
-#: streaming a large payload may grow RSS by at most 25% of the payload
+#: streaming 64 MiB may grow RSS by at most 25% of the payload
 STREAM_RSS_MAX_RATIO = 0.25
 
 
@@ -57,8 +58,7 @@ class GateFailure(Exception):
     """A CI gate judged the numbers and said no."""
 
 
-def require_section(doc: Dict[str, Any], name: str,
-                    path: str = "BENCH_headline.json") -> Dict[str, Any]:
+def require_section(doc: Dict[str, Any], name: str) -> Dict[str, Any]:
     """The one missing-section helper all gates share.
 
     Raises :class:`GateFailure` pointing at the exact regenerate
@@ -66,88 +66,92 @@ def require_section(doc: Dict[str, Any], name: str,
     """
     if name not in doc:
         raise GateFailure(
-            f"{path} lacks the {name!r} section: regenerate with "
-            f"`python -m repro.bench.regress --sections {name}`")
+            f"BENCH_fresh.json lacks the {name!r} section: regenerate with "
+            f"`python -m repro.bench.regress --smoke --out BENCH_fresh.json "
+            f"--sections {name}`")
     return doc[name]
 
 
-def gate_rpc_p50(baseline: Dict[str, Any], fresh: Dict[str, Any]) -> None:
-    """Fail if fresh rpc p50 exceeds 1.10x the committed baseline."""
-    base_p50 = require_section(baseline, "rpc")["p50_call_latency_s"]
-    new_p50 = require_section(fresh, "rpc",
-                              "BENCH_fresh.json")["p50_call_latency_s"]
-    budget = RPC_P50_BUDGET_RATIO * base_p50
-    print(f"rpc p50: baseline {base_p50 * 1e6:.1f}us, "
-          f"fresh {new_p50 * 1e6:.1f}us, budget {budget * 1e6:.1f}us")
-    if new_p50 > budget:
+def gate_rpc_vs_sunrpc(fresh: Dict[str, Any]) -> None:
+    """Fail if the SOAP-bin echo p50 exceeds
+    :data:`RPC_MAX_OVER_SUNRPC_NULL` times the Sun RPC null call's.
+
+    The paper's Fig. 4 reference: both calls run on the same host, in
+    alternating slices of one run, so the host's speed cancels out of
+    the ratio."""
+    rpc = require_section(fresh, "rpc")
+    ratio = rpc["p50_over_sunrpc_null"]
+    print(f"rpc: echo p50 {rpc['p50_call_latency_s'] * 1e6:.1f}us, "
+          f"Sun RPC null p50 {rpc['sunrpc_null_p50_s'] * 1e6:.1f}us, "
+          f"per-slice ratio {ratio:.2f}x (max {RPC_MAX_OVER_SUNRPC_NULL}x)")
+    if ratio > RPC_MAX_OVER_SUNRPC_NULL:
         raise GateFailure(
-            f"rpc p50 regressed >10%: {new_p50} > {budget}")
+            f"rpc p50 is {ratio:.2f}x a Sun RPC null call "
+            f"(> {RPC_MAX_OVER_SUNRPC_NULL}x)")
 
 
-def gate_pipelined_depth8(baseline: Dict[str, Any],
-                          fresh: Dict[str, Any]) -> None:
-    """Fail if pipelined depth-8 throughput drops below 80% of baseline."""
-    key = "pipelined_depth8_ops_s"
-    base = require_section(baseline, "concurrency")[key]
-    new = require_section(fresh, "concurrency", "BENCH_fresh.json")[key]
-    floor = base / PIPELINED_FLOOR_DIVISOR
-    print(f"{key}: baseline {base:.0f}, fresh {new:.0f}, "
-          f"floor {floor:.0f}")
-    if new < floor:
+def gate_pipelined_speedup(fresh: Dict[str, Any]) -> None:
+    """Fail if depth-8 pipelining beats serial calls by less than
+    :data:`PIPELINED_DEPTH8_MIN_SPEEDUP`."""
+    speedup = require_section(
+        fresh, "concurrency")["pipelined_depth8_speedup_vs_serial"]
+    print(f"pipelined depth-8: {speedup:.2f}x serial "
+          f"(min {PIPELINED_DEPTH8_MIN_SPEEDUP}x)")
+    if speedup < PIPELINED_DEPTH8_MIN_SPEEDUP:
         raise GateFailure(
-            f"pipelined depth-8 throughput regressed >20%: "
-            f"{new:.0f} < {floor:.0f}")
+            f"pipelined depth-8 is only {speedup:.2f}x serial "
+            f"(< {PIPELINED_DEPTH8_MIN_SPEEDUP}x)")
 
 
-def gate_scaleout_baseline(baseline: Dict[str, Any]) -> None:
-    """The committed baseline must carry a plausible scaleout section."""
-    scale = require_section(baseline, "scaleout")
-    print(f"scaleout baseline: {scale['workers']} workers on "
-          f"{scale['cores']} cores ({scale['mode']}), "
-          f"efficiency {scale['scaling_efficiency']:.2f}, "
-          f"depth-8 speedup "
-          f"{scale['fleet_pipelined_depth8_speedup_vs_serial']:.2f}x")
+def gate_cache_counts(fresh: Dict[str, Any]) -> None:
+    """Both cache wins, judged by the work skipped rather than by a clock
+    (a hit and a 304 each save well under the spread of a p50):
 
-
-def gate_cache_baseline(baseline: Dict[str, Any]) -> None:
-    """The committed baseline must show both cache wins."""
-    cache = require_section(baseline, "cache")
-    print(f"cache baseline: hit p50 "
-          f"{cache['hit_p50_call_latency_s'] * 1e3:.3f} ms vs cold "
-          f"{cache['cold_p50_call_latency_s'] * 1e3:.3f} ms "
-          f"({cache['hit_speedup_vs_cold']:.2f}x), 304 p50 "
-          f"{cache['not_modified_p50_s'] * 1e3:.3f} ms "
-          f"({cache['not_modified_speedup_vs_full']:.2f}x over full)")
-    if cache["hit_p50_call_latency_s"] >= cache["cold_p50_call_latency_s"]:
-        raise GateFailure("cache baseline does not show a hit-path win")
-    if cache["not_modified_p50_s"] >= cache["full_response_p50_s"]:
-        raise GateFailure("cache baseline does not show a 304 win")
-
-
-def gate_wire_baseline(baseline: Dict[str, Any]) -> None:
-    """The committed baseline must show both wire-format wins.
-
-    * compact varint encoding shrinks the small-int-heavy shape by at
-      least :data:`WIRE_COMPACT_MIN_SHRINK` — the negotiation exists to
-      buy this, so a baseline without the win means the codec regressed;
-    * the shrink is affordable: on that shape the vectorised int-array
-      codec is at least :data:`WIRE_COMPACT_MIN_SPEEDUP_VS_SCALAR` times
-      the scalar loop in both directions, and compact encode is within
-      :data:`WIRE_COMPACT_ENCODE_MAX_SLOWDOWN` of native encode.  Native
-      *decode* of an int array is a zero-copy ``np.frombuffer`` view —
-      no per-element work at all — so no decoder that reads varints can
-      be held to a multiple of it: the ROADMAP's "within 3x both
-      directions" is gated on encode only, and decode against the
-      scalar path;
-    * the full-mode streaming pass (64 MiB through the reactor's chunked
-      route) grew RSS by under :data:`STREAM_RSS_MAX_RATIO` of the
-      payload — the constant-memory contract of the large-message path.
+    * with the cache off every call ran the pure ``GetData`` handler;
+      with it on the handler ran once and the rest were result hits, and
+      the quality layer hit its cache on all but the first two calls;
+    * every conditional request was answered ``304 Not Modified``.
     """
-    wire = require_section(baseline, "wire")
-    small = wire["shapes"]["small_int_heavy"]
+    cache = require_section(fresh, "cache")
+    calls = cache["calls"]
+    hits = cache["cache_stats"]["hits"]
+    print(f"cache: {calls} calls; handler ran {cache['cold_handler_runs']}x "
+          f"cold, {cache['hit_handler_runs']}x with the cache "
+          f"({cache['hit_result_hits']} result hits, {hits} cache hits); "
+          f"{cache['responses_304']} responses 304")
+    if (cache["cold_handler_runs"] < calls or cache["hit_handler_runs"] != 1
+            or cache["hit_result_hits"] < calls - 1 or hits < calls - 2):
+        raise GateFailure("cache counts do not show a hit-path win")
+    if cache["responses_304"] != calls:
+        raise GateFailure(
+            f"cache counts do not show a 304 win: {cache['responses_304']} "
+            f"of {calls} conditional requests were answered 304")
+
+
+def gate_wire_fresh(fresh: Dict[str, Any]) -> None:
+    """The compact codec and the streaming path (``wire.shapes`` times
+    native and compact of each shape in interleaved rounds, so the host's
+    speed cancels out of every ratio):
+
+    * compact encoding shrinks the small-int-heavy shape by at least
+      :data:`WIRE_COMPACT_MIN_SHRINK` — the negotiation exists to buy it;
+    * on that shape the int-array kernels beat the scalar loop by
+      :data:`WIRE_COMPACT_MIN_SPEEDUP_VS_SCALAR` both ways, and compact
+      stays within :data:`WIRE_COMPACT_ENCODE_MAX_SLOWDOWN` of native
+      encode and :data:`WIRE_COMPACT_INT_DECODE_MAX_SLOWDOWN` of native's
+      zero-copy decode, so a kernel fallen back to per-element work fails;
+    * ``nested_struct_d8``, sent compact on every small ``wire=auto``
+      call, stays within :data:`WIRE_COMPACT_STRUCT_MAX_SLOWDOWN` of
+      native both ways, so a per-field compact plan shows here first;
+    * 64 MiB streamed through the reactor's chunked route grew RSS by
+      under :data:`STREAM_RSS_MAX_RATIO` of the payload — the
+      constant-memory contract of the large-message path.
+    """
+    wire = require_section(fresh, "wire")
+    shapes = wire["shapes"]
+    small = shapes["small_int_heavy"]
     stream = wire["streaming"]
-    print(f"wire baseline: small-int compact shrink "
-          f"{small['compact_shrink']:.2f}x "
+    print(f"wire: small-int compact shrink {small['compact_shrink']:.2f}x "
           f"({small['native_bytes']:,} -> {small['compact_bytes']:,} "
           f"bytes); streamed {stream['payload_bytes'] >> 20} MiB with "
           f"+{stream['rss_growth_kb']} KiB RSS "
@@ -159,44 +163,15 @@ def gate_wire_baseline(baseline: Dict[str, Any]) -> None:
             f"(< {WIRE_COMPACT_MIN_SHRINK}x)")
     for direction in ("encode", "decode"):
         speedup = small[f"compact_{direction}_speedup_vs_scalar"]
-        print(f"wire baseline: compact int-array {direction} "
+        print(f"wire: compact int-array {direction} "
               f"{speedup:.1f}x the scalar loop")
         if speedup < WIRE_COMPACT_MIN_SPEEDUP_VS_SCALAR:
             raise GateFailure(
                 f"vectorised compact {direction} is only {speedup:.1f}x "
                 f"the scalar loop "
                 f"(< {WIRE_COMPACT_MIN_SPEEDUP_VS_SCALAR}x)")
-    slowdown = small["native_encode_ops_s"] / small["compact_encode_ops_s"]
-    print(f"wire baseline: compact encode {slowdown:.2f}x slower than "
-          f"native on the small-int shape")
-    if slowdown > WIRE_COMPACT_ENCODE_MAX_SLOWDOWN:
-        raise GateFailure(
-            f"compact encode is {slowdown:.2f}x slower than native on the "
-            f"small-int shape (> {WIRE_COMPACT_ENCODE_MAX_SLOWDOWN}x)")
-    if stream["rss_growth_ratio"] >= STREAM_RSS_MAX_RATIO:
-        raise GateFailure(
-            f"streaming RSS growth {stream['rss_growth_ratio']:.3f} of "
-            f"payload breaches the {STREAM_RSS_MAX_RATIO} constant-memory "
-            f"bound")
-
-
-def gate_wire_fresh(fresh: Dict[str, Any]) -> None:
-    """The compact codec, judged as same-run ratios.
-
-    ``wire.shapes`` times native and compact encode and decode of each
-    shape back to back, so the host's speed cancels out of
-    ``native / compact`` and the gate can demand it of any fresh run:
-
-    * ``nested_struct_d8``, the 69-byte depth-8 struct ``wire=auto``
-      sends compact on every small call: each direction at no less than
-      1/:data:`WIRE_COMPACT_STRUCT_MAX_SLOWDOWN` of native ops/s, so a
-      compact plan that falls back to per-field calls shows here first;
-    * ``small_int_heavy``, two 5000-element int arrays: decode at no less
-      than 1/:data:`WIRE_COMPACT_INT_DECODE_MAX_SLOWDOWN` of native, so a
-      bit-packed kernel that falls back to per-element work fails.
-    """
-    shapes = require_section(fresh, "wire", "BENCH_fresh.json")["shapes"]
     for name, direction, bound in (
+            ("small_int_heavy", "encode", WIRE_COMPACT_ENCODE_MAX_SLOWDOWN),
             ("nested_struct_d8", "encode", WIRE_COMPACT_STRUCT_MAX_SLOWDOWN),
             ("nested_struct_d8", "decode", WIRE_COMPACT_STRUCT_MAX_SLOWDOWN),
             ("small_int_heavy", "decode",
@@ -204,22 +179,24 @@ def gate_wire_fresh(fresh: Dict[str, Any]) -> None:
         shape = shapes[name]
         slowdown = (shape[f"native_{direction}_ops_s"]
                     / shape[f"compact_{direction}_ops_s"])
-        print(f"wire fresh: {name} compact {direction} "
+        print(f"wire: {name} compact {direction} "
               f"{slowdown:.2f}x slower than native (max {bound}x)")
         if slowdown > bound:
             raise GateFailure(
                 f"compact {direction} of {name} is {slowdown:.2f}x slower "
                 f"than native (> {bound}x)")
+    if stream["rss_growth_ratio"] >= STREAM_RSS_MAX_RATIO:
+        raise GateFailure(
+            f"streaming RSS growth {stream['rss_growth_ratio']:.3f} of "
+            f"payload breaches the {STREAM_RSS_MAX_RATIO} constant-memory "
+            f"bound")
 
 
-def run_bench_gates(baseline: Dict[str, Any],
-                    fresh: Dict[str, Any]) -> None:
-    """All regression gates, in the order ci.yml ran them."""
-    gate_rpc_p50(baseline, fresh)
-    gate_pipelined_depth8(baseline, fresh)
-    gate_scaleout_baseline(baseline)
-    gate_cache_baseline(baseline)
-    gate_wire_baseline(baseline)
+def run_bench_gates(fresh: Dict[str, Any]) -> None:
+    """All regression gates, over one fresh report."""
+    gate_rpc_vs_sunrpc(fresh)
+    gate_pipelined_speedup(fresh)
+    gate_cache_counts(fresh)
     gate_wire_fresh(fresh)
 
 
@@ -276,8 +253,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.gates",
         description="CI benchmark gates (see module docstring)")
-    parser.add_argument("baseline", nargs="?",
-                        help="committed BENCH_headline.json")
     parser.add_argument("fresh", nargs="?",
                         help="freshly generated BENCH_fresh.json")
     parser.add_argument("--loadgen", metavar="REPORT",
@@ -289,14 +264,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         if args.loadgen:
-            if args.baseline or args.fresh:
-                parser.error("--loadgen does not take baseline/fresh")
+            if args.fresh:
+                parser.error("--loadgen does not take a FRESH report")
             gate_loadgen(_load(args.loadgen), p99_max_s=args.p99_max)
         else:
-            if not (args.baseline and args.fresh):
-                parser.error("need BASELINE and FRESH report paths "
-                             "(or --loadgen REPORT)")
-            run_bench_gates(_load(args.baseline), _load(args.fresh))
+            if not args.fresh:
+                parser.error("need a FRESH report path (or --loadgen REPORT)")
+            run_bench_gates(_load(args.fresh))
     except GateFailure as exc:
         print(f"GATE FAILED: {exc}", file=sys.stderr)
         return 1

@@ -5,9 +5,9 @@ regression ratios, structurally unable to say how the serving stack
 behaves under sustained, mixed, multi-core load.  This module is the
 standing judgment instrument the ROADMAP calls for:
 
-* a coordinator forks N **generator processes** (fork start method — the
-  same pattern as ``regress._drive_clients`` — so load generation is
-  never GIL-bound against the server under test), each running
+* a coordinator forks N **generator processes** (fork start method, so
+  load generation is never GIL-bound against the server under test),
+  each running
   ``concurrency`` client threads;
 * every thread drives a configurable **traffic mix**: binary SOAP-bin
   calls over keep-alive, XML SOAP calls, depth-k pipelined
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, asdict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..pbio import WIRE_MODES, Format, FormatRegistry
-from .timers import LogHistogram
+from .timers import LogHistogram, rss_kb
 
 SCHEMA_VERSION = 1
 
@@ -346,17 +346,6 @@ class _ServerUnderTest:
 # /proc sampling (server-side RSS + CPU)
 # ----------------------------------------------------------------------
 
-def _proc_rss_kb(pid: int) -> int:
-    try:
-        with open(f"/proc/{pid}/status") as fh:
-            for line in fh:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1])
-    except OSError:
-        pass
-    return 0
-
-
 def _proc_cpu_ticks(pid: int) -> int:
     """utime+stime clock ticks (fields 14/15 of ``/proc/<pid>/stat``)."""
     try:
@@ -395,7 +384,7 @@ class _ProcSampler(threading.Thread):
             cpu_pct = ((ticks - last_ticks) / self._clk_tck) / dt * 100.0
             self.samples.append({
                 "t": round(now - start, 3),
-                "rss_kb": sum(_proc_rss_kb(pid) for pid in self.pids),
+                "rss_kb": sum(rss_kb(pid) for pid in self.pids),
                 "cpu_pct": round(max(0.0, cpu_pct), 2),
             })
             last_t, last_ticks = now, ticks

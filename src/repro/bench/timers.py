@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 
 def measure(fn: Callable[[], object], repeat: int = 5,
@@ -148,6 +148,19 @@ class LogHistogram:
         return cls(min_value=float(doc["min_value"]),
                    max_value=float(doc["max_value"]),
                    counts=list(doc["counts"]))  # type: ignore[arg-type]
+
+
+def rss_kb(pid: Union[int, str] = "self") -> int:
+    """Resident set size of process ``pid`` (default: this one) in KiB,
+    from Linux ``/proc``; 0 where it cannot be read."""
+    try:
+        with open(f"/proc/{pid}/status") as fh:
+            for line in fh:
+                if line.startswith("VmRSS:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return 0
 
 
 def jitter_stats(response_times: Sequence[float]) -> Dict[str, float]:

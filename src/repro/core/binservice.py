@@ -229,8 +229,8 @@ class SoapBinService:
         reply; the catch-all below turns any failure of those into a 500.
         Without a policy there is no ETag and no cache."""
         prep_started = self._prep_time_fn()
-        session = self._session_for(headers.get(HEADER_CLIENT_ID, "anon"),
-                                    prep_started)
+        session = self._session_for(
+            header_value(headers, HEADER_CLIENT_ID) or "anon", prep_started)
         try:
             wire_format, wire_value = session.unpack_stream(body)
             op = self._operation_for(wire_format, headers)
@@ -252,7 +252,7 @@ class SoapBinService:
         # The RTT timestamp echo, and the preparation time so far: the
         # encode below is not part of it.
         reply_headers: Dict[str, str] = {}
-        timestamp = headers.get(HEADER_TIMESTAMP)
+        timestamp = header_value(headers, HEADER_TIMESTAMP)
         if timestamp is not None:
             reply_headers[HEADER_TIMESTAMP_ECHO] = timestamp
         prep = self._prep_time_fn() - prep_started
@@ -357,7 +357,7 @@ class SoapBinService:
         op = self._ops_by_format.get(wire_format.name)
         if op is not None:
             return op
-        name = headers.get(HEADER_OPERATION)
+        name = header_value(headers, HEADER_OPERATION)
         if name and name in self.xml_service.operations:
             return self.xml_service.operations[name]
         raise BinProtocolError(
@@ -376,7 +376,7 @@ class SoapBinService:
     def _ingest_reported_rtt(self, headers: Dict[str, str]) -> None:
         if self.quality is None:
             return
-        reported = headers.get(HEADER_RTT)
+        reported = header_value(headers, HEADER_RTT)
         if reported is None:
             return
         try:

@@ -43,7 +43,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
               "schema_type", "INT8", "INT16", "INT32", "INT64", "UINT8",
               "UINT16", "UINT32", "UINT64", "FLOAT32", "FLOAT64", "CHAR",
               "STRING"],
-    "wire": ["PbioSession", "SessionStats", "Message", "encode_message",
-             "parse_message", "KIND_DATA", "KIND_FORMAT", "HEADER_SIZE",
-             "FLAG_COMPACT", "COMPACT_REVISION", "WIRE_MODES"],
+    "wire": ["PbioSession", "SessionStats", "encode_message",
+             "KIND_DATA", "KIND_FORMAT", "HEADER_SIZE", "FLAG_COMPACT",
+             "COMPACT_REVISION", "WIRE_MODES"],
 })

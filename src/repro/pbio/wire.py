@@ -8,16 +8,17 @@ layout — without the sender ever translating its own data.
 The first time a session sends a given format it precedes the data message
 with a *format announcement* carrying the full format metadata; receivers
 cache it (locally and, when configured, in the shared format server), so
-subsequent messages of the same type cost only the 12-byte header.  This is
+subsequent messages of the same type cost only the 8-byte header.  This is
 the registration handshake of §III-B: "This transaction occurs only once,
 since the format is cached locally thereafter."
 
 The wire path is zero-copy end-to-end:
 
-* :func:`parse_message` hands out the payload as a :class:`memoryview`
-  slice over the caller's buffer — nothing is copied until a decoder
-  materializes leaf values (and large primitive arrays decode as NumPy
-  views over the same buffer, so even they stay copy-free);
+* :meth:`PbioSession.unpack` reads the header in place and decodes the
+  payload straight out of a :class:`memoryview` over the caller's
+  buffer — nothing is copied until a decoder materializes leaf values
+  (and large primitive arrays decode as NumPy views over the same
+  buffer, so even they stay copy-free);
 * :func:`encode_message` accepts the un-joined buffer list produced by
   ``CodecCompiler.encoder_parts`` and performs a single writev-style
   ``bytes.join`` with the header, instead of joining the payload and then
@@ -67,34 +68,6 @@ WIRE_MODES = ("auto", "native", "compact")
 Buffer = Union[bytes, bytearray, memoryview]
 
 
-@dataclass
-class Message:
-    """A parsed PBIO wire message.
-
-    ``payload`` is a :class:`memoryview` slice over the buffer given to
-    :func:`parse_message` — no copy is made.  Use :attr:`payload_bytes`
-    when an owned ``bytes`` object is genuinely needed.
-    """
-
-    kind: int
-    endian: str
-    format_id: int
-    payload: Buffer
-    #: DATA: the compact revision the payload is encoded in (0: native).
-    #: FORMAT: the compact revision the sender decodes (0: none).
-    revision: int = 0
-
-    @property
-    def is_data(self) -> bool:
-        return self.kind == KIND_DATA
-
-    @property
-    def payload_bytes(self) -> bytes:
-        """The payload materialized as ``bytes`` (copies on demand)."""
-        payload = self.payload
-        return payload if isinstance(payload, bytes) else bytes(payload)
-
-
 def encode_message(kind: int, format_id: int,
                    payload: Union[Buffer, Sequence[Buffer]],
                    endian: str = LITTLE, compact: bool = False) -> bytes:
@@ -113,25 +86,6 @@ def encode_message(kind: int, format_id: int,
     if isinstance(payload, (list, tuple)):
         return b"".join([header, *payload])
     return header + payload
-
-
-def parse_message(blob: Buffer) -> Message:
-    """Parse a wire blob into a :class:`Message` without copying.
-
-    Raises :class:`~repro.pbio.errors.DecodeError` for short blobs or a bad
-    magic — the failure-injection tests feed truncated messages here.
-    """
-    if len(blob) < HEADER_SIZE:
-        raise DecodeError(f"message shorter than header "
-                          f"({len(blob)} < {HEADER_SIZE})")
-    magic, flags, kind, format_id = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise DecodeError(f"bad PBIO magic {magic!r}")
-    endian = LITTLE if flags & FLAG_LITTLE_ENDIAN else BIG
-    view = blob if isinstance(blob, memoryview) else memoryview(blob)
-    return Message(kind=kind, endian=endian, format_id=format_id,
-                   payload=view[HEADER_SIZE:],
-                   revision=(flags & _REVISION_MASK) >> _REVISION_SHIFT)
 
 
 @dataclass

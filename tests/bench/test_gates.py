@@ -9,21 +9,18 @@ import pytest
 from repro.bench import gates
 from repro.bench.gates import GateFailure
 
-BASELINE = {
-    "rpc": {"p50_call_latency_s": 200e-6},
-    "concurrency": {"pipelined_depth8_ops_s": 30000.0},
-    "scaleout": {
-        "workers": 2, "cores": 2, "mode": "reuseport",
-        "scaling_efficiency": 0.9,
-        "fleet_pipelined_depth8_speedup_vs_serial": 1.7,
-    },
+#: a passing fresh report: every figure inside its gate
+FRESH = {
+    "rpc": {"p50_call_latency_s": 200e-6, "sunrpc_null_p50_s": 65e-6,
+            "p50_over_sunrpc_null": 3.1},
+    "concurrency": {"pipelined_depth8_speedup_vs_serial": 2.8},
     "cache": {
-        "hit_p50_call_latency_s": 0.5e-3,
-        "cold_p50_call_latency_s": 0.7e-3,
-        "hit_speedup_vs_cold": 1.4,
-        "not_modified_p50_s": 0.4e-3,
-        "full_response_p50_s": 0.45e-3,
-        "not_modified_speedup_vs_full": 1.1,
+        "calls": 60,
+        "cold_handler_runs": 70,
+        "hit_handler_runs": 1,
+        "hit_result_hits": 69,
+        "cache_stats": {"hits": 69, "misses": 1},
+        "responses_304": 60,
     },
     "wire": {
         "shapes": {
@@ -75,99 +72,123 @@ LOADGEN_REPORT = {
 
 class TestRequireSection:
     def test_present(self):
-        assert gates.require_section(BASELINE, "rpc") == BASELINE["rpc"]
+        assert gates.require_section(FRESH, "rpc") == FRESH["rpc"]
 
     def test_missing_points_at_regenerate_command(self):
         with pytest.raises(GateFailure) as err:
-            gates.require_section({}, "scaleout")
-        assert "--sections scaleout" in str(err.value)
-        assert "BENCH_headline.json" in str(err.value)
+            gates.require_section({}, "cache")
+        assert "--sections cache" in str(err.value)
+        assert "BENCH_fresh.json" in str(err.value)
+
+
+def with_value(section, key, value):
+    """A copy of :data:`FRESH` with ``section[key]`` replaced."""
+    fresh = copy.deepcopy(FRESH)
+    fresh[section][key] = value
+    return fresh
 
 
 class TestRpcGate:
+    """The echo p50 over the Sun RPC null call of the same run."""
+
     def test_within_budget(self):
-        fresh = copy.deepcopy(BASELINE)
-        fresh["rpc"]["p50_call_latency_s"] = 200e-6 * 1.09
-        gates.gate_rpc_p50(BASELINE, fresh)
+        gates.gate_rpc_vs_sunrpc(with_value(
+            "rpc", "p50_over_sunrpc_null", gates.RPC_MAX_OVER_SUNRPC_NULL))
 
     def test_over_budget(self):
-        fresh = copy.deepcopy(BASELINE)
-        fresh["rpc"]["p50_call_latency_s"] = 200e-6 * 1.11
-        with pytest.raises(GateFailure, match="rpc p50 regressed"):
-            gates.gate_rpc_p50(BASELINE, fresh)
+        with pytest.raises(GateFailure, match="Sun RPC null call"):
+            gates.gate_rpc_vs_sunrpc(with_value(
+                "rpc", "p50_over_sunrpc_null",
+                gates.RPC_MAX_OVER_SUNRPC_NULL + 0.01))
+
+    def test_section_missing(self):
+        with pytest.raises(GateFailure, match="--sections rpc"):
+            gates.gate_rpc_vs_sunrpc({})
 
 
 class TestPipelinedGate:
+    """Depth-8 pipelining over serial calls, both timed in one run."""
+
     def test_above_floor(self):
-        fresh = copy.deepcopy(BASELINE)
-        fresh["concurrency"]["pipelined_depth8_ops_s"] = 30000.0 / 1.2
-        gates.gate_pipelined_depth8(BASELINE, fresh)
+        gates.gate_pipelined_speedup(with_value(
+            "concurrency", "pipelined_depth8_speedup_vs_serial",
+            gates.PIPELINED_DEPTH8_MIN_SPEEDUP))
 
     def test_below_floor(self):
-        fresh = copy.deepcopy(BASELINE)
-        fresh["concurrency"]["pipelined_depth8_ops_s"] = 30000.0 / 1.3
+        # a pipeline fallen back to one request in flight reads ~1x
         with pytest.raises(GateFailure, match="pipelined depth-8"):
-            gates.gate_pipelined_depth8(BASELINE, fresh)
+            gates.gate_pipelined_speedup(with_value(
+                "concurrency", "pipelined_depth8_speedup_vs_serial", 1.0))
 
 
 class TestBaselineGates:
-    def test_scaleout_ok(self):
-        gates.gate_scaleout_baseline(BASELINE)
+    """The cache counts and the wire ratios of a fresh report."""
 
     def test_cache_ok(self):
-        gates.gate_cache_baseline(BASELINE)
+        gates.gate_cache_counts(FRESH)
 
     def test_cache_no_hit_win(self):
-        broken = copy.deepcopy(BASELINE)
-        broken["cache"]["hit_p50_call_latency_s"] = 0.8e-3
+        # the pure handler ran twice: a result the cache should have held
         with pytest.raises(GateFailure, match="hit-path win"):
-            gates.gate_cache_baseline(broken)
+            gates.gate_cache_counts(with_value("cache", "hit_handler_runs",
+                                               2))
+
+    @pytest.mark.parametrize("key,value", [
+        ("cold_handler_runs", 59), ("hit_result_hits", 58)])
+    def test_cache_other_hit_counts(self, key, value):
+        with pytest.raises(GateFailure, match="hit-path win"):
+            gates.gate_cache_counts(with_value("cache", key, value))
+
+    def test_cache_quality_misses_fail(self):
+        broken = copy.deepcopy(FRESH)
+        broken["cache"]["cache_stats"]["hits"] = 57
+        with pytest.raises(GateFailure, match="hit-path win"):
+            gates.gate_cache_counts(broken)
 
     def test_cache_no_304_win(self):
-        broken = copy.deepcopy(BASELINE)
-        broken["cache"]["not_modified_p50_s"] = 0.5e-3
+        # one conditional request got the full body back
         with pytest.raises(GateFailure, match="304 win"):
-            gates.gate_cache_baseline(broken)
+            gates.gate_cache_counts(with_value("cache", "responses_304", 59))
 
     def test_wire_ok(self):
-        gates.gate_wire_baseline(BASELINE)
+        gates.gate_wire_fresh(FRESH)
 
     def test_wire_shrink_below_floor(self):
-        broken = copy.deepcopy(BASELINE)
+        broken = copy.deepcopy(FRESH)
         shape = broken["wire"]["shapes"]["small_int_heavy"]
         shape["compact_shrink"] = 1.9
         with pytest.raises(GateFailure, match="small-int shape"):
-            gates.gate_wire_baseline(broken)
+            gates.gate_wire_fresh(broken)
 
     @pytest.mark.parametrize("direction", ["encode", "decode"])
     def test_wire_vectorised_codec_too_close_to_scalar(self, direction):
-        broken = copy.deepcopy(BASELINE)
+        broken = copy.deepcopy(FRESH)
         shape = broken["wire"]["shapes"]["small_int_heavy"]
         shape[f"compact_{direction}_speedup_vs_scalar"] = 7.9
         with pytest.raises(GateFailure, match=f"compact {direction}"):
-            gates.gate_wire_baseline(broken)
+            gates.gate_wire_fresh(broken)
 
     def test_wire_compact_encode_too_far_from_native(self):
-        broken = copy.deepcopy(BASELINE)
+        broken = copy.deepcopy(FRESH)
         shape = broken["wire"]["shapes"]["small_int_heavy"]
         shape["compact_encode_ops_s"] = shape["native_encode_ops_s"] / 3.1
         with pytest.raises(GateFailure, match="slower than native"):
-            gates.gate_wire_baseline(broken)
+            gates.gate_wire_fresh(broken)
 
     def test_wire_rss_over_bound(self):
-        broken = copy.deepcopy(BASELINE)
+        broken = copy.deepcopy(FRESH)
         broken["wire"]["streaming"]["rss_growth_ratio"] = 0.25
         with pytest.raises(GateFailure, match="constant-memory"):
-            gates.gate_wire_baseline(broken)
+            gates.gate_wire_fresh(broken)
 
     def test_wire_section_missing(self):
-        broken = {k: v for k, v in BASELINE.items() if k != "wire"}
+        broken = {k: v for k, v in FRESH.items() if k != "wire"}
         with pytest.raises(GateFailure, match="--sections wire"):
-            gates.gate_wire_baseline(broken)
+            gates.gate_wire_fresh(broken)
 
 
 def nested_d8(native_encode, compact_encode, native_decode, compact_decode):
-    fresh = copy.deepcopy(BASELINE)
+    fresh = copy.deepcopy(FRESH)
     fresh["wire"]["shapes"]["nested_struct_d8"] = {
         "native_encode_ops_s": native_encode,
         "compact_encode_ops_s": compact_encode,
@@ -203,16 +224,14 @@ class TestWireFreshGate:
             gates.gate_wire_fresh(fresh)
 
     def test_judges_the_fresh_report(self, tmp_path, capsys):
-        base = tmp_path / "base.json"
-        base.write_text(json.dumps(BASELINE))
         fresh = tmp_path / "fresh.json"
         fresh.write_text(json.dumps(nested_d8(240e3, 20e3, 460e3, 460e3)))
-        assert gates.main([str(base), str(fresh)]) == 1
+        assert gates.main([str(fresh)]) == 1
         assert "compact encode of nested_struct_d8" in \
             capsys.readouterr().err
 
     def test_section_missing(self):
-        fresh = {k: v for k, v in BASELINE.items() if k != "wire"}
+        fresh = {k: v for k, v in FRESH.items() if k != "wire"}
         with pytest.raises(GateFailure, match="BENCH_fresh.json lacks"):
             gates.gate_wire_fresh(fresh)
 
@@ -221,7 +240,7 @@ class TestWireFreshGate:
         (gates.WIRE_COMPACT_INT_DECODE_MAX_SLOWDOWN + 0.1, False),
         (500.0, False)])
     def test_small_int_decode_ratio(self, slowdown, passes):
-        fresh = copy.deepcopy(BASELINE)
+        fresh = copy.deepcopy(FRESH)
         shape = fresh["wire"]["shapes"]["small_int_heavy"]
         shape["compact_decode_ops_s"] = shape["native_decode_ops_s"] / slowdown
         if passes:
@@ -278,20 +297,24 @@ class TestLoadgenGate:
 
 class TestMain:
     def test_bench_mode(self, tmp_path, capsys):
-        base = tmp_path / "base.json"
-        base.write_text(json.dumps(BASELINE))
-        assert gates.main([str(base), str(base)]) == 0
+        fresh = tmp_path / "fresh.json"
+        fresh.write_text(json.dumps(FRESH))
+        assert gates.main([str(fresh)]) == 0
         assert "all gates passed" in capsys.readouterr().out
 
     def test_bench_mode_failure_exit_code(self, tmp_path, capsys):
-        base = tmp_path / "base.json"
-        base.write_text(json.dumps(BASELINE))
-        fresh_doc = copy.deepcopy(BASELINE)
-        fresh_doc["rpc"]["p50_call_latency_s"] = 1.0
         fresh = tmp_path / "fresh.json"
-        fresh.write_text(json.dumps(fresh_doc))
-        assert gates.main([str(base), str(fresh)]) == 1
+        fresh.write_text(json.dumps(with_value(
+            "rpc", "p50_over_sunrpc_null", 10.0)))
+        assert gates.main([str(fresh)]) == 1
         assert "GATE FAILED" in capsys.readouterr().err
+
+    def test_baseline_argument_is_gone(self, tmp_path, capsys):
+        fresh = tmp_path / "fresh.json"
+        fresh.write_text(json.dumps(FRESH))
+        with pytest.raises(SystemExit) as excinfo:
+            gates.main([str(fresh), str(fresh)])
+        assert excinfo.value.code == 2
 
     def test_loadgen_mode(self, tmp_path):
         report = tmp_path / "report.json"
@@ -299,6 +322,5 @@ class TestMain:
         assert gates.main(["--loadgen", str(report)]) == 0
 
     def test_missing_file(self, tmp_path, capsys):
-        assert gates.main([str(tmp_path / "nope.json"),
-                           str(tmp_path / "nope.json")]) == 1
+        assert gates.main([str(tmp_path / "nope.json")]) == 1
         assert "cannot read" in capsys.readouterr().err

@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.core import SoapBinClient, SoapBinService
-from repro.pbio import Format, FormatRegistry
-from repro.transport import DirectChannel
+from repro.core import (HEADER_CLIENT_ID, HEADER_RTT, HEADER_TIMESTAMP,
+                        HEADER_TIMESTAMP_ECHO, PBIO_CONTENT_TYPE,
+                        SoapBinClient, SoapBinService)
+from repro.http11 import HttpConnection, Headers
+from repro.pbio import Format, FormatRegistry, PbioSession
+from repro.transport import DirectChannel, serve_endpoint
 
 
 @pytest.fixture()
@@ -111,3 +114,67 @@ class TestEndToEnd:
                               registry.by_name("EchoResponse"))
         assert service.session_count <= 8
         assert service.sessions_evicted > 0
+
+
+QUALITY = """
+attribute rtt
+history 1
+0.0 inf - EchoResponse
+"""
+
+
+class TestHeaderNamesInAnyCase:
+    """HTTP header names are case-insensitive: a client that sends the
+    PBIO/BinQ headers in lower case keeps its own session, has its RTT
+    report ingested and gets its timestamp echoed."""
+
+    def quality_service(self, registry):
+        service = SoapBinService(registry, quality_text=QUALITY)
+        service.add_operation("Echo", registry.by_name("EchoRequest"),
+                              registry.by_name("EchoResponse"), echo_handler)
+        return service
+
+    def test_lower_case_client_through_the_endpoint(self, registry):
+        service = self.quality_service(registry)
+        exchanges = []
+
+        def lower_cased(body, content_type, headers):
+            sent = {name.lower(): value for name, value in headers.items()}
+            reply = service.endpoint(body, content_type, sent)
+            exchanges.append((sent, reply))
+            return reply
+
+        client = SoapBinClient(DirectChannel(lower_cased), registry,
+                               client_id="alice")
+        for _ in range(2):               # the second call reports an RTT
+            client.call("Echo", {"data": [1.0], "tag": "a"},
+                        registry.by_name("EchoRequest"),
+                        registry.by_name("EchoResponse"))
+        assert "alice" in service._sessions
+        assert "anon" not in service._sessions
+        sent, reply = exchanges[-1]
+        assert reply.headers[HEADER_TIMESTAMP_ECHO] == \
+            sent[HEADER_TIMESTAMP.lower()]
+        assert service.quality.attributes.get("rtt") == \
+            float(sent[HEADER_RTT.lower()])
+
+    def test_lower_case_client_over_http(self, registry):
+        service = self.quality_service(registry)
+        server = serve_endpoint(service.endpoint,
+                                quality_stats=service.quality_stats)
+        body = PbioSession(registry).pack_bytes(
+            "EchoRequest", {"data": [2.0], "tag": "b"})
+        headers = Headers([(HEADER_CLIENT_ID.lower(), "bob"),
+                           (HEADER_TIMESTAMP.lower(), "123.5"),
+                           (HEADER_RTT.lower(), "0.25")])
+        try:
+            with HttpConnection(server.address) as conn:
+                reply = conn.post("/", body, PBIO_CONTENT_TYPE,
+                                  headers=headers)
+        finally:
+            server.close()
+        assert reply.status == 200
+        assert reply.headers.get(HEADER_TIMESTAMP_ECHO) == "123.5"
+        assert "bob" in service._sessions
+        assert "anon" not in service._sessions
+        assert service.quality.attributes.get("rtt") == 0.25

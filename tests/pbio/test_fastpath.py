@@ -10,13 +10,13 @@ compiled once, shared, and dropped when a format is redefined.
 
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.pbio import (BIG, LITTLE, CodecCompiler, Format, FormatRegistry,
                         HEADER_SIZE, KIND_DATA, PbioSession, encode_message,
-                        flatten_fixed_format, interp_decode, interp_encode,
-                        parse_message)
+                        flatten_fixed_format, interp_decode, interp_encode)
 
 # ---------------------------------------------------------------------------
 # formats under test
@@ -212,13 +212,21 @@ class TestCodecCache:
 # ---------------------------------------------------------------------------
 
 class TestZeroCopy:
-    def test_parse_message_payload_is_a_view(self):
-        payload = b"\x01\x02\x03\x04"
-        blob = encode_message(KIND_DATA, 5, payload)
-        msg = parse_message(blob)
-        assert isinstance(msg.payload, memoryview)
-        assert msg.payload.obj is blob  # a slice of the input, not a copy
-        assert msg.payload_bytes == payload
+    def test_session_unpack_decodes_a_view_of_the_input(self):
+        registry = FormatRegistry()
+        fmt = Format.from_dict("FpView", {"seq": "int32",
+                                          "data": "float64[]"})
+        fid = registry.register(fmt)
+        payload = registry.compiler.encoder(fmt)(
+            {"seq": 1, "data": np.arange(64.0)})
+        blob = bytearray(encode_message(KIND_DATA, fid, payload))
+        assert blob[HEADER_SIZE:] == payload
+        _, value = PbioSession(registry).unpack(blob)
+        assert value["data"][-1] == 63.0
+        # the array is a view over the input, not a copy: a write to the
+        # buffer shows through it
+        blob[-8:] = struct.pack("<d", -1.0)
+        assert value["data"][-1] == -1.0
 
     def test_encode_message_accepts_part_lists(self):
         parts = [b"\x01\x02", b"\x03", b"\x04"]

@@ -1,14 +1,23 @@
 """Tests for the format registry, wire sessions and format server."""
 
+import struct
 import threading
 
 import pytest
 
 from repro.pbio import (BIG, DecodeError, Format, FormatClient, FormatError,
                         FormatRegistry, FormatServer, InMemoryFormatServer,
-                        PbioSession, UnknownFormatError, encode_message,
-                        parse_message)
-from repro.pbio.wire import KIND_DATA, KIND_FORMAT
+                        HEADER_SIZE, PbioSession, UnknownFormatError,
+                        encode_message)
+from repro.pbio.wire import FLAG_LITTLE_ENDIAN, KIND_DATA, KIND_FORMAT, MAGIC
+
+#: the documented 8-byte message header: magic, flags, kind, format id
+HEADER = struct.Struct("<2sBBI")
+
+
+def header(blob):
+    """``(magic, flags, kind, format_id)`` of a wire message."""
+    return HEADER.unpack_from(blob, 0)
 
 
 def make_fmt(name="sample", spec=None):
@@ -97,21 +106,35 @@ class TestRegistry:
 class TestWireMessages:
     def test_roundtrip(self):
         blob = encode_message(KIND_DATA, 5, b"payload")
-        msg = parse_message(blob)
-        assert msg.is_data
-        assert msg.format_id == 5
-        assert msg.payload == b"payload"
+        assert HEADER.size == HEADER_SIZE == 8
+        assert header(blob) == (MAGIC, FLAG_LITTLE_ENDIAN, KIND_DATA, 5)
+        assert blob[HEADER_SIZE:] == b"payload"
+        # ... and a session decodes what the header frames
+        reg = FormatRegistry()
+        fmt = make_fmt()
+        fid = reg.register(fmt)
+        payload = reg.compiler.encoder(fmt)({"seq": 3, "data": [0.5]})
+        got_fmt, value = PbioSession(reg).unpack(
+            encode_message(KIND_DATA, fid, payload))
+        assert got_fmt is fmt
+        assert value["seq"] == 3 and list(value["data"]) == [0.5]
 
     def test_endian_flag(self):
-        assert parse_message(encode_message(KIND_DATA, 1, b"", BIG)).endian == BIG
+        assert not header(encode_message(KIND_DATA, 1, b"", BIG))[1] \
+            & FLAG_LITTLE_ENDIAN
 
     def test_short_blob_rejected(self):
-        with pytest.raises(DecodeError):
-            parse_message(b"PB")
+        with pytest.raises(DecodeError, match="shorter than header"):
+            PbioSession(FormatRegistry()).unpack(b"PB")
+        with pytest.raises(DecodeError, match="trailing garbage"):
+            PbioSession(FormatRegistry()).unpack_stream(b"PB")
 
     def test_bad_magic_rejected(self):
-        with pytest.raises(DecodeError):
-            parse_message(b"XX\x01\x00\x05\x00\x00\x00")
+        blob = b"XX" + encode_message(KIND_DATA, 5, b"payload")[2:]
+        for unpack in (PbioSession(FormatRegistry()).unpack,
+                       PbioSession(FormatRegistry()).unpack_stream):
+            with pytest.raises(DecodeError, match="bad PBIO magic"):
+                unpack(blob)
 
 
 class TestSession:
@@ -124,8 +147,8 @@ class TestSession:
         sess = PbioSession(self.reg)
         blobs = sess.pack(self.fmt, {"seq": 1, "data": [1.0]})
         assert len(blobs) == 2
-        assert parse_message(blobs[0]).kind == KIND_FORMAT
-        assert parse_message(blobs[1]).kind == KIND_DATA
+        assert header(blobs[0])[2] == KIND_FORMAT
+        assert header(blobs[1])[2] == KIND_DATA
 
     def test_subsequent_sends_skip_announcement(self):
         sess = PbioSession(self.reg)

@@ -52,6 +52,11 @@ WIRE_COMPACT_STRUCT_MAX_SLOWDOWN = 6.0
 WIRE_COMPACT_INT_DECODE_MAX_SLOWDOWN = 40.0
 #: streaming 64 MiB may grow RSS by at most 25% of the payload
 STREAM_RSS_MAX_RATIO = 0.25
+#: the compiled XML parser must read ``int32[1000]`` at least this many
+#: times as fast as the pull parser, in the same run.  Smoke runs on a
+#: 2-vCPU Xeon VM (CPython 3.11, NumPy 2.4) read 136-237 with integer
+#: runs read by NumPy's C parser, 43-75 with that step switched off
+XLATE_FROM_XML_MIN_SPEEDUP_VS_PULL = 100.0
 
 
 class GateFailure(Exception):
@@ -192,12 +197,28 @@ def gate_wire_fresh(fresh: Dict[str, Any]) -> None:
             f"bound")
 
 
+def gate_xlate_fresh(fresh: Dict[str, Any]) -> None:
+    """Fail if the compiled XML parser reads ``int32[1000]`` less than
+    :data:`XLATE_FROM_XML_MIN_SPEEDUP_VS_PULL` times as fast as the pull
+    parser (``xlate.int32_array_1k``, both timed in one run), so an
+    integer run that no longer takes NumPy's C parser fails."""
+    speedup = require_section(
+        fresh, "xlate")["int32_array_1k"]["from_xml_speedup_vs_pull"]
+    print(f"xlate: int32[1000] from_xml {speedup:.1f}x the pull parser "
+          f"(min {XLATE_FROM_XML_MIN_SPEEDUP_VS_PULL}x)")
+    if speedup < XLATE_FROM_XML_MIN_SPEEDUP_VS_PULL:
+        raise GateFailure(
+            f"compiled from_xml of int32[1000] is only {speedup:.1f}x the "
+            f"pull parser (< {XLATE_FROM_XML_MIN_SPEEDUP_VS_PULL}x)")
+
+
 def run_bench_gates(fresh: Dict[str, Any]) -> None:
     """All regression gates, over one fresh report."""
     gate_rpc_vs_sunrpc(fresh)
     gate_pipelined_speedup(fresh)
     gate_cache_counts(fresh)
     gate_wire_fresh(fresh)
+    gate_xlate_fresh(fresh)
 
 
 def gate_loadgen(report: Dict[str, Any],

@@ -8,9 +8,11 @@ Fault encoding — and nothing about parameter marshalling (that lives in
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..xmlcore import Element, SOAP_ENV_NS, XmlPullParser, parse, tostring
+from ..xmlcore import (BINQ_NS, Element, SOAP_ENV_NS, XmlPullParser, parse,
+                       tostring)
 from ..xmlcore.errors import XmlParseError
 from ..xmlcore.tokenizer import START
 from .errors import SoapDecodingError, SoapFault
@@ -40,6 +42,16 @@ FAST_SUFFIX = BODY_CLOSE + ENVELOPE_CLOSE
 #: One Header entry as the quality layer reads it: its local name and its
 #: attributes.
 HeaderEntry = Tuple[str, Dict[str, str]]
+
+#: An attribute value that reads as itself: printable ASCII without '"',
+#: '&' or '<' (no entity, no whitespace to normalize, no illegal char).
+_PLAIN_VALUE = "([ !#-%'-;=-~]*)"
+
+#: One ``binq`` quality entry exactly as this stack writes it
+#: (``build_attribute_headers``, ``message_type_header_xml``).
+_BINQ_ENTRY_RX = re.compile(
+    f'<binq:(attribute|message-type) xmlns:binq="{re.escape(BINQ_NS)}"'
+    f'(?: name="{_PLAIN_VALUE}")?(?: value="{_PLAIN_VALUE}")?/>')
 
 
 def envelope_bytes_from_xml(body_xml: str, header_xml: str = "") -> bytes:
@@ -75,7 +87,9 @@ def read_fast_envelope(payload: bytes) -> Optional[FastEnvelope]:
     building a tree, or return ``None`` for the tree path.
 
     The Header, if any, runs from the exact prefix to the first
-    ``</SOAP-ENV:Header>``, and its entries are read with the pull parser.
+    ``</SOAP-ENV:Header>``.  A Header made only of ``binq`` entries in
+    this stack's exact framing is read with one compiled pattern
+    (:data:`_BINQ_ENTRY_RX`); any other is read with the pull parser.
     The pull parser and the tree share one tokenizer, so a fragment it
     reads holds the entries the tree finds; one it refuses (say, a
     comment cut short at a ``</SOAP-ENV:Header>`` inside it) goes to the
@@ -106,17 +120,44 @@ def read_fast_envelope(payload: bytes) -> Optional[FastEnvelope]:
     match = _SIMPLE_TAG_RX.match(body_xml)
     if match is None:
         return None
-    entries: List[HeaderEntry] = []
-    if header_xml:
-        try:
-            pp = XmlPullParser(header_xml)
-            while not pp.at_eof():
-                ev = pp.next()
-                if ev.kind == START and ev.depth == 1:
-                    entries.append((ev.name.rsplit(":", 1)[-1], ev.attrs))
-        except XmlParseError:
-            return None
+    entries = _header_entries(header_xml)
+    if entries is None:
+        return None
     return FastEnvelope(entries, match.group(1).rsplit(":", 1)[-1], body_xml)
+
+
+def _header_entries(header_xml: str) -> Optional[List[HeaderEntry]]:
+    """The Header's top-level entries, or ``None`` where the pull parser
+    refuses the fragment."""
+    entries: List[HeaderEntry] = []
+    pos = 0
+    while pos < len(header_xml):
+        m = _BINQ_ENTRY_RX.match(header_xml, pos)
+        if m is None:
+            return _pull_header_entries(header_xml)
+        local, name, value = m.groups()
+        attrs = {"xmlns:binq": BINQ_NS}
+        if name is not None:
+            attrs["name"] = name
+        if value is not None:
+            attrs["value"] = value
+        entries.append((local, attrs))
+        pos = m.end()
+    return entries
+
+
+def _pull_header_entries(header_xml: str) -> Optional[List[HeaderEntry]]:
+    """:func:`_header_entries` read with the pull parser."""
+    entries: List[HeaderEntry] = []
+    try:
+        pp = XmlPullParser(header_xml)
+        while not pp.at_eof():
+            ev = pp.next()
+            if ev.kind == START and ev.depth == 1:
+                entries.append((ev.name.rsplit(":", 1)[-1], ev.attrs))
+    except XmlParseError:
+        return None
+    return entries
 
 
 def build_envelope(body_children: List[Element],

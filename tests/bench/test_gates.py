@@ -48,6 +48,7 @@ FRESH = {
             "rss_growth_ratio": 0.07,
         },
     },
+    "xlate": {"int32_array_1k": {"from_xml_speedup_vs_pull": 180.0}},
 }
 
 LOADGEN_REPORT = {
@@ -249,6 +250,34 @@ class TestWireFreshGate:
             with pytest.raises(GateFailure,
                                match="compact decode of small_int_heavy"):
                 gates.gate_wire_fresh(fresh)
+
+
+class TestXlateGate:
+    @pytest.mark.parametrize("speedup,passes", [
+        (180.0, True), (gates.XLATE_FROM_XML_MIN_SPEEDUP_VS_PULL, True),
+        (gates.XLATE_FROM_XML_MIN_SPEEDUP_VS_PULL - 0.1, False),
+        (62.0, False)])
+    def test_speedup_floor(self, speedup, passes):
+        fresh = copy.deepcopy(FRESH)
+        fresh["xlate"]["int32_array_1k"]["from_xml_speedup_vs_pull"] = speedup
+        if passes:
+            gates.gate_xlate_fresh(fresh)
+        else:
+            with pytest.raises(GateFailure, match="int32\\[1000\\]"):
+                gates.gate_xlate_fresh(fresh)
+
+    def test_section_missing(self):
+        fresh = {k: v for k, v in FRESH.items() if k != "xlate"}
+        with pytest.raises(GateFailure, match="--sections xlate"):
+            gates.gate_xlate_fresh(fresh)
+
+    def test_run_by_the_cli(self, tmp_path, capsys):
+        fresh = tmp_path / "fresh.json"
+        fresh.write_text(json.dumps(with_value("xlate", "int32_array_1k",
+                                               {"from_xml_speedup_vs_pull":
+                                                50.0})))
+        assert gates.main([str(fresh)]) == 1
+        assert "compiled from_xml" in capsys.readouterr().err
 
 
 class TestLoadgenGate:

@@ -515,7 +515,7 @@ NUMERIC_KINDS = ["int32", "int64", "uint8", "float64"]
 @pytest.fixture(scope="module")
 def run_registry():
     reg = FormatRegistry()
-    for kind in NUMERIC_KINDS:
+    for kind in NUMERIC_KINDS + ["uint64"]:
         reg.register(Format.from_dict(f"run_{kind}", {"v": f"{kind}[]"}))
     return reg
 
@@ -549,7 +549,7 @@ class TestNumericRunDifferential:
                   "99999999999999999999999", "abc", "&#52;2", "&amp;",
                   "&lt;", "&bogus;", "<![CDATA[7]]>", "<![CDATA[ 8 ]]>",
                   "1<!-- c -->2", "<!-- c -->3", "<", "1<2", "<b>5</b>",
-                  "<item>", "1 2"]
+                  "<item>", "1 2", "\x1c5", "5\x1d", "\x1e-6\x1f"]
 
     @settings(max_examples=150 * SOAK, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -564,6 +564,17 @@ class TestNumericRunDifferential:
         body = "".join(f"{gap}<item>{text}</item>"
                        for gap, text in zip(gaps, texts))
         xml = f"<run><v>{body}{gaps[-1]}</v></run>"
+        assert outcome(lambda: run_registry.xlate.parser(fmt)(xml)) == \
+            outcome(lambda: pull_from_xml(xml, fmt, run_registry))
+
+    @pytest.mark.parametrize("kind", NUMERIC_KINDS)
+    @pytest.mark.parametrize("text", ["\x1c5", "5\x1d", "\x1e-6\x1f"])
+    def test_separator_padded_item_matches_pull(self, run_registry, kind,
+                                                text):
+        # U+001C..U+001F are the only characters str.strip() removes and
+        # int() refuses: the tree path strips them, so the run decodes.
+        fmt = run_registry.by_name(f"run_{kind}")
+        xml = f"<run><v><item>1</item><item>{text}</item></v></run>"
         assert outcome(lambda: run_registry.xlate.parser(fmt)(xml)) == \
             outcome(lambda: pull_from_xml(xml, fmt, run_registry))
 
@@ -587,6 +598,103 @@ class TestNumericRunDifferential:
         xml = run_registry.xlate.emitter(fmt)(value)
         assert xml == tree_to_xml(value, fmt, run_registry)
         assert run_registry.xlate.parser(fmt)(xml) == value
+
+
+#: Canonical value ranges of the long-run corpus.
+LONG_RUN_KINDS = {"int32": (-2**31, 2**31), "int64": (-2**63, 2**63),
+                  "uint8": (0, 256), "uint64": (0, 2**64)}
+
+#: Items NumPy's integer text parser reads differently from int(), or
+#: that are valid but off the canonical form, spliced into long runs.
+LONG_RUN_SPLICES = [
+    "+", "-", "-0", "+5", "007", "1_0", " ", "\t", "\n \r", "\x0b", "\x0c",
+    " 5", "5 ", "-\t5", "\x1c5", "5\x1f", "\x00", "5\x00", "\u0663",
+    "\u0967\u0968", "0", "0", *(str(2**63 + d) for d in (-2, -1, 0)),
+    *(str(-2**63 + d) for d in (-1, 0, 1)), str(2**64), str(-2**80)]
+
+#: Text after a run's last item: a trailing separator, or one and a blank,
+#: or a prefix of one (NumPy reads each as the end of the run).
+LONG_RUN_TAILS = ["", "</item><item>", "</item><item> ", "</item>"]
+
+
+def long_run_corpus(seed=1):
+    """``(kind, xml)`` documents of 40, 300 and 1000 canonical items with
+    up to three spliced ones, for every kind and tail; and each splice
+    alone in a run of 300."""
+    rng = random.Random(seed)
+    corpus = []
+    for kind, (lo, hi) in LONG_RUN_KINDS.items():
+        for splice in LONG_RUN_SPLICES:
+            texts = [str(rng.randrange(lo, hi)) for _ in range(300)]
+            texts[rng.randrange(300)] = splice
+            corpus.append((kind, "<run><v><item>" + "</item><item>".join(
+                texts) + "</item></v></run>"))
+        for length in (40, 300, 1000):
+            for tail in LONG_RUN_TAILS:
+                for _ in range(2 * SOAK):
+                    texts = [str(rng.randrange(lo, hi))
+                             for _ in range(length)]
+                    for _ in range(rng.randint(0, 3)):
+                        texts[rng.randrange(length)] = \
+                            rng.choice(LONG_RUN_SPLICES)
+                    corpus.append((kind, "<run><v><item>"
+                                   + "</item><item>".join(texts) + tail
+                                   + "</item></v></run>"))
+    return corpus
+
+
+class TestLongIntRuns:
+    """Runs long enough for NumPy's C parser, against the pull oracle."""
+
+    @pytest.mark.parametrize("c_step", [True, False], ids=["c", "no-c"])
+    def test_corpus_matches_pull(self, run_registry, monkeypatch, c_step):
+        from repro.soap import xlate
+        monkeypatch.setattr(xlate, "_C_INT_RUNS",
+                            xlate._C_INT_RUNS and c_step)
+        taken = []
+        real = xlate._c_int_values
+
+        def spy(run):
+            values = real(run)
+            taken.append(values is not None)
+            return values
+        monkeypatch.setattr(xlate, "_c_int_values", spy)
+        for kind, xml in long_run_corpus():
+            fmt = run_registry.by_name(f"run_{kind}")
+            assert outcome(lambda: run_registry.xlate.parser(fmt)(xml)) == \
+                outcome(lambda: pull_from_xml(xml, fmt, run_registry)), \
+                (kind, xml)
+        assert any(taken) == c_step
+
+    def test_canonical_int32_1k_takes_the_c_step(self, run_registry,
+                                                 monkeypatch):
+        from repro.soap import xlate
+        assert xlate._C_INT_RUNS
+        results = []
+        real = xlate._c_int_values
+
+        def spy(run):
+            results.append(real(run))
+            return results[-1]
+        monkeypatch.setattr(xlate, "_c_int_values", spy)
+        rng = random.Random(1)
+        value = {"v": [rng.randrange(-2**31, 2**31) for _ in range(1000)]}
+        fmt = run_registry.by_name("run_int32")
+        xml = run_registry.xlate.emitter(fmt)(value)
+        assert run_registry.xlate.parser(fmt)(xml) == value
+        assert results == [value["v"]]
+
+    def test_probe_refuses_a_parser_that_warns(self, monkeypatch):
+        import warnings
+        from repro.soap import xlate
+
+        def lenient(text, dtype, sep):
+            warnings.warn("string could not be read to its end",
+                          DeprecationWarning)
+            return np.array([7, -8][:text.count(sep) + 1], dtype=dtype)
+        assert xlate._probe_c_int_runs()
+        monkeypatch.setattr(xlate._np, "fromstring", lenient)
+        assert not xlate._probe_c_int_runs()
 
 
 class TestEmitMemory:
@@ -801,6 +909,78 @@ class TestHeaderEnvelopeParity:
             client.read_reply(fault_envelope(SoapFault("Server", "boom")),
                               shaped)
         assert err.value.faultstring == "boom"
+
+
+def pull_header_entries(header_xml):
+    """Top-level Header entries as the pull parser reads them, or ``None``
+    where it refuses the fragment."""
+    from repro.xmlcore.tokenizer import START
+    entries = []
+    try:
+        pp = XmlPullParser(header_xml)
+        while not pp.at_eof():
+            ev = pp.next()
+            if ev.kind == START and ev.depth == 1:
+                entries.append((ev.name.rsplit(":", 1)[-1], ev.attrs))
+    except XmlParseError:
+        return None
+    return entries
+
+
+#: Attribute text the entry pattern must read as the pull parser does:
+#: escaped, normalized or non-ASCII characters among plain ones.
+FRAMED_TEXT = st.text(st.sampled_from("rt0.5-e+ &<>\"'\t\n\r=/\u00e9\u4e2d"),
+                      max_size=6)
+
+
+@st.composite
+def framed_entries(draw):
+    """``binq`` entries in this stack's framing (namespace declaration
+    first), with or without ``name`` and ``value``."""
+    from repro.xmlcore import BINQ_NS
+    entries = []
+    for local in draw(st.lists(st.sampled_from(["attribute",
+                                                "message-type"]),
+                               max_size=4)):
+        attrib = {"xmlns:binq": BINQ_NS}
+        for key in draw(st.sampled_from([("name", "value"), ("name",),
+                                         ("value",), (), ("value", "name")])):
+            attrib[key] = draw(FRAMED_TEXT)
+        entries.append(Element(f"binq:{local}", attrib))
+    return entries
+
+
+class TestHeaderEntryPattern:
+    """The compiled ``binq`` entry pattern against the pull parser."""
+
+    @settings(max_examples=200 * SOAK, deadline=None)
+    @given(entries=st.one_of(framed_entries(),
+                             header_children(message_types=True)),
+           splice=st.sampled_from(HEADER_SPLICES + ['name="x"', "\t"]),
+           at=st.integers(0, 400))
+    def test_entries_match_pull(self, entries, splice, at):
+        from repro.soap.envelope import _header_entries
+        header_xml = "".join(tostring(e) for e in entries)
+        header_xml = header_xml[:at] + splice + header_xml[at:]
+        assert outcome(lambda: _header_entries(header_xml)) == outcome(
+            lambda: pull_header_entries(header_xml))
+
+    def test_stack_framing_skips_the_pull_parser(self, monkeypatch):
+        import repro.soap.envelope as envelope
+        from repro.core.xmlq import (build_attribute_headers,
+                                     message_type_header_xml)
+
+        def spy(*args, **kwargs):
+            raise AssertionError("pull parser reached")
+        header_xml = "".join(
+            [tostring(e) for e in build_attribute_headers(
+                {"rtt": 0.0123, "cpu_load": float("nan"), "x": -1e300})]
+            + [message_type_header_xml("QSmall")])
+        expected = pull_header_entries(header_xml)
+        monkeypatch.setattr(envelope, "XmlPullParser", spy)
+        assert envelope._header_entries(header_xml) == expected
+        assert [name for name, _ in expected] == [
+            "attribute", "attribute", "attribute", "message-type"]
 
 
 class TestQualityXmlOffTheTree:

@@ -39,7 +39,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "binclient": ["SoapBinClient"],
     "binservice": ["SoapBinService"],
     "conversion": ["ConversionHandler"],
-    "dynamic": ["compile_quality_handler", "HandlerRepository"],
+    "dynamic": ["compile_quality_handler"],
     "xmlq": ["XmlQualityClient", "build_attribute_headers",
              "parse_attribute_headers", "build_message_type_header",
              "parse_message_type_header"],

@@ -6,11 +6,10 @@ technologies necessary to install binary handlers at runtime, using dynamic
 binary code generation techniques and/or using code repositories."
 
 This module implements that extension for the reproduction: quality
-handlers compiled from *source text* at runtime, plus a
-:class:`HandlerRepository` (the "code repository") from which services can
-pull handlers by name.  The compilation model matches the ECho filter
-sandbox: the source is the body of a function, restricted builtins, no
-imports or dunder access.
+handlers compiled from *source text* at runtime, which
+``SoapBinService.install_handler_source`` installs on a live service.  The
+compilation model matches the ECho filter sandbox: the source is the body
+of a function, restricted builtins, no imports or dunder access.
 
 Handler source contract: the body sees ``value`` (the application message
 dict), ``src_fields``/``dst_fields`` (field-name lists of the two
@@ -22,13 +21,12 @@ superset of the destination fields and let projection trim it.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, Optional
 
 from ..pbio import Format, FormatRegistry
 from .attributes import AttributeStore
 from .errors import QualityHandlerError
-from .quality_handlers import HandlerRegistry, QualityHandler, trivial_handler
+from .quality_handlers import QualityHandler, trivial_handler
 
 #: Functions runtime-compiled source may call: quality handlers here, and
 #: ECho filters (:mod:`repro.echo.filters`).
@@ -90,44 +88,3 @@ def compile_quality_handler(source: str,
 
     handler.__handler_source__ = source
     return handler
-
-
-class HandlerRepository:
-    """A named store of handler *sources* (the paper's code repository).
-
-    Services fetch and compile handlers on demand; sources can be updated
-    at runtime, and the next fetch picks up the new version.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._sources: Dict[str, str] = {}
-
-    def publish(self, name: str, source: str) -> None:
-        """Validate (by compiling once) and store handler source."""
-        compile_quality_handler(source, name)  # raises on bad source
-        with self._lock:
-            self._sources[name] = source
-
-    def source(self, name: str) -> str:
-        with self._lock:
-            try:
-                return self._sources[name]
-            except KeyError:
-                raise QualityHandlerError(
-                    f"repository has no handler named {name!r}")
-
-    def fetch(self, name: str) -> QualityHandler:
-        """Compile and return the current version of a handler."""
-        return compile_quality_handler(self.source(name), name)
-
-    def names(self):
-        with self._lock:
-            return sorted(self._sources)
-
-    def install_into(self, registry: HandlerRegistry,
-                     name: Optional[str] = None) -> None:
-        """Install one (or every) published handler into a live registry."""
-        targets = [name] if name else self.names()
-        for target in targets:
-            registry.register(target, self.fetch(target))

@@ -55,13 +55,10 @@ import threading
 from operator import countOf
 from typing import Any, Dict, NamedTuple, Optional, Union
 
+import numpy as _np
+
 from ..pbio import COMPACT_REVISION, Format, FormatRegistry
 from .lru import LruTtlCache
-
-try:  # numpy is optional for the core; the digest just walks slower without
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
 
 __all__ = ["QualityCache", "canonical_digest", "estimated_weight"]
 
@@ -74,7 +71,7 @@ _F64 = struct.Struct("<d")
 #: fit its default int (``np.asarray`` infers that dtype for them), when
 #: that int is 8 bytes; such lists are packed by ``struct`` instead.
 _INT_LIST_TAG = (b"A" + _np.dtype(int).str.encode("ascii")
-                 if _np is not None and _np.dtype(int).itemsize == 8
+                 if _np.dtype(int).itemsize == 8
                  else None)
 
 
@@ -101,18 +98,17 @@ def _update_digest(h, value: Any) -> None:
             h.update(b"=")
             _update_digest(h, value[key])
         return
-    if _np is not None:
-        if isinstance(value, _np.ndarray):
-            arr = _np.ascontiguousarray(value)
-            h.update(b"A" + arr.dtype.str.encode("ascii")
-                     + str(arr.shape).encode("ascii") + b";")
-            h.update(arr.tobytes())
-            return
-        if isinstance(value, _np.generic):
-            _update_digest(h, value.item())
-            return
+    if isinstance(value, _np.ndarray):
+        arr = _np.ascontiguousarray(value)
+        h.update(b"A" + arr.dtype.str.encode("ascii")
+                 + str(arr.shape).encode("ascii") + b";")
+        h.update(arr.tobytes())
+        return
+    if isinstance(value, _np.generic):
+        _update_digest(h, value.item())
+        return
     if isinstance(value, (list, tuple)):
-        if _np is not None and len(value) >= _ARRAY_FAST_PATH_LEN:
+        if len(value) >= _ARRAY_FAST_PATH_LEN:
             packed = _int_list_bytes(value) if _INT_LIST_TAG else None
             if packed is not None:
                 h.update(b"%s(%d,);" % (_INT_LIST_TAG, len(value)))
@@ -174,11 +170,10 @@ def estimated_weight(value: Any) -> int:
     charges against ``max_payload_bytes``, so the budget bounds the whole
     entry — cached ``wire_value`` dicts included — not just the encoded
     payloads later attached."""
-    if _np is not None:
-        if isinstance(value, _np.ndarray):
-            return int(value.nbytes) + _CONTAINER_OVERHEAD
-        if isinstance(value, _np.generic):
-            return _SCALAR_WEIGHT
+    if isinstance(value, _np.ndarray):
+        return int(value.nbytes) + _CONTAINER_OVERHEAD
+    if isinstance(value, _np.generic):
+        return _SCALAR_WEIGHT
     if isinstance(value, dict):
         return (_CONTAINER_OVERHEAD
                 + sum(len(str(k)) + _SCALAR_WEIGHT + estimated_weight(v)
@@ -220,7 +215,7 @@ class _ResultMemo(NamedTuple):
 def _freeze_arrays(value: Any) -> None:
     """Mark every ndarray leaf read-only, in place: a memoised result is
     shared by every later reply, so a write to it must raise."""
-    if _np is not None and isinstance(value, _np.ndarray):
+    if isinstance(value, _np.ndarray):
         value.flags.writeable = False
     elif isinstance(value, dict):
         for item in value.values():

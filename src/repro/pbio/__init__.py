@@ -35,7 +35,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
                "EncodeError", "DecodeError", "ConversionError"],
     "fmt": ["Field", "Format"],
     "registry": ["FormatRegistry", "default_registry"],
-    "server": ["InMemoryFormatServer", "FormatServer", "FormatClient"],
+    "server": ["FormatServer", "FormatClient"],
     "stream": ["RecordStreamReader", "RecordStreamWriter",
                "PbioStreamHandler", "pbio_stream_route", "iter_frames",
                "encode_frame", "FRAME_HEADER_SIZE"],

@@ -56,10 +56,7 @@ from functools import lru_cache
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
                     Tuple)
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dep in practice
-    _np = None
+import numpy as _np
 
 from .errors import DecodeError, EncodeError, FormatError
 from .fmt import Format
@@ -119,7 +116,7 @@ def _pack_prim_array(values: Any, char: str, endian: str) -> bytes:
         else:
             raw = "".join(values).encode("latin-1")
         return raw
-    if _np is not None and isinstance(values, _np.ndarray):
+    if isinstance(values, _np.ndarray):
         dtype = _np.dtype(endian + _NP_CHARS[char])
         if _np.can_cast(values.dtype, dtype, "safe") or \
                 _cast_keeps_values(values, dtype):
@@ -157,7 +154,7 @@ def _unpack_prim_array(buf: Any, off: int, char: str, count: int,
     end = off + size
     if end > len(buf):
         raise DecodeError("truncated primitive array")
-    if _np is not None and count >= _NP_MIN_COUNT and char in _NP_CHARS:
+    if count >= _NP_MIN_COUNT and char in _NP_CHARS:
         dtype = _np.dtype(endian + _NP_CHARS[char])
         arr = _np.frombuffer(buf, dtype=dtype, count=count, offset=off)
         return arr, end
@@ -225,7 +222,7 @@ def _pack_compact_int_array_scalar(values: Any, kind: str) -> bytes:
     """
     lo, hi = _INT_RANGES[kind]
     signed = kind[0] == "i"
-    if _np is not None and isinstance(values, _np.ndarray):
+    if isinstance(values, _np.ndarray):
         values = values.tolist()
     ints: List[int] = []
     append = ints.append
@@ -394,8 +391,8 @@ def _int_kind(kind: str) -> _IntKind:
                     (1 << (bits - 7 * (max_len - 1))) - 1)
 
 
-_INT_KINDS: Dict[str, _IntKind] = (
-    {kind: _int_kind(kind) for kind in _INT_RANGES} if _np is not None else {})
+_INT_KINDS: Dict[str, _IntKind] = {kind: _int_kind(kind)
+                                    for kind in _INT_RANGES}
 
 
 def _as_int_ndarray(values: Any, kind: str,
@@ -496,7 +493,7 @@ def _pack_compact_int_array(values: Any, kind: str) -> bytes:
     validated the same way, as the native bulk copy.
     """
     n = len(values)
-    if n < _NP_MIN_COUNT or _np is None:
+    if n < _NP_MIN_COUNT:
         return _pack_compact_int_array_scalar(values, kind)
     info = _INT_KINDS[kind]
     checked = _as_int_ndarray(values, kind, info)
@@ -611,7 +608,7 @@ def _unpack_compact_int_array(buf: Any, off: int, kind: str,
     """
     if kind in _BYTE_KINDS:
         return _unpack_prim_array(buf, off, _BYTE_KINDS[kind], count, LITTLE)
-    if count < _NP_MIN_COUNT or _np is None:
+    if count < _NP_MIN_COUNT:
         return _unpack_compact_int_array_scalar(buf, off, kind, count)
     mode, least, width, pos = _read_int_array_head(buf, off, kind, count)
     info = _INT_KINDS[kind]

@@ -20,11 +20,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 from .errors import ConversionError
 from .fmt import Format
 from .registry import FormatRegistry

@@ -5,13 +5,10 @@
 type is encountered, the application consults the format server to interpret
 the message." (§III-B)
 
-Two implementations share one interface:
-
-* :class:`InMemoryFormatServer` — a process-local store, used when client
-  and server run in one process (simulated-transport benchmarks);
-* :class:`FormatServer` / :class:`FormatClient` — a threaded TCP service
-  with a 4-byte-length-framed request/response protocol, used by the
-  socket-transport integration tests.
+:class:`FormatServer` / :class:`FormatClient` are that service: a threaded
+TCP server with a 4-byte-length-framed request/response protocol, and a
+client that caches every answer.  Ids are global across the server,
+assigned once per format fingerprint.
 
 Protocol (all integers little-endian):
 
@@ -35,44 +32,6 @@ from .fmt import Format
 
 OP_REGISTER = 0x01
 OP_LOOKUP = 0x02
-
-
-class InMemoryFormatServer:
-    """Format store for single-process deployments.
-
-    Ids are global across the process, mirroring the role the networked
-    format server plays between hosts.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._by_id: Dict[int, Format] = {}
-        self._id_by_fp: Dict[str, int] = {}
-        self._next_id = 1
-        self.register_count = 0
-        self.lookup_count = 0
-
-    def register(self, fmt: Format) -> int:
-        """Store ``fmt`` (idempotent by fingerprint) and return its id."""
-        with self._lock:
-            self.register_count += 1
-            fid = self._id_by_fp.get(fmt.fingerprint)
-            if fid is None:
-                fid = self._next_id
-                self._next_id += 1
-                self._by_id[fid] = fmt
-                self._id_by_fp[fmt.fingerprint] = fid
-            return fid
-
-    def fetch(self, fid: int) -> Optional[Format]:
-        """Return the format registered under ``fid``, or None."""
-        with self._lock:
-            self.lookup_count += 1
-            return self._by_id.get(fid)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._by_id)
 
 
 def _send_frame(sock: socket.socket, payload: bytes) -> None:
@@ -112,7 +71,9 @@ class FormatServer:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self._store = InMemoryFormatServer()
+        self._lock = threading.Lock()
+        self._by_id: Dict[int, Format] = {}
+        self._id_by_fp: Dict[str, int] = {}
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
@@ -157,11 +118,17 @@ class FormatServer:
         op = frame[0]
         if op == OP_REGISTER:
             fmt = Format.from_wire(frame[1:])
-            fid = self._store.register(fmt)
+            with self._lock:     # idempotent by fingerprint
+                fid = self._id_by_fp.get(fmt.fingerprint)
+                if fid is None:
+                    fid = len(self._by_id) + 1
+                    self._id_by_fp[fmt.fingerprint] = fid
+                    self._by_id[fid] = fmt
             return struct.pack("<I", fid)
         if op == OP_LOOKUP:
             (fid,) = struct.unpack_from("<I", frame, 1)
-            fmt = self._store.fetch(fid)
+            with self._lock:
+                fmt = self._by_id.get(fid)
             if fmt is None:
                 return b"\x00"
             return b"\x01" + fmt.to_wire()
@@ -182,7 +149,8 @@ class FormatServer:
         self.close()
 
     def __len__(self) -> int:
-        return len(self._store)
+        with self._lock:
+            return len(self._by_id)
 
 
 class FormatClient:

@@ -5,22 +5,12 @@ the *server* survive its clients, by treating overload as a first-class
 quality attribute:
 
 * :mod:`~repro.serving.admission` — bounded worker pool + bounded,
-  sheddable wait queue (LIFO / deadline-aware shed policies) with live
-  load metrics (queue depth, per-worker utilization, p95 service time);
-* :mod:`~repro.serving.deadline` — the ``X-Deadline-Ms`` header contract
-  propagating PR 3's client deadline budgets to the server, which then
-  refuses work the client will discard (it lives in
-  :mod:`repro.http11.deadline`, below the server that reads it);
+  sheddable wait queue (earliest-deadline-first service and shedding)
+  with live load metrics (queue depth, per-worker utilization, p95
+  service time);
 * :mod:`~repro.serving.coupling` — :class:`LoadQualityCoupling` feeds
   admission load into the quality manager, so an overloaded server sheds
   *bytes* (reduced reply formats) before it sheds *requests*;
-* :mod:`~repro.serving.sandbox` — :class:`HandlerSandbox` puts a
-  timeout + exception boundary + strike-based quarantine around user
-  quality handlers, so a faulty handler degrades quality, not uptime
-  (it lives in :mod:`repro.core.sandbox`, beside the quality manager
-  that runs it);
-* :mod:`~repro.serving.endpoint` — :class:`ProtectedEndpoint` composes
-  all of the above around any transport endpoint;
 * :mod:`~repro.serving.fleet` / :mod:`~repro.serving.shm_stats` —
   :class:`FleetServer` preforks N reactor workers on one
   ``SO_REUSEPORT`` port with a supervising parent, and
@@ -32,8 +22,12 @@ quality attribute:
   (:mod:`repro.http11.metrics`) and the fleet control port aggregates
   per-worker series (``docs/observability.md``).
 
-Graceful drain and the ``/healthz`` readiness hook live on
-:class:`~repro.http11.HttpServer` itself (``close(drain_s=...)``).
+Both plug into the one admission gate, ``_ServerCore._respond`` in
+:mod:`repro.http11.server`: pass ``admission=`` / ``load_coupling=`` to
+:func:`~repro.http11.HttpServer`.  The ``X-Deadline-Ms`` contract it
+reads is :mod:`repro.http11.deadline`, and the quality-handler sandbox
+is :mod:`repro.core.sandbox`.  Graceful drain and the ``/healthz``
+readiness hook live on the server too (``close(drain_s=...)``).
 
 See ``docs/overload.md`` for the full contract.
 """
@@ -43,17 +37,12 @@ from .._lazy import attach
 __getattr__, __dir__, __all__ = attach(__name__, {
     "admission": ["AdmissionController", "AdmissionMetrics", "Decision",
                   "Ticket", "SHED_DEADLINE_EXPIRED", "SHED_DISPLACED",
-                  "SHED_QUEUE_FULL", "SHED_SATURATED"],
+                  "SHED_QUEUE_FULL"],
     "coupling": ["LoadQualityCoupling", "SERVER_LOAD"],
-    "deadline": ["HEADER_DEADLINE_MS", "HEADER_SHED_REASON",
-                 "deadline_from_headers", "deadline_header_value",
-                 "with_deadline_header"],
-    "endpoint": ["ProtectedEndpoint", "shed_reply"],
     "fleet": ["FleetServer", "WorkerContext"],
     "metrics": ["Metric", "parse_exposition", "server_families",
                 "fleet_families", "render_server_metrics",
                 "render_fleet_metrics"],
-    "sandbox": ["HandlerSandbox"],
     "shm_stats": ["FleetStats", "WorkerStats", "STATE_EMPTY", "STATE_READY",
                   "STATE_DRAINING", "STATE_STOPPED"],
 }, aliases={

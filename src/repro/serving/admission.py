@@ -11,18 +11,11 @@ two things the thread-per-connection server never bounded:
   ``Retry-After`` so PR 3's :class:`~repro.reliability.policy.RetryPolicy`
   backs off for exactly as long as the server suggests).
 
-Who gets shed is the ``shed_policy``:
-
-* ``"fifo"`` — the queue is served oldest-first and a full queue sheds the
-  *new* arrival (classic bounded FIFO);
-* ``"lifo"`` — the queue is served newest-first and a full queue sheds the
-  *oldest* waiter (adaptive LIFO: under a burst, fresh requests — whose
-  clients are still waiting — win over stale ones whose clients have
-  probably timed out);
-* ``"deadline"`` — waiters are served earliest-deadline-first; a full
-  queue sheds an already-expired waiter if any, else the waiter with the
-  least remaining budget (it is the most likely to be discarded by its
-  client anyway), falling back to the oldest undated waiter.
+Waiters are served earliest-deadline-first, undated ones oldest-first
+after every dated one.  A full queue sheds an already-expired waiter if
+any, else whoever has the least remaining budget — a queued waiter, or
+the new arrival itself (it is the most likely to be discarded by its
+client anyway); with no dated waiter, the oldest waiter is displaced.
 
 Deadlines (absolute, on the controller's clock — see
 :mod:`repro.http11.deadline`) are honored everywhere: an expired request
@@ -35,7 +28,7 @@ depth, per-worker utilization over a sliding window, and a p95 of recent
 service times, all exposed via :meth:`snapshot`.
 
 Everything is clock-injectable: with a
-:class:`~repro.clock.VirtualClock` the non-blocking path (deadline
+:class:`~repro.clock.VirtualClock` the uncontended path (deadline
 checks, utilization, metrics) is fully deterministic; blocking waits use a
 condition variable and are exercised by the real-thread stampede tests.
 """
@@ -53,9 +46,6 @@ from ..clock import Clock, WallClock
 SHED_DEADLINE_EXPIRED = "deadline_expired"
 SHED_QUEUE_FULL = "queue_full"
 SHED_DISPLACED = "displaced"
-SHED_SATURATED = "saturated"
-
-_POLICIES = ("fifo", "lifo", "deadline")
 
 
 class Ticket:
@@ -120,7 +110,6 @@ class AdmissionController:
     """Bounded worker permits + bounded wait queue + load metrics."""
 
     def __init__(self, max_concurrency: int = 8, queue_limit: int = 16,
-                 shed_policy: str = "deadline",
                  retry_after_s: float = 1.0,
                  utilization_window_s: float = 1.0,
                  service_time_samples: int = 512,
@@ -129,11 +118,8 @@ class AdmissionController:
             raise ValueError("max_concurrency must be >= 1")
         if queue_limit < 0:
             raise ValueError("queue_limit must be >= 0")
-        if shed_policy not in _POLICIES:
-            raise ValueError(f"shed_policy must be one of {_POLICIES}")
         self.max_concurrency = max_concurrency
         self.queue_limit = queue_limit
-        self.shed_policy = shed_policy
         self.retry_after_s = max(0.0, retry_after_s)
         self.utilization_window_s = utilization_window_s
         self.clock = clock or WallClock()
@@ -151,18 +137,15 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
-    def acquire(self, deadline: Optional[float] = None,
-                block: bool = True) -> Union[Ticket, Decision]:
+    def acquire(self, deadline: Optional[float] = None
+                ) -> Union[Ticket, Decision]:
         """Ask for a worker permit; possibly wait; possibly get shed.
 
         Returns the :class:`Ticket` when admitted, else a refused
         :class:`Decision`; either answers ``admitted``, ``reason``,
         ``ticket`` and ``waited_s``.  ``deadline`` is absolute on the
         controller's clock (see
-        :func:`~repro.http11.deadline.deadline_from_headers`).  With
-        ``block=False`` a saturated pool sheds instead of queueing — the
-        right mode for single-threaded (simulated) servers where nobody
-        else could ever release a permit while we wait.
+        :func:`~repro.http11.deadline.deadline_from_headers`).
         """
         with self._lock:
             now = self.clock.now()
@@ -174,9 +157,8 @@ class AdmissionController:
                 ticket = Ticket(now, deadline)
                 self._inflight.add(ticket)
                 return ticket
-            if not block or self.queue_limit == 0:
-                return self._shed_decision(SHED_SATURATED if not block
-                                           else SHED_QUEUE_FULL)
+            if self.queue_limit == 0:
+                return self._shed_decision(SHED_QUEUE_FULL)
             if len(self._waiters) >= self.queue_limit:
                 victim = self._pick_victim(deadline, now)
                 if victim is None:
@@ -231,7 +213,7 @@ class AdmissionController:
             self._cond.notify_all()
 
     # ------------------------------------------------------------------
-    # shed-policy internals (all called under the lock)
+    # shedding internals (all called under the lock)
     # ------------------------------------------------------------------
     def _shed_decision(self, reason: str) -> Decision:
         self._count_shed(reason)
@@ -254,12 +236,9 @@ class AdmissionController:
     def _next_waiter(self) -> Optional[_Waiter]:
         if not self._waiters:
             return None
-        if self.shed_policy == "lifo":
-            return self._waiters[-1]
-        if self.shed_policy == "deadline":
-            dated = [w for w in self._waiters if w.deadline is not None]
-            if dated:
-                return min(dated, key=lambda w: w.deadline)
+        dated = [w for w in self._waiters if w.deadline is not None]
+        if dated:
+            return min(dated, key=lambda w: w.deadline)
         return self._waiters[0]
 
     def _pick_victim(self, new_deadline: Optional[float],
@@ -268,10 +247,6 @@ class AdmissionController:
 
         ``None`` means the new arrival itself is the victim.
         """
-        if self.shed_policy == "fifo":
-            return None
-        if self.shed_policy == "lifo":
-            return min(self._waiters, key=lambda w: w.enqueued_at)
         expired = [w for w in self._waiters
                    if w.deadline is not None and now >= w.deadline]
         if expired:
@@ -282,8 +257,8 @@ class AdmissionController:
             if new_deadline is None or tightest.deadline <= new_deadline:
                 return tightest
             return None  # the new arrival has the least slack: shed it
-        # no dated waiter: the oldest undated one goes
-        return min(self._waiters, key=lambda w: w.enqueued_at)
+        # no dated waiter: the oldest one goes
+        return self._waiters[0]
 
     # ------------------------------------------------------------------
     # load metrics

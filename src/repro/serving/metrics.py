@@ -1,17 +1,17 @@
-"""Fleet and client-side families for the ``/metrics`` exposition.
+"""Fleet families for the ``/metrics`` exposition.
 
 The exposition format, its parser and every server's own families live
 in :mod:`repro.http11.metrics`, because the HTTP server answers
-``GET /metrics`` itself; this module adds what only the layers above
-render: a :class:`~repro.serving.fleet.FleetServer` control port's
-aggregate view, and a circuit breaker's state.  It re-exports the
-format's names so ``repro.serving.metrics`` keeps offering them.
+``GET /metrics`` itself; this module adds what only the fleet renders:
+a :class:`~repro.serving.fleet.FleetServer` control port's aggregate
+view.  It re-exports the format's names so ``repro.serving.metrics``
+keeps offering them.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ..http11.metrics import (CONTENT_TYPE, Metric, counter, gauge,
                               parse_exposition, render,
@@ -19,36 +19,9 @@ from ..http11.metrics import (CONTENT_TYPE, Metric, counter, gauge,
 
 __all__ = [
     "CONTENT_TYPE", "Metric", "render", "parse_exposition",
-    "server_families", "fleet_families", "breaker_families",
+    "server_families", "fleet_families",
     "render_server_metrics", "render_fleet_metrics",
 ]
-
-
-def breaker_families(breaker,
-                     labels: Optional[Dict[str, str]] = None
-                     ) -> List[Metric]:
-    """Families for a :class:`~repro.reliability.breaker.CircuitBreaker`.
-
-    The breaker lives client-side (channels, couplings), so servers do
-    not export it by default; anything holding one — the loadgen
-    harness, a client-side exporter — renders it with this helper.
-    ``repro_breaker_state`` is a one-hot gauge over the three states.
-    """
-    state = Metric("repro_breaker_state", "gauge",
-                   "One-hot over closed/open/half_open.")
-    current = breaker.state
-    for name in ("closed", "open", "half_open"):
-        state_labels = dict(labels or {})
-        state_labels["state"] = name
-        state.sample(1 if name == current else 0, state_labels)
-    return [
-        state,
-        counter("repro_breaker_opened_total",
-                 "Transitions into the open state.",
-                 breaker.opened_count, labels),
-        counter("repro_breaker_rejected_total",
-                 "Calls rejected while open.", breaker.rejected, labels),
-    ]
 
 
 # ----------------------------------------------------------------------

@@ -50,10 +50,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dep in practice
-    _np = None
+import numpy as _np
 
 from ..pbio import Array, FieldType, Format, Primitive, StructRef
 from ..pbio.registry import install_xlate_planner
@@ -211,8 +208,7 @@ def _array_emitter(tag: str, ftype: Array, planner: "XlatePlanner",
             if n == 0:
                 parts.append(empty)
                 return
-            items = v.tolist() if _np is not None and isinstance(
-                v, _np.ndarray) else v
+            items = v.tolist() if isinstance(v, _np.ndarray) else v
             try:
                 body = run(items, n)
             except (TypeError, ValueError):
@@ -406,8 +402,6 @@ def _probe_c_int_runs() -> bool:
     NumPy warns instead and returns what it read, which would drop items
     silently.
     """
-    if _np is None:
-        return False
     exact = False
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -36,7 +36,3 @@ class XmlParseError(XmlError):
 
 class XmlWriteError(XmlError):
     """Raised when a tree cannot be serialized (bad tag name, etc.)."""
-
-
-class XmlNamespaceError(XmlError):
-    """Raised when a qualified name uses an undeclared namespace prefix."""

@@ -1,19 +1,11 @@
 """Qualified-name and namespace utilities.
 
 SOAP 1.1 and WSDL are namespace-heavy; this module provides the small set of
-operations the rest of the stack needs:
-
-* splitting ``prefix:local`` names,
-* resolving prefixes against the in-scope ``xmlns`` declarations of a tree,
-* the well-known namespace URIs used by SOAP/WSDL/XSD.
+names the rest of the stack needs: the local part of a ``prefix:local``
+name, and the well-known namespace URIs used by SOAP/WSDL/XSD.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Iterator, Optional, Tuple
-
-from .errors import XmlNamespaceError
-from .tree import Element
 
 #: Well-known namespace URIs.
 SOAP_ENV_NS = "http://schemas.xmlsoap.org/soap/envelope/"
@@ -22,7 +14,6 @@ WSDL_NS = "http://schemas.xmlsoap.org/wsdl/"
 WSDL_SOAP_NS = "http://schemas.xmlsoap.org/wsdl/soap/"
 XSD_NS = "http://www.w3.org/2001/XMLSchema"
 XSI_NS = "http://www.w3.org/2001/XMLSchema-instance"
-XMLNS_NS = "http://www.w3.org/2000/xmlns/"
 SVG_NS = "http://www.w3.org/2000/svg"
 
 #: Namespace used for SOAP-binQ extension headers (quality attributes that
@@ -30,105 +21,6 @@ SVG_NS = "http://www.w3.org/2000/svg"
 BINQ_NS = "urn:repro:soap-binq"
 
 
-def split_qname(name: str) -> Tuple[Optional[str], str]:
-    """Split ``prefix:local`` into ``(prefix, local)``.
-
-    >>> split_qname("soap:Envelope")
-    ('soap', 'Envelope')
-    >>> split_qname("Envelope")
-    (None, 'Envelope')
-    """
-    if ":" in name:
-        prefix, local = name.split(":", 1)
-        return prefix, local
-    return None, name
-
-
 def local_name(name: str) -> str:
     """The local part of a possibly prefixed name."""
     return name.rsplit(":", 1)[-1]
-
-
-def declared_namespaces(el: Element) -> Dict[Optional[str], str]:
-    """The ``xmlns`` declarations made directly on ``el``.
-
-    The default namespace is keyed by ``None``.
-    """
-    out: Dict[Optional[str], str] = {}
-    for key, value in el.attrib.items():
-        if key == "xmlns":
-            out[None] = value
-        elif key.startswith("xmlns:"):
-            out[key[6:]] = value
-    return out
-
-
-class NamespaceScope:
-    """A stack of in-scope namespace bindings.
-
-    Used when walking a tree top-down: push each element's declarations on
-    entry, pop on exit.
-    """
-
-    def __init__(self, initial: Optional[Dict[Optional[str], str]] = None) -> None:
-        self._stack = [dict(initial) if initial else {"xml": XMLNS_NS}]
-
-    def push(self, el: Element) -> None:
-        top = dict(self._stack[-1])
-        top.update(declared_namespaces(el))
-        self._stack.append(top)
-
-    def pop(self) -> None:
-        if len(self._stack) == 1:
-            raise XmlNamespaceError("namespace scope underflow")
-        self._stack.pop()
-
-    def resolve(self, name: str, use_default: bool = True) -> Tuple[Optional[str], str]:
-        """Resolve a qualified name to ``(namespace_uri, local)``.
-
-        Unprefixed names resolve to the default namespace for element names
-        (``use_default=True``) and to no namespace for attribute names.
-        """
-        prefix, local = split_qname(name)
-        bindings = self._stack[-1]
-        if prefix is None:
-            uri = bindings.get(None) if use_default else None
-            return uri, local
-        if prefix not in bindings:
-            raise XmlNamespaceError(f"undeclared namespace prefix {prefix!r}")
-        return bindings[prefix], local
-
-    def prefix_for(self, uri: str) -> Optional[str]:
-        """A prefix currently bound to ``uri`` (or None)."""
-        for prefix, bound in self._stack[-1].items():
-            if bound == uri and prefix is not None:
-                return prefix
-        return None
-
-
-def resolve_all(root: Element) -> Dict[int, Tuple[Optional[str], str]]:
-    """Map ``id(element)`` to its resolved ``(namespace, local)`` name.
-
-    A one-shot resolution pass over a whole tree; WSDL parsing uses this to
-    interpret prefixed type references.
-    """
-    result: Dict[int, Tuple[Optional[str], str]] = {}
-    scope = NamespaceScope()
-
-    def walk(el: Element) -> None:
-        scope.push(el)
-        result[id(el)] = scope.resolve(el.tag)
-        for child in el.elements():
-            walk(child)
-        scope.pop()
-
-    walk(root)
-    return result
-
-
-def find_by_namespace(root: Element, uri: str, local: str) -> Iterator[Element]:
-    """Yield descendants (and root) whose resolved name is ``{uri}local``."""
-    names = resolve_all(root)
-    for el in root.iter():
-        if names.get(id(el)) == (uri, local):
-            yield el

@@ -3,12 +3,10 @@
 import pytest
 
 from repro.core import (AttributeStore, BandwidthMonitor,
-                        ExchangeObservation, HandlerRepository,
-                        MarshallingCostMonitor, MonitorHub,
-                        NetworkTimeMonitor, QualityHandlerError,
+                        ExchangeObservation, MarshallingCostMonitor,
+                        MonitorHub, NetworkTimeMonitor, QualityHandlerError,
                         ServerTimeMonitor, SoapBinClient, SoapBinService,
                         compile_quality_handler)
-from repro.core.quality_handlers import HandlerRegistry
 from repro.netsim import LinkModel, VirtualClock
 from repro.pbio import Format, FormatRegistry
 from repro.transport import DirectChannel, SimChannel
@@ -182,30 +180,6 @@ class TestDynamicHandlers:
         with pytest.raises(QualityHandlerError):
             handler({"data": [], "note": ""}, registry.by_name("Full"),
                     registry.by_name("Half"), registry, AttributeStore())
-
-    def test_repository_publish_fetch(self):
-        repo = HandlerRepository()
-        repo.publish("halve", HANDLER_SOURCE)
-        assert repo.names() == ["halve"]
-        assert repo.source("halve") == HANDLER_SOURCE
-        assert callable(repo.fetch("halve"))
-
-    def test_repository_rejects_bad_source_at_publish(self):
-        repo = HandlerRepository()
-        with pytest.raises(QualityHandlerError):
-            repo.publish("bad", "import sys")
-        assert repo.names() == []
-
-    def test_repository_unknown_name(self):
-        with pytest.raises(QualityHandlerError):
-            HandlerRepository().fetch("ghost")
-
-    def test_repository_install_into_registry(self):
-        repo = HandlerRepository()
-        repo.publish("halve", HANDLER_SOURCE)
-        handlers = HandlerRegistry()
-        repo.install_into(handlers)
-        assert "halve" in handlers
 
     def test_runtime_install_on_live_service(self, registry):
         """§V future work: redefine quality management on a running

@@ -16,7 +16,7 @@ from repro.core.qcache import estimated_weight
 from repro.core.attributes import RTT
 from repro.core.quality_handlers import HandlerRegistry
 from repro.pbio import Format, FormatRegistry
-from repro.serving.sandbox import HandlerSandbox
+from repro.core.sandbox import HandlerSandbox
 
 QUALITY_TEXT = """
 attribute rtt

@@ -5,11 +5,34 @@ event-driven core is supposed to bound."""
 import socket
 import time
 
+import pytest
+
 from repro.http11 import HttpServer, ReactorHttpServer, Response
 
 
 def ok_handler(request):
     return Response(body=b"pong")
+
+
+def drip(server, head, trickle):
+    """Send ``head`` at once, then ``trickle`` one byte per 10 ms, and
+    return the first bytes the server answers with."""
+    with socket.create_connection(server.address) as raw:
+        raw.settimeout(5.0)
+        deadline = time.monotonic() + 5.0
+        try:
+            raw.sendall(head)
+            for byte in trickle:
+                if time.monotonic() > deadline:
+                    break
+                raw.sendall(bytes([byte]))
+                time.sleep(0.01)
+        except OSError:
+            pass  # the server hung up; its reply is still readable
+        try:
+            return raw.recv(65536)
+        except OSError:
+            return b"HTTP/1.1 408"  # reset after the 408 was sent
 
 
 class TestSlowloris:
@@ -18,24 +41,23 @@ class TestSlowloris:
         # last-byte accounting; the reactor times out from the last
         # *message boundary*, so the trickler is evicted mid-request.
         with HttpServer(ok_handler, idle_timeout_s=0.3) as server:
-            with socket.create_connection(server.address) as raw:
-                raw.settimeout(5.0)
-                deadline = time.monotonic() + 5.0
-                payload = b"GET / HTTP/1.1\r\nX-Slow: " + b"a" * 400
-                data = b""
-                try:
-                    for byte in payload:
-                        if time.monotonic() > deadline:
-                            break
-                        raw.sendall(bytes([byte]))
-                        time.sleep(0.01)
-                    data = raw.recv(65536)
-                except OSError:
-                    pass  # server already hung up: also acceptable below
-                if not data:
-                    data = b"HTTP/1.1 408"  # reset after the 408 was sent
+            data = drip(server, b"",
+                        b"GET / HTTP/1.1\r\nX-Slow: " + b"a" * 400)
             assert data.startswith(b"HTTP/1.1 408")
             # the 408 is a protocol error, not a served request
+            assert server.requests_served == 0
+
+    @pytest.mark.parametrize("head, body", [
+        (b"POST / HTTP/1.1\r\nContent-Length: 400\r\n\r\n", b"a" * 400),
+        (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+         b"1\r\na\r\n" * 70 + b"0\r\n\r\n"),
+    ], ids=["content-length", "chunked"])
+    def test_byte_at_a_time_body_earns_408(self, head, body):
+        # A complete head is no message boundary: a body dripped after
+        # it is still one request in progress, evicted the same way.
+        with HttpServer(ok_handler, idle_timeout_s=0.3) as server:
+            data = drip(server, head, body)
+            assert data.startswith(b"HTTP/1.1 408")
             assert server.requests_served == 0
 
     def test_fast_clients_survive_the_same_timeout(self):

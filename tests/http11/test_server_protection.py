@@ -7,8 +7,9 @@ import threading
 import time
 
 from repro.http11 import Headers, HttpConnection, HttpServer, Response
+from repro.http11.deadline import HEADER_DEADLINE_MS
 from repro.serving import (SHED_DEADLINE_EXPIRED, SHED_QUEUE_FULL,
-                           AdmissionController, HEADER_DEADLINE_MS)
+                           AdmissionController)
 
 
 def ok_handler(request):

@@ -74,7 +74,6 @@ class TestConnectionCapStampede:
 class TestAdmissionStampede:
     def test_no_lost_503s_and_monotonic_counters(self):
         admission = AdmissionController(max_concurrency=2, queue_limit=2,
-                                        shed_policy="lifo",
                                         retry_after_s=0.01)
 
         def handler(request):
@@ -114,10 +113,10 @@ class TestAdmissionStampede:
             assert s2 >= s1
 
     def test_displaced_waiters_get_their_503(self):
-        # LIFO displacement unblocks the displaced waiter with a shed —
-        # its client must still receive a real 503, not a hang or reset.
+        # A full queue of undated waiters displaces its oldest waiter,
+        # which unblocks with a shed — its client must still receive a
+        # real 503, not a hang or reset.
         admission = AdmissionController(max_concurrency=1, queue_limit=1,
-                                        shed_policy="lifo",
                                         retry_after_s=0.01)
 
         def handler(request):

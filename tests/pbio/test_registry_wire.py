@@ -6,9 +6,8 @@ import threading
 import pytest
 
 from repro.pbio import (BIG, DecodeError, Format, FormatClient, FormatError,
-                        FormatRegistry, FormatServer, InMemoryFormatServer,
-                        HEADER_SIZE, PbioSession, UnknownFormatError,
-                        encode_message)
+                        FormatRegistry, FormatServer, HEADER_SIZE,
+                        PbioSession, UnknownFormatError, encode_message)
 from repro.pbio.wire import FLAG_LITTLE_ENDIAN, KIND_DATA, KIND_FORMAT, MAGIC
 
 #: the documented 8-byte message header: magic, flags, kind, format id
@@ -284,19 +283,6 @@ class TestAnnouncementTrust:
         assert decoded["seq"] == 4
 
 
-class TestInMemoryFormatServer:
-    def test_register_and_fetch(self):
-        server = InMemoryFormatServer()
-        fid = server.register(make_fmt())
-        assert server.fetch(fid).name == "sample"
-        assert server.fetch(999) is None
-
-    def test_idempotent_ids(self):
-        server = InMemoryFormatServer()
-        assert server.register(make_fmt()) == server.register(make_fmt())
-        assert len(server) == 1
-
-
 class TestTcpFormatServer:
     def test_register_lookup_roundtrip(self):
         with FormatServer() as server:
@@ -327,6 +313,13 @@ class TestTcpFormatServer:
                     FormatClient(server.address) as bob:
                 fid = alice.register(make_fmt("shared"))
                 assert bob.fetch(fid).name == "shared"
+            # ids are per fingerprint: another client's registration of
+            # the same format (not in its cache) gets the same id back
+            with FormatClient(server.address) as carol:
+                assert carol.register(make_fmt("shared")) == fid
+                assert carol.register(make_fmt("other")) == fid + 1
+                assert carol.network_round_trips == 2
+            assert len(server) == 2
 
     def test_session_with_format_server(self):
         """End-to-end: sender registers with the server; receiver resolves

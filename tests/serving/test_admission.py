@@ -1,4 +1,5 @@
-"""AdmissionController: permits, queue shedding policies, load metrics."""
+"""AdmissionController: permits, earliest-deadline-first queue shedding,
+load metrics."""
 
 import threading
 
@@ -6,8 +7,7 @@ import pytest
 
 from repro.netsim import VirtualClock
 from repro.serving import (SHED_DEADLINE_EXPIRED, SHED_DISPLACED,
-                           SHED_QUEUE_FULL, SHED_SATURATED,
-                           AdmissionController)
+                           SHED_QUEUE_FULL, AdmissionController)
 
 
 class TestBasics:
@@ -23,15 +23,6 @@ class TestBasics:
         assert ac.metrics.admitted == 2
         assert ac.metrics.completed == 2
         assert ac.metrics.shed_total == 0
-
-    def test_nonblocking_saturation_sheds(self):
-        ac = AdmissionController(max_concurrency=1, queue_limit=4)
-        d1 = ac.acquire()
-        d2 = ac.acquire(block=False)
-        assert not d2.admitted
-        assert d2.reason == SHED_SATURATED
-        ac.release(d1.ticket)
-        assert ac.acquire(block=False).admitted
 
     def test_zero_queue_sheds_queue_full(self):
         ac = AdmissionController(max_concurrency=1, queue_limit=0)
@@ -54,8 +45,6 @@ class TestBasics:
             AdmissionController(max_concurrency=0)
         with pytest.raises(ValueError):
             AdmissionController(queue_limit=-1)
-        with pytest.raises(ValueError):
-            AdmissionController(shed_policy="random")
 
 
 class TestQueueing:
@@ -76,24 +65,30 @@ class TestQueueing:
             threading.Event().wait(0.001)
         raise AssertionError(f"queue never reached depth {depth}")
 
-    def test_fifo_sheds_the_new_arrival(self):
-        ac = AdmissionController(max_concurrency=1, queue_limit=1,
-                                 shed_policy="fifo")
+    def test_new_arrival_with_least_slack_is_shed(self):
+        # A full queue of two: the arrival is tighter than every waiter,
+        # so it is the one shed, and both waiters keep their places.
+        ac = AdmissionController(max_concurrency=1, queue_limit=2)
+        now = ac.clock.now()
         holder = ac.acquire()
         results = []
-        waiter = self._queue_one(ac, results)
-        self._wait_for_queue(ac, 1)
-        overflow = ac.acquire()          # queue full: this arrival is shed
+        waiters = [self._queue_one(ac, results, deadline=now + 50.0),
+                   self._queue_one(ac, results, deadline=now + 60.0)]
+        self._wait_for_queue(ac, 2)
+        overflow = ac.acquire(deadline=now + 5.0)
         assert not overflow.admitted
         assert overflow.reason == SHED_QUEUE_FULL
+        assert ac.queue_depth == 2
+        for waiter in waiters:           # each waiter gets its permit
+            ac.release(holder.ticket)
+            waiter.join(timeout=5)
+            assert not waiter.is_alive()
+            holder = results[-1]
+            assert holder.admitted
         ac.release(holder.ticket)
-        waiter.join(timeout=5)
-        assert results[0].admitted       # the queued waiter got the permit
-        ac.release(results[0].ticket)
 
-    def test_lifo_displaces_the_oldest_waiter(self):
-        ac = AdmissionController(max_concurrency=1, queue_limit=1,
-                                 shed_policy="lifo")
+    def test_undated_full_queue_displaces_the_oldest_waiter(self):
+        ac = AdmissionController(max_concurrency=1, queue_limit=1)
         holder = ac.acquire()
         results = []
         oldest = self._queue_one(ac, results)
@@ -111,8 +106,7 @@ class TestQueueing:
     def test_deadline_policy_displaces_the_tightest_waiter(self):
         # The waiter with the least remaining budget is the most likely to
         # be abandoned by its client; it goes first.
-        ac = AdmissionController(max_concurrency=1, queue_limit=1,
-                                 shed_policy="deadline")
+        ac = AdmissionController(max_concurrency=1, queue_limit=1)
         now = ac.clock.now()
         holder = ac.acquire()
         tight = []
@@ -129,8 +123,7 @@ class TestQueueing:
         ac.release(roomy[0].ticket)
 
     def test_deadline_policy_sheds_tight_new_arrival(self):
-        ac = AdmissionController(max_concurrency=1, queue_limit=1,
-                                 shed_policy="deadline")
+        ac = AdmissionController(max_concurrency=1, queue_limit=1)
         now = ac.clock.now()
         holder = ac.acquire()
         roomy = []
@@ -156,8 +149,7 @@ class TestQueueing:
         ac.release(holder.ticket)
 
     def test_release_grants_to_earliest_deadline(self):
-        ac = AdmissionController(max_concurrency=1, queue_limit=4,
-                                 shed_policy="deadline")
+        ac = AdmissionController(max_concurrency=1, queue_limit=4)
         now = ac.clock.now()
         holder = ac.acquire()
         late, early = [], []
@@ -230,14 +222,15 @@ class TestMetrics:
                                  clock=clock)
         outcomes = []
         for i in range(50):
-            d = ac.acquire(block=False)
+            d = ac.acquire()
             outcomes.append(d.admitted)
             if d.admitted:
                 ac.release(d.ticket)
         assert all(outcomes)             # sequential: all admitted
-        d1 = ac.acquire(block=False)
-        d2 = ac.acquire(block=False)     # saturated
+        d1 = ac.acquire()
+        d2 = ac.acquire()                # no free permit, nowhere to wait
         assert not d2.admitted
+        assert d2.reason == SHED_QUEUE_FULL
         ac.release(d1.ticket)
         m = ac.metrics
         assert m.admitted == 51

@@ -30,7 +30,7 @@ from repro.http11 import (Headers, HttpConnection, Request, Response,
                           HttpServer)
 from repro.pbio import Format, FormatRegistry, PbioSession
 from repro.serving import FleetServer
-from repro.serving.sandbox import HandlerSandbox
+from repro.core.sandbox import HandlerSandbox
 from repro.soap.client import SoapClient
 from repro.soap.service import XML_CONTENT_TYPE
 from repro.transport import (DirectChannel, endpoint_http_handler,

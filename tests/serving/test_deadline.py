@@ -4,9 +4,10 @@ import pytest
 
 from repro.netsim import VirtualClock
 from repro.reliability import ReliableChannel, RetryPolicy
-from repro.serving import (HEADER_DEADLINE_MS, deadline_from_headers,
-                           deadline_header_value, with_deadline_header)
-from repro.serving.deadline import HEADER_SEND_TIMESTAMP
+from repro.http11.deadline import (HEADER_DEADLINE_MS, HEADER_SEND_TIMESTAMP,
+                                   deadline_from_headers,
+                                   deadline_header_value,
+                                   with_deadline_header)
 from repro.transport import ChannelReply
 
 

@@ -1,6 +1,9 @@
 """The overload acceptance scenario, on a deterministic virtual clock.
 
-One timeline, four phases, two servers (protected / unprotected):
+One timeline, four phases, two servers (protected / unprotected).  Both
+answer through ``_ServerCore._respond``, the admission gate every
+:class:`~repro.http11.HttpServer` request passes: the protected core has
+an admission controller and load coupling, the unprotected one neither.
 
 * **calm** — a well-behaved client calls at a leisurely pace: full-fidelity
   replies, nothing shed.
@@ -12,7 +15,8 @@ One timeline, four phases, two servers (protected / unprotected):
   a fault.
 * **doomed** — a client behind a congested 50 ms link sends requests with a
   10 ms budget (``X-Deadline-Ms``): every one is expired on arrival.  The
-  protected server sheds them at the door for the price of a tiny 503; the
+  protected server sheds them at the door for the price of a tiny 503
+  (``Retry-After`` + ``X-Shed-Reason``); the
   unprotected server does the full work and ships full replies nobody will
   read, stealing timeline capacity from the well-behaved client, whose
   scheduled calls run late — at least 10x more of them than under
@@ -25,11 +29,15 @@ import pytest
 
 from repro.core import BinProtocolError, SoapBinClient, SoapBinService
 from repro.core.quality_handlers import HandlerRegistry
+from repro.core.sandbox import HandlerSandbox
+from repro.http11 import Headers, Request
+from repro.http11.deadline import HEADER_SHED_REASON, with_deadline_header
+from repro.http11.server import _ServerCore
 from repro.netsim import LinkModel, VirtualClock
 from repro.pbio import Format, FormatRegistry
 from repro.serving import (SHED_DEADLINE_EXPIRED, AdmissionController,
-                           HandlerSandbox, LoadQualityCoupling,
-                           ProtectedEndpoint, with_deadline_header)
+                           LoadQualityCoupling)
+from repro.transport import ChannelReply, SimChannel, endpoint_http_handler
 
 HANDLER_S = 0.2          # server work per request (virtual seconds)
 CALM_THINK_S = 0.6       # think time between calm-phase calls
@@ -60,16 +68,33 @@ def build_registry():
     return reg
 
 
+def served_by(core):
+    """The endpoint a :class:`SimChannel` calls: each exchange becomes a
+    :class:`Request` through ``core._respond`` and its :class:`Response`
+    a :class:`ChannelReply`."""
+    def endpoint(body, content_type, headers):
+        request = Request("POST", "/", Headers(
+            [("Content-Type", content_type), *headers.items()]), body)
+        response = core._respond(request)
+        return ChannelReply(response.body, response.content_type,
+                            response.headers.fields(), response.status)
+    return endpoint
+
+
 class _StampedChannel:
-    """A client whose calls always carry a fixed (tiny) deadline budget."""
+    """A client whose calls always carry a fixed (tiny) deadline budget;
+    it keeps every reply."""
 
     def __init__(self, inner, budget_s):
         self.inner = inner
         self.budget_s = budget_s
+        self.replies = []
 
     def call(self, body, content_type, headers=None):
-        return self.inner.call(body, content_type,
-                               with_deadline_header(headers, self.budget_s))
+        reply = self.inner.call(body, content_type,
+                                with_deadline_header(headers, self.budget_s))
+        self.replies.append(reply)
+        return reply
 
     def close(self):
         self.inner.close()
@@ -97,24 +122,22 @@ def run_timeline(protected: bool):
     service.add_operation("Echo", registry.by_name("EchoRequest"),
                           registry.by_name("EchoResponse"), echo)
     admission = AdmissionController(max_concurrency=1, queue_limit=4,
-                                    shed_policy="deadline", clock=clock)
+                                    clock=clock)
     coupling = LoadQualityCoupling(service.quality, admission)
-    if protected:
-        endpoint = ProtectedEndpoint(service.endpoint, admission,
-                                     coupling=coupling,
-                                     assume_synced_clock=True)
-    else:
-        endpoint = service.endpoint
+    core = _ServerCore(endpoint_http_handler(service.endpoint),
+                       admission=admission if protected else None,
+                       load_coupling=coupling if protected else None,
+                       assume_synced_clock=True)
+    endpoint = served_by(core)
 
-    from repro.transport import SimChannel
     good_link = LinkModel(8e6, 0.002)            # healthy LAN
     doomed_link = LinkModel(1e6, 0.05)           # congested WAN path
     good = SoapBinClient(SimChannel(endpoint, good_link, clock), registry,
                          clock=clock, client_id="good")
-    doomed = SoapBinClient(
-        _StampedChannel(SimChannel(endpoint, doomed_link, clock),
-                        budget_s=0.01),
-        registry, clock=clock, client_id="doomed")
+    doomed_channel = _StampedChannel(SimChannel(endpoint, doomed_link, clock),
+                                     budget_s=0.01)
+    doomed = SoapBinClient(doomed_channel, registry, clock=clock,
+                           client_id="doomed")
     fmt_in = registry.by_name("EchoRequest")
     fmt_out = registry.by_name("EchoResponse")
 
@@ -158,6 +181,8 @@ def run_timeline(protected: bool):
         "doomed_shed": doomed_shed,
         "doomed_served": doomed_served,
         "late_calls": late_calls,
+        "doomed_replies": doomed_channel.replies,
+        "core": core,
         "admission": admission.snapshot(),
         "coupling": coupling,
         "sandbox": sandbox,
@@ -186,6 +211,17 @@ class TestOverloadScenario:
         # the well-behaved client was never shed: every call was admitted
         assert protected["admission"]["admitted"] == \
             protected["admission"]["completed"]
+        assert protected["core"].requests_shed == \
+            DOOMED_ROUNDS * DOOMED_PER_ROUND
+
+    def test_doomed_requests_get_the_servers_503(self, runs):
+        protected, _ = runs
+        replies = protected["doomed_replies"]
+        assert len(replies) == DOOMED_ROUNDS * DOOMED_PER_ROUND
+        for reply in replies:
+            assert reply.status == 503
+            assert reply.headers[HEADER_SHED_REASON] == SHED_DEADLINE_EXPIRED
+            assert reply.headers["Retry-After"].isdigit()
 
     def test_quality_steps_down_under_load_and_recovers(self, runs):
         protected, _ = runs

@@ -5,9 +5,9 @@ import pytest
 from repro.core import SoapBinClient, SoapBinService
 from repro.core.manager import QualityManager
 from repro.core.quality_handlers import HandlerRegistry
+from repro.core.sandbox import HandlerSandbox
 from repro.netsim import VirtualClock
 from repro.pbio import Format, FormatRegistry
-from repro.serving import HandlerSandbox
 from repro.transport import DirectChannel
 
 

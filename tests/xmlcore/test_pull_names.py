@@ -1,13 +1,9 @@
-"""Tests for the pull parser and namespace utilities."""
+"""Tests for the pull parser and qualified names."""
 
 import pytest
 
-from repro.xmlcore import (SOAP_ENV_NS, NamespaceScope, PullEvent,
-                           XmlNamespaceError, XmlParseError, XmlPullParser,
-                           local_name, parse, split_qname)
+from repro.xmlcore import PullEvent, XmlParseError, XmlPullParser, local_name
 from repro.xmlcore import tokenizer as tk
-from repro.xmlcore.names import (declared_namespaces, find_by_namespace,
-                                 resolve_all)
 
 
 class TestPullParser:
@@ -90,66 +86,6 @@ class TestPullParser:
 
 
 class TestNames:
-    def test_split_qname(self):
-        assert split_qname("a:b") == ("a", "b")
-        assert split_qname("b") == (None, "b")
-
     def test_local_name(self):
         assert local_name("soap:Body") == "Body"
         assert local_name("Body") == "Body"
-
-    def test_declared_namespaces(self):
-        el = parse('<a xmlns="urn:default" xmlns:p="urn:p"/>')
-        ns = declared_namespaces(el)
-        assert ns[None] == "urn:default"
-        assert ns["p"] == "urn:p"
-
-    def test_scope_resolution(self):
-        scope = NamespaceScope()
-        el = parse('<a xmlns="urn:d" xmlns:p="urn:p"/>')
-        scope.push(el)
-        assert scope.resolve("x") == ("urn:d", "x")
-        assert scope.resolve("p:x") == ("urn:p", "x")
-        assert scope.resolve("x", use_default=False) == (None, "x")
-        scope.pop()
-
-    def test_scope_nesting_shadows(self):
-        scope = NamespaceScope()
-        outer = parse('<a xmlns:p="urn:outer"/>')
-        inner = parse('<b xmlns:p="urn:inner"/>')
-        scope.push(outer)
-        scope.push(inner)
-        assert scope.resolve("p:x")[0] == "urn:inner"
-        scope.pop()
-        assert scope.resolve("p:x")[0] == "urn:outer"
-
-    def test_undeclared_prefix_raises(self):
-        scope = NamespaceScope()
-        with pytest.raises(XmlNamespaceError):
-            scope.resolve("nope:x")
-
-    def test_scope_underflow(self):
-        scope = NamespaceScope()
-        with pytest.raises(XmlNamespaceError):
-            scope.pop()
-
-    def test_prefix_for(self):
-        scope = NamespaceScope()
-        scope.push(parse('<a xmlns:s="%s"/>' % SOAP_ENV_NS))
-        assert scope.prefix_for(SOAP_ENV_NS) == "s"
-        assert scope.prefix_for("urn:unknown") is None
-
-    def test_resolve_all(self):
-        doc = parse('<s:Envelope xmlns:s="%s"><s:Body/></s:Envelope>'
-                    % SOAP_ENV_NS)
-        names = resolve_all(doc)
-        assert names[id(doc)] == (SOAP_ENV_NS, "Envelope")
-        body = doc.find("Body")
-        assert names[id(body)] == (SOAP_ENV_NS, "Body")
-
-    def test_find_by_namespace(self):
-        doc = parse('<s:Envelope xmlns:s="%s"><s:Body><x/></s:Body>'
-                    '</s:Envelope>' % SOAP_ENV_NS)
-        found = list(find_by_namespace(doc, SOAP_ENV_NS, "Body"))
-        assert len(found) == 1
-        assert found[0].local_name == "Body"
